@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import Design, validate_design
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 from .field import GF, same_field
-from .linear import LinearCode, mat_vec
+from .linear import LinearCode
 from .mds import MdsLocalMatrix
 
 
@@ -151,30 +151,32 @@ class ConstructedCode:
         return tuple(int(c) for c in np.flatnonzero(block.any(axis=0)))
 
     def encode(self, message):
-        """Systematic codeword for a k-symbol message."""
+        """Systematic codeword for a k-symbol message.
+
+        Raises ConstructionError when the word fails H w = 0, which
+        happens when H is not in the layout this encoder assumes.
+        """
         p = self.params
         fld = self.field
         if len(message) != p.k:
             raise ValueError(f"message length {len(message)} != k = {p.k}")
-        word = [fld.check(int(x)) for x in message] + [0] * (self.n - p.k)
+        msg = np.asarray(message, dtype=np.int64)
+        bad = (msg < 0) | (msg >= fld.q)
+        if bad.any():
+            fld.check(int(msg[bad][0]))
         # line parities from the top mu rows, then global parities from
         # the bottom rows (which only read line parities)
-        for row_idx in range(p.mu):
-            row = self.H[row_idx]
-            acc = 0
-            for j in range(p.k):
-                if row[j] and word[j]:
-                    acc = fld.add(acc, fld.mul(int(row[j]), word[j]))
-            word[p.k + row_idx] = fld.neg(acc)
-        for t, row_idx in enumerate(range(p.mu, self.H.shape[0])):
-            row = self.H[row_idx]
-            acc = 0
-            for j in range(p.k, p.k + p.mu):
-                if row[j] and word[j]:
-                    acc = fld.add(acc, fld.mul(int(row[j]), word[j]))
-            word[p.k + p.mu + t] = fld.neg(acc)
-        assert all(v == 0 for v in mat_vec(fld, self.H, word))
-        return tuple(word)
+        word = np.zeros(self.n, dtype=np.int64)
+        word[:p.k] = msg
+        line = slice(p.k, p.k + p.mu)
+        word[line] = fld.vneg(fld.vsum(fld.vmul(self.H[:p.mu, :p.k], msg)))
+        word[p.k + p.mu:] = fld.vneg(
+            fld.vsum(fld.vmul(self.H[p.mu:, line], word[line])))
+        if fld.vsum(fld.vmul(self.H, word)).any():
+            raise ConstructionError(
+                "encoded word is not a codeword: H does not have the "
+                "[M* I 0; 0 W* I] layout")
+        return tuple(word.tolist())
 
 
 def expand_m_star(design: Design, mds: MdsLocalMatrix):

@@ -175,21 +175,26 @@ class GF:
 
         self._exp, self._log, self.generator = self._build_tables(generator)
 
-        # Dense numpy lookup tables for vectorized matrix work.
+        # Dense numpy lookup tables for vectorized matrix work, in the
+        # smallest unsigned dtype that holds every element.
+        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         if q <= _TABLE_LIMIT:
             idx = np.arange(q)
             self.add_table = np.array(
-                [[self.add(a, b) for b in idx] for a in idx], dtype=np.int64)
+                [[self.add(a, b) for b in idx] for a in idx], dtype=self.dtype)
             self.mul_table = np.array(
-                [[self.mul(a, b) for b in idx] for a in idx], dtype=np.int64)
-            self.neg_table = np.array([self.neg(a) for a in idx], dtype=np.int64)
+                [[self.mul(a, b) for b in idx] for a in idx], dtype=self.dtype)
+            self.neg_table = np.array([self.neg(a) for a in idx],
+                                      dtype=self.dtype)
             self.inv_table = np.array(
-                [0] + [self.inv(a) for a in range(1, q)], dtype=np.int64)
+                [0] + [self.inv(a) for a in range(1, q)], dtype=self.dtype)
         else:
             self.add_table = None
             self.mul_table = None
             self.neg_table = None
             self.inv_table = None
+            self._exp_arr = np.array(self._exp, dtype=self.dtype)
+            self._log_arr = np.array(self._log, dtype=np.int64)
 
     # -- construction helpers ------------------------------------------------
 
@@ -297,6 +302,66 @@ class GF:
 
     def elements(self):
         return range(self.q)
+
+    # -- array operations ----------------------------------------------------
+    #
+    # Elementwise over numpy arrays of element encodings (any integer
+    # dtype, broadcasting as numpy does); results have dtype self.dtype.
+    # Fields up to _TABLE_LIMIT index the dense tables; larger fields
+    # multiply through exp/log arrays and add base-p digitwise.
+
+    def _digitwise(self, a, b, sign):
+        """a + sign*b, one base-p digit at a time."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        scale = 1
+        for _ in range(self.m):
+            out += (a // scale % self.p + sign * (b // scale % self.p)) \
+                % self.p * scale
+            scale *= self.p
+        return out.astype(self.dtype)
+
+    def vadd(self, a, b):
+        if self.p == 2:
+            return (np.asarray(a) ^ np.asarray(b)).astype(self.dtype,
+                                                         copy=False)
+        if self.add_table is not None:
+            return self.add_table[a, b]
+        return self._digitwise(a, b, 1)
+
+    def vneg(self, a):
+        if self.p == 2:
+            return np.asarray(a).astype(self.dtype, copy=False)
+        if self.neg_table is not None:
+            return self.neg_table[a]
+        return self._digitwise(0, a, -1)
+
+    def vmul(self, a, b):
+        if self.mul_table is not None:
+            return self.mul_table[a, b]
+        a = np.asarray(a)
+        b = np.asarray(b)
+        prod = self._exp_arr[self._log_arr[a] + self._log_arr[b]]
+        return np.where((a != 0) & (b != 0), prod, 0).astype(self.dtype)
+
+    def vinv(self, a):
+        """Inverses of nonzero entries (zero entries map to garbage)."""
+        if self.inv_table is not None:
+            return self.inv_table[a]
+        return self._exp_arr[(self.q - 1 - self._log_arr[a]) % (self.q - 1)]
+
+    def vsum(self, a, axis=-1):
+        """Field sum of the entries of `a` along `axis`."""
+        a = np.asarray(a)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis).astype(self.dtype)
+        out = 0
+        scale = 1
+        for _ in range(self.m):
+            out = out + (a // scale % self.p).sum(axis=axis) % self.p * scale
+            scale *= self.p
+        return np.asarray(out).astype(self.dtype)
 
     # -- identity ------------------------------------------------------------
 

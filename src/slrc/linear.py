@@ -1,10 +1,12 @@
 """Linear-code machinery over GF(q).
 
 Matrices are numpy integer arrays whose entries are field-element
-encodings.  Row reduction is done with plain loops (desk-scale sizes);
-the one hot spot, enumerating the row space of a parity-check matrix to
-find low-weight dual codewords, is vectorized through the field's
-lookup tables.
+encodings.  Row reduction (rank, generator matrix, puncturing) is still
+done with plain loops at desk-scale sizes.  The hot spot, listing the
+low-weight dual codewords that recovery sets come from, is a search
+over column sets of the generator matrix vectorized through the
+field's array operations (`GF.vadd`, `GF.vmul`, ...), on arrays of the
+field's compact dtype.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ import numpy as np
 from .errors import InfeasibleError
 from .field import GF
 
-# Above this many row-space vectors, dual enumeration switches from the
-# full vectorized sweep to bounded column-subset elimination (the dense
-# sweep materializes q^rank vectors in memory).
+# Codeword listing (`codewords`, the enumerating route of
+# `min_distance`) refuses codes with more codewords than this.
 ENUM_LIMIT = 1 << 22
-# Column-subset search refuses weights beyond this without enumeration.
-SUBSET_WMAX_LIMIT = 6
-SUBSET_BUDGET = 5_000_000
+# Bound, in bytes, on the estimated working set of `dual_low_weight`.
+DUAL_BYTE_BUDGET = 64 << 20
 
 
 def rref(field: GF, A):
@@ -190,23 +190,166 @@ def puncture(code: LinearCode, keep):
     return LinearCode(code.field, Hp)
 
 
-def _enumerate_rowspace(field: GF, rows):
-    """All q^len(rows) combinations of the rows, vectorized via tables."""
+def _full_support_words(field, u, Z, w, budget):
+    """Rows u + sum_j lam_j Z[:, j] over all lam in GF(q)^d whose first w
+    slots are all nonzero; u is (P, slots), Z is (P, d, slots).  Returns
+    (pair index, slot vector) arrays."""
     q = field.q
-    n = rows.shape[1] if rows.size else 0
-    words = np.zeros((1, n), dtype=np.int64)
-    scalars = np.arange(q)
-    for row in rows:
-        multiples = field.mul_table[np.ix_(scalars, row)]     # (q, n)
-        words = field.add_table[words[:, None, :], multiples[None, :, :]]
-        words = words.reshape(-1, n)
-    return words
+    P, d, slots = Z.shape
+    per_pair = 4 * q ** d * slots * field.dtype.itemsize   # X, temporaries
+    if per_pair > budget:
+        raise InfeasibleError(
+            f"{q}^{d} null-space combinations per dependent column set "
+            f"exceed the {budget}-byte dual-search budget")
+    lam = np.array(list(itertools.product(range(q), repeat=d)),
+                   dtype=field.dtype).reshape(q ** d, d)
+    idx, vecs = [], []
+    block = max(1, budget // per_pair)
+    for lo in range(0, P, block):
+        X = np.broadcast_to(u[lo:lo + block, None, :],
+                            (min(block, P - lo), q ** d, slots))
+        for j in range(d):
+            X = field.vadd(X, field.vmul(lam[None, :, j, None],
+                                         Z[lo:lo + block, None, j, :]))
+        pair, combo = np.nonzero((X[:, :, :w] != 0).all(axis=2))
+        idx.append(pair + lo)
+        vecs.append(X[pair, combo])
+    return np.concatenate(idx), np.concatenate(vecs)
+
+
+def _low_weight_dual_words(field, G, wmax, budget):
+    """All vectors y of weight in [1, wmax] with G y = 0, as an (M, n)
+    array normalized so the leading nonzero entry is 1, unsorted.
+
+    A word with support exactly S lies in the null space of G[:, S].
+    Column sets are grown level by level, each by a later column, in
+    lexicographic order.  The search carries one record per (set T,
+    later column c) pair: the residual v of column c of G after
+    elimination against the columns of T (zero at the pivots of T's
+    echelon basis), and the coefficients u, one slot per member of
+    T + {c} with 1 on c's slot, for which sum_s u_s G[:, s] = v.  A
+    zero residual means T + {c} is dependent: u is then a null vector
+    of G[:, T + {c}], and the words supported on exactly T + {c},
+    scaled to 1 on c, are u + z for z in the null space of G[:, T] that
+    are nonzero on every slot.  Extending T by c costs one elimination
+    step per later column, with c's residual as the new pivot row.
+    Dependent sets stay in the search, so words of non-minimal support
+    are found too.
+    """
+    k, n = G.shape
+    wmax = min(wmax, n)
+    if wmax < 1:
+        return np.zeros((0, n), dtype=field.dtype)
+    dt = field.dtype
+    # columns of G as rows, plus one always-zero entry so that a pivot
+    # search never runs over an empty axis
+    Gt = np.zeros((n, k + 1), dtype=dt)
+    Gt[:, :k] = np.asarray(G).T
+    # The search takes one first column at a time, and the sets starting
+    # at column 0 are the most.  Estimated working set per level w: each
+    # (set, column) pair takes about six arrays of k + 1 + wmax entries
+    # of the field's dtype and six intp indices.
+    per_pair = 6 * (k + 1 + wmax) * dt.itemsize + 6 * 8
+    if max(math.comb(n - 1, w - 1) for w in range(1, wmax + 1)) \
+            * per_pair > budget:
+        raise InfeasibleError(
+            f"dual search over column sets of size <= {wmax} of {n} columns "
+            f"exceeds the {budget}-byte budget")
+    found = []
+    for first in range(n):
+        found += _search_from(field, Gt, wmax, first, budget)
+    if not found:
+        return np.zeros((0, n), dtype=dt)
+    return np.concatenate(found)
+
+
+def _search_from(field, Gt, wmax, first, budget):
+    """Words over the column sets whose first column is `first`."""
+    n = len(Gt)
+    dt = Gt.dtype
+    # level-1 pairs: the empty set and every column from `first` on; the
+    # later ones are only the sources of their level-2 residuals
+    c = np.arange(first, n)
+    v = Gt[first:]
+    u = np.zeros((len(c), wmax), dtype=dt)
+    u[:, 0] = 1
+    parent = np.zeros(len(c), dtype=np.intp)
+    # the pairs' sets: columns, and null-space basis as flagged slot rows
+    cols = np.zeros((1, 0), dtype=np.int64)
+    nulls = np.zeros((1, 0, wmax), dtype=dt)
+    isnull = np.zeros((1, 0), dtype=bool)
+    own = c == first
+    found = []
+    for w in range(1, wmax + 1):
+        dependent = ~v.any(axis=1)
+        dep = np.flatnonzero(dependent & own)
+        flags = isnull[parent[dep]]
+        nullity = flags.sum(axis=1)
+        for d in range(w):
+            sel = dep[nullity == d]
+            if not len(sel):
+                continue
+            Z = nulls[parent[sel]][flags[nullity == d]].reshape(len(sel), d,
+                                                                 wmax)
+            pair, vec = _full_support_words(field, u[sel], Z, w, budget)
+            vec = field.vmul(field.vinv(vec[:, :1]), vec[:, :w])
+            support = np.hstack([cols[parent[sel[pair]]],
+                                 c[sel[pair], None]])
+            word = np.zeros((len(pair), n), dtype=dt)
+            np.put_along_axis(word, support, vec, axis=1)
+            found.append(word)
+        if w == wmax:
+            break
+
+        # every pair whose column is not the last becomes a set of level
+        # w; its residual, scaled to 1 at its pivot, is the new echelon row
+        ch = np.flatnonzero(own & (c < n - 1))
+        if not len(ch):
+            break
+        piv = np.argmax(v[ch] != 0, axis=1)
+        scale = np.where(dependent[ch], 0,
+                         field.vinv(v[ch, piv]))[:, None].astype(dt)
+        row = field.vmul(scale, v[ch])
+        crow = field.vmul(scale, u[ch])
+        cols = np.hstack([cols[parent[ch]], c[ch, None]])
+        nulls = np.concatenate(
+            [nulls[parent[ch]], (u[ch] * dependent[ch, None])[:, None]],
+            axis=1)
+        isnull = np.hstack([isnull[parent[ch]], dependent[ch, None]])
+
+        # pairs of level w + 1: set ch[i] with each column after c[ch[i]],
+        # whose level-w residual sits at pair ch[i] + (column - c[ch[i]])
+        counts = n - 1 - c[ch]
+        parent = np.repeat(np.arange(len(ch)), counts)
+        src = (ch[parent] + 1 + np.arange(len(parent))
+               - np.repeat(np.cumsum(counts) - counts, counts))
+        f = field.vneg(v[src, piv[parent]])[:, None]
+        v = field.vadd(v[src], field.vmul(f, row[parent]))
+        # the source's column moves from slot w - 1 to slot w; the last
+        # level needs coefficients only where the residual is zero
+        u_src = u[src]
+        u = np.zeros((len(src), wmax), dtype=dt)
+        u[:, w] = 1
+        need = (slice(None) if w + 1 < wmax
+                else np.flatnonzero(~v.any(axis=1)))
+        u[need, :w - 1] = u_src[need, :w - 1]
+        u[need, :w] = field.vadd(u[need, :w],
+                                 field.vmul(f[need], crow[parent[need], :w]))
+        c = c[src]
+        own = np.ones(len(c), dtype=bool)
+    return found
 
 
 def dual_low_weight(code: LinearCode, wmax):
     """All dual codewords (row space of H) of weight in [1, wmax],
     deduplicated up to scalar multiples and normalized so the leading
-    nonzero entry is 1.  Deterministically ordered."""
+    nonzero entry is 1.  Deterministically ordered: by weight, then
+    lexicographically.
+
+    Raises InfeasibleError when the search's estimated working set
+    exceeds DUAL_BYTE_BUDGET; the estimate is checked before the arrays
+    are allocated.
+    """
     cached = code._dual_cache.get(wmax)
     if cached is not None:
         return cached
@@ -216,55 +359,11 @@ def dual_low_weight(code: LinearCode, wmax):
             code._dual_cache[wmax] = result
             return result
 
-    field = code.field
-    q = field.q
-    if q ** code.rank <= ENUM_LIMIT and field.add_table is not None:
-        words = _enumerate_rowspace(field, code._row_basis)
-        weights = np.count_nonzero(words, axis=1)
-        keep = (weights > 0) & (weights <= wmax)
-        words = words[keep]
-        if len(words):
-            lead = np.argmax(words != 0, axis=1)
-            lead_vals = words[np.arange(len(words)), lead]
-            words = field.mul_table[field.inv_table[lead_vals][:, None], words]
-            words = np.unique(words, axis=0)
-        found = {tuple(int(x) for x in w) for w in words}
-    else:
-        if wmax > SUBSET_WMAX_LIMIT:
-            raise InfeasibleError(
-                f"dual search with wmax={wmax} needs row-space enumeration "
-                f"({q}^{code.rank} vectors), which exceeds the desk budget")
-        total = sum(math.comb(code.n, w) for w in range(1, wmax + 1))
-        if total > SUBSET_BUDGET:
-            raise InfeasibleError(
-                f"{total} column subsets to test exceeds the desk budget")
-        found = set()
-        G = code.generator
-        for w in range(1, wmax + 1):
-            for cols in itertools.combinations(range(code.n), w):
-                B = G[:, cols]
-                ns = nullspace(field, B)
-                if ns.shape[0] == 0:
-                    continue
-                for coeffs in itertools.product(range(q), repeat=ns.shape[0]):
-                    if not any(coeffs):
-                        continue
-                    v = [0] * w
-                    for c, row in zip(coeffs, ns):
-                        if c:
-                            v = [field.add(x, field.mul(c, int(y)))
-                                 for x, y in zip(v, row)]
-                    if all(v):  # support is exactly `cols`
-                        inv = field.inv(v[0])
-                        v = [field.mul(inv, x) for x in v]
-                        full = [0] * code.n
-                        for j, val in zip(cols, v):
-                            full[j] = val
-                        found.add(tuple(full))
-
-    result = [DualWord(vector=v,
+    words = _low_weight_dual_words(code.field, code.generator, wmax,
+                                    DUAL_BYTE_BUDGET)
+    result = [DualWord(vector=tuple(v),
                        support=frozenset(j for j, x in enumerate(v) if x))
-              for v in found]
+              for v in words.tolist()]
     result.sort(key=lambda d: (len(d.support), d.vector))
     code._dual_cache[wmax] = result
     return result

@@ -28,7 +28,7 @@ class VerificationReport:
     checked_t: int
     holds: bool
     failing_pattern: tuple | None = None
-    witnesses: dict = dc_field(default_factory=dict)  # size -> pattern count
+    witnesses: dict = dc_field(default_factory=dict)  # size -> patterns checked
     t_star: int | None = None
     complete: bool = True
 
@@ -67,9 +67,12 @@ def _pattern_count(n, t):
 
 
 def _level_holds(masks, n, size):
-    """Check every erasure pattern of exactly `size`; returns a failing
-    pattern or None."""
-    for pattern in itertools.combinations(range(n), size):
+    """Check the erasure patterns of exactly `size` in lexicographic
+    order up to the first failure; returns (failing pattern or None,
+    number of patterns checked)."""
+    checked = 0
+    for checked, pattern in enumerate(itertools.combinations(range(n), size),
+                                      1):
         imask = 0
         for i in pattern:
             imask |= 1 << i
@@ -77,8 +80,8 @@ def _level_holds(masks, n, size):
             if any(m & imask == 0 for m in masks[i]):
                 break
         else:
-            return pattern
-    return None
+            return pattern, checked
+    return None, checked
 
 
 def check_sequential(code, r, t):
@@ -92,8 +95,7 @@ def check_sequential(code, r, t):
     masks = _recovery_masks(lc, r)
     report = VerificationReport(checked_t=t, holds=True)
     for size in range(1, t + 1):
-        failing = _level_holds(masks, n, size)
-        report.witnesses[size] = math.comb(n, size)
+        failing, report.witnesses[size] = _level_holds(masks, n, size)
         if failing is not None:
             report.holds = False
             report.failing_pattern = failing
@@ -115,8 +117,7 @@ def max_sequential_t(code, r, cap):
         if math.comb(n, size) > MAX_PATTERNS:
             report.complete = False
             return report
-        failing = _level_holds(masks, n, size)
-        report.witnesses[size] = math.comb(n, size)
+        failing, report.witnesses[size] = _level_holds(masks, n, size)
         if failing is not None:
             report.failing_pattern = failing
             return report

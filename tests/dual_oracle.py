@@ -1,0 +1,130 @@
+"""Brute-force oracles for low-weight dual codewords.
+
+Two independent ways to list every dual codeword of weight in
+[1, wmax], normalized so the leading nonzero entry is 1 and ordered by
+(weight, vector) as `slrc.linear.dual_low_weight` returns them:
+
+* `rowspace_words` forms every combination of the rows of H with the
+  field's lookup tables, in slices of at most 2^16 vectors.  Its cost is
+  q^rank(H), so it suits codes with a small parity-check rank.
+* `subset_words` takes every column set S of size <= wmax, computes the
+  null space of G[:, S] by scalar Gaussian elimination and keeps the
+  combinations that are nonzero on all of S.  Its cost is the number of
+  column sets, so it suits long codes with small wmax.
+
+Neither shares code with the enumerator under test beyond the field
+arithmetic.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from slrc.linear import DualWord
+
+SLICE = 1 << 16
+
+
+def _as_dual_words(vectors):
+    words = [DualWord(vector=v, support=frozenset(j for j, x in enumerate(v)
+                                                  if x))
+             for v in set(vectors)]
+    words.sort(key=lambda d: (len(d.support), d.vector))
+    return words
+
+
+def _rowspace(field, rows):
+    """All q^len(rows) combinations of the rows, vectorized via tables."""
+    n = rows.shape[1]
+    words = np.zeros((1, n), dtype=np.int64)
+    scalars = np.arange(field.q)
+    for row in rows:
+        multiples = field.mul_table[np.ix_(scalars, row)]     # (q, n)
+        words = field.add_table[words[:, None, :], multiples[None, :, :]]
+        words = words.reshape(-1, n)
+    return words
+
+
+def rowspace_words(field, H, wmax):
+    """Dual words by enumerating the whole row space of H, q^rank(H)
+    vectors."""
+    n = np.shape(H)[1]
+    H = np.array(_rref(field, H)[0], dtype=np.int64).reshape(-1, n)
+    q = field.q
+    inner = 0
+    while inner < len(H) and q ** (inner + 1) <= SLICE:
+        inner += 1
+    outer, tail = H[:len(H) - inner], _rowspace(field, H[len(H) - inner:])
+    found = set()
+    for coeffs in itertools.product(range(q), repeat=len(outer)):
+        base = np.zeros(n, dtype=np.int64)
+        for c, row in zip(coeffs, outer):
+            base = field.add_table[base, field.mul_table[c, row]]
+        words = field.add_table[base[None, :], tail]
+        weights = np.count_nonzero(words, axis=1)
+        words = words[(weights > 0) & (weights <= wmax)]
+        if len(words):
+            lead = np.argmax(words != 0, axis=1)
+            lead_vals = words[np.arange(len(words)), lead]
+            words = field.mul_table[field.inv_table[lead_vals][:, None], words]
+            found.update(tuple(int(x) for x in w) for w in words)
+    return _as_dual_words(found)
+
+
+def _rref(field, A):
+    """Scalar Gauss-Jordan elimination; returns (nonzero rows, pivots)."""
+    R = [[int(x) for x in row] for row in A]
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = field.inv(R[r][c])
+        R[r] = [field.mul(inv, x) for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R[:len(pivots)], pivots
+
+
+def _nullspace(field, A, ncols):
+    """Basis of {x : A x = 0} for A with ncols columns."""
+    R, pivots = _rref(field, A)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(R[i][f])
+        basis.append(v)
+    return basis
+
+
+def subset_words(field, G, wmax):
+    """Dual words by the null space of every column set of G."""
+    G = np.atleast_2d(np.asarray(G, dtype=np.int64))
+    n = G.shape[1]
+    found = set()
+    for w in range(1, min(wmax, n) + 1):
+        for cols in itertools.combinations(range(n), w):
+            basis = _nullspace(field, G[:, cols], w)
+            for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+                v = [0] * w
+                for c, row in zip(coeffs, basis):
+                    if c:
+                        v = [field.add(x, field.mul(c, y))
+                             for x, y in zip(v, row)]
+                if all(v):
+                    inv = field.inv(v[0])
+                    full = [0] * n
+                    for j, x in zip(cols, v):
+                        full[j] = field.mul(inv, x)
+                    found.add(tuple(full))
+    return _as_dual_words(found)

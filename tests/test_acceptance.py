@@ -151,8 +151,6 @@ def test_criterion_09_parameter_sweep():
                                     design=design,
                                     mds=build_mds_parity(r, delta, GF(q)))
         code = build_parity_check(params)
-        if code.n > 40:
-            continue
         loc = check_information_locality(code)
         seq = check_sequential(code, r, t_i * (delta - 1))
         if not (loc.conditions_1_4 and seq.holds):

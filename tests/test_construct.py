@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from slrc.construct import (CodeShape, ConstructionParams, build_parity_check,
                             build_w_star, code_params, constructed_from_matrix,
                             expand_m_star)
 from slrc.designs import affine_design, complete_graph_design
-from slrc.errors import ParameterError
+from slrc.errors import ConstructionError, FieldError, ParameterError
 from slrc.field import GF
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
@@ -177,6 +181,58 @@ def test_encode_rejects_bad_length():
     code = reference_code()
     with pytest.raises(ValueError):
         code.encode([0] * 5)
+
+
+def test_encode_rejects_h_outside_layout():
+    code = reference_code()
+    H = code.H.copy()
+    H[code.params.mu, 0] = 1     # a global-parity row reads a message symbol
+    bent = constructed_from_matrix(
+        code.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    assert bent.encode([0] * 6) == (0,) * 16
+    with pytest.raises(ConstructionError, match="not a codeword"):
+        bent.encode([1, 0, 0, 0, 0, 0])
+
+
+def test_encode_check_survives_optimize_flag():
+    # the membership check is not an assert, so python -O keeps it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = (
+        "from slrc.construct import constructed_from_matrix\n"
+        "from slrc.errors import ConstructionError\n"
+        "from slrc.reference import reference_code\n"
+        "code = reference_code()\n"
+        "H = code.H.copy()\n"
+        "H[code.params.mu, 0] = 1\n"
+        "bent = constructed_from_matrix(code.field, H, {'r': 3, 'delta': 3,"
+        " 't_i': 2, 'k': 6, 'b': 4})\n"
+        "try:\n"
+        "    bent.encode([1, 0, 0, 0, 0, 0])\n"
+        "except ConstructionError:\n"
+        "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
+
+
+def test_encode_rejects_symbol_outside_field():
+    code = reference_code()
+    with pytest.raises(FieldError):
+        code.encode([0, 0, 4, 0, 0, 0])
+
+
+def test_encode_prime_field_membership():
+    fld = GF(5)
+    params = ConstructionParams(r=4, delta=3, t_i=2, field=fld,
+                                design=affine_design(4, 2),
+                                mds=build_mds_parity(4, 3, fld))
+    code = build_parity_check(params)
+    lc = code.as_linear_code()
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        word = code.encode([int(x) for x in rng.integers(0, 5, size=code.k)])
+        assert lc.contains(word)
 
 
 def test_constructed_from_matrix_round_trip():

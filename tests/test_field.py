@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from slrc.errors import FieldError
@@ -157,3 +158,26 @@ def test_lookup_tables_agree_with_scalar_ops():
     for a in range(1, 4):
         assert gf.inv_table[a] == gf.inv(a)
         assert gf.neg_table[a] == gf.neg(a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 2048, 2187, 4099])
+def test_array_ops_agree_with_scalar_ops(q):
+    # q > 1024 has no tables: exp/log products, digitwise sums
+    gf = GF(q)
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 400))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert gf.vadd(a, b).tolist() == [gf.add(x, y) for x, y in pairs]
+    assert gf.vmul(a, b).tolist() == [gf.mul(x, y) for x, y in pairs]
+    assert gf.vneg(a).tolist() == [gf.neg(x) for x in a.tolist()]
+    nonzero = a[a != 0]
+    assert gf.vinv(nonzero).tolist() == [gf.inv(x) for x in nonzero.tolist()]
+    M = rng.integers(0, q, size=(6, 9))
+    sums = []
+    for row in M.tolist():
+        acc = 0
+        for x in row:
+            acc = gf.add(acc, x)
+        sums.append(acc)
+    assert gf.vsum(M, axis=1).tolist() == sums
+    assert gf.vmul(a, b).dtype == (np.uint8 if q <= 256 else np.uint16)

@@ -1,12 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dual_oracle
+from slrc.construct import ConstructionParams, build_parity_check
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, dual_low_weight, min_distance, nullspace,
                          puncture, rank_and_basis, recovery_sets_for)
+from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
 
@@ -134,16 +139,90 @@ def test_dual_low_weight_matches_full_enumeration():
 
 
 def test_dual_low_weight_subset_route_agrees(ref_lc):
-    full = dual_low_weight(ref_lc, 4)
+    # both brute-force oracles agree with the enumerator on the reference
+    # code, list for list
+    words = dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
+    assert len(words) == 33
+    assert words == dual_oracle.rowspace_words(ref_lc.field, ref_lc.H, 4)
+    assert words == dual_oracle.subset_words(ref_lc.field, ref_lc.generator, 4)
+
+
+@st.composite
+def small_parity_checks(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 12))
+    # the row-space oracle lists q^rows vectors
+    rows = draw(st.integers(1, int(math.log(20_000, q))))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
+                            max_size=rows * n))
+    return GF(q), np.array(entries, dtype=np.int64).reshape(rows, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_parity_checks(), st.integers(1, 5))
+def test_dual_low_weight_matches_rowspace_oracle(field_and_h, wmax):
+    field, H = field_and_h
+    words = dual_low_weight(LinearCode(field, H), wmax)
+    assert words == dual_oracle.rowspace_words(field, H, wmax)
+
+
+def test_dual_low_weight_matches_oracles_on_sweep_points():
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    checked = 0
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=fld,
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, fld))
+        lc = build_parity_check(params).as_linear_code()
+        if lc.n > 23:
+            continue
+        if fld.q ** lc.rank <= 1 << 23:
+            expect = dual_oracle.rowspace_words(fld, lc.H, r + 1)
+        else:
+            expect = dual_oracle.subset_words(fld, lc.generator, r + 1)
+        assert dual_low_weight(lc, r + 1) == expect, (r, delta, t_i, lc.n)
+        checked += 1
+    assert checked == 11
+
+
+@pytest.mark.parametrize("q", [2048, 2187])
+def test_dual_low_weight_large_field(q):
+    # no lookup tables above q = 1024: the enumerator runs on exp/log
+    field = GF(q)
+    rng = np.random.default_rng(q)
+    H = rng.integers(1, q, size=(4, 7))
+    H[0, 2:] = 0        # a dual word of weight 2
+    H[1, :2] = 0        # and one of weight 3
+    H[1, 5:] = 0
+    lc = LinearCode(field, H)
+    words = dual_low_weight(lc, 3)
+    assert [len(d.support) for d in words] == [2, 3]
+    assert words == dual_oracle.subset_words(field, lc.generator, 3)
+
+
+def test_dual_low_weight_cache_filters_larger_wmax(ref_lc):
+    lc = LinearCode(ref_lc.field, ref_lc.H)
+    four = dual_low_weight(lc, 4)
+    three = dual_low_weight(lc, 3)
+    assert three == [d for d in four if len(d.support) <= 3]
+    assert dual_low_weight(lc, 3) is three
+
+
+def test_dual_low_weight_refuses_huge_null_space_expansion():
+    # every vector is a dual word of the zero code: 2048^2 combinations
+    # per dependent set of three columns exceed the byte budget
+    lc = LinearCode(GF(2048), np.eye(4, dtype=np.int64))
+    assert len(dual_low_weight(lc, 2)) == 4 + 6 * 2047
+    with pytest.raises(InfeasibleError, match="null-space combinations"):
+        dual_low_weight(lc, 3)
+
+
+def test_dual_low_weight_byte_budget(ref_lc, monkeypatch):
     import slrc.linear as linear
-    fresh = LinearCode(ref_lc.field, ref_lc.H)
-    old = linear.ENUM_LIMIT
-    linear.ENUM_LIMIT = 1
-    try:
-        by_subsets = dual_low_weight(fresh, 4)
-    finally:
-        linear.ENUM_LIMIT = old
-    assert {d.vector for d in full} == {d.vector for d in by_subsets}
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", 10_000)
+    with pytest.raises(InfeasibleError, match="byte budget"):
+        dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
 
 
 def test_recovery_sets_for_first_coordinate(ref_lc):

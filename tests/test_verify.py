@@ -70,6 +70,23 @@ def test_max_sequential_t_reference(ref):
     assert rep.complete
 
 
+def test_witnesses_count_patterns_checked(ref):
+    # full levels count every pattern; the failing level counts up to and
+    # including the failing pattern's lexicographic position
+    n = ref.n
+    for rep in (max_sequential_t(ref, 3, cap=9), check_sequential(ref, 3, 7)):
+        failing = rep.failing_pattern
+        assert failing == (5, 10, 11, 12, 13)
+        position = next(i for i, pattern in enumerate(
+            itertools.combinations(range(n), len(failing)), 1)
+            if pattern == failing)
+        assert rep.witnesses[len(failing)] == position == 4102
+        assert rep.witnesses == {
+            **{s: len(list(itertools.combinations(range(n), s)))
+               for s in range(1, len(failing))},
+            len(failing): position}
+
+
 def test_consistency_t_star(ref):
     t_star = max_sequential_t(ref, 3, cap=9).t_star
     assert check_sequential(ref, 3, t_star).holds
