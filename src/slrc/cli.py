@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import reference
 from .bounds import rate_report
@@ -18,6 +19,7 @@ from .construct import (ConstructionParams, build_parity_check, code_params,
 from .designs import affine_design, complete_graph_design, load_design, Design
 from .errors import SlrcError, ParameterError
 from .field import GF
+from .linear import LinearCode
 from .matrixio import (load_matrix, load_matrix_csv, save_matrix,
                        save_matrix_csv, matrix_to_dict)
 from .mds import build_mds_parity
@@ -72,7 +74,6 @@ def _load_code(path):
     fld, H, roles, params = load_matrix(path)
     if params is not None:
         return constructed_from_matrix(fld, H, params, roles), params
-    from .linear import LinearCode
     return LinearCode(fld, H), None
 
 
@@ -145,7 +146,6 @@ def cmd_bounds(args):
         if pd is None:
             print("error: matrix file has no params block", file=sys.stderr)
             return EXIT_PARAM
-        from fractions import Fraction
         rep = rate_report(args.r, args.ti, args.delta)
         exact = Fraction(pd["k"], code.n)
         rep.exact = exact
@@ -166,12 +166,7 @@ def cmd_bounds(args):
 
 
 def cmd_export(args):
-    fld, H, roles, params = load_matrix(args.infile)
-    if params is not None:
-        code = constructed_from_matrix(fld, H, params, roles)
-    else:
-        from .linear import LinearCode
-        code = LinearCode(fld, H)
+    code, _ = _load_code(args.infile)
     if args.csv:
         save_matrix_csv(code, args.csv)
     if args.json_out:

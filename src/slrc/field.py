@@ -332,7 +332,7 @@ class GF:
 
     def vneg(self, a):
         if self.p == 2:
-            return np.asarray(a).astype(self.dtype, copy=False)
+            return np.array(a, dtype=self.dtype)    # a copy, never `a`
         if self.neg_table is not None:
             return self.neg_table[a]
         return self._digitwise(0, a, -1)

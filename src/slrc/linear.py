@@ -1,12 +1,13 @@
 """Linear-code machinery over GF(q).
 
 Matrices are numpy integer arrays whose entries are field-element
-encodings.  Row reduction (rank, generator matrix, puncturing) is still
-done with plain loops at desk-scale sizes.  The hot spot, listing the
-low-weight dual codewords that recovery sets come from, is a search
-over column sets of the generator matrix vectorized through the
-field's array operations (`GF.vadd`, `GF.vmul`, ...), on arrays of the
-field's compact dtype.
+encodings.  Every job runs on whole arrays through the field's array
+operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
+pivot column at a time across all rows, the minimum distance multiplies
+blocks of messages by the generator matrix, and the hot spot, listing
+the low-weight dual codewords that recovery sets come from, is a search
+over column sets of the generator matrix on arrays of the field's
+compact dtype.
 """
 
 from __future__ import annotations
@@ -20,37 +21,31 @@ import numpy as np
 from .errors import InfeasibleError
 from .field import GF
 
-# Codeword listing (`codewords`, the enumerating route of
-# `min_distance`) refuses codes with more codewords than this.
+# `min_distance` refuses codes with more codewords than this.
 ENUM_LIMIT = 1 << 22
-# Bound, in bytes, on the estimated working set of `dual_low_weight`.
+# Bound, in bytes, on the estimated working set of `dual_low_weight`
+# and of one block of codewords in `min_distance`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
 def rref(field: GF, A):
     """Row-reduce A over the field; returns (R, pivot_columns)."""
-    R = [[int(x) for x in row] for row in np.atleast_2d(np.asarray(A))]
-    nrows = len(R)
-    ncols = len(R[0]) if nrows else 0
+    R = np.array(np.atleast_2d(A), dtype=field.dtype)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(inv, x) for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    for r in range(R.shape[0]):
+        # rows r.. are zero left of the next pivot column
+        live = R[r:].any(axis=0)
+        if not live.any():
             break
-    return np.array(R, dtype=np.int64).reshape(nrows, ncols), pivots
+        c = int(np.argmax(live))
+        p = r + int(np.argmax(R[r:, c] != 0))
+        R[[r, p]] = R[[p, r]]
+        R[r] = field.vmul(field.vinv(R[r, c]), R[r])
+        f = field.vneg(R[:, c])
+        f[r] = 0
+        R = field.vadd(R, field.vmul(f[:, None], R[r]))
+        pivots.append(c)
+    return R.astype(np.int64), pivots
 
 
 def rank_and_basis(field: GF, A):
@@ -65,30 +60,12 @@ def matrix_rank(field: GF, A):
 
 def nullspace(field: GF, A):
     """Basis (as rows) of {x : A x = 0}; shape (dim, ncols)."""
-    A = np.atleast_2d(np.asarray(A))
-    ncols = A.shape[1]
     R, pivots = rref(field, A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(R[i][f])
-        basis.append(v)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
-
-
-def mat_vec(field: GF, A, x):
-    """A @ x over the field (x a 1-D sequence)."""
-    out = []
-    for row in np.atleast_2d(np.asarray(A)):
-        acc = 0
-        for a, b in zip(row, x):
-            if a and b:
-                acc = field.add(acc, field.mul(int(a), int(b)))
-        out.append(acc)
-    return out
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    N = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, pivots] = field.vneg(R[:len(pivots), free]).T
+    return N
 
 
 @dataclass(frozen=True)
@@ -116,7 +93,7 @@ class LinearCode:
             raise ValueError("matrix entries outside field range")
         self.H = H
         self.n = H.shape[1]
-        self.rank, self._row_basis = rank_and_basis(field, H)
+        self.rank = matrix_rank(field, H)
         self.dimension = self.n - self.rank
         self._generator = None
         self._dual_cache = {}
@@ -129,53 +106,34 @@ class LinearCode:
         return self._generator
 
     def contains(self, word):
-        return all(v == 0 for v in mat_vec(self.field, self.H, word))
-
-    def codewords(self):
-        """Iterate all q^dimension codewords (desk scale only)."""
-        q = self.field.q
-        if q ** self.dimension > ENUM_LIMIT:
-            raise InfeasibleError(
-                f"q^dim = {q}^{self.dimension} codewords is too many to list")
-        G = self.generator
-        for coeffs in itertools.product(range(q), repeat=self.dimension):
-            w = [0] * self.n
-            for c, row in zip(coeffs, G):
-                if c:
-                    for j, g in enumerate(row):
-                        if g:
-                            w[j] = self.field.add(w[j], self.field.mul(c, int(g)))
-            yield tuple(w)
+        fld = self.field
+        return not fld.vsum(fld.vmul(self.H, np.asarray(word))).any()
 
 
-def min_distance(code: LinearCode, cap=None):
+def min_distance(code: LinearCode):
     """Exact minimum nonzero codeword weight.
 
-    Enumerates all codewords when feasible; otherwise searches dependent
-    column subsets of H up to size `cap`.  Returns None when the search
-    proves only that the distance exceeds cap.
+    Multiplies every nonzero message by the generator matrix, in blocks
+    whose working set stays within DUAL_BYTE_BUDGET.  Raises
+    InfeasibleError above ENUM_LIMIT codewords.
     """
-    if code.dimension == 0:
+    field, q, k, n = code.field, code.field.q, code.dimension, code.n
+    if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    q = code.field.q
-    if q ** code.dimension <= ENUM_LIMIT:
-        best = None
-        for w in code.codewords():
-            wt = sum(1 for x in w if x)
-            if wt and (best is None or wt < best):
-                best = wt
-                if best == 1:
-                    break
-        return best
-    if cap is None:
-        raise InfeasibleError(
-            f"q^dim = {q}^{code.dimension}: pass a cap for subset search")
-    H = code.H
-    for w in range(1, cap + 1):
-        for cols in itertools.combinations(range(code.n), w):
-            if matrix_rank(code.field, H[:, cols]) < w:
-                return w
-    return None
+    if q ** k > ENUM_LIMIT:
+        raise InfeasibleError(f"q^dim = {q}^{k} codewords is too many to list")
+    G = code.generator.astype(field.dtype)
+    # a message's (k, n) products and the sum's temporaries, 8 bytes each
+    block = max(1, DUAL_BYTE_BUDGET // (4 * k * n * 8))
+    best = n
+    for lo in range(1, q ** k, block):
+        msgs = np.arange(lo, min(lo + block, q ** k))[:, None] \
+            // q ** np.arange(k) % q
+        words = field.vsum(field.vmul(msgs[:, :, None], G), axis=1)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        if best == 1:
+            break
+    return best
 
 
 def puncture(code: LinearCode, keep):
@@ -183,11 +141,8 @@ def puncture(code: LinearCode, keep):
     keep = sorted(keep)
     if not keep:
         raise ValueError("keep must be nonempty")
-    G = code.generator[:, keep]
-    Hp = nullspace(code.field, G)
-    if Hp.shape[0] == 0:
-        Hp = np.zeros((0, len(keep)), dtype=np.int64)
-    return LinearCode(code.field, Hp)
+    return LinearCode(code.field, nullspace(code.field,
+                                            code.generator[:, keep]))
 
 
 def _full_support_words(field, u, Z, w, budget):

@@ -12,56 +12,80 @@ codes:
       "params": optional {"r", "delta", "t_i", "k", "b", "s", "mu"}
     }
 
-Export followed by import is bit-exact.
+Export followed by import is bit-exact.  Import checks the document
+and raises ParameterError when it is malformed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
 from .construct import ConstructedCode
+from .errors import ParameterError
 from .field import GF
-from .linear import LinearCode
 
 
 def matrix_to_dict(code):
-    if isinstance(code, ConstructedCode):
-        p = code.params
-        return {
-            "field": code.field.spec_dict(),
-            "rows": int(code.H.shape[0]),
-            "cols": int(code.H.shape[1]),
-            "entries": [int(x) for x in code.H.ravel()],
-            "coordinate_roles": list(code.coordinate_roles),
-            "params": {"r": p.r, "delta": p.delta, "t_i": p.t_i,
-                       "k": p.k, "b": p.b, "s": p.s, "mu": p.mu},
-        }
-    lc = code
+    p = code.params if isinstance(code, ConstructedCode) else None
     return {
-        "field": lc.field.spec_dict(),
-        "rows": int(lc.H.shape[0]),
-        "cols": int(lc.H.shape[1]),
-        "entries": [int(x) for x in lc.H.ravel()],
-        "coordinate_roles": None,
-        "params": None,
+        "field": code.field.spec_dict(),
+        "rows": int(code.H.shape[0]),
+        "cols": int(code.H.shape[1]),
+        "entries": [int(x) for x in code.H.ravel()],
+        "coordinate_roles": None if p is None else list(code.coordinate_roles),
+        "params": None if p is None else {
+            "r": p.r, "delta": p.delta, "t_i": p.t_i, "k": p.k, "b": p.b,
+            "s": p.s, "mu": p.mu},
     }
+
+
+def _require(doc, keys, what):
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise ParameterError(f"{what} lacks {', '.join(missing)}")
+
+
+def _check_params(params, cols):
+    """The params block must hold positive integers r, delta, t_i, k, b
+    that give H's width, n = k + (b + ceil(ceil(k/r)/r)) (delta - 1)."""
+    keys = ("r", "delta", "t_i", "k", "b")
+    _require(params, keys, "params block")
+    if not all(isinstance(params[key], int) and params[key] >= 1
+               for key in keys):
+        raise ParameterError(f"params {', '.join(keys)} must be positive "
+                             f"integers")
+    r, delta, k, b = (params[key] for key in ("r", "delta", "k", "b"))
+    n = k + (b + math.ceil(math.ceil(k / r) / r)) * (delta - 1)
+    if n != cols:
+        raise ParameterError(
+            f"params (r={r}, delta={delta}, k={k}, b={b}) give n = {n}, "
+            f"but H has {cols} columns")
 
 
 def dict_to_matrix(doc):
     """Returns (field, H, coordinate_roles, params_dict)."""
+    _require(doc, ("field", "rows", "cols", "entries"), "matrix document")
+    _require(doc["field"], ("p", "m", "prim_poly", "generator"),
+             "field spec")
     fld = GF.from_spec_dict(doc["field"])
-    rows, cols = doc["rows"], doc["cols"]
-    entries = doc["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(
-            f"entries length {len(entries)} != rows*cols = {rows * cols}")
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not (isinstance(rows, int) and isinstance(cols, int)
+            and isinstance(entries, list) and rows >= 0 and cols >= 0
+            and len(entries) == rows * cols
+            and all(isinstance(x, int) for x in entries)):
+        raise ParameterError(
+            f"entries must be a list of rows*cols = {rows}*{cols} integers")
     H = np.array(entries, dtype=np.int64).reshape(rows, cols)
     if H.size and (H.min() < 0 or H.max() >= fld.q):
-        raise ValueError("matrix entry outside the field range")
-    return fld, H, doc.get("coordinate_roles"), doc.get("params")
+        raise ParameterError("matrix entry outside the field range")
+    params = doc.get("params")
+    if params is not None:
+        _check_params(params, cols)
+    return fld, H, doc.get("coordinate_roles"), params
 
 
 def save_matrix(code, path):
@@ -73,12 +97,6 @@ def save_matrix(code, path):
 def load_matrix(path):
     with open(path) as fh:
         return dict_to_matrix(json.load(fh))
-
-
-def load_linear_code(path):
-    """Load a matrix file as a plain LinearCode plus its metadata."""
-    fld, H, roles, params = load_matrix(path)
-    return LinearCode(fld, H), roles, params
 
 
 def save_matrix_csv(code, path):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import ConstructedCode
+from .errors import ParameterError
 from .linear import all_recovery_sets
+from .verify import _as_linear
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,6 @@ class RepairSchedule:
                 for s in self.steps
             ],
         }
-
-
-def _as_linear(code):
-    return code.as_linear_code() if isinstance(code, ConstructedCode) else code
 
 
 def plan_repair(code, erased, r, _table=None):
@@ -113,9 +111,11 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     rate must be 1.0 whenever t is at or below the certified tolerance.
     `trace`, when given, is called with every executed RepairStep.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 1 or t < 1:
+        raise ParameterError(
+            f"trials and t must be >= 1, got trials={trials}, t={t}")
     lc = _as_linear(code)
+    fld = lc.field
     n = lc.n
     table = all_recovery_sets(lc, r)
     rng = np.random.default_rng(seed)
@@ -128,17 +128,12 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
         erased = tuple(sorted(int(x) for x in
                               rng.choice(n, size=size, replace=False)))
         if isinstance(code, ConstructedCode):
-            message = [int(x) for x in rng.integers(0, lc.field.q, size=code.k)]
+            message = [int(x) for x in rng.integers(0, fld.q, size=code.k)]
             word = code.encode(message)
         else:
-            coeffs = [int(x) for x in
-                      rng.integers(0, lc.field.q, size=lc.dimension)]
-            word = [0] * n
-            for c, row in zip(coeffs, lc.generator):
-                for j, g in enumerate(row):
-                    if c and g:
-                        word[j] = lc.field.add(word[j], lc.field.mul(c, int(g)))
-            word = tuple(word)
+            coeffs = rng.integers(0, fld.q, size=lc.dimension)
+            word = tuple(fld.vsum(fld.vmul(coeffs[:, None], lc.generator),
+                                  axis=0).tolist())
         schedule = plan_repair(lc, erased, r, _table=table)
         if schedule.complete:
             if trace is not None:

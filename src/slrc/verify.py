@@ -15,10 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-
 from .construct import ConstructedCode
 from .errors import InfeasibleError
-from .linear import LinearCode, all_recovery_sets, min_distance, puncture
+from .linear import (LinearCode, all_recovery_sets, min_distance, puncture,
+                     recovery_sets_for)
 
 MAX_PATTERNS = 10_000_000
 
@@ -312,6 +312,4 @@ def rank_report(code: ConstructedCode):
 def check_availability(code, i, r):
     """Maximum number of pairwise-disjoint size-<= r recovery sets of
     coordinate i."""
-    lc = _as_linear(code)
-    from .linear import recovery_sets_for
-    return len(_max_disjoint(recovery_sets_for(lc, i, r)))
+    return len(_max_disjoint(recovery_sets_for(_as_linear(code), i, r)))

@@ -1,4 +1,4 @@
-"""Brute-force oracles for low-weight dual codewords.
+"""Brute-force oracles for low-weight dual codewords and minimum distance.
 
 Two independent ways to list every dual codeword of weight in
 [1, wmax], normalized so the leading nonzero entry is 1 and ordered by
@@ -12,7 +12,12 @@ Two independent ways to list every dual codeword of weight in
   combinations that are nonzero on all of S.  Its cost is the number of
   column sets, so it suits long codes with small wmax.
 
-Neither shares code with the enumerator under test beyond the field
+`brute_force_distance` lists every codeword, as the row space of a
+null-space basis of H, and takes the smallest nonzero weight.  `_rref`
+and `_nullspace` are scalar Gauss-Jordan elimination, the oracles for
+`slrc.linear.rank_and_basis` and `nullspace`.
+
+None shares code with the functions under test beyond the field
 arithmetic.
 """
 
@@ -36,15 +41,27 @@ def _as_dual_words(vectors):
 
 
 def _rowspace(field, rows):
-    """All q^len(rows) combinations of the rows, vectorized via tables."""
+    """All q^len(rows) combinations of the rows, by elementwise field
+    arithmetic."""
     n = rows.shape[1]
     words = np.zeros((1, n), dtype=np.int64)
     scalars = np.arange(field.q)
     for row in rows:
-        multiples = field.mul_table[np.ix_(scalars, row)]     # (q, n)
-        words = field.add_table[words[:, None, :], multiples[None, :, :]]
+        multiples = field.vmul(*np.ix_(scalars, row))        # (q, n)
+        words = field.vadd(words[:, None, :], multiples[None, :, :])
         words = words.reshape(-1, n)
     return words
+
+
+def brute_force_distance(field, H):
+    """Minimum nonzero weight over all q^k codewords of the code with
+    parity check H; None for the zero code."""
+    H = np.atleast_2d(np.asarray(H, dtype=np.int64))
+    n = H.shape[1]
+    basis = np.array(_nullspace(field, H, n), dtype=np.int64).reshape(-1, n)
+    weights = np.count_nonzero(_rowspace(field, basis), axis=1)
+    weights = weights[weights > 0]
+    return int(weights.min()) if len(weights) else None
 
 
 def rowspace_words(field, H, wmax):

@@ -1,10 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from slrc.cli import main
-from slrc.matrixio import (load_matrix, load_matrix_csv, matrix_to_dict,
-                           save_matrix, save_matrix_csv)
+from slrc.errors import ParameterError
+from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
+                           matrix_to_dict, save_matrix, save_matrix_csv)
 from slrc.reference import golden, reference_code
 
 
@@ -160,3 +162,55 @@ def test_construct_design_from_file(tmp_path, capsys):
     assert rc == 0
     _, H, _, _ = load_matrix(out)
     assert (H == golden("h")).all()
+
+
+def _one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_file_without_entries_exits_2(tmp_path, capsys):
+    doc = matrix_to_dict(reference_code())
+    del doc["entries"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "verify", "--in", str(bad), "--t", "1")
+    assert rc == 2
+    assert _one_line_error(err) and "entries" in err
+
+
+def test_verify_params_wider_than_h_exits_2(tmp_path, capsys):
+    doc = matrix_to_dict(reference_code())
+    doc["params"]["k"] = 20
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "verify", "--in", str(bad))
+    assert rc == 2
+    assert _one_line_error(err) and "16 columns" in err
+
+
+@pytest.mark.parametrize("t,trials", [(2, 0), (0, 5)])
+def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
+    out = tmp_path / "code.json"
+    save_matrix(reference_code(), out)
+    rc, _, err = run(capsys, "simulate", "--in", str(out), "--t", str(t),
+                     "--trials", str(trials))
+    assert rc == 2
+    assert _one_line_error(err) and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("spoil,match", [
+    (lambda d: d.pop("field"), "lacks field"),
+    (lambda d: d["field"].pop("prim_poly"), "lacks prim_poly"),
+    (lambda d: d["entries"].pop(), "rows\\*cols"),
+    (lambda d: d.update(rows="10"), "rows\\*cols"),
+    (lambda d: d["entries"].__setitem__(3, "x"), "integers"),
+    (lambda d: d["entries"].__setitem__(3, 4), "outside the field"),
+    (lambda d: d["params"].pop("b"), "params block lacks b"),
+    (lambda d: d["params"].update(r=0), "positive integers"),
+    (lambda d: d["params"].update(delta=4), "give n = 21"),
+])
+def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
+    doc = matrix_to_dict(reference_code())
+    spoil(doc)
+    with pytest.raises(ParameterError, match=match):
+        dict_to_matrix(doc)

@@ -181,3 +181,14 @@ def test_array_ops_agree_with_scalar_ops(q):
         sums.append(acc)
     assert gf.vsum(M, axis=1).tolist() == sums
     assert gf.vmul(a, b).dtype == (np.uint8 if q <= 256 else np.uint16)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 2048])
+def test_array_ops_return_fresh_arrays(q):
+    # callers write into the results, so none may alias an operand
+    gf = GF(q)
+    a = np.arange(q, dtype=gf.dtype)[:8]
+    b = a[::-1].copy()
+    for out in (gf.vneg(a), gf.vadd(a, b), gf.vmul(a, b), gf.vinv(a)):
+        assert not np.shares_memory(out, a)
+        assert not np.shares_memory(out, b)

@@ -63,9 +63,13 @@ def test_nullspace_vectors_annihilate():
     A = rng.integers(0, 4, size=(3, 7))
     N = nullspace(gf, A)
     assert N.shape[0] == 7 - rank_and_basis(gf, A)[0]
-    from slrc.linear import mat_vec
-    for v in N:
-        assert all(x == 0 for x in mat_vec(gf, A, v))
+    assert N.tolist() == dual_oracle._nullspace(gf, A, 7)
+    for v in N.tolist():
+        for row in A.tolist():
+            acc = 0
+            for a, x in zip(row, v):
+                acc = gf.add(acc, gf.mul(a, x))
+            assert acc == 0
 
 
 def test_min_distance_local_mds(ref):
@@ -80,7 +84,8 @@ def test_min_distance_single_parity():
 
 
 def test_min_distance_subset_route_agrees():
-    # force the column-subset search and compare with full enumeration
+    # the distance is also the size of the smallest dependent column set
+    # of H
     gf = GF(4)
     rng = np.random.default_rng(9)
     H = rng.integers(0, 4, size=(3, 8))
@@ -97,6 +102,68 @@ def test_min_distance_subset_route_agrees():
             by_subsets = w
             break
     assert exact == by_subsets
+
+
+@st.composite
+def oracle_sized_matrices(draw):
+    """Random H over GF(2, 3, 4, 5, 8), mostly with few enough codewords
+    for the brute-force distance oracle."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8]))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.integers(max(1, n - int(math.log(5_000, q))), n + 1))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
+                            max_size=rows * n))
+    return GF(q), np.array(entries, dtype=np.int64).reshape(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_sized_matrices())
+def test_linear_algebra_matches_scalar_oracles(field_and_h):
+    field, H = field_and_h
+    n = H.shape[1]
+    basis, pivots = dual_oracle._rref(field, H)
+    rank, R = rank_and_basis(field, H)
+    assert rank == len(pivots)
+    assert R.tolist() == basis
+    assert nullspace(field, H).tolist() == dual_oracle._nullspace(field, H,
+                                                                  n)
+    lc = LinearCode(field, H)
+    if lc.dimension == 0:
+        with pytest.raises(ValueError, match="zero code"):
+            min_distance(lc)
+    elif field.q ** lc.dimension <= 5_000:
+        assert min_distance(lc) == dual_oracle.brute_force_distance(field, H)
+
+
+def test_linear_algebra_matches_scalar_oracles_gf2048():
+    # no lookup tables above q = 1024
+    field = GF(2048)
+    rng = np.random.default_rng(2048)
+    H = rng.integers(0, 2048, size=(5, 9))
+    H[3] = field.vadd(H[0], field.vmul(7, H[1]))     # rank 4
+    basis, pivots = dual_oracle._rref(field, H)
+    assert rank_and_basis(field, H)[1].tolist() == basis
+    assert nullspace(field, H).tolist() == dual_oracle._nullspace(field, H,
+                                                                  9)
+    lc = LinearCode(field, H[[0, 1, 2, 4], :5])       # 2048 codewords
+    assert lc.dimension == 1
+    assert min_distance(lc) == dual_oracle.brute_force_distance(field,
+                                                                lc.H)
+
+
+def test_min_distance_blocks_and_limits(ref_lc, monkeypatch):
+    import slrc.linear as linear
+    sub = puncture(ref_lc, [0, 1, 2, 6, 7])          # [5, 3, 3], 64 words
+    # blocks of a few messages each give the same answer
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", 4 * 3 * 5 * 8 * 5)
+    assert min_distance(sub) == 3
+    monkeypatch.setattr(linear, "ENUM_LIMIT", 4 ** 3)
+    assert min_distance(sub) == 3
+    monkeypatch.setattr(linear, "ENUM_LIMIT", 4 ** 3 - 1)
+    with pytest.raises(InfeasibleError, match="too many"):
+        min_distance(sub)
+    with pytest.raises(ValueError, match="zero code"):
+        min_distance(LinearCode(GF(4), np.eye(3, dtype=np.int64)))
 
 
 def test_puncture_identity(ref_lc):

@@ -2,22 +2,11 @@
 import numpy as np
 import pytest
 
+from dual_oracle import brute_force_distance
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import LinearCode, min_distance
 from slrc.mds import MdsLocalMatrix, build_mds_parity, verify_mds
-
-
-def brute_force_distance(field, H):
-    """Oracle: enumerate all q^k codewords of the code with parity
-    check H and take the minimum nonzero weight."""
-    code = LinearCode(field, H)
-    best = None
-    for w in code.codewords():
-        wt = sum(1 for x in w if x)
-        if wt and (best is None or wt < best):
-            best = wt
-    return best
 
 
 def test_reference_vandermonde_matrix():
