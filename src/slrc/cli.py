@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
-Exit codes: 0 success, 1 verification failure, 2 parameter error,
-3 I/O error.  Human-facing coordinates are 1-based.
+Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
+field, design or matrix file), 3 I/O error, 4 search over its budget.
+Human-facing coordinates are 1-based.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from .bounds import rate_report
 from .construct import (ConstructionParams, build_parity_check, code_params,
                         constructed_from_matrix)
 from .designs import affine_design, complete_graph_design, load_design, Design
-from .errors import SlrcError, ParameterError
+from .errors import (DesignError, FieldError, InfeasibleError,
+                     ParameterError, SlrcError)
 from .field import GF
 from .linear import LinearCode
 from .matrixio import (load_matrix, load_matrix_csv, save_matrix,
@@ -31,6 +33,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARAM = 2
 EXIT_IO = 3
+EXIT_BUDGET = 4
+# first match wins; any other SlrcError is a failed verification
+_EXIT_CODES = [((ParameterError, FieldError, DesignError), EXIT_PARAM),
+               (InfeasibleError, EXIT_BUDGET), (OSError, EXIT_IO),
+               (SlrcError, EXIT_VERIFY_FAIL)]
 
 
 def _print_json(doc):
@@ -274,15 +281,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError,) as exc:
+    except (SlrcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
-    except SlrcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

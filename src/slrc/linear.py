@@ -324,31 +324,45 @@ def dual_low_weight(code: LinearCode, wmax):
     return result
 
 
-def recovery_sets_for(code: LinearCode, i, r):
-    """All recovery sets of size <= r for coordinate i.
-
-    A recovery set is the non-target support of a dual codeword through
-    i, with coefficients normalized so that c_i equals the combination
-    of the helpers.
-    """
-    field = code.field
-    sets = []
-    seen = set()
-    for dw in dual_low_weight(code, r + 1):
-        if i not in dw.support:
-            continue
-        helpers = tuple(sorted(dw.support - {i}))
-        vi = dw.vector[i]
-        scale = field.neg(field.inv(vi))
-        coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
-        key = (helpers, coeffs)
-        if key not in seen:
-            seen.add(key)
-            sets.append(RecoverySet(target=i, helpers=helpers, coeffs=coeffs))
-    sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
-    return sets
-
-
 def all_recovery_sets(code: LinearCode, r):
-    """Recovery-set table for every coordinate, computed in one pass."""
-    return {i: recovery_sets_for(code, i, r) for i in range(code.n)}
+    """Recovery sets of size <= r of every coordinate i, ordered by
+    (size, helpers, coeffs): the rest of the support of each dual word
+    through i, with coefficients giving c_i as the helpers' combination.
+    Distinct normalized words give distinct sets, so none repeats."""
+    field = code.field
+    table = [[] for _ in range(code.n)]
+    for dw in dual_low_weight(code, r + 1):
+        support = sorted(dw.support)
+        for i in support:
+            helpers = tuple(j for j in support if j != i)
+            scale = field.neg(field.inv(dw.vector[i]))
+            coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
+            table[i].append(RecoverySet(target=i, helpers=helpers,
+                                        coeffs=coeffs))
+    for sets in table:
+        sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
+    return table
+
+
+def recovery_sets_for(code: LinearCode, i, r):
+    """All recovery sets of size <= r for coordinate i."""
+    return all_recovery_sets(code, r)[i]
+
+
+def peel_table(code: LinearCode, r):
+    """Per coordinate, (helper bitmask, recovery set) pairs of the
+    recovery sets of size <= r, ordered by helpers, for `repair_step`."""
+    return [[(sum(1 << h for h in rs.helpers), rs)
+             for rs in sorted(sets, key=lambda rs: rs.helpers)]
+            for sets in all_recovery_sets(code, r)]
+
+
+def repair_step(peel, members, erased_mask):
+    """One peeling step: the lexicographically smallest recovery set,
+    avoiding every coordinate in `erased_mask`, of the first of `members`
+    that has one; None when the members are stuck."""
+    for i in members:
+        for mask, rs in peel[i]:
+            if not mask & erased_mask:
+                return rs
+    return None

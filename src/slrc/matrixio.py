@@ -96,7 +96,11 @@ def save_matrix(code, path):
 
 def load_matrix(path):
     with open(path) as fh:
-        return dict_to_matrix(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:     # not JSON, or not text
+            raise ParameterError(f"{path} is not a JSON document: {exc}")
+    return dict_to_matrix(doc)
 
 
 def save_matrix_csv(code, path):

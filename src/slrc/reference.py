@@ -59,16 +59,11 @@ def diff_matrices(actual, expected):
 def rebuild_and_diff():
     """Rebuild all four reference matrices and diff each against its
     golden copy.  Returns {name: diff-or-None} in build order."""
-    fld = reference_field()
-    design = complete_graph_design(R)
-    mds = build_mds_parity(R, DELTA, fld, style="vandermonde")
-    m_star = expand_m_star(design, mds)
-    code = build_parity_check(
-        ConstructionParams(r=R, delta=DELTA, t_i=T_I, field=fld,
-                           design=design, mds=mds))
+    code = reference_code()
+    design, mds = code.params.design, code.params.mds
     return {
         "design": diff_matrices(design.incidence, golden("design")),
         "mds": diff_matrices(mds.matrix, golden("mds")),
-        "m_star": diff_matrices(m_star, golden("m_star")),
+        "m_star": diff_matrices(expand_m_star(design, mds), golden("m_star")),
         "h": diff_matrices(code.H, golden("h")),
     }

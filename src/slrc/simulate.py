@@ -2,9 +2,11 @@
 
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
-schedules deterministic.  Within the certified tolerance the peeling
-condition guarantees greedy never gets stuck, so no backtracking is
-needed; outside it, a stuck state is a structured result.
+schedules deterministic.  Each step is `linear.repair_step`, the check
+`verify` runs on every erasure pattern; a campaign builds its table
+once.  Within the certified tolerance the peeling condition guarantees
+greedy never gets stuck, so no backtracking is needed; outside it, a
+stuck state is a structured result.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .construct import ConstructedCode
 from .errors import ParameterError
-from .linear import all_recovery_sets
+from .linear import peel_table, repair_step
 from .verify import _as_linear
 
 
@@ -51,28 +53,23 @@ def plan_repair(code, erased, r, _table=None):
     """Greedy peeling plan for the erased coordinate set.
 
     Returns a RepairSchedule; `complete` is False when peeling gets
-    stuck, with the unrepairable residue recorded.
+    stuck, with the unrepairable residue recorded.  `_table` is a
+    precomputed `peel_table` of the code at this r.
     """
-    lc = _as_linear(code)
-    table = _table if _table is not None else all_recovery_sets(lc, r)
-    remaining = set(erased)
+    peel = _table if _table is not None else peel_table(_as_linear(code), r)
+    remaining = sorted(set(erased))
+    mask = sum(1 << i for i in remaining)
     steps = []
     while remaining:
-        step = None
-        for i in sorted(remaining):
-            usable = [rs for rs in table[i]
-                      if not (set(rs.helpers) & remaining)]
-            if usable:
-                chosen = min(usable, key=lambda rs: rs.helpers)
-                step = RepairStep(repaired=i, helpers=chosen.helpers,
-                                  coeffs=chosen.coeffs)
-                break
-        if step is None:
+        rs = repair_step(peel, remaining, mask)
+        if rs is None:
             return RepairSchedule(erased=tuple(sorted(erased)),
                                   steps=tuple(steps), complete=False,
-                                  residual=tuple(sorted(remaining)))
-        steps.append(step)
-        remaining.discard(step.repaired)
+                                  residual=tuple(remaining))
+        steps.append(RepairStep(repaired=rs.target, helpers=rs.helpers,
+                                coeffs=rs.coeffs))
+        remaining.remove(rs.target)
+        mask ^= 1 << rs.target
     return RepairSchedule(erased=tuple(sorted(erased)), steps=tuple(steps),
                           complete=True)
 
@@ -117,7 +114,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     lc = _as_linear(code)
     fld = lc.field
     n = lc.n
-    table = all_recovery_sets(lc, r)
+    peel = peel_table(lc, r)
     rng = np.random.default_rng(seed)
     successes = 0
     total_steps = 0
@@ -134,7 +131,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
             coeffs = rng.integers(0, fld.q, size=lc.dimension)
             word = tuple(fld.vsum(fld.vmul(coeffs[:, None], lc.generator),
                                   axis=0).tolist())
-        schedule = plan_repair(lc, erased, r, _table=table)
+        schedule = plan_repair(lc, erased, r, _table=peel)
         if schedule.complete:
             if trace is not None:
                 for step in schedule.steps:

@@ -3,10 +3,10 @@
 Everything here is ground truth by enumeration: the one-at-a-time
 peeling condition (for any erasure set I, some member has a recovery
 set disjoint from I) is checked over every pattern up to the requested
-size, recovery sets being precomputed once per code and stored as
-bitmasks.  Pattern order is sizes ascending, lexicographic within a
-size, and the first failure short-circuits, so counterexamples are
-minimal and deterministic.
+size by `linear.repair_step`, the step `simulate.plan_repair` repairs
+with, on recovery-set bitmasks built once per call.  Pattern order is
+sizes ascending, lexicographic within a size, and the first failure
+short-circuits, so counterexamples are minimal and deterministic.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
 from .errors import InfeasibleError
-from .linear import (LinearCode, all_recovery_sets, min_distance, puncture,
-                     recovery_sets_for)
+from .linear import (all_recovery_sets, min_distance, peel_table, puncture,
+                     recovery_sets_for, repair_step)
 
 MAX_PATTERNS = 10_000_000
 
@@ -48,38 +48,19 @@ def _as_linear(code):
     return code.as_linear_code() if isinstance(code, ConstructedCode) else code
 
 
-def _recovery_masks(code: LinearCode, r):
-    table = all_recovery_sets(code, r)
-    masks = []
-    for i in range(code.n):
-        mi = []
-        for rs in table[i]:
-            m = 0
-            for h in rs.helpers:
-                m |= 1 << h
-            mi.append(m)
-        masks.append(tuple(mi))
-    return masks
-
-
 def _pattern_count(n, t):
     return sum(math.comb(n, s) for s in range(1, t + 1))
 
 
-def _level_holds(masks, n, size):
+def _level_holds(peel, n, size):
     """Check the erasure patterns of exactly `size` in lexicographic
     order up to the first failure; returns (failing pattern or None,
     number of patterns checked)."""
     checked = 0
-    for checked, pattern in enumerate(itertools.combinations(range(n), size),
-                                      1):
-        imask = 0
-        for i in pattern:
-            imask |= 1 << i
-        for i in pattern:
-            if any(m & imask == 0 for m in masks[i]):
-                break
-        else:
+    for checked, (pattern, bits) in enumerate(zip(
+            itertools.combinations(range(n), size),
+            itertools.combinations([1 << i for i in range(n)], size)), 1):
+        if repair_step(peel, pattern, sum(bits)) is None:
             return pattern, checked
     return None, checked
 
@@ -92,10 +73,10 @@ def check_sequential(code, r, t):
         raise InfeasibleError(
             f"{_pattern_count(n, t)} erasure patterns at t={t} exceeds the "
             f"budget; use max_sequential_t with a smaller cap")
-    masks = _recovery_masks(lc, r)
+    peel = peel_table(lc, r)
     report = VerificationReport(checked_t=t, holds=True)
     for size in range(1, t + 1):
-        failing, report.witnesses[size] = _level_holds(masks, n, size)
+        failing, report.witnesses[size] = _level_holds(peel, n, size)
         if failing is not None:
             report.holds = False
             report.failing_pattern = failing
@@ -111,13 +92,13 @@ def max_sequential_t(code, r, cap):
     """
     lc = _as_linear(code)
     n = lc.n
-    masks = _recovery_masks(lc, r)
+    peel = peel_table(lc, r)
     report = VerificationReport(checked_t=0, holds=True, t_star=0)
     for size in range(1, cap + 1):
         if math.comb(n, size) > MAX_PATTERNS:
             report.complete = False
             return report
-        failing, report.witnesses[size] = _level_holds(masks, n, size)
+        failing, report.witnesses[size] = _level_holds(peel, n, size)
         if failing is not None:
             report.failing_pattern = failing
             return report

@@ -12,6 +12,12 @@ Two independent ways to list every dual codeword of weight in
   combinations that are nonzero on all of S.  Its cost is the number of
   column sets, so it suits long codes with small wmax.
 
+`peel_residual` and `first_stuck_pattern` decide sequential repair
+from the row-space word list alone, and `recovery_sets_oracle` scans
+that list once per coordinate for its recovery sets, as the
+oracles of `slrc.simulate.plan_repair`, `slrc.verify.check_sequential`
+and `slrc.linear.all_recovery_sets`.
+
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`
 and `_nullspace` are scalar Gauss-Jordan elimination, the oracles for
@@ -27,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from slrc.linear import DualWord
+from slrc.linear import DualWord, RecoverySet
 
 SLICE = 1 << 16
 
@@ -145,3 +151,55 @@ def subset_words(field, G, wmax):
                         full[j] = field.mul(inv, x)
                     found.add(tuple(full))
     return _as_dual_words(found)
+
+
+def _peel(words, erased):
+    """Repairs, while any is left, an erased i with a word through i
+    whose other coordinates are all available; returns the rest."""
+    missing = set(erased)
+    progress = True
+    while progress:
+        progress = False
+        for i in sorted(missing):
+            if any(i in w.support and not (w.support - {i}) & missing
+                   for w in words):
+                missing.discard(i)
+                progress = True
+    return tuple(sorted(missing))
+
+
+def peel_residual(field, H, erased, r):
+    """Coordinates of `erased` that repair, one at a time from at most r
+    available coordinates, cannot reach."""
+    return _peel(rowspace_words(field, H, r + 1), erased)
+
+
+def first_stuck_pattern(field, H, r, t):
+    """First erasure pattern of size <= t, by size and then
+    lexicographically, that peeling does not fully repair; None if
+    every pattern repairs."""
+    words = rowspace_words(field, H, r + 1)
+    n = np.shape(H)[1]
+    for size in range(1, t + 1):
+        for pattern in itertools.combinations(range(n), size):
+            if _peel(words, pattern):
+                return pattern
+    return None
+
+
+def recovery_sets_oracle(field, words, i):
+    """Recovery sets of coordinate i, ordered by (size, helpers, coeffs),
+    from one scan of a list of dual words of weight <= r + 1."""
+    sets = []
+    seen = set()
+    for dw in words:
+        if i not in dw.support:
+            continue
+        helpers = tuple(sorted(dw.support - {i}))
+        scale = field.neg(field.inv(dw.vector[i]))
+        coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
+        if (helpers, coeffs) not in seen:
+            seen.add((helpers, coeffs))
+            sets.append(RecoverySet(target=i, helpers=helpers, coeffs=coeffs))
+    sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
+    return sets

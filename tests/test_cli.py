@@ -214,3 +214,44 @@ def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
     spoil(doc)
     with pytest.raises(ParameterError, match=match):
         dict_to_matrix(doc)
+
+
+def test_verify_non_json_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    rc, _, err = run(capsys, "verify", "--in", str(bad), "--t", "1")
+    assert rc == 2
+    assert _one_line_error(err) and "not a JSON document" in err
+
+
+def test_construct_non_prime_power_exits_2(capsys):
+    rc, _, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                     "--ti", "2", "--q", "6")
+    assert rc == 2
+    assert _one_line_error(err) and "not a prime power" in err
+
+
+def test_verify_field_spec_p6_exits_2(tmp_path, capsys):
+    doc = matrix_to_dict(reference_code())
+    doc["field"].update(p=6, m=1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "verify", "--in", str(bad), "--t", "1")
+    assert rc == 2
+    assert _one_line_error(err) and "6 is not a prime power" in err
+
+
+def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "n34.json"
+    rc, stdout, _ = run(capsys, "construct", "--r", "4", "--delta", "3",
+                        "--ti", "2", "--q", "5", "--design", "affine",
+                        "--out", str(out))
+    assert rc == 0 and json.loads(stdout)["n"] == 34
+
+    def no_search(*args):
+        raise AssertionError("refusal should come before any enumeration")
+    monkeypatch.setattr("slrc.linear.dual_low_weight", no_search)
+    rc, stdout, err = run(capsys, "verify", "--in", str(out), "--t", "9")
+    assert rc == 4
+    assert stdout == ""
+    assert _one_line_error(err) and "exceeds the budget" in err

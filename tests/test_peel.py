@@ -1,0 +1,74 @@
+"""The recovery-set table, repair planning and the sequential check
+against the row-space oracles of `dual_oracle`, on random codes."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import dual_oracle
+from slrc.field import GF
+from slrc.linear import LinearCode, all_recovery_sets
+from slrc.simulate import execute_repair, plan_repair
+from slrc.verify import check_sequential
+
+
+@st.composite
+def codes_with_erasures(draw):
+    """(field, H, r, erased, message): a random parity check over
+    GF(2..5) with n <= 12, small enough for the row-space oracle."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, int(math.log(5_000, q))))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
+                            max_size=rows * n))
+    r = draw(st.integers(1, 3))
+    erased = draw(st.sets(st.integers(0, n - 1)))
+    message = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    H = np.array(entries, dtype=np.int64).reshape(rows, n)
+    return GF(q), H, r, erased, message
+
+
+def _codeword(field, H, message):
+    """The combination of the oracle's null-space basis of H with the
+    message's leading entries as coefficients."""
+    n = H.shape[1]
+    word = [0] * n
+    for c, row in zip(message, dual_oracle._nullspace(field, H, n)):
+        word = [field.add(x, field.mul(c, y)) for x, y in zip(word, row)]
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_erasures())
+def test_plan_repair_matches_peeling_oracle(case):
+    field, H, r, erased, message = case
+    lc = LinearCode(field, H)
+    schedule = plan_repair(lc, erased, r)
+    residual = dual_oracle.peel_residual(field, H, erased, r)
+    assert schedule.complete == (not residual)
+    assert schedule.residual == residual
+    if schedule.complete:
+        word = _codeword(field, H, message)
+        assert lc.contains(word)
+        assert execute_repair(lc, word, erased, schedule) == word
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_erasures())
+def test_all_recovery_sets_matches_per_coordinate_oracle(case):
+    field, H, r, _, _ = case
+    table = all_recovery_sets(LinearCode(field, H), r)
+    words = dual_oracle.rowspace_words(field, H, r + 1)
+    assert table == [dual_oracle.recovery_sets_oracle(field, words, i)
+                     for i in range(H.shape[1])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes_with_erasures(), st.integers(1, 4))
+def test_failing_pattern_is_first_stuck_pattern(case, t):
+    field, H, r, _, _ = case
+    report = check_sequential(LinearCode(field, H), r, t)
+    expect = dual_oracle.first_stuck_pattern(field, H, r, t)
+    assert report.failing_pattern == expect
+    assert report.holds == (expect is None)
