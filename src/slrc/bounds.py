@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import ConstructionParams, code_params
+from .construct import CodeShape, code_params
 
 
 def rate_availability_bound(r, t):
@@ -49,10 +49,9 @@ def rate_formula(r, t_i, delta):
     return Fraction(1, denom)
 
 
-def exact_rate(params: ConstructionParams):
-    """k/n from the additive block-length formula."""
-    cp = code_params(params)
-    return Fraction(cp["k"], cp["n"])
+def exact_rate(params: CodeShape):
+    """k/n of the construction's block layout."""
+    return code_params(params)["rate"]
 
 
 @dataclass
@@ -84,7 +83,7 @@ class RateReport:
         }
 
 
-def rate_report(r, t_i, delta, params: ConstructionParams = None):
+def rate_report(r, t_i, delta, params: CodeShape = None):
     """Collect every applicable bound next to the construction's exact
     rate, flagging hypothesis violations and divergences."""
     t = t_i * (delta - 1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import reference
 from .bounds import rate_report
@@ -22,8 +21,8 @@ from .errors import (DesignError, FieldError, InfeasibleError,
                      ParameterError, SlrcError)
 from .field import GF
 from .linear import LinearCode
-from .matrixio import (load_matrix, load_matrix_csv, save_matrix,
-                       save_matrix_csv, matrix_to_dict)
+from .matrixio import (load_matrix, load_matrix_csv, read_json, save_matrix,
+                       save_matrix_csv)
 from .mds import build_mds_parity
 from .simulate import trial_campaign
 from .verify import (check_code_structure, check_information_locality,
@@ -53,8 +52,7 @@ def _load_design_arg(spec, r, t_i):
         path = spec[len("file:"):]
         if path.endswith(".csv"):
             return load_design(load_matrix_csv(path))
-        with open(path) as fh:
-            return Design.from_dict(json.load(fh))
+        return Design.from_dict(read_json(path))
     raise ParameterError(f"unknown design spec {spec!r}")
 
 
@@ -80,7 +78,7 @@ def cmd_construct(args):
 def _load_code(path):
     fld, H, roles, params = load_matrix(path)
     if params is not None:
-        return constructed_from_matrix(fld, H, params, roles), params
+        return constructed_from_matrix(fld, H, params), params
     return LinearCode(fld, H), None
 
 
@@ -100,7 +98,7 @@ def cmd_verify(args):
         print(f"t* = {rep.t_star}" + ("" if rep.complete else " (incomplete)"))
     else:
         t = args.t if args.t is not None else (
-            params["t_i"] * (params["delta"] - 1) if params else 1)
+            code.params.t_claim if params else 1)
         rep = check_sequential(code, r, t)
         ok &= rep.holds
         checks.append({"name": f"check_sequential(t={t})",
@@ -147,21 +145,14 @@ def cmd_simulate(args):
 
 
 def cmd_bounds(args):
-    params = None
+    shape = None
     if args.infile:
-        code, pd = _load_code(args.infile)
-        if pd is None:
+        code, params = _load_code(args.infile)
+        if params is None:
             print("error: matrix file has no params block", file=sys.stderr)
             return EXIT_PARAM
-        rep = rate_report(args.r, args.ti, args.delta)
-        exact = Fraction(pd["k"], code.n)
-        rep.exact = exact
-        if exact != rep.formula:
-            rep.notes.insert(0, f"closed-form rate {rep.formula} diverges "
-                                f"from exact rate {exact}")
-    else:
-        rep = rate_report(args.r, args.ti, args.delta)
-    d = rep.to_dict()
+        shape = code.params
+    d = rate_report(args.r, args.ti, args.delta, shape).to_dict()
     width = max(len(k) for k in d if k != "notes")
     for key in ("r", "t_i", "delta", "t", "exact_rate", "closed_form_rate",
                 "availability_bound", "2seq_bound", "3seq_bound",
@@ -177,9 +168,7 @@ def cmd_export(args):
     if args.csv:
         save_matrix_csv(code, args.csv)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(matrix_to_dict(code), fh, sort_keys=True)
-            fh.write("\n")
+        save_matrix(code, args.json_out)
     return EXIT_OK
 
 
@@ -207,17 +196,16 @@ def cmd_demo_paper(args):
     print(f"locality conditions 1-4: {'pass' if loc.conditions_1_4 else 'FAIL'}")
     struct = check_code_structure(code)
     print(f"structure battery: {'pass' if struct.all_hold else 'FAIL'}")
-    t_claim = code.params.t_i * (code.params.delta - 1)
-    seq = check_sequential(code, code.params.r, t_claim)
-    print(f"sequential recovery at t = {t_claim}: "
+    p = code.params
+    seq = check_sequential(code, p.r, p.t_claim)
+    print(f"sequential recovery at t = {p.t_claim}: "
           f"{'pass' if seq.holds else 'FAIL'}")
-    rep = max_sequential_t(code, code.params.r, cap=9)
+    rep = max_sequential_t(code, p.r, cap=9)
     print(f"measured t* = {rep.t_star} (cap 9)")
-    t_abstract = code.params.delta * code.params.t_i + 1
-    print(f"claimed tolerance {t_abstract}: "
-          f"{'holds' if rep.t_star >= t_abstract else 'does not hold'}")
+    print(f"claimed tolerance {p.t_abstract}: "
+          f"{'holds' if rep.t_star >= p.t_abstract else 'does not hold'}")
     ok = (loc.conditions_1_4 and struct.all_hold and seq.holds
-          and rep.t_star >= t_claim)
+          and rep.t_star >= p.t_claim)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

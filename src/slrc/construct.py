@@ -28,16 +28,70 @@ from .linear import LinearCode
 from .mds import MdsLocalMatrix
 
 
+# the keys of a matrix file's params block that give a CodeShape
+SHAPE_KEYS = ("r", "delta", "t_i", "k", "b")
+
+
 @dataclass(frozen=True)
-class ConstructionParams:
+class CodeShape:
+    """The scalar parameters of a constructed code and the block layout
+    they fix; every size and coordinate role of the layout is derived
+    here.  A loaded matrix file rehydrates exactly this."""
+    field: GF
     r: int
     delta: int
     t_i: int
-    field: GF
+    k: int
+    b: int
+
+    @property
+    def s(self):
+        return math.ceil(self.k / self.r)
+
+    @property
+    def mu(self):
+        """Number of line parities, delta - 1 per line."""
+        return self.b * (self.delta - 1)
+
+    @property
+    def w_blocks(self):
+        """Copies of Q in the W* tier."""
+        return math.ceil(self.s / self.r)
+
+    @property
+    def n(self):
+        """Block length k + (b + ceil(ceil(k/r)/r))(delta - 1)."""
+        return self.k + (self.b + self.w_blocks) * (self.delta - 1)
+
+    @property
+    def roles(self):
+        return (("information",) * self.k + ("line_parity",) * self.mu
+                + ("global_parity",) * (self.n - self.k - self.mu))
+
+    @property
+    def t_claim(self):
+        """The tolerance the construction is designed to certify."""
+        return self.t_i * (self.delta - 1)
+
+    @property
+    def t_abstract(self):
+        """A stronger tolerance quoted for this family, which the
+        verifier measures rather than presumes."""
+        return self.delta * self.t_i + 1
+
+
+@dataclass(frozen=True)
+class ConstructionParams(CodeShape):
+    """A CodeShape with the design and local MDS matrix that generate
+    it; k and b are the design's."""
+    k: int = dc_field(init=False)
+    b: int = dc_field(init=False)
     design: Design
     mds: MdsLocalMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "k", self.design.k)
+        object.__setattr__(self, "b", self.design.b)
         same_field(self.field, self.mds.field)
         if self.mds.r != self.r or self.mds.delta != self.delta:
             raise ParameterError(
@@ -57,86 +111,26 @@ class ConstructionParams:
         if not ok:
             raise ParameterError(f"invalid design: {report['violation']}")
 
-    @property
-    def k(self):
-        return self.design.k
 
-    @property
-    def b(self):
-        return self.design.b
+class ConstructedCode(LinearCode):
+    """A linear code whose H has the construction's layout, together
+    with the CodeShape (or ConstructionParams) it was built from."""
 
-    @property
-    def s(self):
-        return math.ceil(self.k / self.r)
-
-    @property
-    def mu(self):
-        return self.b * (self.delta - 1)
-
-    @property
-    def w_blocks(self):
-        return math.ceil(self.s / self.r)
-
-
-@dataclass(frozen=True)
-class CodeShape:
-    """Parameter block of a constructed code, without the generating
-    design and MDS objects; what a loaded matrix file can rehydrate."""
-    field: GF
-    r: int
-    delta: int
-    t_i: int
-    k: int
-    b: int
-
-    @property
-    def s(self):
-        return math.ceil(self.k / self.r)
-
-    @property
-    def mu(self):
-        return self.b * (self.delta - 1)
-
-    @property
-    def w_blocks(self):
-        return math.ceil(self.s / self.r)
-
-
-@dataclass(frozen=True)
-class ConstructedCode:
-    params: ConstructionParams
-    H: np.ndarray = dc_field(repr=False)
-    coordinate_roles: tuple = ()
-
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def field(self):
-        return self.params.field
-
-    @property
-    def n(self):
-        return self.H.shape[1]
+    def __init__(self, params: CodeShape, H):
+        super().__init__(params.field, H)
+        self.params = params
 
     @property
     def k(self):
         return self.params.k
 
     @property
-    def rank(self):
-        return self.as_linear_code().rank
-
-    @property
-    def dimension(self):
-        return self.as_linear_code().dimension
+    def coordinate_roles(self):
+        return self.params.roles
 
     def as_linear_code(self):
-        if "code" not in self._cache:
-            self._cache["code"] = LinearCode(self.field, self.H)
-        return self._cache["code"]
-
-    def information_coords(self):
-        return range(self.k)
+        """The code itself, which is a LinearCode."""
+        return self
 
     def line_parity_coords(self):
         return range(self.k, self.k + self.params.mu)
@@ -208,7 +202,6 @@ def build_w_star(s, mds: MdsLocalMatrix):
 
 def build_parity_check(params: ConstructionParams):
     """Assemble the full parity-check matrix and wrap it as a code."""
-    d1 = params.delta - 1
     mu = params.mu
     w_cols = params.w_blocks * params.r
     if w_cols > mu:
@@ -217,7 +210,7 @@ def build_parity_check(params: ConstructionParams):
             f"increase b (more lines) or delta")
     M_star = expand_m_star(params.design, params.mds)
     W_star = build_w_star(params.s, params.mds)
-    g = params.w_blocks * d1  # global parity rows
+    g = params.n - params.k - mu  # global parity rows
     k = params.k
 
     top = np.hstack([
@@ -231,11 +224,7 @@ def build_parity_check(params: ConstructionParams):
         np.zeros((g, mu - w_cols), dtype=np.int64),
         np.eye(g, dtype=np.int64),
     ])
-    H = np.vstack([top, bottom])
-    roles = (("information",) * k
-             + ("line_parity",) * mu
-             + ("global_parity",) * g)
-    return ConstructedCode(params=params, H=H, coordinate_roles=roles)
+    return ConstructedCode(params, np.vstack([top, bottom]))
 
 
 def constructed_from_matrix(field: GF, H, params_dict, roles=None):
@@ -243,39 +232,24 @@ def constructed_from_matrix(field: GF, H, params_dict, roles=None):
 
     params_dict carries the scalar parameter block of the file format;
     the originating design and MDS matrix are not needed for
-    verification or simulation.
+    verification or simulation.  The code's roles are its shape's, so
+    `roles`, the file's copy, is not read: `matrixio.dict_to_matrix`
+    rejects a file whose roles differ from them.
     """
-    shape = CodeShape(field=field, r=params_dict["r"], delta=params_dict["delta"],
-                      t_i=params_dict["t_i"], k=params_dict["k"],
-                      b=params_dict["b"])
-    H = np.atleast_2d(np.asarray(H, dtype=np.int64))
-    if roles is None:
-        g = H.shape[1] - shape.k - shape.mu
-        roles = (("information",) * shape.k
-                 + ("line_parity",) * shape.mu
-                 + ("global_parity",) * g)
-    return ConstructedCode(params=shape, H=H, coordinate_roles=tuple(roles))
+    return ConstructedCode(
+        CodeShape(field, *(params_dict[key] for key in SHAPE_KEYS)), H)
 
 
-def code_params(params: ConstructionParams):
-    """Derived parameter report for a construction.
-
-    t_claim = t_i * (delta - 1) is the tolerance the construction is
-    designed to certify; t_abstract = delta * t_i + 1 is a stronger
-    figure sometimes quoted for this family, which the verifier
-    measures rather than presumes.
-    """
-    d1 = params.delta - 1
-    k = params.k
-    n = k + (params.b + params.w_blocks) * d1
+def code_params(params: CodeShape):
+    """Derived parameter report for a construction."""
     return {
-        "n": n,
-        "k": k,
-        "rate": Fraction(k, n),
+        "n": params.n,
+        "k": params.k,
+        "rate": Fraction(params.k, params.n),
         "b": params.b,
         "s": params.s,
         "mu": params.mu,
-        "t_claim": params.t_i * d1,
-        "t_abstract": params.delta * params.t_i + 1,
+        "t_claim": params.t_claim,
+        "t_abstract": params.t_abstract,
         "t_abstract_status": "to verify",
     }

@@ -55,6 +55,18 @@ class Design:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; raises DesignError on a malformed document."""
+        def int_lists(x):
+            return isinstance(x, list) and all(
+                isinstance(row, list) and all(isinstance(v, int) for v in row)
+                for row in x)
+        if not (isinstance(d, dict)
+                and all(isinstance(d.get(key), int) for key in ("k", "r", "t_i"))
+                and int_lists(d.get("lines"))
+                and (d.get("classes") is None or int_lists(d["classes"]))):
+            raise DesignError("a design document needs integers k, r and t_i, "
+                              "lists of integers as lines and optionally as "
+                              "classes")
         lines = tuple(tuple(sorted(p - 1 for p in line)) for line in d["lines"])
         classes = d.get("classes")
         if classes is not None:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 
-from .construct import ConstructedCode
+from .construct import SHAPE_KEYS, CodeShape, ConstructedCode
 from .errors import ParameterError
 from .field import GF
 
@@ -49,29 +48,36 @@ def _require(doc, keys, what):
         raise ParameterError(f"{what} lacks {', '.join(missing)}")
 
 
-def _check_params(params, cols):
+def _check_params(field, params, cols, roles):
     """The params block must hold positive integers r, delta, t_i, k, b
-    that give H's width, n = k + (b + ceil(ceil(k/r)/r)) (delta - 1)."""
-    keys = ("r", "delta", "t_i", "k", "b")
-    _require(params, keys, "params block")
+    whose layout has H's width, and coordinate roles, when given, must
+    be that layout's."""
+    _require(params, SHAPE_KEYS, "params block")
     if not all(isinstance(params[key], int) and params[key] >= 1
-               for key in keys):
-        raise ParameterError(f"params {', '.join(keys)} must be positive "
-                             f"integers")
-    r, delta, k, b = (params[key] for key in ("r", "delta", "k", "b"))
-    n = k + (b + math.ceil(math.ceil(k / r) / r)) * (delta - 1)
-    if n != cols:
+               for key in SHAPE_KEYS):
+        raise ParameterError(f"params {', '.join(SHAPE_KEYS)} must be "
+                             f"positive integers")
+    shape = CodeShape(field, *(params[key] for key in SHAPE_KEYS))
+    if shape.n != cols:
         raise ParameterError(
-            f"params (r={r}, delta={delta}, k={k}, b={b}) give n = {n}, "
-            f"but H has {cols} columns")
+            f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
+            f"b={shape.b}) give n = {shape.n}, but H has {cols} columns")
+    if roles is not None and roles != list(shape.roles):
+        raise ParameterError(
+            "coordinate_roles differ from the layout of the params block")
 
 
 def dict_to_matrix(doc):
     """Returns (field, H, coordinate_roles, params_dict)."""
     _require(doc, ("field", "rows", "cols", "entries"), "matrix document")
-    _require(doc["field"], ("p", "m", "prim_poly", "generator"),
-             "field spec")
-    fld = GF.from_spec_dict(doc["field"])
+    spec = doc["field"]
+    _require(spec, ("p", "m", "prim_poly", "generator"), "field spec")
+    if not (all(isinstance(spec[key], int) for key in ("p", "m", "generator"))
+            and isinstance(spec["prim_poly"], list)
+            and all(isinstance(c, int) for c in spec["prim_poly"])):
+        raise ParameterError("field spec needs integers p, m and generator "
+                             "and a list of integers prim_poly")
+    fld = GF.from_spec_dict(spec)
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     if not (isinstance(rows, int) and isinstance(cols, int)
             and isinstance(entries, list) and rows >= 0 and cols >= 0
@@ -82,10 +88,10 @@ def dict_to_matrix(doc):
     H = np.array(entries, dtype=np.int64).reshape(rows, cols)
     if H.size and (H.min() < 0 or H.max() >= fld.q):
         raise ParameterError("matrix entry outside the field range")
-    params = doc.get("params")
+    params, roles = doc.get("params"), doc.get("coordinate_roles")
     if params is not None:
-        _check_params(params, cols)
-    return fld, H, doc.get("coordinate_roles"), params
+        _check_params(fld, params, cols, roles)
+    return fld, H, roles, params
 
 
 def save_matrix(code, path):
@@ -94,13 +100,16 @@ def save_matrix(code, path):
         fh.write("\n")
 
 
-def load_matrix(path):
+def read_json(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:     # not JSON, or not text
             raise ParameterError(f"{path} is not a JSON document: {exc}")
-    return dict_to_matrix(doc)
+
+
+def load_matrix(path):
+    return dict_to_matrix(read_json(path))
 
 
 def save_matrix_csv(code, path):

@@ -18,7 +18,6 @@ import numpy as np
 from .construct import ConstructedCode
 from .errors import ParameterError
 from .linear import peel_table, repair_step
-from .verify import _as_linear
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def plan_repair(code, erased, r, _table=None):
     stuck, with the unrepairable residue recorded.  `_table` is a
     precomputed `peel_table` of the code at this r.
     """
-    peel = _table if _table is not None else peel_table(_as_linear(code), r)
+    peel = _table if _table is not None else peel_table(code, r)
     remaining = sorted(set(erased))
     mask = sum(1 << i for i in remaining)
     steps = []
@@ -80,8 +79,7 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     Raises RuntimeError if a step reads a symbol that is still erased
     (that would be a planner bug, not a data property).
     """
-    lc = _as_linear(code)
-    fld = lc.field
+    fld = code.field
     missing = set(erased)
     values = list(codeword)
     for i in missing:
@@ -111,10 +109,8 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     if trials < 1 or t < 1:
         raise ParameterError(
             f"trials and t must be >= 1, got trials={trials}, t={t}")
-    lc = _as_linear(code)
-    fld = lc.field
-    n = lc.n
-    peel = peel_table(lc, r)
+    fld, n = code.field, code.n
+    peel = peel_table(code, r)
     rng = np.random.default_rng(seed)
     successes = 0
     total_steps = 0
@@ -128,15 +124,15 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
             message = [int(x) for x in rng.integers(0, fld.q, size=code.k)]
             word = code.encode(message)
         else:
-            coeffs = rng.integers(0, fld.q, size=lc.dimension)
-            word = tuple(fld.vsum(fld.vmul(coeffs[:, None], lc.generator),
+            coeffs = rng.integers(0, fld.q, size=code.dimension)
+            word = tuple(fld.vsum(fld.vmul(coeffs[:, None], code.generator),
                                   axis=0).tolist())
-        schedule = plan_repair(lc, erased, r, _table=peel)
+        schedule = plan_repair(code, erased, r, _table=peel)
         if schedule.complete:
             if trace is not None:
                 for step in schedule.steps:
                     trace(step)
-            restored = execute_repair(lc, word, erased, schedule)
+            restored = execute_repair(code, word, erased, schedule)
             if restored == tuple(word):
                 successes += 1
                 total_steps += len(schedule.steps)

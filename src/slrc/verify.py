@@ -44,10 +44,6 @@ class VerificationReport:
         }
 
 
-def _as_linear(code):
-    return code.as_linear_code() if isinstance(code, ConstructedCode) else code
-
-
 def _pattern_count(n, t):
     return sum(math.comb(n, s) for s in range(1, t + 1))
 
@@ -67,13 +63,12 @@ def _level_holds(peel, n, size):
 
 def check_sequential(code, r, t):
     """Certify (r, t) sequential recoverability by full enumeration."""
-    lc = _as_linear(code)
-    n = lc.n
+    n = code.n
     if _pattern_count(n, t) > MAX_PATTERNS:
         raise InfeasibleError(
             f"{_pattern_count(n, t)} erasure patterns at t={t} exceeds the "
             f"budget; use max_sequential_t with a smaller cap")
-    peel = peel_table(lc, r)
+    peel = peel_table(code, r)
     report = VerificationReport(checked_t=t, holds=True)
     for size in range(1, t + 1):
         failing, report.witnesses[size] = _level_holds(peel, n, size)
@@ -90,9 +85,8 @@ def max_sequential_t(code, r, cap):
     Returns a report; when a pattern level would exceed the enumeration
     budget the last certified t is reported with complete=False.
     """
-    lc = _as_linear(code)
-    n = lc.n
-    peel = peel_table(lc, r)
+    n = code.n
+    peel = peel_table(code, r)
     report = VerificationReport(checked_t=0, holds=True, t_star=0)
     for size in range(1, cap + 1):
         if math.comb(n, size) > MAX_PATTERNS:
@@ -143,7 +137,6 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
     reported, not presumed.
     """
     p = code.params
-    lc = code.as_linear_code()
     parity = set(range(p.k, code.n))
     supports = [set(code.row_block_support(j)) for j in range(p.b)]
     per_coord = {}
@@ -159,7 +152,7 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
         for j in my_blocks:
             key = frozenset(supports[j])
             if key not in dist_cache:
-                dist_cache[key] = min_distance(puncture(lc, supports[j]))
+                dist_cache[key] = min_distance(puncture(code, supports[j]))
             if dist_cache[key] != p.delta:
                 ok2 = False
         conds["2"] = ok2
@@ -175,7 +168,7 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
     cond5 = None
     t5 = None
     if check_condition5:
-        t5 = p.delta * p.t_i + 1
+        t5 = p.t_abstract
         cond5 = check_sequential(code, p.r, t5).holds
     return LocalityReport(
         per_coordinate=per_coord,
@@ -210,8 +203,7 @@ def check_code_structure(code: ConstructedCode):
     4. every global parity has a recovery set among the line parities.
     """
     p = code.params
-    lc = code.as_linear_code()
-    table = all_recovery_sets(lc, p.r)
+    table = all_recovery_sets(code, p.r)
     info = set(range(p.k))
     line_par = set(code.line_parity_coords())
     glob_par = set(code.global_parity_coords())
@@ -293,4 +285,4 @@ def rank_report(code: ConstructedCode):
 def check_availability(code, i, r):
     """Maximum number of pairwise-disjoint size-<= r recovery sets of
     coordinate i."""
-    return len(_max_disjoint(recovery_sets_for(_as_linear(code), i, r)))
+    return len(_max_disjoint(recovery_sets_for(code, i, r)))

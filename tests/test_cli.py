@@ -133,6 +133,40 @@ def test_bounds_table(capsys):
     assert "1/5" in stdout
 
 
+BOUNDS_REFERENCE = """\
+r                       3
+t_i                     2
+delta                   3
+t                       4
+exact_rate              3/8
+closed_form_rate        1/5
+availability_bound      243/455
+2seq_bound              3/5
+3seq_bound              9/16
+resolvable_family_rate  9/19
+note: closed-form rate 1/5 diverges from exact rate 3/8
+note: resolvable-family rate stated for odd t >= 3; t = 4 is outside
+"""
+
+
+def test_bounds_from_file_table(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    save_matrix(reference_code(), out)
+    rc, stdout, _ = run(capsys, "bounds", "--r", "3", "--ti", "2",
+                        "--delta", "3", "--in", str(out))
+    assert rc == 0
+    assert stdout == BOUNDS_REFERENCE
+
+
+def test_export_json_is_save_matrix(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    save_matrix(reference_code(), out)
+    again = tmp_path / "again.json"
+    rc, _, _ = run(capsys, "export", "--in", str(out), "--json", str(again))
+    assert rc == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_export_csv(tmp_path, capsys):
     out = tmp_path / "code.json"
     run(capsys, "construct", "--r", "3", "--delta", "3", "--ti", "2",
@@ -166,6 +200,21 @@ def test_construct_design_from_file(tmp_path, capsys):
 
 def _one_line_error(err):
     return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,match", [
+    ("{not json", "not a JSON document"),
+    ("{}", "design document needs"),
+    ('{"k": 6, "r": 3, "t_i": 2, "lines": [["a"]]}', "design document needs"),
+])
+def test_construct_malformed_design_file_exits_2(tmp_path, capsys, text,
+                                                 match):
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                          "--ti", "2", "--q", "4", "--design", f"file:{path}")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and match in err
 
 
 def test_verify_file_without_entries_exits_2(tmp_path, capsys):
@@ -208,6 +257,9 @@ def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
     (lambda d: d["params"].pop("b"), "params block lacks b"),
     (lambda d: d["params"].update(r=0), "positive integers"),
     (lambda d: d["params"].update(delta=4), "give n = 21"),
+    (lambda d: d["field"].update(p="4"), "integers p, m and generator"),
+    (lambda d: d["field"].update(prim_poly=5), "list of integers prim_poly"),
+    (lambda d: d.update(coordinate_roles=["x"]), "coordinate_roles differ"),
 ])
 def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
     doc = matrix_to_dict(reference_code())

@@ -11,6 +11,7 @@ from slrc.construct import (CodeShape, ConstructionParams, build_parity_check,
 from slrc.designs import affine_design, complete_graph_design
 from slrc.errors import ConstructionError, FieldError, ParameterError
 from slrc.field import GF
+from slrc.linear import LinearCode
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -245,3 +246,48 @@ def test_constructed_from_matrix_round_trip():
     assert (again.H == code.H).all()
     assert again.params == shape
     assert again.params.mu == 8 and again.params.s == 2
+
+
+def test_code_shape_derives_the_layout():
+    shape = CodeShape(field=GF(4), r=3, delta=3, t_i=2, k=6, b=4)
+    assert (shape.s, shape.mu, shape.w_blocks, shape.n) == (2, 8, 1, 16)
+    assert shape.roles == (("information",) * 6 + ("line_parity",) * 8
+                           + ("global_parity",) * 2)
+    assert (shape.t_claim, shape.t_abstract) == (4, 7)
+
+
+def test_construction_params_is_the_designs_shape():
+    params = k4_params()
+    assert isinstance(params, CodeShape)
+    assert (params.k, params.b) == (params.design.k, params.design.b)
+    shape = CodeShape(field=params.field, r=3, delta=3, t_i=2, k=6, b=4)
+    assert [getattr(params, a) for a in ("s", "mu", "w_blocks", "n", "roles")] \
+        == [getattr(shape, a) for a in ("s", "mu", "w_blocks", "n", "roles")]
+
+
+def test_constructed_code_is_a_linear_code():
+    code = reference_code()
+    assert isinstance(code, LinearCode)
+    assert code.as_linear_code() is code
+    assert code.n == code.params.n == code.H.shape[1]
+    assert code.coordinate_roles == code.params.roles
+    assert code.field == code.params.field
+
+
+@pytest.mark.parametrize("r,delta,t_i,q,design", [
+    (3, 2, 2, 4, "complete-graph"), (3, 3, 2, 4, "affine"),
+    (4, 3, 2, 5, "affine"), (2, 3, 3, 3, "affine"),
+])
+def test_shape_n_and_roles_match_the_built_matrix(r, delta, t_i, q, design):
+    fld = GF(q)
+    des = (complete_graph_design(r) if design == "complete-graph"
+           else affine_design(r, t_i))
+    code = build_parity_check(ConstructionParams(
+        r=r, delta=delta, t_i=t_i, field=fld, design=des,
+        mds=build_mds_parity(r, delta, fld)))
+    p = code.params
+    assert code.H.shape == (p.n - p.k, p.n)
+    assert list(code.line_parity_coords()) == [
+        i for i, role in enumerate(p.roles) if role == "line_parity"]
+    assert list(code.global_parity_coords()) == [
+        i for i, role in enumerate(p.roles) if role == "global_parity"]
