@@ -2,8 +2,8 @@
 
 Nothing here is taken on faith: minimum distances come from full
 codeword enumeration, recovery sets from low-weight dual codewords,
-and the sequential-recovery tolerance from checking every erasure
-pattern up to the cap.
+and the sequential-recovery tolerance from an exhaustive search for the
+smallest stopping set up to the cap.
 """
 from slrc import (check_code_structure, check_information_locality,
                   check_sequential, max_sequential_t, min_distance,

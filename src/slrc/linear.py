@@ -62,7 +62,7 @@ def nullspace(field: GF, A):
     """Basis (as rows) of {x : A x = 0}; shape (dim, ncols)."""
     R, pivots = rref(field, A)
     free = np.delete(np.arange(R.shape[1]), pivots)
-    N = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    N = np.zeros((len(free), R.shape[1]), dtype=field.dtype)
     N[np.arange(len(free)), free] = 1
     N[:, pivots] = field.vneg(R[:len(pivots), free]).T
     return N
@@ -91,7 +91,8 @@ class LinearCode:
         H = np.atleast_2d(np.asarray(H, dtype=np.int64))
         if H.size and (H.min() < 0 or H.max() >= field.q):
             raise ValueError("matrix entries outside field range")
-        self.H = H
+        # compact dtype, as for the generator: sweeps keep many codes alive
+        self.H = H.astype(field.dtype)
         self.n = H.shape[1]
         self.rank = matrix_rank(field, H)
         self.dimension = self.n - self.rank
@@ -122,7 +123,7 @@ def min_distance(code: LinearCode):
         raise ValueError("the zero code has no nonzero codeword")
     if q ** k > ENUM_LIMIT:
         raise InfeasibleError(f"q^dim = {q}^{k} codewords is too many to list")
-    G = code.generator.astype(field.dtype)
+    G = code.generator
     # a message's (k, n) products and the sum's temporaries, 8 bytes each
     block = max(1, DUAL_BYTE_BUDGET // (4 * k * n * 8))
     best = n
@@ -301,27 +302,24 @@ def dual_low_weight(code: LinearCode, wmax):
     nonzero entry is 1.  Deterministically ordered: by weight, then
     lexicographically.
 
+    The code keeps one array of word vectors per searched wmax, sorted
+    in that order, and a smaller wmax reads a prefix of a larger one.
     Raises InfeasibleError when the search's estimated working set
     exceeds DUAL_BYTE_BUDGET; the estimate is checked before the arrays
     are allocated.
     """
-    cached = code._dual_cache.get(wmax)
-    if cached is not None:
-        return cached
-    for w, words in sorted(code._dual_cache.items()):
-        if w > wmax:
-            result = [d for d in words if len(d.support) <= wmax]
-            code._dual_cache[wmax] = result
-            return result
-
-    words = _low_weight_dual_words(code.field, code.generator, wmax,
-                                    DUAL_BYTE_BUDGET)
-    result = [DualWord(vector=tuple(v),
-                       support=frozenset(j for j, x in enumerate(v) if x))
-              for v in words.tolist()]
-    result.sort(key=lambda d: (len(d.support), d.vector))
-    code._dual_cache[wmax] = result
-    return result
+    words = next((arr for w, arr in sorted(code._dual_cache.items())
+                  if w >= wmax), None)
+    if words is None:
+        words = _low_weight_dual_words(code.field, code.generator, wmax,
+                                       DUAL_BYTE_BUDGET)
+        weight = np.count_nonzero(words, axis=1)
+        words = words[np.lexsort(np.vstack([words.T[::-1], weight]))]
+        code._dual_cache[wmax] = words
+    words = words[:np.count_nonzero(np.count_nonzero(words, axis=1) <= wmax)]
+    return [DualWord(vector=tuple(v),
+                     support=frozenset(j for j, x in enumerate(v) if x))
+            for v in words.tolist()]
 
 
 def all_recovery_sets(code: LinearCode, r):

@@ -50,8 +50,8 @@ def _require(doc, keys, what):
 
 def _check_params(field, params, cols, roles):
     """The params block must hold positive integers r, delta, t_i, k, b
-    whose layout has H's width, and coordinate roles, when given, must
-    be that layout's."""
+    whose layout has H's width; its s and mu, and coordinate roles, when
+    given, must be that layout's."""
     _require(params, SHAPE_KEYS, "params block")
     if not all(isinstance(params[key], int) and params[key] >= 1
                for key in SHAPE_KEYS):
@@ -62,6 +62,10 @@ def _check_params(field, params, cols, roles):
         raise ParameterError(
             f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
             f"b={shape.b}) give n = {shape.n}, but H has {cols} columns")
+    for key in ("s", "mu"):
+        if params.get(key, getattr(shape, key)) != getattr(shape, key):
+            raise ParameterError(f"params {key} = {params[key]!r} differs "
+                                 f"from the layout's {getattr(shape, key)}")
     if roles is not None and roles != list(shape.roles):
         raise ParameterError(
             "coordinate_roles differ from the layout of the params block")
@@ -122,5 +126,9 @@ def save_matrix_csv(code, path):
 
 def load_matrix_csv(path):
     with open(path, newline="") as fh:
-        rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    return np.array(rows, dtype=np.int64)
+        try:
+            return np.array([[int(x) for x in row]
+                             for row in csv.reader(fh) if row], dtype=np.int64)
+        except ValueError as exc:     # not integers, ragged, or not text
+            raise ParameterError(f"{path} is not a CSV matrix of integers: "
+                                 f"{exc}")

@@ -2,11 +2,11 @@
 
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
-schedules deterministic.  Each step is `linear.repair_step`, the check
-`verify` runs on every erasure pattern; a campaign builds its table
-once.  Within the certified tolerance the peeling condition guarantees
-greedy never gets stuck, so no backtracking is needed; outside it, a
-stuck state is a structured result.
+schedules deterministic.  Each step is `linear.repair_step` on the
+`peel_table` that `verify`'s stopping-set search also reads; a campaign
+builds its table once.  Within the certified tolerance the peeling
+condition guarantees greedy never gets stuck, so no backtracking is
+needed; outside it, a stuck state is a structured result.
 """
 
 from __future__ import annotations

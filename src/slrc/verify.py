@@ -1,12 +1,14 @@
 """Exhaustive verification of sequential recoverability and locality.
 
-Everything here is ground truth by enumeration: the one-at-a-time
-peeling condition (for any erasure set I, some member has a recovery
-set disjoint from I) is checked over every pattern up to the requested
-size by `linear.repair_step`, the step `simulate.plan_repair` repairs
-with, on recovery-set bitmasks built once per call.  Pattern order is
-sizes ascending, lexicographic within a size, and the first failure
-short-circuits, so counterexamples are minimal and deterministic.
+An erasure pattern cannot be repaired one symbol at a time iff it holds
+a stopping set, in which every recovery set of every member meets the
+set; t* is the smallest stopping set's size minus one.  The search for
+it (after Rosnes and Ytrehus, IEEE Trans. IT 2009) runs over the helper
+bitmasks of `linear.peel_table`, deepening one size at a time and
+adding members in increasing order, so it meets first the first stuck
+pattern by size and then lexicographically.  A recovery set R of a
+member that avoids the set so far must be met by a later member, so
+the next member is at most R's highest coordinate.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass, field as dc_field
 from .construct import ConstructedCode
 from .errors import InfeasibleError
 from .linear import (all_recovery_sets, min_distance, peel_table, puncture,
-                     recovery_sets_for, repair_step)
+                     recovery_sets_for)
 
-MAX_PATTERNS = 10_000_000
+# Search nodes one sequential check may visit across all its sizes.
+MAX_NODES = 5_000_000
 
 
 @dataclass
@@ -28,7 +31,7 @@ class VerificationReport:
     checked_t: int
     holds: bool
     failing_pattern: tuple | None = None
-    witnesses: dict = dc_field(default_factory=dict)  # size -> patterns checked
+    witnesses: dict = dc_field(default_factory=dict)  # size -> patterns covered
     t_star: int | None = None
     complete: bool = True
 
@@ -44,61 +47,70 @@ class VerificationReport:
         }
 
 
-def _pattern_count(n, t):
-    return sum(math.comb(n, s) for s in range(1, t + 1))
+def _first_stopping_set(masks, size, nodes):
+    """The lexicographically first stopping set of exactly `size`
+    members, or None.  masks[i] holds the helper bitmasks of i's
+    recovery sets; nodes is a one-item list of the nodes left."""
+    n = len(masks)
+
+    def extend(picked, erased, free):
+        # free: the recovery sets of picked members that avoid `erased`
+        nodes[0] -= 1
+        if nodes[0] < 0:
+            raise InfeasibleError(f"stopping-set search of size {size} "
+                                  f"exceeds the budget of {MAX_NODES} nodes")
+        if len(picked) == size:
+            return None if free else picked
+        hi = min(min((m.bit_length() for m in free), default=n) - 1,
+                 n - size + len(picked))
+        for x in range(picked[-1] + 1 if picked else 0, hi + 1):
+            bit = 1 << x
+            found = extend(picked + (x,), erased | bit,
+                           [m for m in free if not m & bit]
+                           + [m for m in masks[x] if not m & (erased | bit)])
+            if found is not None:
+                return found
+        return None
+
+    return extend((), 0, [])
 
 
-def _level_holds(peel, n, size):
-    """Check the erasure patterns of exactly `size` in lexicographic
-    order up to the first failure; returns (failing pattern or None,
-    number of patterns checked)."""
-    checked = 0
-    for checked, (pattern, bits) in enumerate(zip(
-            itertools.combinations(range(n), size),
-            itertools.combinations([1 << i for i in range(n)], size)), 1):
-        if repair_step(peel, pattern, sum(bits)) is None:
-            return pattern, checked
-    return None, checked
+def _stopping_search(code, r, cap, partial):
+    """(first stopping set of size <= cap or None, witnesses, complete);
+    out of MAX_NODES, a partial search reports the sizes done in full."""
+    masks = [[m for m, _ in row] for row in peel_table(code, r)]
+    n, nodes, witnesses = code.n, [MAX_NODES], {}
+    for size in range(1, cap + 1):
+        try:
+            found = _first_stopping_set(masks, size, nodes)
+        except InfeasibleError:
+            if not partial:
+                raise
+            return None, witnesses, False
+        # patterns a lexicographic check peels: all, or up to `found`
+        witnesses[size] = math.comb(n, size) - sum(
+            math.comb(n - 1 - c, size - i) for i, c in enumerate(found or ()))
+        if found is not None:
+            return found, witnesses, True
+    return None, witnesses, True
 
 
 def check_sequential(code, r, t):
-    """Certify (r, t) sequential recoverability by full enumeration."""
-    n = code.n
-    if _pattern_count(n, t) > MAX_PATTERNS:
-        raise InfeasibleError(
-            f"{_pattern_count(n, t)} erasure patterns at t={t} exceeds the "
-            f"budget; use max_sequential_t with a smaller cap")
-    peel = peel_table(code, r)
-    report = VerificationReport(checked_t=t, holds=True)
-    for size in range(1, t + 1):
-        failing, report.witnesses[size] = _level_holds(peel, n, size)
-        if failing is not None:
-            report.holds = False
-            report.failing_pattern = failing
-            return report
-    return report
+    """Certify (r, t) sequential recovery: no stopping set of size <= t."""
+    failing, witnesses, _ = _stopping_search(code, r, t, partial=False)
+    return VerificationReport(checked_t=t, holds=failing is None,
+                              failing_pattern=failing, witnesses=witnesses)
 
 
 def max_sequential_t(code, r, cap):
-    """Largest t <= cap at which sequential recovery holds exhaustively.
-
-    Returns a report; when a pattern level would exceed the enumeration
-    budget the last certified t is reported with complete=False.
-    """
-    n = code.n
-    peel = peel_table(code, r)
-    report = VerificationReport(checked_t=0, holds=True, t_star=0)
-    for size in range(1, cap + 1):
-        if math.comb(n, size) > MAX_PATTERNS:
-            report.complete = False
-            return report
-        failing, report.witnesses[size] = _level_holds(peel, n, size)
-        if failing is not None:
-            report.failing_pattern = failing
-            return report
-        report.checked_t = size
-        report.t_star = size
-    return report
+    """Largest t <= cap at which sequential recovery holds exhaustively;
+    out of MAX_NODES, the largest size searched in full, with
+    complete=False."""
+    failing, witnesses, complete = _stopping_search(code, r, cap, partial=True)
+    t_star = len(failing) - 1 if failing is not None else len(witnesses)
+    return VerificationReport(checked_t=t_star, holds=True,
+                              failing_pattern=failing, witnesses=witnesses,
+                              t_star=t_star, complete=complete)
 
 
 @dataclass

@@ -13,10 +13,12 @@ Two independent ways to list every dual codeword of weight in
   column sets, so it suits long codes with small wmax.
 
 `peel_residual` and `first_stuck_pattern` decide sequential repair
-from the row-space word list alone, and `recovery_sets_oracle` scans
-that list once per coordinate for its recovery sets, as the
-oracles of `slrc.simulate.plan_repair`, `slrc.verify.check_sequential`
-and `slrc.linear.all_recovery_sets`.
+from the row-space word list alone, `sequential_by_patterns` checks
+every erasure pattern against the helper sets of a word list, and
+`recovery_sets_oracle` scans that list once per coordinate for its
+recovery sets, as the oracles of `slrc.simulate.plan_repair`, the
+stopping-set search of `slrc.verify` and
+`slrc.linear.all_recovery_sets`.
 
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`
@@ -185,6 +187,45 @@ def first_stuck_pattern(field, H, r, t):
             if _peel(words, pattern):
                 return pattern
     return None
+
+
+def helper_masks(words, n):
+    """Per coordinate, the helper bitmask (the support less the
+    coordinate) of every word through it."""
+    masks = [[] for _ in range(n)]
+    for w in words:
+        support = sum(1 << j for j in w.support)
+        for i in w.support:
+            masks[i].append(support & ~(1 << i))
+    return masks
+
+
+def _level_holds(masks, n, size):
+    """Check the erasure patterns of exactly `size` in lexicographic
+    order up to the first one in which no member has a helper set
+    outside the pattern; returns (that pattern or None, number of
+    patterns checked)."""
+    checked = 0
+    for checked, pattern in enumerate(
+            itertools.combinations(range(n), size), 1):
+        erased = sum(1 << i for i in pattern)
+        if all(m & erased for i in pattern for m in masks[i]):
+            return pattern, checked
+    return None, checked
+
+
+def sequential_by_patterns(masks, n, cap):
+    """Every erasure pattern of size <= cap, by size and then
+    lexicographically, up to the first stuck one.  Returns (t*, that
+    pattern or None, witnesses: size -> patterns checked), the verdict
+    `slrc.verify.max_sequential_t` must reach by its stopping-set
+    search."""
+    witnesses = {}
+    for size in range(1, cap + 1):
+        failing, witnesses[size] = _level_holds(masks, n, size)
+        if failing is not None:
+            return size - 1, failing, witnesses
+    return cap, None, witnesses
 
 
 def recovery_sets_oracle(field, words, i):

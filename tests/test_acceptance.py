@@ -5,6 +5,7 @@ Each test covers one acceptance criterion and prints a single
 them live).  The criteria pin down the reference [16, 6] code over
 GF(4) built from the K4 edge design with r = 3, delta = 3, t_i = 2.
 """
+import math
 import time
 
 from slrc.bounds import rate_report
@@ -12,7 +13,8 @@ from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import (Design, affine_design, complete_graph_design,
                           validate_design)
 from slrc.field import GF
-from slrc.linear import min_distance, puncture, recovery_sets_for
+from slrc.linear import (dual_low_weight, min_distance, puncture,
+                         recovery_sets_for)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, rebuild_and_diff, reference_code
 from slrc.simulate import trial_campaign
@@ -188,3 +190,58 @@ def test_criterion_10_field_and_design_oracles():
                     lines=((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)))
     ok = ok and not validate_design(shared)[0]
     report(10, "field axioms exhaustive; design validator accepts/rejects", ok)
+
+
+# (t*, first stuck pattern, 1-based) of each sweep_grid() point, in order
+GRID_TOLERANCE = [
+    (2, (1, 2, 3)), (3, (1, 2, 3, 4)), (4, (3, 6, 7, 8, 9)),
+    (4, (3, 7, 8, 9, 10)), (6, (3, 7, 8, 9, 10, 15, 16)), (2, (1, 2, 4)),
+    (3, (1, 2, 4, 5)), (4, (6, 11, 12, 13, 14)), (4, (7, 14, 15, 16, 17)),
+    (6, (7, 14, 15, 16, 17, 24, 25)), (2, (1, 2, 5)), (3, (1, 2, 5, 6)),
+    (4, (1, 11, 12, 13, 14)), (4, (9, 21, 22, 25, 26)),
+    (6, (9, 21, 22, 25, 26, 37, 38)),
+]
+
+
+def test_criterion_11_tolerance_across_grid():
+    """t* and its witness on every criterion-09 point, n = 42 included.
+
+    The witness is checked by the oracle's peeling and, where
+    C(n, <= t*) <= 10^5, every smaller pattern by the oracle's pattern
+    check, both over the dual words of weight <= r + 1 (compared with
+    brute-force oracles in test_linear for n <= 23).  The designed
+    t_i(delta - 1) holds and the quoted delta*t_i + 1 fails everywhere;
+    with delta = 3 the witness is an information symbol and the
+    parities of its lines.
+    """
+    import dual_oracle
+    ok = True
+    for (r, delta, t_i, design), want in zip(sweep_grid(), GRID_TOLERANCE,
+                                             strict=True):
+        q = _smallest_prime_power(r + delta - 2)
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=GF(q),
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, GF(q)))
+        code = build_parity_check(params)
+        rep = max_sequential_t(code, r, params.t_abstract)
+        t_star, witness = rep.t_star, rep.failing_pattern
+        good = (rep.complete and witness is not None
+                and (t_star, tuple(i + 1 for i in witness)) == want
+                and params.t_claim <= t_star < params.t_abstract)
+        words = dual_low_weight(code, r + 1)
+        good = good and dual_oracle._peel(words, witness) == witness
+        if sum(math.comb(code.n, s) for s in range(t_star + 1)) <= 10 ** 5:
+            masks = dual_oracle.helper_masks(words, code.n)
+            good = good and dual_oracle.sequential_by_patterns(
+                masks, code.n, t_star)[1] is None
+        if delta == 3:
+            i = witness[0]
+            lines = [set(code.row_block_support(j)) for j in range(params.b)]
+            parities = {c for line in lines if i in line for c in line
+                        if c >= params.k}
+            good = good and i < params.k and set(witness) == {i} | parities
+        if not good:
+            ok = False
+            print(f"  r={r} delta={delta} t_i={t_i} q={q} n={code.n}: "
+                  f"t* = {t_star}, witness {witness}")
+    report(11, "t_i(delta-1) <= t* < delta*t_i + 1 across the grid", ok)

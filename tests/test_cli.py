@@ -217,6 +217,20 @@ def test_construct_malformed_design_file_exits_2(tmp_path, capsys, text,
     assert _one_line_error(err) and match in err
 
 
+@pytest.mark.parametrize("text,match", [
+    ("1,1,x\n", "not a CSV matrix of integers"),
+    ("1,1,0\n1,0\n", "not a CSV matrix of integers"),
+])
+def test_construct_malformed_csv_design_exits_2(tmp_path, capsys, text,
+                                                match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                          "--ti", "2", "--q", "4", "--design", f"file:{path}")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and match in err
+
+
 def test_verify_file_without_entries_exits_2(tmp_path, capsys):
     doc = matrix_to_dict(reference_code())
     del doc["entries"]
@@ -260,6 +274,8 @@ def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
     (lambda d: d["field"].update(p="4"), "integers p, m and generator"),
     (lambda d: d["field"].update(prim_poly=5), "list of integers prim_poly"),
     (lambda d: d.update(coordinate_roles=["x"]), "coordinate_roles differ"),
+    (lambda d: d["params"].update(s=99, mu=1), "params s = 99 differs"),
+    (lambda d: d["params"].update(mu=1), "params mu = 1 differs"),
 ])
 def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
     doc = matrix_to_dict(reference_code())
@@ -299,10 +315,8 @@ def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
                         "--ti", "2", "--q", "5", "--design", "affine",
                         "--out", str(out))
     assert rc == 0 and json.loads(stdout)["n"] == 34
-
-    def no_search(*args):
-        raise AssertionError("refusal should come before any enumeration")
-    monkeypatch.setattr("slrc.linear.dual_low_weight", no_search)
+    # the search visits about 20k nodes before the stopping set of size 5
+    monkeypatch.setattr("slrc.verify.MAX_NODES", 1000)
     rc, stdout, err = run(capsys, "verify", "--in", str(out), "--t", "9")
     assert rc == 4
     assert stdout == ""

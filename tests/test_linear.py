@@ -268,12 +268,18 @@ def test_dual_low_weight_large_field(q):
     assert words == dual_oracle.subset_words(field, lc.generator, 3)
 
 
-def test_dual_low_weight_cache_filters_larger_wmax(ref_lc):
+def test_dual_low_weight_cache_filters_larger_wmax(ref_lc, monkeypatch):
+    import slrc.linear as linear
     lc = LinearCode(ref_lc.field, ref_lc.H)
     four = dual_low_weight(lc, 4)
+
+    def no_search(*args):
+        raise AssertionError("a cached wmax must not search again")
+    monkeypatch.setattr(linear, "_low_weight_dual_words", no_search)
     three = dual_low_weight(lc, 3)
     assert three == [d for d in four if len(d.support) <= 3]
-    assert dual_low_weight(lc, 3) is three
+    assert dual_low_weight(lc, 3) == three
+    assert dual_low_weight(lc, 4) == four
 
 
 def test_dual_low_weight_refuses_huge_null_space_expansion():

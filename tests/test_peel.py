@@ -7,10 +7,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import dual_oracle
+from slrc.construct import ConstructionParams, build_parity_check
 from slrc.field import GF
-from slrc.linear import LinearCode, all_recovery_sets
+from slrc.linear import LinearCode, all_recovery_sets, dual_low_weight
+from slrc.mds import build_mds_parity
 from slrc.simulate import execute_repair, plan_repair
-from slrc.verify import check_sequential
+from slrc.verify import check_sequential, max_sequential_t
 
 
 @st.composite
@@ -72,3 +74,43 @@ def test_failing_pattern_is_first_stuck_pattern(case, t):
     expect = dual_oracle.first_stuck_pattern(field, H, r, t)
     assert report.failing_pattern == expect
     assert report.holds == (expect is None)
+
+
+def _assert_search_matches_patterns(lc, r, cap, masks):
+    t_star, failing, witnesses = dual_oracle.sequential_by_patterns(
+        masks, lc.n, cap)
+    rep = max_sequential_t(lc, r, cap)
+    assert (rep.t_star, rep.checked_t, rep.failing_pattern, rep.witnesses,
+            rep.complete) == (t_star, t_star, failing, witnesses, True)
+    rep = check_sequential(lc, r, cap)
+    assert (rep.holds, rep.checked_t, rep.failing_pattern, rep.witnesses,
+            rep.complete) == (failing is None, cap, failing, witnesses, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_erasures(), st.integers(0, 13))
+def test_stopping_set_search_matches_pattern_oracle(case, cap):
+    field, H, r, _, _ = case
+    words = dual_oracle.rowspace_words(field, H, r + 1)
+    _assert_search_matches_patterns(
+        LinearCode(field, H), r, cap,
+        dual_oracle.helper_masks(words, H.shape[1]))
+
+
+def test_stopping_set_search_matches_pattern_oracle_on_sweep_points():
+    # the dual words of these points are checked against the brute-force
+    # oracles in test_linear
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    checked = 0
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=fld,
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, fld))
+        code = build_parity_check(params)
+        if code.n > 23:
+            continue
+        masks = dual_oracle.helper_masks(dual_low_weight(code, r + 1), code.n)
+        _assert_search_matches_patterns(code, r, 9, masks)
+        checked += 1
+    assert checked == 11

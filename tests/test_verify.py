@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slrc.construct import constructed_from_matrix
+from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import LinearCode
 from slrc.reference import golden, reference_code
@@ -85,6 +86,26 @@ def test_witnesses_count_patterns_checked(ref):
             **{s: len(list(itertools.combinations(range(n), s)))
                for s in range(1, len(failing))},
             len(failing): position}
+
+
+def test_node_budget_ends_search(ref, monkeypatch):
+    import slrc.verify as verify
+    full = max_sequential_t(ref, 3, cap=9)
+    seen = []
+    for budget in (1, 100, 300):
+        monkeypatch.setattr(verify, "MAX_NODES", budget)
+        rep = max_sequential_t(ref, 3, cap=9)
+        # t* is the largest size searched in full, at most the true t*
+        assert not rep.complete and rep.failing_pattern is None
+        assert rep.t_star == rep.checked_t == len(rep.witnesses) <= 4
+        assert rep.witnesses == {s: full.witnesses[s]
+                                 for s in range(1, rep.t_star + 1)}
+        with pytest.raises(InfeasibleError, match="exceeds the budget"):
+            check_sequential(ref, 3, 4)
+        seen.append(rep.t_star)
+    assert seen[0] == 0 and seen == sorted(seen) and seen[-1] > 0
+    monkeypatch.setattr(verify, "MAX_NODES", 10_000)
+    assert max_sequential_t(ref, 3, cap=9).to_dict() == full.to_dict()
 
 
 def test_consistency_t_star(ref):
