@@ -75,20 +75,23 @@ def cmd_construct(args):
     return EXIT_OK
 
 
-def _load_code(path):
+def _load_code(path, r=None, need_r=False):
+    """(code, params block or None, r), where r is the given one, else
+    the params block's."""
     fld, H, roles, params = load_matrix(path)
-    if params is not None:
-        return constructed_from_matrix(fld, H, params), params
-    return LinearCode(fld, H), None
+    if params is None:
+        code = LinearCode(fld, H)
+    else:
+        code = constructed_from_matrix(fld, H, params)
+        r = params["r"] if r is None else r
+    if need_r and r is None:
+        raise ParameterError("--r is required for files without a params "
+                             "block")
+    return code, params, r
 
 
 def cmd_verify(args):
-    code, params = _load_code(args.infile)
-    r = args.r if args.r is not None else (params["r"] if params else None)
-    if r is None:
-        print("error: --r is required for files without a params block",
-              file=sys.stderr)
-        return EXIT_PARAM
+    code, params, r = _load_code(args.infile, args.r, need_r=True)
     checks = []
     ok = True
     if args.max_t is not None:
@@ -126,12 +129,7 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
-    code, params = _load_code(args.infile)
-    r = args.r if args.r is not None else (params["r"] if params else None)
-    if r is None:
-        print("error: --r is required for files without a params block",
-              file=sys.stderr)
-        return EXIT_PARAM
+    code, _, r = _load_code(args.infile, args.r, need_r=True)
     trace = None
     if args.trace:
         def trace(step):
@@ -147,7 +145,7 @@ def cmd_simulate(args):
 def cmd_bounds(args):
     shape = None
     if args.infile:
-        code, params = _load_code(args.infile)
+        code, params, _ = _load_code(args.infile)
         if params is None:
             print("error: matrix file has no params block", file=sys.stderr)
             return EXIT_PARAM
@@ -164,7 +162,7 @@ def cmd_bounds(args):
 
 
 def cmd_export(args):
-    code, _ = _load_code(args.infile)
+    code, _, _ = _load_code(args.infile)
     if args.csv:
         save_matrix_csv(code, args.csv)
     if args.json_out:

@@ -1,261 +1,127 @@
-"""Finite field arithmetic in GF(p^m), table driven.
+"""Finite field arithmetic in GF(p^m) for q = p^m <= MAX_Q = 1024.
 
-Elements are plain integers in ``[0, q)``: the base-p digits of an
-element are the coefficients, low to high, of its residue polynomial.
-Value 0 is the zero element and value 1 the multiplicative identity.
-Extension-field multiplication goes through log/antilog tables keyed to
-a primitive element, so every scalar operation is O(1) after the tables
-are built.  A ``GF`` instance is immutable once constructed and safe to
-share between threads.
+Elements are the integers 0..q-1: the base-p digits of an element are
+the coefficients, low to high, of its residue modulo the monic degree-m
+polynomial ``prim_poly``.  The field is four lookup tables built on
+whole arrays of digits: the q×q ``add_table`` and ``mul_table`` and the
+length-q ``neg_table`` and ``inv_table``.  Sums are digitwise mod p, and
+a·b is the sum over k of b_k·(x^k·a), with x^k·a from a vectorized
+"times x" step.  The generator and its exp/log come from ``mul_table``.
+Scalar operations read the tables and return Python ints; array
+operations index them.  Larger fields are out of scope and raise
+FieldError.  A ``GF`` is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import FieldError
 
-# Default monic irreducible polynomials (coefficients low to high) for
-# the extension fields exercised at desk scale.  Other (p, m) pairs fall
-# back to a lexicographic search.
-_DEFAULT_PRIM_POLY = {
-    (2, 2): (1, 1, 1),          # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),       # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),    # x^4 + x + 1
-    (3, 2): (2, 1, 1),          # x^2 + x + 2
-}
-
-MAX_Q = 1 << 16
-# Dense q×q numpy tables are only built for small fields.
-_TABLE_LIMIT = 1024
+MAX_Q = 1024
 
 
 def _factor_prime_power(q):
     """Return (p, m) with q = p^m, or raise FieldError."""
     if q < 2:
         raise FieldError(f"field size must be at least 2, got {q}")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
+    p = next(c for c in range(2, q + 1) if q % c == 0)
+    m = next(m for m in range(1, q + 1) if p ** m >= q)
+    if p ** m != q:
         raise FieldError(f"{q} is not a prime power")
     return p, m
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
+def _times_x(d, low, p):
+    """Digits of x·a modulo x^m + low(x), for the digit rows d of a."""
+    shifted = np.zeros_like(d)
+    shifted[:, 1:] = d[:, :-1]
+    return (shifted - d[:, -1:] * low) % p
 
 
-def _poly_mod(a, b, p):
-    """Remainder of a divided by b over GF(p); b monic-normalized here."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    lead_inv = pow(lead, -1, p)
-    while len(a) - 1 >= db and _poly_trim(a):
-        a = _poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        factor = (a[-1] * lead_inv) % p
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
+def _powers(row):
+    """[1, g, g^2, ...] up to the first return to 1, where row[a] = g·a;
+    len(row) terms when g never returns to 1."""
+    out = [1]
+    while len(out) < len(row) and row[out[-1]] != 1:
+        out.append(row[out[-1]])
     return out
 
 
-def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    poly = _poly_trim(list(poly))
-    m = len(poly) - 1
-    if m < 1:
-        return False
-    if poly[0] == 0:  # divisible by x
-        return m == 1
-    for d in range(1, m // 2 + 1):
-        for idx in range(p ** d):
-            div = []
-            v = idx
-            for _ in range(d):
-                div.append(v % p)
-                v //= p
-            div.append(1)  # monic
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
+@functools.lru_cache(maxsize=None)
 def _search_prim_poly(p, m):
-    """Smallest monic irreducible of degree m for which x is primitive."""
-    best_irreducible = None
-    for idx in range(p ** m):
-        low = []
-        v = idx
-        for _ in range(m):
-            low.append(v % p)
-            v //= p
-        poly = tuple(low) + (1,)
-        if not _is_irreducible(poly, p):
-            continue
-        if best_irreducible is None:
-            best_irreducible = poly
-        if _order_of_x(poly, p, m) == p ** m - 1:
-            return poly
-    if best_irreducible is not None:
-        return best_irreducible
-    raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-def _order_of_x(poly, p, m):
-    q = p ** m
-    cur = [0, 1]  # the polynomial x
-    for n in range(1, q):
-        cur = _poly_mod(cur, list(poly), p)
-        if _poly_trim(cur) == [1]:
-            return n
-        cur = _poly_mul(cur, [0, 1], p)
-    return 0
+    """Smallest monic f of degree m (low coefficients read as a base-p
+    number) for which x has order p^m - 1; such an f is irreducible."""
+    d = np.arange(p ** m)[:, None] // p ** np.arange(m) % p   # digits
+    for low in d:
+        x_times = _times_x(d, low, p) @ p ** np.arange(m)
+        if len(_powers(x_times.tolist())) == p ** m - 1:
+            return tuple(low.tolist()) + (1,)
 
 
 class GF:
-    """The finite field GF(q) with q = p^m, q <= 2^16.
-
-    Parameters
-    ----------
-    q : int
-        Field size, a prime power.
-    prim_poly : sequence of int, optional
-        Monic irreducible polynomial of degree m over GF(p),
-        coefficients low to high.  Defaults to a standard table for
-        small fields, otherwise a lexicographic search.
-    generator : int, optional
-        Encoding of a primitive element.  Defaults to the polynomial x
-        for extension fields when it is primitive, else the smallest
-        primitive element.
-    """
+    """GF(q), q = p^m <= MAX_Q.  prim_poly (monic of degree m over GF(p),
+    low to high) must leave an element of order q - 1, which only an
+    irreducible one does; it defaults to the smallest in which x is
+    primitive.  generator defaults to the smallest primitive element,
+    which is x when x is primitive (1..p-1 lie in GF(p))."""
 
     def __init__(self, q, prim_poly=None, generator=None):
         if q > MAX_Q:
             raise FieldError(f"field size {q} exceeds supported maximum {MAX_Q}")
         p, m = _factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.m = m
-
-        if prim_poly is None:
-            if m == 1:
-                prim_poly = (0, 1)  # arithmetic is plain mod p
-            else:
-                prim_poly = _DEFAULT_PRIM_POLY.get((p, m)) or _search_prim_poly(p, m)
+        self.q, self.p, self.m = q, p, m
+        if prim_poly is None:       # m == 1: plain arithmetic mod p
+            prim_poly = (0, 1) if m == 1 else _search_prim_poly(p, m)
         prim_poly = tuple(int(c) % p for c in prim_poly)
-        if m > 1:
-            if len(prim_poly) != m + 1 or prim_poly[-1] != 1:
-                raise FieldError(
-                    f"prim_poly must be monic of degree {m}, got {prim_poly}")
-            if not _is_irreducible(prim_poly, p):
-                raise FieldError(f"prim_poly {prim_poly} is reducible over GF({p})")
+        if m > 1 and (len(prim_poly) != m + 1 or prim_poly[-1] != 1):
+            raise FieldError(
+                f"prim_poly must be monic of degree {m}, got {prim_poly}")
         self.prim_poly = prim_poly
 
-        self._exp, self._log, self.generator = self._build_tables(generator)
-
-        # Dense numpy lookup tables for vectorized matrix work, in the
-        # smallest unsigned dtype that holds every element.
+        # Both tables are filled in column blocks, one base-p digit k of
+        # b at a time: column r + c·p^k (r < p^k) is column r plus the
+        # element c·x^k, and a·(c·x^k) = c·(x^k·a).
         self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
-        if q <= _TABLE_LIMIT:
-            idx = np.arange(q)
-            self.add_table = np.array(
-                [[self.add(a, b) for b in idx] for a in idx], dtype=self.dtype)
-            self.mul_table = np.array(
-                [[self.mul(a, b) for b in idx] for a in idx], dtype=self.dtype)
-            self.neg_table = np.array([self.neg(a) for a in idx],
-                                      dtype=self.dtype)
-            self.inv_table = np.array(
-                [0] + [self.inv(a) for a in range(1, q)], dtype=self.dtype)
+        weights = p ** np.arange(m)
+        d = np.arange(q)[:, None] // weights % p    # digits, low first
+        c = np.arange(1, p)
+        add = np.empty((q, q), dtype=self.dtype)
+        add[:, 0] = np.arange(q)
+        for k, w in enumerate(weights):
+            # adding c·x^k to a + r changes digit k of a only
+            step = ((d[:, k, None] + c) % p - d[:, k, None]) * w
+            add[:, w:p * w] = (add[:, None, :w]
+                               + step[:, :, None]).reshape(q, -1)
+        mul = np.zeros((q, q), dtype=self.dtype)
+        xa = d                                      # digits of x^k·a
+        for k, w in enumerate(weights):
+            if k:
+                xa = _times_x(xa, np.array(prim_poly[:m]), p)
+            cxa = c[:, None] * xa[:, None, :] % p @ weights
+            mul[:, w:p * w] = add[mul[:, None, :w],
+                                  cxa[:, :, None]].reshape(q, -1)
+        self.add_table, self.mul_table = add, mul
+        self.neg_table = (-d % p @ weights).astype(self.dtype)
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(self.dtype)
+
+        for g in range(1, q) if generator is None else [int(generator)]:
+            if not 0 < g < q:
+                raise FieldError(f"generator {g} out of range for GF({q})")
+            self._exp = _powers(mul[g].tolist())
+            if len(self._exp) == q - 1:
+                break
         else:
-            self.add_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
-            self._exp_arr = np.array(self._exp, dtype=self.dtype)
-            self._log_arr = np.array(self._log, dtype=np.int64)
+            raise FieldError(
+                f"generator {generator} does not have order {q - 1} in GF({q})"
+                if generator is not None else f"prim_poly {prim_poly} is "
+                f"reducible over GF({p}): no element has order {q - 1}")
+        self.generator = g
+        self._log = {a: i for i, a in enumerate(self._exp)}
 
-    # -- construction helpers ------------------------------------------------
-
-    def _encode(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def _decode(self, value):
-        digits = []
-        for _ in range(max(self.m, 1)):
-            digits.append(value % self.p)
-            value //= self.p
-        return digits
-
-    def _mul_raw(self, a, b):
-        """Product without tables: polynomial multiply, reduce by prim_poly."""
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self._decode(a), self._decode(b), self.p)
-        rem = _poly_mod(prod, list(self.prim_poly), self.p)
-        rem = rem + [0] * (self.m - len(rem))
-        return self._encode(rem)
-
-    def _element_order(self, a):
-        cur, n = a, 1
-        while cur != 1:
-            cur = self._mul_raw(cur, a)
-            n += 1
-            if n > self.q:
-                return 0
-        return n
-
-    def _build_tables(self, generator):
-        q = self.q
-        if generator is None:
-            candidates = [self.p] if self.m > 1 else []
-            candidates += [a for a in range(1, q)]
-            for cand in candidates:
-                if self._element_order(cand) == q - 1:
-                    generator = cand
-                    break
-        else:
-            generator = int(generator)
-            if not 0 < generator < q:
-                raise FieldError(f"generator {generator} out of range for GF({q})")
-            if self._element_order(generator) != q - 1:
-                raise FieldError(
-                    f"generator {generator} does not have order {q - 1} in GF({q})")
-        exp = [0] * (2 * (q - 1))
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = self._mul_raw(x, generator)
-        return exp, log, generator
-
-    # -- scalar operations ---------------------------------------------------
+    # -- scalar operations: table reads, returning Python ints ---------------
 
     def check(self, a):
         if not 0 <= a < self.q:
@@ -263,32 +129,21 @@ class GF:
         return a
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        return self.add_table.item(a, b)
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        return self._encode([(-d) % self.p for d in self._decode(a)])
+        return self.neg_table.item(a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.add_table.item(a, self.neg_table.item(b))
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.mul_table.item(a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.inv_table.item(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -303,53 +158,26 @@ class GF:
     def elements(self):
         return range(self.q)
 
-    # -- array operations ----------------------------------------------------
-    #
-    # Elementwise over numpy arrays of element encodings (any integer
-    # dtype, broadcasting as numpy does); results have dtype self.dtype.
-    # Fields up to _TABLE_LIMIT index the dense tables; larger fields
-    # multiply through exp/log arrays and add base-p digitwise.
-
-    def _digitwise(self, a, b, sign):
-        """a + sign*b, one base-p digit at a time."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.m):
-            out += (a // scale % self.p + sign * (b // scale % self.p)) \
-                % self.p * scale
-            scale *= self.p
-        return out.astype(self.dtype)
+    # -- array operations: elementwise, broadcasting as numpy does; the
+    # results have dtype self.dtype and never alias an operand --------------
 
     def vadd(self, a, b):
         if self.p == 2:
             return (np.asarray(a) ^ np.asarray(b)).astype(self.dtype,
                                                          copy=False)
-        if self.add_table is not None:
-            return self.add_table[a, b]
-        return self._digitwise(a, b, 1)
+        return self.add_table[a, b]
 
     def vneg(self, a):
         if self.p == 2:
             return np.array(a, dtype=self.dtype)    # a copy, never `a`
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        return self._digitwise(0, a, -1)
+        return self.neg_table[a]
 
     def vmul(self, a, b):
-        if self.mul_table is not None:
-            return self.mul_table[a, b]
-        a = np.asarray(a)
-        b = np.asarray(b)
-        prod = self._exp_arr[self._log_arr[a] + self._log_arr[b]]
-        return np.where((a != 0) & (b != 0), prod, 0).astype(self.dtype)
+        return self.mul_table[a, b]
 
     def vinv(self, a):
-        """Inverses of nonzero entries (zero entries map to garbage)."""
-        if self.inv_table is not None:
-            return self.inv_table[a]
-        return self._exp_arr[(self.q - 1 - self._log_arr[a]) % (self.q - 1)]
+        """Inverses of nonzero entries (zero entries map to 0)."""
+        return self.inv_table[a]
 
     def vsum(self, a, axis=-1):
         """Field sum of the entries of `a` along `axis`."""
@@ -357,17 +185,12 @@ class GF:
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis).astype(self.dtype)
         out = 0
-        scale = 1
-        for _ in range(self.m):
-            out = out + (a // scale % self.p).sum(axis=axis) % self.p * scale
-            scale *= self.p
+        for w in self.p ** np.arange(self.m):
+            out = out + (a // w % self.p).sum(axis=axis) % self.p * w
         return np.asarray(out).astype(self.dtype)
 
-    # -- identity ------------------------------------------------------------
-
     def __eq__(self, other):
-        return (isinstance(other, GF)
-                and self.q == other.q
+        return (isinstance(other, GF) and self.q == other.q
                 and self.prim_poly == other.prim_poly
                 and self.generator == other.generator)
 
@@ -375,18 +198,13 @@ class GF:
         return hash((self.q, self.prim_poly, self.generator))
 
     def __repr__(self):
-        if self.m == 1:
-            return f"GF({self.q})"
-        return f"GF({self.q}, prim_poly={list(self.prim_poly)})"
+        return f"GF({self.q}" + (
+            f", prim_poly={list(self.prim_poly)})" if self.m > 1 else ")")
 
     def spec_dict(self):
         """Serializable field description for the matrix file format."""
-        return {
-            "p": self.p,
-            "m": self.m,
-            "prim_poly": list(self.prim_poly),
-            "generator": self.generator,
-        }
+        return {"p": self.p, "m": self.m, "prim_poly": list(self.prim_poly),
+                "generator": self.generator}
 
     @classmethod
     def from_spec_dict(cls, d):

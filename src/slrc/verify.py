@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ParameterError
 from .linear import (all_recovery_sets, min_distance, peel_table, puncture,
                      recovery_sets_for)
 
@@ -78,6 +78,8 @@ def _first_stopping_set(masks, size, nodes):
 def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
     out of MAX_NODES, a partial search reports the sizes done in full."""
+    if cap < 1:
+        raise ParameterError(f"tolerance t must be >= 1, got {cap}")
     masks = [[m for m, _ in row] for row in peel_table(code, r)]
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):

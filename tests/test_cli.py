@@ -309,6 +309,49 @@ def test_verify_field_spec_p6_exits_2(tmp_path, capsys):
     assert _one_line_error(err) and "6 is not a prime power" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--t", "-1"), ("--t", "0"),
+                                        ("--max-t", "0")])
+def test_verify_tolerance_below_one_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "code.json"
+    save_matrix(reference_code(), out)
+    rc, stdout, err = run(capsys, "verify", "--in", str(out), flag, value)
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and f"must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--t", "1"],
+                                     ["simulate", "--t", "1"]])
+def test_file_without_params_needs_r(tmp_path, capsys, command):
+    doc = matrix_to_dict(reference_code())
+    del doc["params"], doc["coordinate_roles"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, command[0], "--in", str(bare),
+                          *command[1:])
+    assert rc == 2 and stdout == ""
+    assert err == "error: --r is required for files without a params block\n"
+    rc, _, _ = run(capsys, command[0], "--in", str(bare), "--r", "3",
+                   *command[1:])
+    assert rc == 0
+
+
+def test_construct_field_above_1024_exits_2(capsys):
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                          "--ti", "2", "--q", "2048")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "exceeds supported maximum 1024" in err
+
+
+def test_verify_field_spec_gf2048_exits_2(tmp_path, capsys):
+    doc = matrix_to_dict(reference_code())
+    doc["field"].update(p=2, m=11, prim_poly=[1, 0, 1] + [0] * 8 + [1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "verify", "--in", str(bad), "--t", "1")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "exceeds supported maximum 1024" in err
+
+
 def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "n34.json"
     rc, stdout, _ = run(capsys, "construct", "--r", "4", "--delta", "3",

@@ -151,18 +151,118 @@ def test_spec_dict_round_trip():
 
 
 def test_lookup_tables_agree_with_scalar_ops():
+    # scalar operations read the tables and hand back Python ints
     gf = GF(4)
     for a, b in itertools.product(range(4), repeat=2):
         assert gf.add_table[a, b] == gf.add(a, b)
         assert gf.mul_table[a, b] == gf.mul(a, b)
+        assert type(gf.add(a, b)) is int and type(gf.mul(a, b)) is int
     for a in range(1, 4):
         assert gf.inv_table[a] == gf.inv(a)
         assert gf.neg_table[a] == gf.neg(a)
+        assert type(gf.inv(a)) is int and type(gf.neg(a)) is int
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 2048, 2187, 4099])
+def _digit_oracle(values, p, m, sign=1):
+    """Field sum (sign=1) of a list of elements, or the negative of one
+    element (sign=-1), one base-p digit at a time."""
+    return sum(sign * sum(v // p ** i % p for v in values) % p * p ** i
+               for i in range(m))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 27, 125, 729, 1024])
+def test_tables_match_independent_oracles(q):
+    # the polynomial product and digitwise sums, computed independently;
+    # every pair for small q, a seeded sample for large q
+    gf = GF(q)
+    p, m = gf.p, gf.m
+    rng = np.random.default_rng(q)
+    if q <= 27:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        pairs = rng.integers(0, q, size=(1500, 2)).tolist()
+    for a, b in pairs:
+        assert gf.add_table[a, b] == _digit_oracle([a, b], p, m)
+        assert gf.mul_table[a, b] == _poly_oracle_mul(a, b, p, m,
+                                                      gf.prim_poly)
+    elements = range(q) if q <= 27 else rng.integers(1, q, size=200).tolist()
+    for a in elements:
+        assert gf.neg_table[a] == _digit_oracle([a], p, m, sign=-1)
+        if a:
+            assert _poly_oracle_mul(a, int(gf.inv_table[a]), p, m,
+                                    gf.prim_poly) == 1
+            powers = [1]
+            for _ in range(5):
+                powers.append(_poly_oracle_mul(powers[-1], a, p, m,
+                                               gf.prim_poly))
+            assert [gf.pow(a, e) for e in range(6)] == powers
+            assert _poly_oracle_mul(gf.pow(a, -2), powers[5], p, m,
+                                    gf.prim_poly) == powers[3]
+    M = rng.integers(0, q, size=(6, 9))
+    assert gf.vsum(M, axis=1).tolist() == [_digit_oracle(row, p, m)
+                                           for row in M.tolist()]
+    assert gf.vsum(M, axis=0).tolist() == [_digit_oracle(col, p, m)
+                                           for col in M.T.tolist()]
+    # the generator reaches 1 first at power q - 1
+    power, order = gf.generator, 1
+    while power != 1:
+        power = _poly_oracle_mul(power, gf.generator, p, m, gf.prim_poly)
+        order += 1
+    assert order == q - 1
+
+
+@pytest.mark.parametrize("q", [1031, 2048, 2187])
+def test_fields_above_max_q_are_out_of_scope(q):
+    with pytest.raises(FieldError, match="exceeds supported maximum 1024"):
+        GF(q)
+
+
+# (prim_poly, generator) of every extension field with q <= 1024, as
+# matrix files store them; the default polynomial is found by a search,
+# so this pins its result
+EXTENSION_FIELD_SPECS = {
+    4: ((1, 1, 1), 2),
+    8: ((1, 1, 0, 1), 2),
+    9: ((2, 1, 1), 3),
+    16: ((1, 1, 0, 0, 1), 2),
+    25: ((2, 1, 1), 5),
+    27: ((1, 2, 0, 1), 3),
+    32: ((1, 0, 1, 0, 0, 1), 2),
+    49: ((3, 1, 1), 7),
+    64: ((1, 1, 0, 0, 0, 0, 1), 2),
+    81: ((2, 1, 0, 0, 1), 3),
+    121: ((7, 1, 1), 11),
+    125: ((2, 3, 0, 1), 5),
+    128: ((1, 1, 0, 0, 0, 0, 0, 1), 2),
+    169: ((2, 1, 1), 13),
+    243: ((1, 2, 0, 0, 0, 1), 3),
+    256: ((1, 0, 1, 1, 1, 0, 0, 0, 1), 2),
+    289: ((3, 1, 1), 17),
+    343: ((2, 3, 0, 1), 7),
+    361: ((2, 1, 1), 19),
+    512: ((1, 0, 0, 0, 1, 0, 0, 0, 0, 1), 2),
+    529: ((7, 1, 1), 23),
+    625: ((2, 2, 1, 0, 1), 5),
+    729: ((2, 1, 0, 0, 0, 0, 1), 3),
+    841: ((3, 1, 1), 29),
+    961: ((12, 1, 1), 31),
+    1024: ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+}
+
+
+def test_extension_field_specs_are_pinned():
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    assert sorted(EXTENSION_FIELD_SPECS) == sorted(
+        p ** m for p in primes for m in range(2, 11) if p ** m <= 1024)
+    for q, (prim_poly, generator) in EXTENSION_FIELD_SPECS.items():
+        gf = GF(q)
+        assert (gf.prim_poly, gf.generator) == (prim_poly, generator), q
+        assert GF.from_spec_dict(gf.spec_dict()) == gf
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 729, 1024])
 def test_array_ops_agree_with_scalar_ops(q):
-    # q > 1024 has no tables: exp/log products, digitwise sums
+    # characteristic 2 adds by XOR, odd characteristic through the tables
     gf = GF(q)
     rng = np.random.default_rng(q)
     a, b = rng.integers(0, q, size=(2, 400))
@@ -183,7 +283,7 @@ def test_array_ops_agree_with_scalar_ops(q):
     assert gf.vmul(a, b).dtype == (np.uint8 if q <= 256 else np.uint16)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 2048])
+@pytest.mark.parametrize("q", [2, 3, 4, 1024])
 def test_array_ops_return_fresh_arrays(q):
     # callers write into the results, so none may alias an operand
     gf = GF(q)

@@ -135,17 +135,17 @@ def test_linear_algebra_matches_scalar_oracles(field_and_h):
         assert min_distance(lc) == dual_oracle.brute_force_distance(field, H)
 
 
-def test_linear_algebra_matches_scalar_oracles_gf2048():
-    # no lookup tables above q = 1024
-    field = GF(2048)
-    rng = np.random.default_rng(2048)
-    H = rng.integers(0, 2048, size=(5, 9))
+def test_linear_algebra_matches_scalar_oracles_gf1024():
+    # the largest field, with two-byte entries
+    field = GF(1024)
+    rng = np.random.default_rng(1024)
+    H = rng.integers(0, 1024, size=(5, 9))
     H[3] = field.vadd(H[0], field.vmul(7, H[1]))     # rank 4
     basis, pivots = dual_oracle._rref(field, H)
     assert rank_and_basis(field, H)[1].tolist() == basis
     assert nullspace(field, H).tolist() == dual_oracle._nullspace(field, H,
                                                                   9)
-    lc = LinearCode(field, H[[0, 1, 2, 4], :5])       # 2048 codewords
+    lc = LinearCode(field, H[[0, 1, 2, 4], :5])       # 1024 codewords
     assert lc.dimension == 1
     assert min_distance(lc) == dual_oracle.brute_force_distance(field,
                                                                 lc.H)
@@ -253,9 +253,9 @@ def test_dual_low_weight_matches_oracles_on_sweep_points():
     assert checked == 11
 
 
-@pytest.mark.parametrize("q", [2048, 2187])
+@pytest.mark.parametrize("q", [1024, 729])
 def test_dual_low_weight_large_field(q):
-    # no lookup tables above q = 1024: the enumerator runs on exp/log
+    # two-byte entries, in characteristic 2 and 3
     field = GF(q)
     rng = np.random.default_rng(q)
     H = rng.integers(1, q, size=(4, 7))
@@ -282,11 +282,14 @@ def test_dual_low_weight_cache_filters_larger_wmax(ref_lc, monkeypatch):
     assert dual_low_weight(lc, 4) == four
 
 
-def test_dual_low_weight_refuses_huge_null_space_expansion():
-    # every vector is a dual word of the zero code: 2048^2 combinations
-    # per dependent set of three columns exceed the byte budget
-    lc = LinearCode(GF(2048), np.eye(4, dtype=np.int64))
-    assert len(dual_low_weight(lc, 2)) == 4 + 6 * 2047
+def test_dual_low_weight_refuses_huge_null_space_expansion(monkeypatch):
+    # every vector is a dual word of the zero code: with a 1 MB budget,
+    # 1024 combinations per dependent set of two columns fit and 1024^2
+    # per dependent set of three columns do not
+    import slrc.linear as linear
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", 1 << 20)
+    lc = LinearCode(GF(1024), np.eye(4, dtype=np.int64))
+    assert len(dual_low_weight(lc, 2)) == 4 + 6 * 1023
     with pytest.raises(InfeasibleError, match="null-space combinations"):
         dual_low_weight(lc, 3)
 

@@ -4,10 +4,12 @@ against the row-space oracles of `dual_oracle`, on random codes."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dual_oracle
 from slrc.construct import ConstructionParams, build_parity_check
+from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import LinearCode, all_recovery_sets, dual_low_weight
 from slrc.mds import build_mds_parity
@@ -77,6 +79,11 @@ def test_failing_pattern_is_first_stuck_pattern(case, t):
 
 
 def _assert_search_matches_patterns(lc, r, cap, masks):
+    if cap < 1:
+        for check in (max_sequential_t, check_sequential):
+            with pytest.raises(ParameterError, match="must be >= 1"):
+                check(lc, r, cap)
+        return
     t_star, failing, witnesses = dual_oracle.sequential_by_patterns(
         masks, lc.n, cap)
     rep = max_sequential_t(lc, r, cap)
