@@ -76,9 +76,13 @@ class GF:
         if prim_poly is None:       # m == 1: plain arithmetic mod p
             prim_poly = (0, 1) if m == 1 else _search_prim_poly(p, m)
         prim_poly = tuple(int(c) % p for c in prim_poly)
-        if m > 1 and (len(prim_poly) != m + 1 or prim_poly[-1] != 1):
+        if len(prim_poly) != m + 1 or prim_poly[-1] != 1:
             raise FieldError(
                 f"prim_poly must be monic of degree {m}, got {prim_poly}")
+        if m == 1 and prim_poly != (0, 1):
+            # arithmetic mod p ignores it, but the spec and equality do not
+            raise FieldError(f"prim_poly of the prime field GF({q}) must be "
+                             f"(0, 1), got {prim_poly}")
         self.prim_poly = prim_poly
 
         # Both tables are filled in column blocks, one base-p digit k of

@@ -191,6 +191,19 @@ def _low_weight_dual_words(field, G, wmax, budget):
     step per later column, with c's residual as the new pivot row.
     Dependent sets stay in the search, so words of non-minimal support
     are found too.
+
+    The last level picks the pairs that can give a word before it
+    eliminates: (T + {c}, c') is dependent exactly when the residual of
+    c' against T is zero or a multiple of c's, and when c's residual is
+    nonzero and c''s is zero, no null vector is nonzero on c.  So a pair
+    is eliminated only when its source's residual is a multiple of its
+    new pivot row (zero when the row is zero), which shows as equal
+    keys of the residuals of level wmax - 1 (`_residual_keys`).
+
+    Consecutive first columns are searched in one pass while their
+    summed pair count at every level stays within the largest level of
+    first column 0, so the budget check, made for that level, holds for
+    every pass.
     """
     k, n = G.shape
     wmax = min(wmax, n)
@@ -201,32 +214,57 @@ def _low_weight_dual_words(field, G, wmax, budget):
     # search never runs over an empty axis
     Gt = np.zeros((n, k + 1), dtype=dt)
     Gt[:, :k] = np.asarray(G).T
-    # The search takes one first column at a time, and the sets starting
-    # at column 0 are the most.  Estimated working set per level w: each
-    # (set, column) pair takes about six arrays of k + 1 + wmax entries
-    # of the field's dtype and six intp indices.
+    # A search from first column f has C(n - 1 - f, w - 1) pairs at level
+    # w, so first column 0 is the largest.  Estimated working set per
+    # level w: each (set, column) pair takes about six arrays of
+    # k + 1 + wmax entries of the field's dtype and six intp indices.
     per_pair = 6 * (k + 1 + wmax) * dt.itemsize + 6 * 8
-    if max(math.comb(n - 1, w - 1) for w in range(1, wmax + 1)) \
-            * per_pair > budget:
+    cap = max(math.comb(n - 1, w) for w in range(wmax))
+    if cap * per_pair > budget:
         raise InfeasibleError(
             f"dual search over column sets of size <= {wmax} of {n} columns "
             f"exceeds the {budget}-byte budget")
-    found = []
-    for first in range(n):
-        found += _search_from(field, Gt, wmax, first, budget)
+    found, start = [], 0
+    while start < n:
+        # first columns [start, stop) have C(n - start, w) - C(n - stop, w)
+        # pairs at level w; the pass takes as many as stay within cap
+        stop = start + 1
+        while stop < n and all(
+                math.comb(n - start, w) - math.comb(n - stop - 1, w) <= cap
+                for w in range(1, wmax + 1)):
+            stop += 1
+        found += _search_from(field, Gt, wmax, start, stop, budget)
+        start = stop
     if not found:
         return np.zeros((0, n), dtype=dt)
     return np.concatenate(found)
 
 
-def _search_from(field, Gt, wmax, first, budget):
-    """Words over the column sets whose first column is `first`."""
+def _residual_keys(field, v):
+    """The id of each row of v among the rows scaled to a leading 1: two
+    rows share an id exactly when they are multiples of each other, and
+    zero rows share one."""
+    lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
+    rows = field.vmul(field.vinv(lead)[:, None], v)
+    # the rows read as base-q numbers; when the next digit would not fit
+    # in an int64, the distinct prefixes so far are renumbered 0, 1, ...
+    key, span = np.zeros(len(v), dtype=np.int64), 1
+    for digit in rows.T:
+        if span * field.q >= 1 << 63:
+            key, span = np.unique(key, return_inverse=True)[1], len(v)
+        key, span = key * field.q + digit, span * field.q
+    return key
+
+
+def _search_from(field, Gt, wmax, start, stop, budget):
+    """Words over the column sets whose first column is in [start, stop),
+    all searched in one pass of the levels."""
     n = len(Gt)
     dt = Gt.dtype
-    # level-1 pairs: the empty set and every column from `first` on; the
-    # later ones are only the sources of their level-2 residuals
-    c = np.arange(first, n)
-    v = Gt[first:]
+    # level-1 pairs: the empty set and every column from `start` on; those
+    # from `stop` on are only the sources of their level-2 residuals
+    c = np.arange(start, n)
+    v = Gt[start:]
     u = np.zeros((len(c), wmax), dtype=dt)
     u[:, 0] = 1
     parent = np.zeros(len(c), dtype=np.intp)
@@ -234,7 +272,7 @@ def _search_from(field, Gt, wmax, first, budget):
     cols = np.zeros((1, 0), dtype=np.int64)
     nulls = np.zeros((1, 0, wmax), dtype=dt)
     isnull = np.zeros((1, 0), dtype=bool)
-    own = c == first
+    own = c < stop
     found = []
     for w in range(1, wmax + 1):
         dependent = ~v.any(axis=1)
@@ -279,6 +317,14 @@ def _search_from(field, Gt, wmax, first, budget):
         parent = np.repeat(np.arange(len(ch)), counts)
         src = (ch[parent] + 1 + np.arange(len(parent))
                - np.repeat(np.cumsum(counts) - counts, counts))
+        if w + 1 == wmax:
+            # the last level keeps the pairs whose source residual is a
+            # nonzero multiple of the new pivot row, or zero like a zero
+            # row; a zero source against a nonzero row is dependent too,
+            # but no word of it is nonzero on the row's column
+            key = _residual_keys(field, v)
+            cand = np.flatnonzero(key[src] == key[ch][parent])
+            parent, src = parent[cand], src[cand]
         f = field.vneg(v[src, piv[parent]])[:, None]
         v = field.vadd(v[src], field.vmul(f, row[parent]))
         # the source's column moves from slot w - 1 to slot w; the last

@@ -203,18 +203,48 @@ GRID_TOLERANCE = [
 ]
 
 
+def _tolerance_holds(params, code, want):
+    """t* and its (1-based) witness equal `want`, and t_claim <= t* <
+    t_abstract.  The witness is checked by the oracle's peeling and,
+    where C(n, <= t*) <= 10^5, every smaller pattern by the oracle's
+    pattern check, both over the dual words of weight <= r + 1.  With
+    delta = 3 the witness must be an information symbol and the parities
+    of its lines."""
+    import dual_oracle
+    r = params.r
+    rep = max_sequential_t(code, r, params.t_abstract)
+    t_star, witness = rep.t_star, rep.failing_pattern
+    good = (rep.complete and witness is not None
+            and (t_star, tuple(i + 1 for i in witness)) == want
+            and params.t_claim <= t_star < params.t_abstract)
+    words = dual_low_weight(code, r + 1)
+    good = good and dual_oracle._peel(words, witness) == witness
+    if sum(math.comb(code.n, s) for s in range(t_star + 1)) <= 10 ** 5:
+        masks = dual_oracle.helper_masks(words, code.n)
+        good = good and dual_oracle.sequential_by_patterns(
+            masks, code.n, t_star)[1] is None
+    if params.delta == 3:
+        i = witness[0]
+        lines = [set(code.row_block_support(j)) for j in range(params.b)]
+        parities = {c for line in lines if i in line for c in line
+                    if c >= params.k}
+        good = good and i < params.k and set(witness) == {i} | parities
+    if not good:
+        print(f"  r={r} delta={params.delta} t_i={params.t_i} "
+              f"q={params.field.q} n={code.n}: t* = {t_star}, "
+              f"witness {witness}")
+    return good
+
+
 def test_criterion_11_tolerance_across_grid():
     """t* and its witness on every criterion-09 point, n = 42 included.
 
-    The witness is checked by the oracle's peeling and, where
-    C(n, <= t*) <= 10^5, every smaller pattern by the oracle's pattern
-    check, both over the dual words of weight <= r + 1 (compared with
-    brute-force oracles in test_linear for n <= 23).  The designed
-    t_i(delta - 1) holds and the quoted delta*t_i + 1 fails everywhere;
-    with delta = 3 the witness is an information symbol and the
-    parities of its lines.
+    The dual words behind the checks are compared with brute-force
+    oracles in test_linear for n <= 23 and pinned there beyond.  The
+    designed t_i(delta - 1) holds and the quoted delta*t_i + 1 fails
+    everywhere; with delta = 3 the witness is an information symbol and
+    the parities of its lines.
     """
-    import dual_oracle
     ok = True
     for (r, delta, t_i, design), want in zip(sweep_grid(), GRID_TOLERANCE,
                                              strict=True):
@@ -222,26 +252,21 @@ def test_criterion_11_tolerance_across_grid():
         params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=GF(q),
                                     design=design,
                                     mds=build_mds_parity(r, delta, GF(q)))
-        code = build_parity_check(params)
-        rep = max_sequential_t(code, r, params.t_abstract)
-        t_star, witness = rep.t_star, rep.failing_pattern
-        good = (rep.complete and witness is not None
-                and (t_star, tuple(i + 1 for i in witness)) == want
-                and params.t_claim <= t_star < params.t_abstract)
-        words = dual_low_weight(code, r + 1)
-        good = good and dual_oracle._peel(words, witness) == witness
-        if sum(math.comb(code.n, s) for s in range(t_star + 1)) <= 10 ** 5:
-            masks = dual_oracle.helper_masks(words, code.n)
-            good = good and dual_oracle.sequential_by_patterns(
-                masks, code.n, t_star)[1] is None
-        if delta == 3:
-            i = witness[0]
-            lines = [set(code.row_block_support(j)) for j in range(params.b)]
-            parities = {c for line in lines if i in line for c in line
-                        if c >= params.k}
-            good = good and i < params.k and set(witness) == {i} | parities
-        if not good:
+        if not _tolerance_holds(params, build_parity_check(params), want):
             ok = False
-            print(f"  r={r} delta={delta} t_i={t_i} q={q} n={code.n}: "
-                  f"t* = {t_star}, witness {witness}")
     report(11, "t_i(delta-1) <= t* < delta*t_i + 1 across the grid", ok)
+
+
+# The r = 5 points on the K6 edge design (t_i = 2) whose dual search fits
+# DUAL_BYTE_BUDGET: (delta, q, n, t*, first stuck pattern, 1-based)
+R5_TOLERANCE = [(3, 7, 29, 4, (1, 16, 17, 18, 19)), (2, 5, 22, 2, (1, 2, 6))]
+
+
+def test_tolerance_at_r5_points():
+    for delta, q, n, t_star, witness in R5_TOLERANCE:
+        params = ConstructionParams(r=5, delta=delta, t_i=2, field=GF(q),
+                                    design=complete_graph_design(5),
+                                    mds=build_mds_parity(5, delta, GF(q)))
+        code = build_parity_check(params)
+        assert code.n == n
+        assert _tolerance_holds(params, code, (t_star, witness))

@@ -352,6 +352,28 @@ def test_verify_field_spec_gf2048_exits_2(tmp_path, capsys):
     assert _one_line_error(err) and "exceeds supported maximum 1024" in err
 
 
+@pytest.mark.parametrize("prim_poly,message", [
+    ([], "monic of degree 1, got ()"),
+    ([3, 1], "GF(5) must be (0, 1), got (3, 1)")])
+def test_prime_field_spec_with_other_prim_poly_exits_2(tmp_path, capsys,
+                                                      prim_poly, message):
+    # arithmetic mod 5 ignores the polynomial, so a file that names
+    # another one would load, verify and be re-exported with it
+    path = tmp_path / "gf5.json"
+    rc, _, _ = run(capsys, "construct", "--r", "3", "--delta", "3", "--ti",
+                   "2", "--q", "5", "--out", str(path))
+    assert rc == 0
+    doc = json.loads(path.read_text())
+    assert doc["field"]["prim_poly"] == [0, 1]
+    doc["field"]["prim_poly"] = prim_poly
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", "--t", "1"],
+                 ["export", "--json", str(tmp_path / "out.json")]):
+        rc, stdout, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert rc == 2 and stdout == ""
+        assert _one_line_error(err) and message in err
+
+
 def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "n34.json"
     rc, stdout, _ = run(capsys, "construct", "--r", "4", "--delta", "3",

@@ -133,6 +133,13 @@ def test_rejects_reducible_polynomial():
         GF(4, prim_poly=[1, 0, 1])  # x^2 + 1 = (x+1)^2 over GF(2)
 
 
+def test_prime_field_takes_only_x_as_prim_poly():
+    assert GF(5, prim_poly=[0, 1]) == GF(5)
+    for poly in ([], [3, 1], [0, 0, 1], [1, 0]):
+        with pytest.raises(FieldError, match="prim_poly"):
+            GF(5, prim_poly=poly)
+
+
 def test_rejects_non_primitive_generator():
     with pytest.raises(FieldError):
         GF(4, generator=1)

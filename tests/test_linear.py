@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dual_oracle
 from slrc.construct import ConstructionParams, build_parity_check
+from slrc.designs import complete_graph_design
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, dual_low_weight, min_distance, nullspace,
@@ -216,8 +218,10 @@ def test_dual_low_weight_subset_route_agrees(ref_lc):
 
 @st.composite
 def small_parity_checks(draw):
-    q = draw(st.sampled_from([2, 3, 4, 5]))
-    n = draw(st.integers(1, 12))
+    # up to n = 14 the search takes several first columns in one pass;
+    # GF(9) is characteristic 3 beyond the prime field
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 14))
     # the row-space oracle lists q^rows vectors
     rows = draw(st.integers(1, int(math.log(20_000, q))))
     entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
@@ -231,6 +235,94 @@ def test_dual_low_weight_matches_rowspace_oracle(field_and_h, wmax):
     field, H = field_and_h
     words = dual_low_weight(LinearCode(field, H), wmax)
     assert words == dual_oracle.rowspace_words(field, H, wmax)
+
+
+def _one_key(calls):
+    """A stand-in for `linear._residual_keys` that gives every residual
+    one key, so the last level eliminates every pair."""
+    def keys(field, v):
+        calls.append(len(v))
+        return np.full(len(v), 7, dtype=np.int64)
+    return keys
+
+
+def test_dual_low_weight_unfiltered_last_level_changes_nothing(ref_lc,
+                                                               monkeypatch):
+    import slrc.linear as linear
+    calls = []
+    monkeypatch.setattr(linear, "_residual_keys", _one_key(calls))
+    words = dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
+    assert calls
+    assert words == dual_oracle.rowspace_words(ref_lc.field, ref_lc.H, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_parity_checks(), st.integers(1, 5))
+def test_dual_low_weight_unfiltered_last_level_matches_rowspace_oracle(
+        field_and_h, wmax):
+    import slrc.linear as linear
+    field, H = field_and_h
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_residual_keys", _one_key([]))
+        words = dual_low_weight(LinearCode(field, H), wmax)
+    assert words == dual_oracle.rowspace_words(field, H, wmax)
+
+
+def test_dual_low_weight_groups_first_columns_within_column_0(ref_lc,
+                                                             monkeypatch):
+    # each pass takes as many consecutive first columns as keep their
+    # summed pair count C(n - 1 - f, w - 1) at every level w within the
+    # largest level of first column 0
+    import slrc.linear as linear
+    want = dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
+    passes = []
+    search = linear._search_from
+
+    def spy(field, Gt, wmax, start, stop, budget):
+        passes.append((start, stop))
+        return search(field, Gt, wmax, start, stop, budget)
+    monkeypatch.setattr(linear, "_search_from", spy)
+    lc = LinearCode(ref_lc.field, ref_lc.H)
+    assert dual_low_weight(lc, 4) == want
+    n = lc.n
+
+    def pairs(group):
+        return [sum(math.comb(n - 1 - f, w - 1) for f in group)
+                for w in range(1, 5)]
+    assert [a for a, _ in passes] == [0] + [b for _, b in passes[:-1]]
+    assert passes[-1][1] == n and len(passes) < n
+    for start, stop in passes:
+        assert max(pairs(range(start, stop))) <= max(pairs([0]))
+        if stop < n:
+            assert max(pairs(range(start, stop + 1))) > max(pairs([0]))
+
+
+# (q, row length): 1024^7 and 9^20 exceed 2^63, so the keys of the
+# last two are renumbered part way
+@pytest.mark.parametrize("q,width", [(2, 6), (4, 6), (7, 6), (9, 6),
+                                     (1024, 6), (1024, 20), (9, 40)])
+def test_residual_keys_equal_exactly_on_multiples(q, width):
+    import slrc.linear as linear
+    field = GF(q)
+    rng = np.random.default_rng(q + width)
+    # multiples of 30 rows, some zero, some with leading zeros and some
+    # equal but in their second digit
+    base = rng.integers(0, q, size=(30, width))
+    base[:3] = 0
+    base[3:10, :width // 2] = 0
+    base[10:20, 0] = 1
+    base[10:20, 2:] = base[10, 2:]
+    v = field.vmul(rng.integers(1, q, size=(300, 1)),
+                   base[rng.integers(0, 30, size=300)].astype(field.dtype))
+    keys = linear._residual_keys(field, v)
+
+    def scaled(row):
+        lead = next((x for x in row if x), 1)
+        return tuple(field.mul(field.inv(lead), x) for x in row)
+    rows = [scaled(row) for row in v.tolist()]
+    assert keys.dtype == np.int64
+    for i in range(len(v)):
+        assert ((keys == keys[i]) == [row == rows[i] for row in rows]).all()
 
 
 def test_dual_low_weight_matches_oracles_on_sweep_points():
@@ -251,6 +343,61 @@ def test_dual_low_weight_matches_oracles_on_sweep_points():
         assert dual_low_weight(lc, r + 1) == expect, (r, delta, t_i, lc.n)
         checked += 1
     assert checked == 11
+
+
+# (word count, SHA-256 of the sorted word array) of the sweep points with
+# n > 23, which the brute-force oracles do not reach in test time
+SWEEP_DUAL_PINS = {
+    25: (10, "0afccb2694265a0fca03304bd6b2028b"
+             "914bed9307aff77656a3ad551ec40215"),
+    29: (54, "74bc7287a95cf1ebc3368218d93eafc7"
+             "47e1794b8449e50278f3bf7282de739f"),
+    34: (54, "302c968e17c11460b86ee94b65f79f39"
+             "1dea0ee6a9b76db0e2ee1a444028ea0a"),
+    42: (78, "2f0bbd5ac5e05f0b95af578ae7a94de9"
+             "3b4f3a8b611f7fa72c2b6db8d21958e0"),
+}
+
+
+def dual_pin(lc, wmax):
+    """(word count, SHA-256 of the cached sorted word array)."""
+    words = dual_low_weight(lc, wmax)
+    arr = np.ascontiguousarray(lc._dual_cache[wmax])
+    return len(words), hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_dual_low_weight_pinned_on_sweep_points_beyond_oracles():
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    pins = {}
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=fld,
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, fld))
+        lc = build_parity_check(params).as_linear_code()
+        if lc.n > 23:
+            pins[lc.n] = dual_pin(lc, r + 1)
+    assert pins == SWEEP_DUAL_PINS
+
+
+# the same pins for the r = 5 points of the K6 edge design (t_i = 2)
+# that fit the budget, keyed by (delta, q)
+R5_DUAL_PINS = {
+    (3, 7): (49, "4446b757fb9a8ff1bfdb58ac0d18bafe"
+                 "f02e42500f4c27188e263be090fcb104"),
+    (2, 5): (7, "98dc9ad80cb67186c6d0391a82e04889"
+                "f8bce9b7ad338f13a7c1f572df95a3a7"),
+}
+
+
+@pytest.mark.parametrize("delta,q", R5_DUAL_PINS)
+def test_dual_low_weight_pinned_on_r5_points(delta, q):
+    fld = GF(q)
+    params = ConstructionParams(r=5, delta=delta, t_i=2, field=fld,
+                                design=complete_graph_design(5),
+                                mds=build_mds_parity(5, delta, fld))
+    lc = build_parity_check(params)
+    assert dual_pin(lc, 6) == R5_DUAL_PINS[delta, q]
 
 
 @pytest.mark.parametrize("q", [1024, 729])
@@ -299,6 +446,15 @@ def test_dual_low_weight_byte_budget(ref_lc, monkeypatch):
     monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", 10_000)
     with pytest.raises(InfeasibleError, match="byte budget"):
         dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
+
+
+def test_dual_low_weight_refuses_70_columns_at_weight_26():
+    # the largest level has C(69, 25) ~ 4.2e18 pairs, whose byte estimate
+    # exceeds 2^63: the check must not wrap round to a small number
+    H = np.hstack([np.eye(68, dtype=np.int64), np.ones((68, 2), np.int64)])
+    lc = LinearCode(GF(2), H)
+    with pytest.raises(InfeasibleError, match="byte budget"):
+        dual_low_weight(lc, 26)
 
 
 def test_recovery_sets_for_first_coordinate(ref_lc):
