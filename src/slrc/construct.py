@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import Design, validate_design
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, FieldError, ParameterError
 from .field import GF, same_field
 from .linear import LinearCode
 from .mds import MdsLocalMatrix
@@ -119,6 +119,7 @@ class ConstructedCode(LinearCode):
     def __init__(self, params: CodeShape, H):
         super().__init__(params.field, H)
         self.params = params
+        self._parity_map = None
 
     @property
     def k(self):
@@ -144,29 +145,41 @@ class ConstructedCode(LinearCode):
         block = self.H[j * d1:(j + 1) * d1]
         return tuple(int(c) for c in np.flatnonzero(block.any(axis=0)))
 
-    def encode(self, message):
-        """Systematic codeword for a k-symbol message.
+    @property
+    def parity_map(self):
+        """k x (n - k) matrix P with encode(m) = [m | m P], built on first
+        use: row i is the parities of the i-th unit message, its line
+        parities -M*[:, i] and the global parities those give."""
+        if self._parity_map is None:
+            p, fld = self.params, self.field
+            line = fld.vneg(self.H[:p.mu, :p.k].T)
+            glob = fld.vneg(fld.vsum(fld.vmul(
+                line[:, None, :], self.H[p.mu:, p.k:p.k + p.mu]), axis=2))
+            self._parity_map = np.hstack([line, glob])
+        return self._parity_map
 
-        Raises ConstructionError when the word fails H w = 0, which
-        happens when H is not in the layout this encoder assumes.
+    def encode(self, message):
+        """Systematic codeword for a k-symbol message of integers.
+
+        Raises FieldError for a symbol outside the field or a message
+        that is not of integers (numpy would truncate 1.5 to 1), and
+        ConstructionError when the word fails H w = 0, which happens
+        when H is not in the layout the parity map assumes.
         """
-        p = self.params
         fld = self.field
-        if len(message) != p.k:
-            raise ValueError(f"message length {len(message)} != k = {p.k}")
-        msg = np.asarray(message, dtype=np.int64)
-        bad = (msg < 0) | (msg >= fld.q)
-        if bad.any():
-            fld.check(int(msg[bad][0]))
-        # line parities from the top mu rows, then global parities from
-        # the bottom rows (which only read line parities)
-        word = np.zeros(self.n, dtype=np.int64)
-        word[:p.k] = msg
-        line = slice(p.k, p.k + p.mu)
-        word[line] = fld.vneg(fld.vsum(fld.vmul(self.H[:p.mu, :p.k], msg)))
-        word[p.k + p.mu:] = fld.vneg(
-            fld.vsum(fld.vmul(self.H[p.mu:, line], word[line])))
-        if fld.vsum(fld.vmul(self.H, word)).any():
+        if len(message) != self.params.k:
+            raise ValueError(
+                f"message length {len(message)} != k = {self.params.k}")
+        msg = np.asarray(message)
+        if msg.dtype.kind not in "iu":
+            raise FieldError(f"message symbols must be integers, got "
+                             f"dtype {msg.dtype}")
+        symbols = msg.tolist()      # min/max of a short list beat numpy's
+        if min(symbols) < 0 or max(symbols) >= fld.q:
+            fld.check(next(a for a in symbols if not 0 <= a < fld.q))
+        word = np.concatenate(
+            [msg, fld.vsum(fld.vmul(msg[:, None], self.parity_map), axis=0)])
+        if np.count_nonzero(fld.vsum(fld.vmul(self.H, word))):
             raise ConstructionError(
                 "encoded word is not a codeword: H does not have the "
                 "[M* I 0; 0 W* I] layout")

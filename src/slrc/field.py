@@ -187,7 +187,8 @@ class GF:
         """Field sum of the entries of `a` along `axis`."""
         a = np.asarray(a)
         if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis).astype(self.dtype)
+            return np.bitwise_xor.reduce(a, axis=axis).astype(self.dtype,
+                                                              copy=False)
         out = 0
         for w in self.p ** np.arange(self.m):
             out = out + (a // w % self.p).sum(axis=axis) % self.p * w

@@ -48,6 +48,11 @@ class RepairSchedule:
         }
 
 
+def _coordinate_error(code, erased):
+    return ParameterError(f"erased coordinates must lie in 0..{code.n - 1}, "
+                          f"got {sorted(erased)}")
+
+
 def plan_repair(code, erased, r, _table=None):
     """Greedy peeling plan for the erased coordinate set.
 
@@ -56,42 +61,52 @@ def plan_repair(code, erased, r, _table=None):
     precomputed `peel_table` of the code at this r.
     """
     peel = _table if _table is not None else peel_table(code, r)
-    remaining = sorted(set(erased))
-    mask = sum(1 << i for i in remaining)
+    erased = tuple(sorted(set(erased)))
+    if erased and (erased[0] < 0 or erased[-1] >= code.n):
+        raise _coordinate_error(code, erased)
+    remaining = list(erased)
+    mask = 0
+    for i in erased:
+        mask |= 1 << i
     steps = []
     while remaining:
         rs = repair_step(peel, remaining, mask)
         if rs is None:
-            return RepairSchedule(erased=tuple(sorted(erased)),
-                                  steps=tuple(steps), complete=False,
-                                  residual=tuple(remaining))
-        steps.append(RepairStep(repaired=rs.target, helpers=rs.helpers,
-                                coeffs=rs.coeffs))
+            return RepairSchedule(erased, tuple(steps), False,
+                                  tuple(remaining))
+        steps.append(RepairStep(rs.target, rs.helpers, rs.coeffs))
         remaining.remove(rs.target)
         mask ^= 1 << rs.target
-    return RepairSchedule(erased=tuple(sorted(erased)), steps=tuple(steps),
-                          complete=True)
+    return RepairSchedule(erased, tuple(steps), True)
 
 
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word.
 
-    Raises RuntimeError if a step reads a symbol that is still erased
-    (that would be a planner bug, not a data property).
+    Raises ParameterError for a word whose length is not n or an erased
+    coordinate outside 0..n-1, and RuntimeError if a step reads a symbol
+    that is still erased (that would be a planner bug, not a data
+    property).
     """
-    fld = code.field
-    missing = set(erased)
+    if len(codeword) != code.n:
+        raise ParameterError(
+            f"word length {len(codeword)} != n = {code.n}")
+    add, mul = code.field.add_table.item, code.field.mul_table.item
     values = list(codeword)
+    missing = set(erased)
     for i in missing:
+        if not 0 <= i < code.n:
+            raise _coordinate_error(code, missing)
         values[i] = None
     for step in schedule.steps:
         acc = 0
         for h, a in zip(step.helpers, step.coeffs):
-            if values[h] is None:
+            v = values[h]
+            if v is None:
                 raise RuntimeError(
                     f"schedule reads coordinate {h + 1} before it is repaired")
-            if a and values[h]:
-                acc = fld.add(acc, fld.mul(a, values[h]))
+            if a and v:
+                acc = add(acc, mul(a, v))
         values[step.repaired] = acc
         missing.discard(step.repaired)
     if missing:
@@ -118,11 +133,10 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     failures = []
     for trial in range(trials):
         size = int(rng.integers(1, min(t, n) + 1))
-        erased = tuple(sorted(int(x) for x in
-                              rng.choice(n, size=size, replace=False)))
+        erased = tuple(sorted(
+            rng.choice(n, size=size, replace=False).tolist()))
         if isinstance(code, ConstructedCode):
-            message = [int(x) for x in rng.integers(0, fld.q, size=code.k)]
-            word = code.encode(message)
+            word = code.encode(rng.integers(0, fld.q, size=code.k))
         else:
             coeffs = rng.integers(0, fld.q, size=code.dimension)
             word = tuple(fld.vsum(fld.vmul(coeffs[:, None], code.generator),
@@ -132,8 +146,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
             if trace is not None:
                 for step in schedule.steps:
                     trace(step)
-            restored = execute_repair(code, word, erased, schedule)
-            if restored == tuple(word):
+            if execute_repair(code, word, erased, schedule) == word:
                 successes += 1
                 total_steps += len(schedule.steps)
                 total_helpers += sum(len(s.helpers) for s in schedule.steps)

@@ -20,6 +20,10 @@ recovery sets, as the oracles of `slrc.simulate.plan_repair`, the
 stopping-set search of `slrc.verify` and
 `slrc.linear.all_recovery_sets`.
 
+`layout_encode` encodes a message of a constructed code in two
+stages, line parities and then global parities, as the oracle of
+`slrc.construct.ConstructedCode.encode`.
+
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`
 and `_nullspace` are scalar Gauss-Jordan elimination, the oracles for
@@ -244,3 +248,20 @@ def recovery_sets_oracle(field, words, i):
             sets.append(RecoverySet(target=i, helpers=helpers, coeffs=coeffs))
     sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
     return sets
+
+
+def layout_encode(code, message):
+    """Systematic codeword of a ConstructedCode by the two-stage layout
+    arithmetic, one scalar at a time: row i of H fixes coordinate k + i,
+    the top mu rows from the message, the rows below from the line
+    parities alone."""
+    field, k, mu = code.field, code.params.k, code.params.mu
+    H = code.H.tolist()
+    word = list(message) + [0] * (code.n - k)
+    for i, row in enumerate(H):
+        reads = range(k) if i < mu else range(k, k + mu)
+        acc = 0
+        for j in reads:
+            acc = field.add(acc, field.mul(row[j], word[j]))
+        word[k + i] = field.neg(acc)
+    return tuple(word)

@@ -1,0 +1,52 @@
+"""Hypothesis strategies over admissible construction parameters.
+
+`ADMISSIBLE` lists every (r, delta, t_i, q, design, MDS style) with
+r in 2..4, delta in {2, 3}, q in {2, 3, 4, 5, 7, 8, 9} that the
+construction accepts: q >= r + delta - 2 (r + delta - 1 for Cauchy),
+t_i <= delta, and t_i = 2 for the complete-graph design.  `codes`
+draws one and builds it; each code is built once per session.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from hypothesis import strategies as st
+
+from slrc.construct import ConstructionParams, build_parity_check
+from slrc.designs import affine_design, complete_graph_design
+from slrc.field import GF
+from slrc.mds import build_mds_parity
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+ADMISSIBLE = tuple(
+    (r, delta, t_i, q, design, style)
+    for r in (2, 3, 4)
+    for delta in (2, 3)
+    for design in ("complete-graph", "affine")
+    for t_i in ((2,) if design == "complete-graph"
+                else range(2, min(delta, r + 1) + 1))
+    for q in FIELDS
+    for style in ("vandermonde", "cauchy")
+    if q >= r + delta - 2 + (style == "cauchy"))
+
+
+@functools.lru_cache(maxsize=None)
+def build(r, delta, t_i, q, design, style):
+    fld = GF(q)
+    return build_parity_check(ConstructionParams(
+        r=r, delta=delta, t_i=t_i, field=fld,
+        design=(complete_graph_design(r) if design == "complete-graph"
+                else affine_design(r, t_i)),
+        mds=build_mds_parity(r, delta, fld, style=style)))
+
+
+codes = st.sampled_from(ADMISSIBLE).map(lambda point: build(*point))
+
+
+@st.composite
+def messages(draw, code):
+    """A k-symbol message over the code's field."""
+    return draw(st.lists(st.integers(0, code.field.q - 1),
+                         min_size=code.k, max_size=code.k))

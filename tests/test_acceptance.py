@@ -17,7 +17,7 @@ from slrc.linear import (dual_low_weight, min_distance, puncture,
                          recovery_sets_for)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, rebuild_and_diff, reference_code
-from slrc.simulate import trial_campaign
+from slrc.simulate import plan_repair, trial_campaign
 from slrc.verify import (check_information_locality, check_code_structure,
                          check_sequential, max_sequential_t, rank_report)
 
@@ -255,6 +255,31 @@ def test_criterion_11_tolerance_across_grid():
         if not _tolerance_holds(params, build_parity_check(params), want):
             ok = False
     report(11, "t_i(delta-1) <= t* < delta*t_i + 1 across the grid", ok)
+
+
+def test_unit_codewords_bound_the_tolerance_at_delta3_points():
+    """README's argument: where e_i has no global parities, its codeword
+    has weight 1 + t_claim and its support is stuck, so t* <= t_claim.
+    On every delta = 3 grid point but K5 the first such i gives
+    criterion 11's witness."""
+    for (r, delta, t_i, design), (_, witness) in zip(sweep_grid(),
+                                                     GRID_TOLERANCE):
+        if delta != 3:
+            continue
+        q = _smallest_prime_power(r + delta - 2)
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=GF(q),
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, GF(q)))
+        code = build_parity_check(params)
+        P = code.parity_map
+        i = next(i for i in range(code.k) if not P[i, params.mu:].any())
+        unit = [0] * code.k
+        unit[i] = 1
+        support = tuple(j for j, a in enumerate(code.encode(unit)) if a)
+        assert len(support) == 1 + params.t_claim
+        assert not plan_repair(code, support, r).complete
+        if design != complete_graph_design(4):    # K5: another stuck set
+            assert support == tuple(j - 1 for j in witness)
 
 
 # The r = 5 points on the K6 edge design (t_i = 2) whose dual search fits

@@ -4,7 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import strategies
+from dual_oracle import layout_encode
 from slrc.construct import (CodeShape, ConstructionParams, build_parity_check,
                             build_w_star, code_params, constructed_from_matrix,
                             expand_m_star)
@@ -221,6 +224,38 @@ def test_encode_rejects_symbol_outside_field():
     code = reference_code()
     with pytest.raises(FieldError):
         code.encode([0, 0, 4, 0, 0, 0])
+
+
+@pytest.mark.parametrize("message", [
+    [1.5, 0, 0, 0, 0, 0], np.array([1.0, 0, 0, 0, 0, 0]),
+    ["1", 0, 0, 0, 0, 0], [True, False, False, False, False, False],
+])
+def test_encode_rejects_non_integer_symbols(message):
+    # numpy would truncate 1.5 to the codeword of [1, 0, 0, 0, 0, 0]
+    with pytest.raises(FieldError, match="integers"):
+        reference_code().encode(message)
+
+
+def test_parity_map_is_k_by_n_minus_k_in_the_field_dtype():
+    code = reference_code()
+    P = code.parity_map
+    assert P.shape == (6, 10) and P.dtype == code.field.dtype
+    assert code.parity_map is P
+    for i in range(6):
+        unit = [0] * 6
+        unit[i] = 1
+        assert code.encode(unit)[6:] == tuple(P[i].tolist())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_encode_matches_layout_oracle(data):
+    code = data.draw(strategies.codes)
+    message = data.draw(strategies.messages(code))
+    word = code.encode(message)
+    assert word == layout_encode(code, message)
+    assert code.encode(np.array(message, dtype=np.int64)) == word
+    assert all(type(a) is int for a in word)
 
 
 def test_encode_prime_field_membership():
