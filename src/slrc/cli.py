@@ -9,6 +9,7 @@ Human-facing coordinates are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -207,6 +208,7 @@ def cmd_demo_paper(args):
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slrc",

@@ -11,6 +11,7 @@ needed; outside it, a stuck state is a structured result.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,18 @@ def _coordinate_error(code, erased):
 def plan_repair(code, erased, r, _table=None):
     """Greedy peeling plan for the erased coordinate set.
 
-    Returns a RepairSchedule; `complete` is False when peeling gets
-    stuck, with the unrepairable residue recorded.  `_table` is a
-    precomputed `peel_table` of the code at this r.
+    Returns a RepairSchedule of Python ints; `complete` is False when
+    peeling gets stuck, with the unrepairable residue recorded.
+    Raises ParameterError for a coordinate that is not an integer or
+    lies outside 0..n-1.  `_table` is a precomputed `peel_table` of the
+    code at this r.
     """
     peel = _table if _table is not None else peel_table(code, r)
-    erased = tuple(sorted(set(erased)))
+    try:
+        erased = tuple(sorted(set(map(operator.index, erased))))
+    except TypeError:
+        raise ParameterError(f"erased coordinates must be integers, "
+                             f"got {erased!r}") from None
     if erased and (erased[0] < 0 or erased[-1] >= code.n):
         raise _coordinate_error(code, erased)
     remaining = list(erased)
@@ -83,10 +90,10 @@ def plan_repair(code, erased, r, _table=None):
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word.
 
-    Raises ParameterError for a word whose length is not n or an erased
-    coordinate outside 0..n-1, and RuntimeError if a step reads a symbol
-    that is still erased (that would be a planner bug, not a data
-    property).
+    Raises ParameterError for a word whose length is not n, an erased
+    coordinate outside 0..n-1 or an erased set other than the
+    schedule's, and RuntimeError if a step reads a symbol that is still
+    erased (that would be a planner bug, not a data property).
     """
     if len(codeword) != code.n:
         raise ParameterError(
@@ -98,6 +105,9 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
         if not 0 <= i < code.n:
             raise _coordinate_error(code, missing)
         values[i] = None
+    if missing != set(schedule.erased):
+        raise ParameterError(f"erased {sorted(missing)} differs from the "
+                             f"schedule's {list(schedule.erased)}")
     for step in schedule.steps:
         acc = 0
         for h, a in zip(step.helpers, step.coeffs):

@@ -8,7 +8,20 @@ bitmasks of `linear.peel_table`, deepening one size at a time and
 adding members in increasing order, so it meets first the first stuck
 pattern by size and then lexicographically.  A recovery set R of a
 member that avoids the set so far must be met by a later member, so
-the next member is at most R's highest coordinate.
+the next member is at most R's highest coordinate.  Two more exact
+rules cut the search without changing what it finds:
+
+* before descending to a new member x, the free recovery sets (those
+  of the members so far and of x that avoid the set with x added) are
+  counted greedily into a family that is pairwise disjoint above x;
+  each later member meets at most one of them, and a set with nothing
+  above x can never be met, so x is skipped when the family has at
+  least as many sets as members are still to pick, x included;
+* the last member lies in every free set, so its candidates are read
+  from the AND of their masks and tested in increasing order.
+
+`MAX_NODES` is spent one node per search node entered and one per
+last-member candidate tested.
 """
 
 from __future__ import annotations
@@ -50,24 +63,50 @@ class VerificationReport:
 def _first_stopping_set(masks, size, nodes):
     """The lexicographically first stopping set of exactly `size`
     members, or None.  masks[i] holds the helper bitmasks of i's
-    recovery sets; nodes is a one-item list of the nodes left."""
+    recovery sets; nodes is a one-item list of the nodes left, spent one
+    per search node entered and one per last member tested."""
     n = len(masks)
 
-    def extend(picked, erased, free):
-        # free: the recovery sets of picked members that avoid `erased`
+    def spend():
         nodes[0] -= 1
         if nodes[0] < 0:
             raise InfeasibleError(f"stopping-set search of size {size} "
                                   f"exceeds the budget of {MAX_NODES} nodes")
-        if len(picked) == size:
-            return None if free else picked
-        hi = min(min((m.bit_length() for m in free), default=n) - 1,
-                 n - size + len(picked))
-        for x in range(picked[-1] + 1 if picked else 0, hi + 1):
+
+    def extend(picked, erased, free):
+        # free: the recovery sets of picked members that avoid `erased`
+        spend()
+        left = size - len(picked)
+        start = picked[-1] + 1 if picked else 0
+        if left == 1:
+            # the last member lies in every free set
+            last = (1 << n) - (1 << start)
+            for m in free:
+                last &= m
+            while last:
+                bit = last & -last
+                last ^= bit
+                spend()
+                x = bit.bit_length() - 1
+                if all(m & (erased | bit) for m in masks[x]):
+                    return picked + (x,)
+            return None
+        hi = min(min((m.bit_length() for m in free), default=n) - 1, n - left)
+        for x in range(start, hi + 1):
             bit = 1 << x
-            found = extend(picked + (x,), erased | bit,
-                           [m for m in free if not m & bit]
-                           + [m for m in masks[x] if not m & (erased | bit)])
+            nf = ([m for m in free if not m & bit]
+                  + [m for m in masks[x] if not m & (erased | bit)])
+            # each later member hits at most one of the sets of nf that
+            # are disjoint above x, and must hit them all
+            used = disjoint = 0
+            for m in nf:
+                m >>= x + 1
+                if not m & used:
+                    used |= m
+                    disjoint += 1
+            if disjoint >= left:
+                continue
+            found = extend(picked + (x,), erased | bit, nf)
             if found is not None:
                 return found
         return None

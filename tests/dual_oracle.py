@@ -14,8 +14,9 @@ Two independent ways to list every dual codeword of weight in
 
 `peel_residual` and `first_stuck_pattern` decide sequential repair
 from the row-space word list alone, `sequential_by_patterns` checks
-every erasure pattern against the helper sets of a word list, and
-`recovery_sets_oracle` scans that list once per coordinate for its
+every erasure pattern against the helper sets of a word list,
+`first_stopping_sets` does the same per size on any family of masks,
+and `recovery_sets_oracle` scans that list once per coordinate for its
 recovery sets, as the oracles of `slrc.simulate.plan_repair`, the
 stopping-set search of `slrc.verify` and
 `slrc.linear.all_recovery_sets`.
@@ -216,6 +217,15 @@ def _level_holds(masks, n, size):
         if all(m & erased for i in pattern for m in masks[i]):
             return pattern, checked
     return None, checked
+
+
+def first_stopping_sets(masks):
+    """Per size 1..n, the first stopping set of exactly that size in
+    lexicographic order, or None: a set S such that every mask of every
+    member of S meets S.  masks[i] may be any list of bitmasks below
+    2^n, empty or not; the oracle of `slrc.verify._first_stopping_set`."""
+    n = len(masks)
+    return [_level_holds(masks, n, size)[0] for size in range(1, n + 1)]
 
 
 def sequential_by_patterns(masks, n, cap):

@@ -380,9 +380,38 @@ def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
                         "--ti", "2", "--q", "5", "--design", "affine",
                         "--out", str(out))
     assert rc == 0 and json.loads(stdout)["n"] == 34
-    # the search visits about 20k nodes before the stopping set of size 5
-    monkeypatch.setattr("slrc.verify.MAX_NODES", 1000)
+    # the search spends 35, 1, 16, 24 and 29 nodes on sizes 1-5, where it
+    # finds a stopping set
+    monkeypatch.setattr("slrc.verify.MAX_NODES", 60)
     rc, stdout, err = run(capsys, "verify", "--in", str(out), "--t", "9")
     assert rc == 4
     assert stdout == ""
     assert _one_line_error(err) and "exceeds the budget" in err
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of call(), argparse's own exits for
+    help and usage errors included."""
+    try:
+        rc = call()
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_cached_parser_matches_a_fresh_one(capsys):
+    from slrc.cli import build_parser
+    assert build_parser() is build_parser()
+
+    def fresh(argv):
+        args = build_parser.__wrapped__().parse_args(argv)
+        return args.func(args)
+
+    for argv in (["bounds", "--r", "3", "--ti", "2", "--delta", "3"],
+                 ["construct", "--r", "3", "--delta", "3", "--ti", "2",
+                  "--q", "4"],
+                 ["bounds", "--r", "4", "--ti", "3", "--delta", "2"],
+                 ["--help"], ["verify", "--help"], ["construct", "--r", "3"]):
+        assert (_outcome(capsys, lambda: main(argv))
+                == _outcome(capsys, lambda: fresh(argv)))

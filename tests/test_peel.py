@@ -14,7 +14,8 @@ from slrc.field import GF
 from slrc.linear import LinearCode, all_recovery_sets, dual_low_weight
 from slrc.mds import build_mds_parity
 from slrc.simulate import execute_repair, plan_repair
-from slrc.verify import check_sequential, max_sequential_t
+from slrc.verify import (MAX_NODES, _first_stopping_set, check_sequential,
+                         max_sequential_t)
 
 
 @st.composite
@@ -121,3 +122,30 @@ def test_stopping_set_search_matches_pattern_oracle_on_sweep_points():
         _assert_search_matches_patterns(code, r, 9, masks)
         checked += 1
     assert checked == 11
+
+
+@st.composite
+def mask_families(draw):
+    """masks[i] for n <= 12 coordinates, row by row empty, of sets that
+    all lie below i, or of any sets (which may hold i or nothing), so
+    rows no code produces are drawn too."""
+    n = draw(st.integers(1, 12))
+    masks = []
+    for i in range(n):
+        coords = draw(st.sampled_from([None, range(i), range(n)]))
+        if coords is None:
+            masks.append([])
+            continue
+        sets = (st.sets(st.sampled_from(coords), max_size=4) if coords
+                else st.just(set()))
+        masks.append([sum(1 << j for j in s)
+                      for s in draw(st.lists(sets, max_size=4))])
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_families())
+def test_first_stopping_set_matches_oracle_on_any_masks(masks):
+    first = dual_oracle.first_stopping_sets(masks)
+    assert [_first_stopping_set(masks, size, [MAX_NODES])
+            for size in range(1, len(masks) + 1)] == first

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +118,27 @@ def test_plan_rejects_coordinates_outside_the_code(ref, erased):
 
 def test_plan_dedups_and_sorts_erased(ref):
     assert plan_repair(ref, [7, 0, 7], 3).erased == (0, 7)
+
+
+@pytest.mark.parametrize("erased", [[1.0], ["0"], [np.float64(2)],
+                                    [np.True_], None])
+def test_plan_rejects_non_integer_coordinates(ref, erased):
+    with pytest.raises(ParameterError, match="must be integers"):
+        plan_repair(ref, erased, 3)
+
+
+def test_plan_holds_python_ints(ref):
+    schedule = plan_repair(ref, np.array([6, 0, 6]), 3)
+    assert schedule == plan_repair(ref, [0, 6], 3)
+    assert all(type(i) is int for i in schedule.erased)
+    assert json.loads(json.dumps(schedule.to_dict()))["erased"] == [1, 7]
+
+
+@pytest.mark.parametrize("erased", [{0, 5}, set(), {5}])
+def test_execute_rejects_erasures_the_schedule_was_not_planned_for(
+        ref, erased):
+    with pytest.raises(ParameterError, match="differs from the schedule"):
+        execute_repair(ref, (0,) * 16, erased, plan_repair(ref, {0}, 3))
 
 
 @pytest.mark.parametrize("length", [15, 17])

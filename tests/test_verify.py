@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import strategies
 from slrc.construct import constructed_from_matrix
 from slrc.errors import InfeasibleError
 from slrc.field import GF
@@ -92,7 +93,8 @@ def test_node_budget_ends_search(ref, monkeypatch):
     import slrc.verify as verify
     full = max_sequential_t(ref, 3, cap=9)
     seen = []
-    for budget in (1, 100, 300):
+    # the full search spends 17, 1, 3, 6 and 15 nodes on sizes 1-5
+    for budget in (1, 18, 26):
         monkeypatch.setattr(verify, "MAX_NODES", budget)
         rep = max_sequential_t(ref, 3, cap=9)
         # t* is the largest size searched in full, at most the true t*
@@ -106,6 +108,17 @@ def test_node_budget_ends_search(ref, monkeypatch):
     assert seen[0] == 0 and seen == sorted(seen) and seen[-1] > 0
     monkeypatch.setattr(verify, "MAX_NODES", 10_000)
     assert max_sequential_t(ref, 3, cap=9).to_dict() == full.to_dict()
+
+
+def test_n42_proof_fits_a_small_node_budget(monkeypatch):
+    # a search without the two bounds visits 151,551 nodes on this point
+    import slrc.verify as verify
+    code = strategies.build(4, 3, 3, 5, "affine", "vandermonde")
+    assert code.n == 42
+    monkeypatch.setattr(verify, "MAX_NODES", 2_000)
+    rep = max_sequential_t(code, 4, cap=9)
+    assert rep.complete and rep.t_star == 6
+    assert rep.to_dict()["failing_pattern"] == [9, 21, 22, 25, 26, 37, 38]
 
 
 def test_consistency_t_star(ref):
