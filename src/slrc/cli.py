@@ -2,8 +2,10 @@
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
-field, design or matrix file), 3 I/O error, 4 search over its budget.
-Human-facing coordinates are 1-based.
+field, design or matrix file), 3 I/O error, 4 search over its budget,
+141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
+when the reader of standard output closes it early, as `| head -1` does;
+that case prints no error line.  Human-facing coordinates are 1-based.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import reference
@@ -34,6 +37,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_PARAM = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 # first match wins; any other SlrcError is a failed verification
 _EXIT_CODES = [((ParameterError, FieldError, DesignError), EXIT_PARAM),
                (InfeasibleError, EXIT_BUDGET), (OSError, EXIT_IO),
@@ -268,7 +272,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # so that a closed pipe raises here
+        return code
+    except BrokenPipeError:
+        # the reader left; the rest of the output goes to devnull, so the
+        # interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (SlrcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES

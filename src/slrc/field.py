@@ -7,9 +7,16 @@ whole arrays of digits: the q×q ``add_table`` and ``mul_table`` and the
 length-q ``neg_table`` and ``inv_table``.  Sums are digitwise mod p, and
 a·b is the sum over k of b_k·(x^k·a), with x^k·a from a vectorized
 "times x" step.  The generator and its exp/log come from ``mul_table``.
-Scalar operations read the tables and return Python ints; array
-operations index them.  Larger fields are out of scope and raise
-FieldError.  A ``GF`` is immutable and safe to share between threads.
+Scalar operations read the tables and return Python ints.  Array
+operations take from them: ``vmul``, and ``vadd`` in odd
+characteristic, read the flattened q×q table with one ``take`` of
+a·q + b, the index held in the smallest unsigned dtype that fits q² - 1
+(``vadd`` in characteristic 2 is XOR).  Array operands must be field
+elements: an entry b >= q reads a wrong element instead of raising, so
+inputs are range-checked where they enter the package (``LinearCode``,
+``matrixio.dict_to_matrix``, ``ConstructedCode.encode``).  Larger
+fields are out of scope and raise FieldError.  A ``GF`` is immutable
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -108,6 +115,9 @@ class GF:
             mul[:, w:p * w] = add[mul[:, None, :w],
                                   cxa[:, :, None]].reshape(q, -1)
         self.add_table, self.mul_table = add, mul
+        # flat views, not copies, for the array operations' one `take`
+        self._add_flat, self._mul_flat = add.ravel(), mul.ravel()
+        self._index = np.min_scalar_type(q * q - 1)
         self.neg_table = (-d % p @ weights).astype(self.dtype)
         self.inv_table = np.argmax(mul == 1, axis=1).astype(self.dtype)
 
@@ -165,11 +175,15 @@ class GF:
     # -- array operations: elementwise, broadcasting as numpy does; the
     # results have dtype self.dtype and never alias an operand --------------
 
+    def _flat_index(self, a, b):
+        """a·q + b, the entry of (a, b) in a flattened q×q table."""
+        return np.asarray(a, dtype=self._index) * self.q + b
+
     def vadd(self, a, b):
         if self.p == 2:
             return (np.asarray(a) ^ np.asarray(b)).astype(self.dtype,
                                                          copy=False)
-        return self.add_table[a, b]
+        return self._add_flat.take(self._flat_index(a, b))
 
     def vneg(self, a):
         if self.p == 2:
@@ -177,7 +191,7 @@ class GF:
         return self.neg_table[a]
 
     def vmul(self, a, b):
-        return self.mul_table[a, b]
+        return self._mul_flat.take(self._flat_index(a, b))
 
     def vinv(self, a):
         """Inverses of nonzero entries (zero entries map to 0)."""

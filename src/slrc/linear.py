@@ -7,7 +7,10 @@ pivot column at a time across all rows, the minimum distance multiplies
 blocks of messages by the generator matrix, and the hot spot, listing
 the low-weight dual codewords that recovery sets come from, is a search
 over column sets of the generator matrix on arrays of the field's
-compact dtype.
+compact dtype.  The search gathers rows with `take` and builds its last
+level as a join: it sorts the pairs of the level before by (set,
+residual key) and pairs up entries within runs of equal keys, instead
+of expanding every (set, later column) pair.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import FieldError, InfeasibleError
 from .field import GF
 
 # `min_distance` refuses codes with more codewords than this.
@@ -90,7 +93,7 @@ class LinearCode:
         self.field = field
         H = np.atleast_2d(np.asarray(H, dtype=np.int64))
         if H.size and (H.min() < 0 or H.max() >= field.q):
-            raise ValueError("matrix entries outside field range")
+            raise FieldError("matrix entries outside field range")
         # compact dtype, as for the generator: sweeps keep many codes alive
         self.H = H.astype(field.dtype)
         self.n = H.shape[1]
@@ -107,8 +110,10 @@ class LinearCode:
         return self._generator
 
     def contains(self, word):
-        fld = self.field
-        return not fld.vsum(fld.vmul(self.H, np.asarray(word))).any()
+        fld, word = self.field, np.asarray(word)
+        if word.size and (word.min() < 0 or word.max() >= fld.q):
+            raise FieldError("word entries outside field range")
+        return not fld.vsum(fld.vmul(self.H, word)).any()
 
 
 def min_distance(code: LinearCode):
@@ -160,7 +165,9 @@ def _full_support_words(field, u, Z, w, budget):
     lam = np.array(list(itertools.product(range(q), repeat=d)),
                    dtype=field.dtype).reshape(q ** d, d)
     idx, vecs = [], []
-    block = max(1, budget // per_pair)
+    # a table lookup also holds its index, up to 4 bytes an entry, and
+    # the 8-byte copy that `take` makes of it
+    block = max(1, budget // (per_pair + 12 * q ** d * slots))
     for lo in range(0, P, block):
         X = np.broadcast_to(u[lo:lo + block, None, :],
                             (min(block, P - lo), q ** d, slots))
@@ -198,7 +205,14 @@ def _low_weight_dual_words(field, G, wmax, budget):
     nonzero and c''s is zero, no null vector is nonzero on c.  So a pair
     is eliminated only when its source's residual is a multiple of its
     new pivot row (zero when the row is zero), which shows as equal
-    keys of the residuals of level wmax - 1 (`_residual_keys`).
+    keys of the residuals of level wmax - 1 (`_residual_keys`).  Those
+    pairs are found as a join (`_join_pairs`): the level-(wmax - 1)
+    pairs are sorted by (set T, key), and each run of equal entries
+    gives its pairs (T + {c}, c') with c < c'.  Pivot rows and the
+    sets' columns and null-space bases are then built only for the sets
+    T + {c} that the join names, and the coefficients u of level
+    wmax - 1 only for its dependent pairs and the joined sets and
+    sources.
 
     Consecutive first columns are searched in one pass while their
     summed pair count at every level stays within the largest level of
@@ -256,6 +270,32 @@ def _residual_keys(field, v):
     return key
 
 
+def _join_pairs(parent, key, own):
+    """The pairs (a, b), a < b, of entries with equal parent and equal
+    key whose a is owned, ordered by a, then b."""
+    # one sort key per (parent, key): the keys are renumbered 0, 1, ...
+    # first when parent·span + key might not fit in an int64
+    m = len(key)
+    span = int(key.max()) + 1 if m else 1
+    if span * m >= 1 << 63:
+        key, span = np.unique(key, return_inverse=True)[1], m
+    joint = parent * span + key
+    order = np.argsort(joint, kind="stable")     # ties in index order
+    joint = joint[order]
+    bound = np.ones(m + 1, dtype=bool)          # where runs start, and m
+    bound[1:m] = joint[1:] != joint[:-1]
+    start = np.flatnonzero(bound)
+    end = np.repeat(start[1:], start[1:] - start[:-1])
+    # each owned entry pairs with the entries after it in its run
+    counts = (end - 1 - np.arange(m)) * own[order]
+    first = np.repeat(np.arange(m), counts)
+    second = (first + 1 + np.arange(len(first))
+              - np.repeat(np.cumsum(counts) - counts, counts))
+    a, b = order[first], order[second]
+    by_ab = np.lexsort((b, a))
+    return a[by_ab], b[by_ab]
+
+
 def _search_from(field, Gt, wmax, start, stop, budget):
     """Words over the column sets whose first column is in [start, stop),
     all searched in one pass of the levels."""
@@ -277,17 +317,39 @@ def _search_from(field, Gt, wmax, start, stop, budget):
     for w in range(1, wmax + 1):
         dependent = ~v.any(axis=1)
         dep = np.flatnonzero(dependent & own)
-        flags = isnull[parent[dep]]
+        if w + 1 == wmax:
+            # the last level keeps the pairs whose source residual is a
+            # nonzero multiple of the new pivot row, or zero like a zero
+            # row: pairs of one parent with equal residual keys; a zero
+            # source against a nonzero row is dependent too, but no word
+            # of it is nonzero on the row's column
+            a, b = _join_pairs(parent, _residual_keys(field, v), own)
+        if w > 1:
+            # coefficients: the source's column moves from slot w - 2 to
+            # slot w - 1; the last two levels build only the rows read,
+            # those of dependent pairs and of the last level's sets and
+            # sources
+            need = slice(None) if w + 1 < wmax else dependent.copy()
+            if w + 1 == wmax:
+                need[a] = need[b] = True
+            u_src = u.take(src[need], axis=0)
+            u = np.zeros((len(c), wmax), dtype=dt)
+            u[:, w - 1] = 1
+            u[need, :w - 2] = u_src[:, :w - 2]
+            fc = field.vmul(f[need], crow.take(parent[need], axis=0))
+            u[need, :w - 1] = field.vadd(u[need, :w - 1], fc[:, :w - 1])
+        flags = isnull.take(parent[dep], axis=0)
         nullity = flags.sum(axis=1)
         for d in range(w):
             sel = dep[nullity == d]
             if not len(sel):
                 continue
-            Z = nulls[parent[sel]][flags[nullity == d]].reshape(len(sel), d,
-                                                                 wmax)
-            pair, vec = _full_support_words(field, u[sel], Z, w, budget)
+            Z = nulls.take(parent[sel], axis=0)[flags[nullity == d]].reshape(
+                len(sel), d, wmax)
+            pair, vec = _full_support_words(field, u.take(sel, axis=0), Z,
+                                            w, budget)
             vec = field.vmul(field.vinv(vec[:, :1]), vec[:, :w])
-            support = np.hstack([cols[parent[sel[pair]]],
+            support = np.hstack([cols.take(parent[sel[pair]], axis=0),
                                  c[sel[pair], None]])
             word = np.zeros((len(pair), n), dtype=dt)
             np.put_along_axis(word, support, vec, axis=1)
@@ -295,48 +357,40 @@ def _search_from(field, Gt, wmax, start, stop, budget):
         if w == wmax:
             break
 
-        # every pair whose column is not the last becomes a set of level
-        # w; its residual, scaled to 1 at its pivot, is the new echelon row
-        ch = np.flatnonzero(own & (c < n - 1))
-        if not len(ch):
+        if w + 1 < wmax:
+            # every pair whose column is not the last becomes a set ch[i]
+            # of level w, paired with each later column, whose level-w
+            # residual sits at pair ch[i] + (column - c[ch[i]])
+            ch = np.flatnonzero(own & (c < n - 1))
+            counts = n - 1 - c[ch]
+            nxt = np.repeat(np.arange(len(ch)), counts)
+            src = (ch[nxt] + 1 + np.arange(len(nxt))
+                   - np.repeat(np.cumsum(counts) - counts, counts))
+        else:
+            # only the sets the joined pairs extend are built
+            new = np.ones(len(a), dtype=bool)
+            new[1:] = a[1:] != a[:-1]
+            ch, nxt, src = a[new], np.cumsum(new) - 1, b
+        if not len(src):
             break
-        piv = np.argmax(v[ch] != 0, axis=1)
-        scale = np.where(dependent[ch], 0,
-                         field.vinv(v[ch, piv]))[:, None].astype(dt)
-        row = field.vmul(scale, v[ch])
-        crow = field.vmul(scale, u[ch])
-        cols = np.hstack([cols[parent[ch]], c[ch, None]])
+        # the sets' pivot rows: residuals scaled to 1 at their pivot
+        vch = v.take(ch, axis=0)
+        piv = np.argmax(vch != 0, axis=1)
+        scale = np.where(dependent[ch], 0, field.vinv(
+            vch[np.arange(len(ch)), piv]))[:, None].astype(dt)
+        uch = u.take(ch, axis=0)
+        row, crow = field.vmul(scale, vch), field.vmul(scale, uch)
+        up = parent[ch]
+        cols = np.hstack([cols.take(up, axis=0), c[ch, None]])
         nulls = np.concatenate(
-            [nulls[parent[ch]], (u[ch] * dependent[ch, None])[:, None]],
+            [nulls.take(up, axis=0), (uch * dependent[ch, None])[:, None]],
             axis=1)
-        isnull = np.hstack([isnull[parent[ch]], dependent[ch, None]])
+        isnull = np.hstack([isnull.take(up, axis=0), dependent[ch, None]])
 
-        # pairs of level w + 1: set ch[i] with each column after c[ch[i]],
-        # whose level-w residual sits at pair ch[i] + (column - c[ch[i]])
-        counts = n - 1 - c[ch]
-        parent = np.repeat(np.arange(len(ch)), counts)
-        src = (ch[parent] + 1 + np.arange(len(parent))
-               - np.repeat(np.cumsum(counts) - counts, counts))
-        if w + 1 == wmax:
-            # the last level keeps the pairs whose source residual is a
-            # nonzero multiple of the new pivot row, or zero like a zero
-            # row; a zero source against a nonzero row is dependent too,
-            # but no word of it is nonzero on the row's column
-            key = _residual_keys(field, v)
-            cand = np.flatnonzero(key[src] == key[ch][parent])
-            parent, src = parent[cand], src[cand]
-        f = field.vneg(v[src, piv[parent]])[:, None]
-        v = field.vadd(v[src], field.vmul(f, row[parent]))
-        # the source's column moves from slot w - 1 to slot w; the last
-        # level needs coefficients only where the residual is zero
-        u_src = u[src]
-        u = np.zeros((len(src), wmax), dtype=dt)
-        u[:, w] = 1
-        need = (slice(None) if w + 1 < wmax
-                else np.flatnonzero(~v.any(axis=1)))
-        u[need, :w - 1] = u_src[need, :w - 1]
-        u[need, :w] = field.vadd(u[need, :w],
-                                 field.vmul(f[need], crow[parent[need], :w]))
+        parent = nxt
+        v_src = v.take(src, axis=0)
+        f = field.vneg(v_src[np.arange(len(src)), piv[parent]])[:, None]
+        v = field.vadd(v_src, field.vmul(f, row.take(parent, axis=0)))
         c = c[src]
         own = np.ones(len(c), dtype=bool)
     return found

@@ -299,26 +299,25 @@ def check_code_structure(code: ConstructedCode):
 
 def _max_disjoint(sets):
     """Largest pairwise-disjoint subfamily of recovery sets, by
-    backtracking; returns the family itself."""
+    backtracking over their helper bitmasks in list order; returns the
+    family itself, the first of its size that the search meets."""
+    masks = [sum(1 << h for h in rs.helpers) for rs in sets]
     best = []
 
     def extend(idx, chosen, used):
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if idx == len(sets):
+        if len(chosen) + len(masks) - idx <= len(best):
             return
-        if len(chosen) + (len(sets) - idx) <= len(best):
-            return
-        for j in range(idx, len(sets)):
-            h = set(sets[j].helpers)
-            if not (h & used):
-                chosen.append(sets[j])
-                extend(j + 1, chosen, used | h)
+        for j in range(idx, len(masks)):
+            if not masks[j] & used:
+                chosen.append(j)
+                extend(j + 1, chosen, used | masks[j])
                 chosen.pop()
 
-    extend(0, [], set())
-    return best
+    extend(0, [], 0)
+    return [sets[j] for j in best]
 
 
 def rank_report(code: ConstructedCode):

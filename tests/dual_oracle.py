@@ -19,7 +19,8 @@ every erasure pattern against the helper sets of a word list,
 and `recovery_sets_oracle` scans that list once per coordinate for its
 recovery sets, as the oracles of `slrc.simulate.plan_repair`, the
 stopping-set search of `slrc.verify` and
-`slrc.linear.all_recovery_sets`.
+`slrc.linear.all_recovery_sets`.  `max_disjoint_sets` backtracks over
+Python sets of helpers, the oracle of `slrc.verify._max_disjoint`.
 
 `layout_encode` encodes a message of a constructed code in two
 stages, line parities and then global parities, as the oracle of
@@ -275,3 +276,28 @@ def layout_encode(code, message):
             acc = field.add(acc, field.mul(row[j], word[j]))
         word[k + i] = field.neg(acc)
     return tuple(word)
+
+
+def max_disjoint_sets(sets):
+    """Largest pairwise-disjoint subfamily of recovery sets, by
+    backtracking over sets of helpers in list order; the first family of
+    that size the search meets."""
+    best = []
+
+    def extend(idx, chosen, used):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if idx == len(sets):
+            return
+        if len(chosen) + (len(sets) - idx) <= len(best):
+            return
+        for j in range(idx, len(sets)):
+            h = set(sets[j].helpers)
+            if not (h & used):
+                chosen.append(sets[j])
+                extend(j + 1, chosen, used | h)
+                chosen.pop()
+
+    extend(0, [], set())
+    return best

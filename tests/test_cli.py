@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from slrc.cli import main
+import slrc
+from slrc.cli import EXIT_PIPE, main
 from slrc.errors import ParameterError
 from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
                            matrix_to_dict, save_matrix, save_matrix_csv)
@@ -415,3 +419,23 @@ def test_cached_parser_matches_a_fresh_one(capsys):
                  ["--help"], ["verify", "--help"], ["construct", "--r", "3"]):
         assert (_outcome(capsys, lambda: main(argv))
                 == _outcome(capsys, lambda: fresh(argv)))
+
+
+def test_closed_pipe_exits_141_without_an_error_line(tmp_path):
+    # --trace writes far more than a pipe holds, so the CLI is still
+    # writing when the reader closes the pipe after one line
+    path = tmp_path / "ref.json"
+    save_matrix(reference_code(), path)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(slrc.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slrc.cli", "simulate", "--in", str(path),
+         "--t", "4", "--trials", "3000", "--seed", "7", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PIPE == 141
+    assert first.startswith(b"repair c")
+    assert err == b""

@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from slrc.errors import FieldError
+from slrc.errors import FieldError, ParameterError
 from slrc.field import GF, same_field
+from slrc.linear import LinearCode
+from slrc.matrixio import dict_to_matrix, matrix_to_dict
+from slrc.reference import reference_code
 
 SMALL_Q = [2, 3, 4, 5, 8, 9, 16]
 
@@ -299,3 +302,69 @@ def test_array_ops_return_fresh_arrays(q):
     for out in (gf.vneg(a), gf.vadd(a, b), gf.vmul(a, b), gf.vinv(a)):
         assert not np.shares_memory(out, a)
         assert not np.shares_memory(out, b)
+
+
+# q² - 1 fits 8 bits up to q = 16, 16 bits up to q = 256 and 32 bits up
+# to q = 1024: these q sit on both sides of each flat-index dtype
+KERNEL_Q = [2, 3, 16, 17, 256, 257, 1024]
+
+
+@pytest.mark.parametrize("q", KERNEL_Q)
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, int])
+def test_array_kernels_broadcast_like_scalar_ops(q, dtype):
+    gf = GF(q)
+    rng = np.random.default_rng(q)
+    # a uint8 operand holds only the elements below 256
+    top = q if dtype in (int, np.int64) else min(q, np.iinfo(dtype).max + 1)
+    M, N = rng.integers(0, top, size=(2, 5, 7))
+    x = int(rng.integers(1, top))
+
+    def operand(a):
+        return a if dtype is int else np.asarray(a).astype(dtype)
+    # scalar with matrix, column with matrix, matrix with row, same shape
+    cases = [(x, M), (M[:, :1], M), (M, M[2]), (M, N)]
+    for op, scalar in ((gf.vadd, gf.add), (gf.vmul, gf.mul)):
+        for a, b in cases + [(b, a) for a, b in cases]:
+            out = op(operand(a), operand(b))
+            A, B = np.broadcast_arrays(a, b)
+            assert out.dtype == gf.dtype and out.shape == A.shape
+            assert out.tolist() == [[scalar(int(s), int(t))
+                                     for s, t in zip(ra, rb)]
+                                    for ra, rb in zip(A.tolist(), B.tolist())]
+        assert op(operand(x), operand(x)) == scalar(x, x)
+
+
+def _no_lookup(*args):
+    raise AssertionError("an array operation ran before the range check")
+
+
+def test_linear_code_rejects_entries_outside_the_field(monkeypatch):
+    lc = LinearCode(GF(4), [[1, 1]])
+    monkeypatch.setattr(GF, "vmul", _no_lookup)
+    monkeypatch.setattr(GF, "vadd", _no_lookup)
+    for bad in (4, -1):
+        with pytest.raises(FieldError, match="outside field range"):
+            LinearCode(GF(4), [[1, 2], [3, bad]])
+        with pytest.raises(FieldError, match="outside field range"):
+            lc.contains([1, bad])
+
+
+def test_matrix_document_rejects_entries_outside_the_field(monkeypatch):
+    doc = matrix_to_dict(reference_code())
+    monkeypatch.setattr(GF, "vmul", _no_lookup)
+    monkeypatch.setattr(GF, "vadd", _no_lookup)
+    for bad in (4, 16, -1):
+        doc["entries"][5] = bad
+        with pytest.raises(ParameterError, match="outside the field"):
+            dict_to_matrix(doc)
+
+
+def test_encode_rejects_symbols_outside_the_field(monkeypatch):
+    code = reference_code()
+    monkeypatch.setattr(GF, "vmul", _no_lookup)
+    monkeypatch.setattr(GF, "vadd", _no_lookup)
+    for bad in (4, 255, -1):
+        for msg in ([1, 2, 3, 0, 1, bad],
+                    np.array([bad, 0, 0, 0, 0, 0], dtype=np.int64)):
+            with pytest.raises(FieldError, match="not an element"):
+                code.encode(msg)

@@ -325,6 +325,26 @@ def test_residual_keys_equal_exactly_on_multiples(q, width):
         assert ((keys == keys[i]) == [row == rows[i] for row in rows]).all()
 
 
+# keys with many ties, and keys near 2^63 that the join renumbers first
+JOIN_KEYS = st.sampled_from([0, 1, 2, 7, (1 << 62) + 3, (1 << 63) - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), JOIN_KEYS, st.booleans()),
+                max_size=40))
+def test_join_pairs_matches_all_pairs(entries):
+    # every pair (a, b), a < b, of one parent and one key with a owned,
+    # ordered by a, then b; parents in any order
+    import slrc.linear as linear
+    parent = np.array([p for p, _, _ in entries], dtype=np.intp)
+    key = np.array([k for _, k, _ in entries], dtype=np.int64)
+    own = np.array([o for _, _, o in entries], dtype=bool)
+    a, b = linear._join_pairs(parent, key, own)
+    want = [(i, j) for i, j in itertools.combinations(range(len(entries)), 2)
+            if own[i] and parent[i] == parent[j] and key[i] == key[j]]
+    assert list(zip(a.tolist(), b.tolist())) == want
+
+
 def test_dual_low_weight_matches_oracles_on_sweep_points():
     from test_acceptance import _smallest_prime_power, sweep_grid
     checked = 0

@@ -2,16 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dual_oracle
 import strategies
-from slrc.construct import constructed_from_matrix
+from slrc.construct import (ConstructionParams, build_parity_check,
+                            constructed_from_matrix)
 from slrc.errors import InfeasibleError
 from slrc.field import GF
-from slrc.linear import LinearCode
+from slrc.linear import LinearCode, RecoverySet, all_recovery_sets
+from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
-from slrc.verify import (check_availability, check_code_structure,
-                         check_information_locality, check_sequential,
-                         max_sequential_t, rank_report)
+from slrc.verify import (_max_disjoint, check_availability,
+                         check_code_structure, check_information_locality,
+                         check_sequential, max_sequential_t, rank_report)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,33 @@ def test_availability_reference(ref):
 def test_availability_single_set():
     lc = LinearCode(GF(4), [[1, 1, 1, 1]])
     assert check_availability(lc, 0, 3) == 1
+
+
+def _same_family(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+                max_size=14))
+def test_max_disjoint_matches_set_oracle(helper_sets):
+    # repeated and overlapping helper sets, in any order
+    sets = [RecoverySet(target=12, helpers=tuple(sorted(h)), coeffs=())
+            for h in helper_sets]
+    assert _same_family(_max_disjoint(sets),
+                        dual_oracle.max_disjoint_sets(sets))
+
+
+def test_max_disjoint_matches_set_oracle_on_grid_tables():
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        code = build_parity_check(ConstructionParams(
+            r=r, delta=delta, t_i=t_i, field=fld, design=design,
+            mds=build_mds_parity(r, delta, fld)))
+        for sets in all_recovery_sets(code, r):
+            assert _same_family(_max_disjoint(sets),
+                                dual_oracle.max_disjoint_sets(sets))
 
 
 def test_rank_report_flags_discrepancy(ref):
