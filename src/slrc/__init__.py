@@ -15,9 +15,8 @@ from .verify import (check_availability, check_code_structure,
                      max_sequential_t, rank_report)
 from .simulate import (RepairSchedule, RepairStep, execute_repair,
                        plan_repair, trial_campaign)
-from .bounds import (rate_2seq_bound, rate_3seq_bound,
-                     rate_availability_bound, rate_formula, rate_report,
-                     rate_resolvable, exact_rate)
+from .bounds import (rate_availability_bound, rate_formula, rate_report,
+                     rate_resolvable, rate_seq_bound, exact_rate)
 from .errors import (ConstructionError, DesignError, FieldError,
                      InfeasibleError, ParameterError, SlrcError)
 

@@ -20,14 +20,17 @@ def rate_availability_bound(r, t):
     return out
 
 
-def rate_2seq_bound(r):
-    """Rate-optimal bound for two sequential erasures: r/(r+2)."""
-    return Fraction(r, r + 2)
-
-
-def rate_3seq_bound(r):
-    """Upper bound for three sequential erasures: (r/(r+1))^2."""
-    return Fraction(r, r + 1) ** 2
+def rate_seq_bound(r, t):
+    """Rate bound for locality r and t sequential erasures (Balaji, Kini
+    and Kumar, arXiv:1611.08561): r^s / (r^s + 2 sum_{i<s} r^i) at
+    t = 2s, r^(s+1) / (r^(s+1) + 2 sum_{i=1..s} r^i + 1) at t = 2s + 1;
+    r/(r+2) at t = 2 and (r/(r+1))^2 at t = 3."""
+    if r < 1 or t < 1:
+        raise ValueError("need r >= 1 and t >= 1")
+    s, odd = divmod(t, 2)
+    top = r ** (s + odd)
+    return Fraction(top, top + 2 * sum(r ** i for i in range(odd, s + odd))
+                    + odd)
 
 
 def rate_resolvable(r, t):
@@ -103,8 +106,8 @@ def rate_report(r, t_i, delta, params: CodeShape = None):
         exact=exact,
         formula=formula,
         availability_bound=rate_availability_bound(r, t),
-        seq2_bound=rate_2seq_bound(r),
-        seq3_bound=rate_3seq_bound(r),
+        seq2_bound=rate_seq_bound(r, 2),
+        seq3_bound=rate_seq_bound(r, 3),
         resolvable_rate=rate_resolvable(r, t),
         notes=notes,
     )

@@ -201,11 +201,11 @@ def expand_m_star(design: Design, mds: MdsLocalMatrix):
     return M_star
 
 
-def build_w_star(s, mds: MdsLocalMatrix):
-    """Block-diagonal matrix with ceil(s/r) copies of Q."""
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
-    blocks = math.ceil(s / mds.r)
+def build_w_star(blocks, mds: MdsLocalMatrix):
+    """Block-diagonal matrix with `blocks` copies of Q; the construction
+    takes its shape's ceil(s/r) (`CodeShape.w_blocks`)."""
+    if blocks < 1:
+        raise ParameterError(f"W* block count must be >= 1, got {blocks}")
     d1 = mds.delta - 1
     W = np.zeros((blocks * d1, blocks * mds.r), dtype=np.int64)
     for t in range(blocks):
@@ -222,7 +222,7 @@ def build_parity_check(params: ConstructionParams):
             f"W* width {w_cols} exceeds the {mu} line-parity columns; "
             f"increase b (more lines) or delta")
     M_star = expand_m_star(params.design, params.mds)
-    W_star = build_w_star(params.s, params.mds)
+    W_star = build_w_star(params.w_blocks, params.mds)
     g = params.n - params.k - mu  # global parity rows
     k = params.k
 

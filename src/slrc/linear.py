@@ -57,13 +57,13 @@ def rank_and_basis(field: GF, A):
     return len(pivots), R[:len(pivots)]
 
 
-def matrix_rank(field: GF, A):
-    return rank_and_basis(field, A)[0]
-
-
 def nullspace(field: GF, A):
     """Basis (as rows) of {x : A x = 0}; shape (dim, ncols)."""
-    R, pivots = rref(field, A)
+    return _kernel(field, *rref(field, A))
+
+
+def _kernel(field, R, pivots):
+    """The null-space basis of a row-reduced matrix R with these pivots."""
     free = np.delete(np.arange(R.shape[1]), pivots)
     N = np.zeros((len(free), R.shape[1]), dtype=field.dtype)
     N[np.arange(len(free)), free] = 1
@@ -97,16 +97,16 @@ class LinearCode:
         # compact dtype, as for the generator: sweeps keep many codes alive
         self.H = H.astype(field.dtype)
         self.n = H.shape[1]
-        self.rank = matrix_rank(field, H)
+        # one row reduction gives both the rank and the generator
+        R, pivots = rref(field, H)
+        self.rank = len(pivots)
         self.dimension = self.n - self.rank
-        self._generator = None
+        self._generator = _kernel(field, R, pivots)
         self._dual_cache = {}
 
     @property
     def generator(self):
         """Generator matrix (dimension x n), rows span the code."""
-        if self._generator is None:
-            self._generator = nullspace(self.field, self.H)
         return self._generator
 
     def contains(self, word):
@@ -210,9 +210,7 @@ def _low_weight_dual_words(field, G, wmax, budget):
     pairs are sorted by (set T, key), and each run of equal entries
     gives its pairs (T + {c}, c') with c < c'.  Pivot rows and the
     sets' columns and null-space bases are then built only for the sets
-    T + {c} that the join names, and the coefficients u of level
-    wmax - 1 only for its dependent pairs and the joined sets and
-    sources.
+    T + {c} that the join names.
 
     Consecutive first columns are searched in one pass while their
     summed pair count at every level stays within the largest level of
@@ -326,18 +324,13 @@ def _search_from(field, Gt, wmax, start, stop, budget):
             a, b = _join_pairs(parent, _residual_keys(field, v), own)
         if w > 1:
             # coefficients: the source's column moves from slot w - 2 to
-            # slot w - 1; the last two levels build only the rows read,
-            # those of dependent pairs and of the last level's sets and
-            # sources
-            need = slice(None) if w + 1 < wmax else dependent.copy()
-            if w + 1 == wmax:
-                need[a] = need[b] = True
-            u_src = u.take(src[need], axis=0)
+            # slot w - 1
+            u_src = u.take(src, axis=0)
             u = np.zeros((len(c), wmax), dtype=dt)
             u[:, w - 1] = 1
-            u[need, :w - 2] = u_src[:, :w - 2]
-            fc = field.vmul(f[need], crow.take(parent[need], axis=0))
-            u[need, :w - 1] = field.vadd(u[need, :w - 1], fc[:, :w - 1])
+            u[:, :w - 2] = u_src[:, :w - 2]
+            fc = field.vmul(f, crow.take(parent, axis=0))
+            u[:, :w - 1] = field.vadd(u[:, :w - 1], fc[:, :w - 1])
         flags = isnull.take(parent[dep], axis=0)
         nullity = flags.sum(axis=1)
         for d in range(w):
@@ -422,37 +415,39 @@ def dual_low_weight(code: LinearCode, wmax):
             for v in words.tolist()]
 
 
-def all_recovery_sets(code: LinearCode, r):
-    """Recovery sets of size <= r of every coordinate i, ordered by
-    (size, helpers, coeffs): the rest of the support of each dual word
-    through i, with coefficients giving c_i as the helpers' combination.
-    Distinct normalized words give distinct sets, so none repeats."""
+def peel_table(code: LinearCode, r):
+    """Per coordinate i, (helper bitmask, recovery set) pairs of the
+    recovery sets of size <= r, ordered by (helpers, coeffs): the rest of
+    the support of each dual word through i, with coefficients giving c_i
+    as the helpers' combination.  Distinct normalized words give distinct
+    sets, so none repeats.  `repair_step` and the stopping-set search
+    read the bitmasks."""
     field = code.field
     table = [[] for _ in range(code.n)]
     for dw in dual_low_weight(code, r + 1):
         support = sorted(dw.support)
+        mask = sum(1 << j for j in support)
         for i in support:
             helpers = tuple(j for j in support if j != i)
             scale = field.neg(field.inv(dw.vector[i]))
             coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
-            table[i].append(RecoverySet(target=i, helpers=helpers,
-                                        coeffs=coeffs))
-    for sets in table:
-        sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
+            table[i].append((mask ^ (1 << i), RecoverySet(
+                target=i, helpers=helpers, coeffs=coeffs)))
+    for row in table:
+        row.sort(key=lambda entry: (entry[1].helpers, entry[1].coeffs))
     return table
+
+
+def all_recovery_sets(code: LinearCode, r):
+    """The recovery sets of `peel_table` by coordinate, stably sorted by
+    size: ordered by (size, helpers, coeffs)."""
+    return [[rs for _, rs in sorted(row, key=lambda e: len(e[1].helpers))]
+            for row in peel_table(code, r)]
 
 
 def recovery_sets_for(code: LinearCode, i, r):
     """All recovery sets of size <= r for coordinate i."""
     return all_recovery_sets(code, r)[i]
-
-
-def peel_table(code: LinearCode, r):
-    """Per coordinate, (helper bitmask, recovery set) pairs of the
-    recovery sets of size <= r, ordered by helpers, for `repair_step`."""
-    return [[(sum(1 << h for h in rs.helpers), rs)
-             for rs in sorted(sets, key=lambda rs: rs.helpers)]
-            for sets in all_recovery_sets(code, r)]
 
 
 def repair_step(peel, members, erased_mask):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .field import GF
-from .linear import matrix_rank
+from .linear import rank_and_basis
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,6 @@ def verify_mds(mds: MdsLocalMatrix):
     H = mds.matrix
     rows = mds.delta - 1
     for cols in itertools.combinations(range(H.shape[1]), rows):
-        if matrix_rank(mds.field, H[:, cols]) < rows:
+        if rank_and_basis(mds.field, H[:, cols])[0] < rows:
             return False, cols
     return True, None

@@ -192,29 +192,26 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
     p = code.params
     parity = set(range(p.k, code.n))
     supports = [set(code.row_block_support(j)) for j in range(p.b)]
+    # conditions 1, 2 and 4 belong to a row block: each is found once for
+    # every block that holds an information coordinate
+    block = {j: (len(s) <= p.r + p.delta - 1,
+                 min_distance(puncture(code, s)) == p.delta,
+                 len(s & parity) == p.delta - 1)
+             for j, s in enumerate(supports) if min(s, default=p.k) < p.k}
     per_coord = {}
     failures = []
-    dist_cache = {}
     for i in range(p.k):
-        my_blocks = [j for j in range(p.b) if i in supports[j]]
-        my_supports = [sorted(supports[j]) for j in my_blocks]
-        conds = {}
-        conds["count"] = len(my_blocks) == p.t_i
-        conds["1"] = all(len(s) <= p.r + p.delta - 1 for s in my_supports)
-        ok2 = True
-        for j in my_blocks:
-            key = frozenset(supports[j])
-            if key not in dist_cache:
-                dist_cache[key] = min_distance(puncture(code, supports[j]))
-            if dist_cache[key] != p.delta:
-                ok2 = False
-        conds["2"] = ok2
-        conds["3"] = all(
-            supports[a] & supports[bb] == {i}
-            for a, bb in itertools.combinations(my_blocks, 2))
-        conds["4"] = all(
-            len(supports[j] & parity) == p.delta - 1 for j in my_blocks)
-        per_coord[i] = {"supports": my_supports, "conditions": conds}
+        mine = [j for j in range(p.b) if i in supports[j]]
+        conds = {
+            "count": len(mine) == p.t_i,
+            "1": all(block[j][0] for j in mine),
+            "2": all(block[j][1] for j in mine),
+            "3": all(supports[a] & supports[b] == {i}
+                     for a, b in itertools.combinations(mine, 2)),
+            "4": all(block[j][2] for j in mine),
+        }
+        per_coord[i] = {"supports": [sorted(supports[j]) for j in mine],
+                        "conditions": conds}
         for name, ok in conds.items():
             if not ok:
                 failures.append(f"coordinate {i + 1}: condition {name} fails")
@@ -257,43 +254,24 @@ def check_code_structure(code: ConstructedCode):
     """
     p = code.params
     table = all_recovery_sets(code, p.r)
-    info = set(range(p.k))
+    best = [_max_disjoint(table[i]) for i in range(p.k)]
+    bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
+    statements = {"1": {
+        "holds": not bad,
+        "witness": {"missing": bad} if bad else {"example_coordinate_1": [
+            list(rs.helpers) for rs in best[0]] if best else None},
+    }}
+    # statements 2-4: each listed coordinate has a recovery set inside
+    # the coordinates it may read (a set never holds its own target)
     line_par = set(code.line_parity_coords())
     glob_par = set(code.global_parity_coords())
-    statements = {}
-
-    bad = []
-    examples = {}
-    for i in range(p.k):
-        best = _max_disjoint(table[i])
-        examples[i] = [list(s.helpers) for s in best]
-        if len(best) < p.t_i:
-            bad.append(i + 1)
-    statements["1"] = {
-        "holds": not bad,
-        "witness": {"missing": bad} if bad else
-        {"example_coordinate_1": examples.get(0)},
-    }
-
-    bad = []
-    for i in line_par:
-        if not any(set(rs.helpers) <= info for rs in table[i]):
-            bad.append(i + 1)
-    statements["2"] = {"holds": not bad, "witness": {"missing": bad}}
-
-    first = set(range(p.k, p.k + p.w_blocks * p.r))
-    bad = []
-    for i in first:
-        allowed = (line_par | glob_par) - {i}
-        if not any(set(rs.helpers) <= allowed for rs in table[i]):
-            bad.append(i + 1)
-    statements["3"] = {"holds": not bad, "witness": {"missing": bad}}
-
-    bad = []
-    for i in glob_par:
-        if not any(set(rs.helpers) <= line_par for rs in table[i]):
-            bad.append(i + 1)
-    statements["4"] = {"holds": not bad, "witness": {"missing": bad}}
+    for name, coords, allowed in (
+            ("2", line_par, set(range(p.k))),
+            ("3", range(p.k, p.k + p.w_blocks * p.r), line_par | glob_par),
+            ("4", glob_par, line_par)):
+        bad = [i + 1 for i in sorted(coords)
+               if not any(set(rs.helpers) <= allowed for rs in table[i])]
+        statements[name] = {"holds": not bad, "witness": {"missing": bad}}
     return StructureReport(statements=statements)
 
 

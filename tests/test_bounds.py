@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from slrc.bounds import (exact_rate, rate_2seq_bound, rate_3seq_bound,
-                         rate_availability_bound, rate_formula, rate_report,
-                         rate_resolvable)
+import pytest
+
+from slrc.bounds import (exact_rate, rate_availability_bound, rate_formula,
+                         rate_report, rate_resolvable, rate_seq_bound)
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
 from slrc.field import GF
@@ -16,9 +17,23 @@ def test_availability_bound():
 
 
 def test_seq_bounds():
-    assert rate_2seq_bound(3) == Fraction(3, 5)
-    assert rate_3seq_bound(3) == Fraction(9, 16)
+    assert rate_seq_bound(3, 2) == Fraction(3, 5)
+    assert rate_seq_bound(3, 3) == Fraction(9, 16)
+    assert rate_seq_bound(3, 4) == Fraction(9, 17)
+    assert rate_seq_bound(3, 5) == Fraction(27, 52)
     assert rate_resolvable(3, 3) == Fraction(9, 16)
+
+
+def test_seq_bound_is_the_two_and_three_erasure_forms():
+    for r in range(1, 30):
+        assert rate_seq_bound(r, 2) == Fraction(r, r + 2)
+        assert rate_seq_bound(r, 3) == Fraction(r, r + 1) ** 2
+
+
+def test_seq_bound_needs_positive_r_and_t():
+    for r, t in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            rate_seq_bound(r, t)
 
 
 def test_formula_rate_reference():

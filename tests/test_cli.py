@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -439,3 +440,61 @@ def test_closed_pipe_exits_141_without_an_error_line(tmp_path):
     assert proc.wait(timeout=120) == EXIT_PIPE == 141
     assert first.startswith(b"repair c")
     assert err == b""
+
+
+def _zeroed(col):
+    """The reference code's file with 1-based column `col` set to zero."""
+    def write(path, capsys):
+        code = reference_code()
+        doc = matrix_to_dict(code)
+        for row in range(code.H.shape[0]):
+            doc["entries"][row * code.n + col - 1] = 0
+        path.write_text(json.dumps(doc))
+    return write
+
+
+def _constructed(*argv):
+    def write(path, capsys):
+        assert run(capsys, "construct", *argv, "--out", str(path))[0] == 0
+    return write
+
+
+# SHA-256 of the stdout of `slrc verify --in F --max-t 9` and of
+# `slrc verify --in F`.  The K3 point's coordinate-1 recovery sets mix
+# sizes 1 and 2, so its structure witness reads the by-size order of the
+# recovery sets; zeroing column 7, 13 or 15 of the reference code fails
+# structure statements 2 and 3, 2, or 4, and column 7 or 13 fails
+# locality condition 4 too.
+VERIFY_PINS = {
+    "reference": (_constructed("--r", "3", "--delta", "3", "--ti", "2",
+                               "--q", "4"), 0,
+        "a2fe12c0e268d3801a613d12d0990a2e16a18fac40e408a3771d743d11dcfb80",
+        "b3a49569b868ccc310ec1e9944cd7fd158fd95d7d7e6e41eb8382f8fff1f1665"),
+    "k3-r2-delta3-q3": (_constructed("--r", "2", "--delta", "3", "--ti", "2",
+                                     "--q", "3", "--design",
+                                     "complete-graph"), 0,
+        "0d199b8dd3265d8b9b2281bc7bc004ef50ae74b7963b5006fb201d2f895d4d6c",
+        "3692f6e98cfa438bc45fb21b00553a5f3038943fc7e8379d4b0c300f49d457f5"),
+    "reference-zero-col7": (_zeroed(7), 1,
+        "a1ef110514b698da7f8d21a18b0e68d46a657161771ba6f292e775ba3c7bf7d7",
+        "552733b211e137513131f855a9514f1f81c0fc1cd6b7f5045ce3b1d6a3848b96"),
+    "reference-zero-col13": (_zeroed(13), 1,
+        "cfd6e7956755f27198b9520a7b25a05ea113cec39c09bccaa8fe6803afa912d3",
+        "8c1912dd5f262a21206881b8667be1304332d28af10c830f3e2170591caeb2a8"),
+    "reference-zero-col15": (_zeroed(15), 1,
+        "dbb2a9f21cb4000d1f8377ea5013078ec01996dd8cc83b4ae7479dd02f625bec",
+        "8721d3ec19c36baa1053a045d5cce1867a1dde0c397cb4ba248f85766e54910d"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_PINS)
+def test_verify_bytes_are_pinned(tmp_path, capsys, case):
+    write, rc_want, max_t_sha, plain_sha = VERIFY_PINS[case]
+    path = tmp_path / "code.json"
+    write(path, capsys)
+    rc, stdout, _ = run(capsys, "verify", "--in", str(path), "--max-t", "9")
+    assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (rc_want,
+                                                                max_t_sha)
+    rc, stdout, _ = run(capsys, "verify", "--in", str(path))
+    assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (rc_want,
+                                                                plain_sha)

@@ -52,7 +52,8 @@ def test_m_star_block_column_structure():
 
 def test_w_star_single_block_is_q():
     params = k4_params()
-    W = build_w_star(2, params.mds)
+    assert params.w_blocks == 1
+    W = build_w_star(params.w_blocks, params.mds)
     assert (W == params.mds.Q).all()
 
 
@@ -63,10 +64,17 @@ def test_w_star_delta2_all_ones():
     assert (W == np.ones((1, 3), dtype=int)).all()
 
 
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_w_star_needs_a_block(blocks):
+    mds = build_mds_parity(3, 3, GF(4))
+    with pytest.raises(ParameterError, match="block count must be >= 1"):
+        build_w_star(blocks, mds)
+
+
 def test_w_star_three_blocks():
     gf = GF(8)
     mds = build_mds_parity(3, 3, gf)
-    W = build_w_star(7, mds)
+    W = build_w_star(3, mds)
     assert W.shape == (3 * 2, 9)
     for t in range(3):
         assert (W[2 * t:2 * t + 2, 3 * t:3 * t + 3] == mds.Q).all()

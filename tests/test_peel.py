@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dual_oracle
+import strategies
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.errors import ParameterError
 from slrc.field import GF
-from slrc.linear import LinearCode, all_recovery_sets, dual_low_weight
+from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
+                         peel_table)
 from slrc.mds import build_mds_parity
 from slrc.simulate import execute_repair, plan_repair
 from slrc.verify import (MAX_NODES, _first_stopping_set, check_sequential,
@@ -67,6 +69,23 @@ def test_all_recovery_sets_matches_per_coordinate_oracle(case):
     words = dual_oracle.rowspace_words(field, H, r + 1)
     assert table == [dual_oracle.recovery_sets_oracle(field, words, i)
                      for i in range(H.shape[1])]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.codes, st.integers(1, 4))
+def test_all_recovery_sets_is_the_by_size_view_of_peel_table(code, r):
+    r = min(r, code.params.r)
+    peel = peel_table(code, r)
+    for i, row in enumerate(peel):
+        sets = [rs for _, rs in row]
+        assert sets == sorted(sets, key=lambda rs: (rs.helpers, rs.coeffs))
+        for mask, rs in row:
+            assert rs.target == i and i not in rs.helpers
+            assert mask == sum(1 << h for h in rs.helpers)
+    # sorted() is stable: equal sizes keep the (helpers, coeffs) order
+    assert all_recovery_sets(code, r) == [
+        sorted((rs for _, rs in row), key=lambda rs: len(rs.helpers))
+        for row in peel]
 
 
 @settings(max_examples=100, deadline=None)

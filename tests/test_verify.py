@@ -178,6 +178,25 @@ def test_sabotaged_parity_column_fails_condition2(ref):
     assert any("condition" in f for f in rep.failures)
 
 
+def test_non_mds_row_block_fails_condition2_alone(ref):
+    # a zero in block 0's first row makes column 1 a multiple of the
+    # block's second parity column, so the code punctured to the block
+    # has distance 2; its support and parity count do not change
+    H = ref.H.copy()
+    H[0, 0] = 0
+    bad = constructed_from_matrix(
+        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    rep = check_information_locality(bad)
+    in_block0 = set(bad.row_block_support(0)) & set(range(6))
+    assert in_block0 == {0, 1, 2}
+    for i in range(6):
+        conds = rep.per_coordinate[i]["conditions"]
+        assert conds == {"count": True, "1": True, "2": i not in in_block0,
+                         "3": True, "4": True}
+    assert rep.failures == [f"coordinate {i + 1}: condition 2 fails"
+                            for i in (0, 1, 2)]
+
+
 def test_structure_battery_reference(ref):
     rep = check_code_structure(ref)
     assert rep.all_hold
