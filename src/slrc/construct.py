@@ -15,7 +15,6 @@ k + j*(delta-1)), global parities afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ class CodeShape:
 
     @property
     def s(self):
-        return math.ceil(self.k / self.r)
+        return -(-self.k // self.r)     # ceil(k/r), exact for any size
 
     @property
     def mu(self):
@@ -56,7 +55,7 @@ class CodeShape:
     @property
     def w_blocks(self):
         """Copies of Q in the W* tier."""
-        return math.ceil(self.s / self.r)
+        return -(-self.s // self.r)
 
     @property
     def n(self):
@@ -120,6 +119,7 @@ class ConstructedCode(LinearCode):
         super().__init__(params.field, H)
         self.params = params
         self._parity_map = None
+        self._in_layout = None      # set with the parity map
 
     @property
     def k(self):
@@ -149,13 +149,22 @@ class ConstructedCode(LinearCode):
     def parity_map(self):
         """k x (n - k) matrix P with encode(m) = [m | m P], built on first
         use: row i is the parities of the i-th unit message, its line
-        parities -M*[:, i] and the global parities those give."""
+        parities -M*[:, i] and the global parities those give.
+
+        Building it also decides once whether H is in the layout P
+        assumes: encoding is linear, so every encoded word is a codeword
+        exactly when the k unit words [I_k | P] have syndrome zero.
+        """
         if self._parity_map is None:
             p, fld = self.params, self.field
             line = fld.vneg(self.H[:p.mu, :p.k].T)
             glob = fld.vneg(fld.vsum(fld.vmul(
                 line[:, None, :], self.H[p.mu:, p.k:p.k + p.mu]), axis=2))
-            self._parity_map = np.hstack([line, glob])
+            P = np.hstack([line, glob])
+            units = np.hstack([np.eye(p.k, dtype=fld.dtype), P])
+            self._in_layout = not np.count_nonzero(
+                fld.vsum(fld.vmul(units[:, None, :], self.H), axis=2))
+            self._parity_map = P
         return self._parity_map
 
     def encode(self, message):
@@ -164,7 +173,8 @@ class ConstructedCode(LinearCode):
         Raises FieldError for a symbol outside the field or a message
         that is not of integers (numpy would truncate 1.5 to 1), and
         ConstructionError when the word fails H w = 0, which happens
-        when H is not in the layout the parity map assumes.
+        when H is not in the layout the parity map assumes; only then is
+        the word's syndrome computed.
         """
         fld = self.field
         if len(message) != self.params.k:
@@ -177,13 +187,14 @@ class ConstructedCode(LinearCode):
         symbols = msg.tolist()      # min/max of a short list beat numpy's
         if min(symbols) < 0 or max(symbols) >= fld.q:
             fld.check(next(a for a in symbols if not 0 <= a < fld.q))
-        word = np.concatenate(
-            [msg, fld.vsum(fld.vmul(msg[:, None], self.parity_map), axis=0)])
-        if np.count_nonzero(fld.vsum(fld.vmul(self.H, word))):
+        parity = fld.vsum(fld.mul_table[msg[:, None], self.parity_map],
+                          axis=0)
+        if not self._in_layout and np.count_nonzero(fld.vsum(fld.vmul(
+                self.H, np.concatenate([msg, parity])))):
             raise ConstructionError(
                 "encoded word is not a codeword: H does not have the "
                 "[M* I 0; 0 W* I] layout")
-        return tuple(word.tolist())
+        return tuple(symbols) + tuple(parity.tolist())
 
 
 def expand_m_star(design: Design, mds: MdsLocalMatrix):

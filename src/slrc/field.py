@@ -227,8 +227,15 @@ class GF:
 
     @classmethod
     def from_spec_dict(cls, d):
-        return cls(d["p"] ** d["m"], prim_poly=d["prim_poly"],
-                   generator=d["generator"])
+        p, m = d["p"], d["m"]
+        # bounded before p ** m is formed, which could be huge
+        if not 1 <= m <= MAX_Q.bit_length():
+            raise FieldError(f"field spec m = {m} is outside "
+                             f"1..{MAX_Q.bit_length()}")
+        fld = cls(p ** m, prim_poly=d["prim_poly"], generator=d["generator"])
+        if fld.p != p:
+            raise FieldError(f"field spec p = {p} is not a prime")
+        return fld
 
 
 def same_field(a: GF, b: GF):

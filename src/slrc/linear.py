@@ -438,11 +438,13 @@ def peel_table(code: LinearCode, r):
     return table
 
 
-def all_recovery_sets(code: LinearCode, r):
+def all_recovery_sets(code: LinearCode, r, _table=None):
     """The recovery sets of `peel_table` by coordinate, stably sorted by
-    size: ordered by (size, helpers, coeffs)."""
+    size: ordered by (size, helpers, coeffs).  `_table` is a precomputed
+    `peel_table` of the code at this r."""
     return [[rs for _, rs in sorted(row, key=lambda e: len(e[1].helpers))]
-            for row in peel_table(code, r)]
+            for row in (_table if _table is not None
+                        else peel_table(code, r))]
 
 
 def recovery_sets_for(code: LinearCode, i, r):

@@ -48,10 +48,10 @@ def _require(doc, keys, what):
         raise ParameterError(f"{what} lacks {', '.join(missing)}")
 
 
-def _check_params(field, params, cols, roles):
+def _check_params(field, params, rows, cols, roles):
     """The params block must hold positive integers r, delta, t_i, k, b
-    whose layout has H's width; its s and mu, and coordinate roles, when
-    given, must be that layout's."""
+    whose layout has H's shape, (n - k) x n; its s and mu, and
+    coordinate roles, when given, must be that layout's."""
     _require(params, SHAPE_KEYS, "params block")
     if not all(isinstance(params[key], int) and params[key] >= 1
                for key in SHAPE_KEYS):
@@ -62,6 +62,9 @@ def _check_params(field, params, cols, roles):
         raise ParameterError(
             f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
             f"b={shape.b}) give n = {shape.n}, but H has {cols} columns")
+    if shape.n - shape.k != rows:
+        raise ParameterError(f"params give n - k = {shape.n - shape.k} "
+                             f"rows, but H has {rows}")
     for key in ("s", "mu"):
         if params.get(key, getattr(shape, key)) != getattr(shape, key):
             raise ParameterError(f"params {key} = {params[key]!r} differs "
@@ -89,12 +92,12 @@ def dict_to_matrix(doc):
             and all(isinstance(x, int) for x in entries)):
         raise ParameterError(
             f"entries must be a list of rows*cols = {rows}*{cols} integers")
-    H = np.array(entries, dtype=np.int64).reshape(rows, cols)
-    if H.size and (H.min() < 0 or H.max() >= fld.q):
+    if not all(0 <= x < fld.q for x in entries):
         raise ParameterError("matrix entry outside the field range")
+    H = np.array(entries, dtype=np.int64).reshape(rows, cols)
     params, roles = doc.get("params"), doc.get("coordinate_roles")
     if params is not None:
-        _check_params(fld, params, cols, roles)
+        _check_params(fld, params, rows, cols, roles)
     return fld, H, roles, params
 
 

@@ -114,12 +114,14 @@ def _first_stopping_set(masks, size, nodes):
     return extend((), 0, [])
 
 
-def _stopping_search(code, r, cap, partial):
+def _stopping_search(code, r, cap, partial, table):
     """(first stopping set of size <= cap or None, witnesses, complete);
-    out of MAX_NODES, a partial search reports the sizes done in full."""
+    out of MAX_NODES, a partial search reports the sizes done in full.
+    `table` is the code's `peel_table` at r, or None to build it."""
     if cap < 1:
         raise ParameterError(f"tolerance t must be >= 1, got {cap}")
-    masks = [[m for m, _ in row] for row in peel_table(code, r)]
+    masks = [[m for m, _ in row]
+             for row in (table if table is not None else peel_table(code, r))]
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:
@@ -136,18 +138,21 @@ def _stopping_search(code, r, cap, partial):
     return None, witnesses, True
 
 
-def check_sequential(code, r, t):
-    """Certify (r, t) sequential recovery: no stopping set of size <= t."""
-    failing, witnesses, _ = _stopping_search(code, r, t, partial=False)
+def check_sequential(code, r, t, _table=None):
+    """Certify (r, t) sequential recovery: no stopping set of size <= t.
+    `_table` is a precomputed `peel_table` of the code at this r."""
+    failing, witnesses, _ = _stopping_search(code, r, t, False, _table)
     return VerificationReport(checked_t=t, holds=failing is None,
                               failing_pattern=failing, witnesses=witnesses)
 
 
-def max_sequential_t(code, r, cap):
+def max_sequential_t(code, r, cap, _table=None):
     """Largest t <= cap at which sequential recovery holds exhaustively;
     out of MAX_NODES, the largest size searched in full, with
-    complete=False."""
-    failing, witnesses, complete = _stopping_search(code, r, cap, partial=True)
+    complete=False.  `_table` is a precomputed `peel_table` of the code
+    at this r."""
+    failing, witnesses, complete = _stopping_search(code, r, cap, True,
+                                                    _table)
     t_star = len(failing) - 1 if failing is not None else len(witnesses)
     return VerificationReport(checked_t=t_star, holds=True,
                               failing_pattern=failing, witnesses=witnesses,
@@ -241,7 +246,7 @@ class StructureReport:
         return {"statements": self.statements, "all_hold": self.all_hold}
 
 
-def check_code_structure(code: ConstructedCode):
+def check_code_structure(code: ConstructedCode, _table=None):
     """Verify the four structural recovery-set claims of the construction.
 
     1. every information coordinate has t_i pairwise-disjoint recovery
@@ -251,9 +256,11 @@ def check_code_structure(code: ConstructedCode):
     3. each of the first ceil(s/r)*r line parities has a recovery set
        inside the parity coordinates, excluding itself;
     4. every global parity has a recovery set among the line parities.
+
+    `_table` is a precomputed `peel_table` of the code at its r.
     """
     p = code.params
-    table = all_recovery_sets(code, p.r)
+    table = all_recovery_sets(code, p.r, _table=_table)
     best = [_max_disjoint(table[i]) for i in range(p.k)]
     bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
     statements = {"1": {

@@ -24,7 +24,8 @@ Python sets of helpers, the oracle of `slrc.verify._max_disjoint`.
 
 `layout_encode` encodes a message of a constructed code in two
 stages, line parities and then global parities, as the oracle of
-`slrc.construct.ConstructedCode.encode`.
+`slrc.construct.ConstructedCode.encode`; `syndrome` is H w one scalar
+at a time, the oracle of the code membership `encode` checks.
 
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`
@@ -276,6 +277,17 @@ def layout_encode(code, message):
             acc = field.add(acc, field.mul(row[j], word[j]))
         word[k + i] = field.neg(acc)
     return tuple(word)
+
+
+def syndrome(field, H, word):
+    """H w as a tuple of field elements, one scalar at a time."""
+    out = []
+    for row in H.tolist():
+        acc = 0
+        for a, x in zip(row, word):
+            acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return tuple(out)
 
 
 def max_disjoint_sets(sets):

@@ -1,14 +1,21 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slrc
+import strategies
 from slrc.cli import EXIT_PIPE, main
+from slrc.construct import SHAPE_KEYS
 from slrc.errors import ParameterError
 from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
                            matrix_to_dict, save_matrix, save_matrix_csv)
@@ -281,6 +288,8 @@ def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
     (lambda d: d.update(coordinate_roles=["x"]), "coordinate_roles differ"),
     (lambda d: d["params"].update(s=99, mu=1), "params s = 99 differs"),
     (lambda d: d["params"].update(mu=1), "params mu = 1 differs"),
+    (lambda d: d.update(rows=11, entries=d["entries"] + [0] * 16),
+     "give n - k = 10 rows, but H has 11"),
 ])
 def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
     doc = matrix_to_dict(reference_code())
@@ -498,3 +507,149 @@ def test_verify_bytes_are_pinned(tmp_path, capsys, case):
     rc, stdout, _ = run(capsys, "verify", "--in", str(path))
     assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (rc_want,
                                                                 plain_sha)
+
+
+def _counted_peel_tables(monkeypatch):
+    """Wraps `peel_table` in every slrc module that holds it; returns
+    the list its calls append to."""
+    from slrc import cli, linear, simulate, verify
+    calls = []
+    real = linear.peel_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (linear, verify, simulate, cli):
+        monkeypatch.setattr(module, "peel_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, sha", [
+    (("verify", "--max-t", "9"), VERIFY_PINS["reference"][2]),
+    (("demo-paper",),
+     "053bc9586133418f01974e1c6f18235e7b68290ad52fff25b92f5ef8fc1f5e84"),
+])
+def test_one_recovery_set_table_per_command(tmp_path, capsys, monkeypatch,
+                                            argv, sha):
+    path = tmp_path / "ref.json"
+    save_matrix(reference_code(), path)
+    calls = _counted_peel_tables(monkeypatch)
+    if argv[0] == "verify":
+        argv = ("verify", "--in", str(path)) + argv[1:]
+    rc, stdout, _ = run(capsys, *argv)
+    assert len(calls) == 1
+    assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (0, sha)
+
+
+# valid matrix documents over GF(4) and GF(3) for the fuzz test below
+FUZZ_BASES = (
+    matrix_to_dict(reference_code()),
+    matrix_to_dict(strategies.build(2, 2, 2, 3, "complete-graph",
+                                    "vandermonde")))
+REQUIRED = (("field",), ("rows",), ("cols",), ("entries",),
+            *(("field", key) for key in ("p", "m", "prim_poly", "generator")),
+            *(("params", key) for key in SHAPE_KEYS))
+NULLABLE = (("coordinate_roles",), ("params",))
+OPTIONAL = NULLABLE + (("params", "s"), ("params", "mu"))
+BIG = 2 ** 70
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+@st.composite
+def spoiled_documents(draw):
+    """The JSON text of a valid matrix document spoiled in one way."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    kind = draw(st.sampled_from(["drop", "type", "count", "entry", "params",
+                                 "field", "truncate"]))
+    if kind == "drop":              # a required key is missing
+        parent, key = _parent(doc, draw(st.sampled_from(REQUIRED)))
+        del parent[key]
+    elif kind == "type":            # a value of the wrong JSON type
+        path = draw(st.sampled_from(REQUIRED + OPTIONAL))
+        parent, key = _parent(doc, path)
+        parent[key] = draw(st.sampled_from([
+            v for v in ("3", 3.5, [3], {"v": 3}, None)
+            if type(v) is not type(parent[key])
+            and (v is not None or path not in NULLABLE)]))
+    elif kind == "count":           # len(entries) != rows * cols
+        d = draw(st.integers(1, 40))
+        how = draw(st.sampled_from(["fewer", "more", "rows", "cols"]))
+        if how == "fewer":
+            del doc["entries"][-d:]
+        elif how == "more":
+            doc["entries"] += [0] * d
+        else:
+            doc[how] += draw(st.sampled_from([-d, d]))
+    elif kind == "entry":           # an entry outside 0..q-1
+        q = doc["field"]["p"] ** doc["field"]["m"]
+        i = draw(st.integers(0, len(doc["entries"]) - 1))
+        doc["entries"][i] = draw(st.one_of(st.integers(q, BIG),
+                                           st.integers(-BIG, -1),
+                                           st.just(10 ** 400)))
+    elif kind == "params":          # params that contradict the document
+        p = doc["params"]
+        how = draw(st.sampled_from(["derived", "width", "height",
+                                    "positive", "roles"]))
+        if how == "derived":        # s or mu is not the layout's
+            key = draw(st.sampled_from(["s", "mu"]))
+            p[key] += draw(st.integers(-BIG, BIG).filter(bool))
+        elif how == "width":        # n grows with each of k, b and delta
+            key = draw(st.sampled_from(["k", "b", "delta"]))
+            p[key] = draw(st.one_of(st.integers(1, BIG),
+                                    st.just(10 ** 400)).filter(
+                lambda v: v != p[key]))
+        elif how == "height":       # H has a row more or less than n - k
+            if draw(st.booleans()):
+                del doc["entries"][-doc["cols"]:]
+                doc["rows"] -= 1
+            else:
+                doc["entries"] += [0] * doc["cols"]
+                doc["rows"] += 1
+        elif how == "positive":
+            p[draw(st.sampled_from(SHAPE_KEYS))] = draw(
+                st.integers(-BIG, 0))
+        else:
+            roles = doc["coordinate_roles"]
+            i = draw(st.integers(0, len(roles) - 1))
+            roles[i] = draw(st.sampled_from(
+                [r for r in ("information", "line_parity", "global_parity")
+                 if r != roles[i]]))
+    elif kind == "field":           # a field-spec number out of range
+        spec = doc["field"]
+        q = spec["p"] ** spec["m"]
+        key = draw(st.sampled_from(["p", "m", "generator"]))
+        spec[key] = draw({
+            # (-2) ** 2 is 4: a negative p can name a field size
+            "p": st.one_of(st.integers(-40, 1), st.integers(-BIG, 1),
+                           st.integers(1025, BIG)),
+            "m": st.one_of(st.integers(-BIG, 0), st.integers(11, BIG)),
+            "generator": st.one_of(st.integers(-BIG, 0),
+                                   st.integers(q, BIG))}[key])
+    text = json.dumps(doc)
+    if kind == "truncate":          # a proper prefix of the text
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spoiled_documents())
+def test_spoiled_matrix_documents_exit_2_with_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["verify", "--in", path],
+                     ["simulate", "--in", path, "--t", "2", "--trials", "5"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert (rc, "Traceback" in out.getvalue() + err.getvalue()) == (
+                2, False), err.getvalue()
+            assert _one_line_error(err.getvalue()), err.getvalue()

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strategies
-from dual_oracle import layout_encode
-from slrc.construct import (CodeShape, ConstructionParams, build_parity_check,
-                            build_w_star, code_params, constructed_from_matrix,
-                            expand_m_star)
+from dual_oracle import layout_encode, syndrome
+from slrc.construct import (SHAPE_KEYS, CodeShape, ConstructionParams,
+                            build_parity_check, build_w_star, code_params,
+                            constructed_from_matrix, expand_m_star)
 from slrc.designs import affine_design, complete_graph_design
 from slrc.errors import ConstructionError, FieldError, ParameterError
 from slrc.field import GF
@@ -255,15 +255,51 @@ def test_parity_map_is_k_by_n_minus_k_in_the_field_dtype():
         assert code.encode(unit)[6:] == tuple(P[i].tolist())
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@st.composite
+def maybe_bent_codes(draw):
+    """A code of tests/strategies.py as built, or with one entry of H
+    changed to another field element."""
+    code = draw(strategies.codes)
+    if draw(st.booleans()):
+        return code
+    H = code.H.copy()
+    i = draw(st.integers(0, H.shape[0] - 1))
+    j = draw(st.integers(0, code.n - 1))
+    H[i, j] = (int(H[i, j]) + draw(st.integers(1, code.field.q - 1))) \
+        % code.field.q
+    return constructed_from_matrix(
+        code.field, H, {key: getattr(code.params, key) for key in SHAPE_KEYS})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_encode_matches_layout_oracle(data):
-    code = data.draw(strategies.codes)
+    # encode proves once per code that H is in its layout; with H bent
+    # anywhere it must still refuse exactly the words H does not annihilate
+    code = data.draw(maybe_bent_codes())
     message = data.draw(strategies.messages(code))
-    word = code.encode(message)
-    assert word == layout_encode(code, message)
-    assert code.encode(np.array(message, dtype=np.int64)) == word
-    assert all(type(a) is int for a in word)
+    word = layout_encode(code, message)
+    if any(syndrome(code.field, code.H, word)):
+        with pytest.raises(ConstructionError, match="not a codeword"):
+            code.encode(message)
+    else:
+        assert code.encode(message) == word
+        assert code.encode(np.array(message, dtype=np.int64)) == word
+        assert all(type(a) is int for a in code.encode(message))
+
+
+def test_encode_makes_no_field_product_per_word(monkeypatch):
+    code = reference_code()
+    code.encode([1, 0, 0, 0, 0, 0])
+
+    def refuse(*args):
+        raise AssertionError("encode computed a field product per word")
+
+    monkeypatch.setattr(GF, "vmul", refuse)
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        message = rng.integers(0, 4, size=6)
+        assert code.encode(message) == layout_encode(code, message.tolist())
 
 
 def test_encode_prime_field_membership():

@@ -160,6 +160,19 @@ def test_spec_dict_round_trip():
     assert gf == again
 
 
+@pytest.mark.parametrize("p, m, match", [
+    (4, 1, "p = 4 is not a prime"),         # 4 ** 1 would build GF(2^2)
+    (-2, 2, "p = -2 is not a prime"),       # (-2) ** 2 is 4
+    (2, 0, "m = 0 is outside 1..11"),
+    (2, 2 ** 70, "is outside 1..11"),       # 2 ** m is never formed
+    (2, 11, "exceeds supported maximum 1024"),
+    (6, 1, "6 is not a prime power")])
+def test_spec_dict_names_one_field_or_raises(p, m, match):
+    spec = dict(GF(4).spec_dict(), p=p, m=m)
+    with pytest.raises(FieldError, match=match):
+        GF.from_spec_dict(spec)
+
+
 def test_lookup_tables_agree_with_scalar_ops():
     # scalar operations read the tables and hand back Python ints
     gf = GF(4)

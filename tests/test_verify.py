@@ -207,6 +207,26 @@ def test_structure_battery_reference(ref):
     assert len(flat) == len(set(flat))
 
 
+def test_global_parity_recoverable_only_through_another_fails_statement4(ref):
+    # global-parity row 0 takes row 1's line part plus line parity 9, so
+    # the sum of the two rows is e9 + e14 + e15: coordinate 14's only
+    # recovery set inside the parities reads the other global parity 15
+    H = ref.H.copy()
+    mu = ref.params.mu
+    H[mu, 6:9] = H[mu + 1, 6:9]
+    H[mu, 9] = 1
+    bent = constructed_from_matrix(
+        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    parities = set(range(6, 16))
+    inside = [rs.helpers for rs in all_recovery_sets(bent, 3)[14]
+              if set(rs.helpers) <= parities]
+    assert inside == [(9, 15)]
+    rep = check_code_structure(bent)
+    assert [rep.statements[name]["holds"] for name in "1234"] == [
+        True, True, True, False]
+    assert rep.statements["4"]["witness"] == {"missing": [15]}
+
+
 def test_structure_specific_sets(ref):
     from slrc.linear import recovery_sets_for
     lc = ref.as_linear_code()
