@@ -24,7 +24,7 @@ from .designs import affine_design, complete_graph_design, load_design, Design
 from .errors import (DesignError, FieldError, InfeasibleError,
                      ParameterError, SlrcError)
 from .field import GF
-from .linear import LinearCode, peel_table
+from .linear import LinearCode
 from .matrixio import (load_matrix, load_matrix_csv, read_json, save_matrix,
                        save_matrix_csv)
 from .mds import build_mds_parity
@@ -99,19 +99,15 @@ def cmd_verify(args):
     code, params, r = _load_code(args.infile, args.r, need_r=True)
     t = args.t if args.t is not None else (
         code.params.t_claim if params else 1)
-    # one recovery-set table serves every check at r; a tolerance below
-    # 1 is refused before any table is built
-    tol = args.max_t if args.max_t is not None else t
-    table = peel_table(code, r) if tol >= 1 else None
     checks = []
     ok = True
     if args.max_t is not None:
-        rep = max_sequential_t(code, r, args.max_t, _table=table)
+        rep = max_sequential_t(code, r, args.max_t)
         checks.append({"name": f"max_sequential_t(cap={args.max_t})",
                        "pass": True, "witness": rep.to_dict()})
         print(f"t* = {rep.t_star}" + ("" if rep.complete else " (incomplete)"))
     else:
-        rep = check_sequential(code, r, t, _table=table)
+        rep = check_sequential(code, r, t)
         ok &= rep.holds
         checks.append({"name": f"check_sequential(t={t})",
                        "pass": rep.holds, "witness": rep.to_dict()})
@@ -121,8 +117,7 @@ def cmd_verify(args):
         checks.append({"name": "information_locality_1_4",
                        "pass": loc.conditions_1_4,
                        "witness": loc.failures or None})
-        struct = check_code_structure(
-            code, _table=table if r == code.params.r else None)
+        struct = check_code_structure(code)
         ok &= struct.all_hold
         checks.append({"name": "structure_battery",
                        "pass": struct.all_hold,
@@ -203,13 +198,12 @@ def cmd_demo_paper(args):
     loc = check_information_locality(code)
     print(f"locality conditions 1-4: {'pass' if loc.conditions_1_4 else 'FAIL'}")
     p = code.params
-    table = peel_table(code, p.r)
-    struct = check_code_structure(code, _table=table)
+    struct = check_code_structure(code)
     print(f"structure battery: {'pass' if struct.all_hold else 'FAIL'}")
-    seq = check_sequential(code, p.r, p.t_claim, _table=table)
+    seq = check_sequential(code, p.r, p.t_claim)
     print(f"sequential recovery at t = {p.t_claim}: "
           f"{'pass' if seq.holds else 'FAIL'}")
-    rep = max_sequential_t(code, p.r, cap=9, _table=table)
+    rep = max_sequential_t(code, p.r, cap=9)
     print(f"measured t* = {rep.t_star} (cap 9)")
     print(f"claimed tolerance {p.t_abstract}: "
           f"{'holds' if rep.t_star >= p.t_abstract else 'does not hold'}")

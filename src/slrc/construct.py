@@ -167,6 +167,13 @@ class ConstructedCode(LinearCode):
             self._parity_map = P
         return self._parity_map
 
+    @property
+    def in_layout(self):
+        """Whether every encoded word is a codeword, decided once with
+        `parity_map`."""
+        self.parity_map             # builds the map on first use
+        return self._in_layout
+
     def encode(self, message):
         """Systematic codeword for a k-symbol message of integers.
 

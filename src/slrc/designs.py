@@ -55,13 +55,14 @@ class Design:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; raises DesignError on a malformed document."""
+        """Inverse of to_dict; raises DesignError on a malformed document,
+        where a boolean is not an integer."""
         def int_lists(x):
             return isinstance(x, list) and all(
-                isinstance(row, list) and all(isinstance(v, int) for v in row)
+                isinstance(row, list) and all(type(v) is int for v in row)
                 for row in x)
         if not (isinstance(d, dict)
-                and all(isinstance(d.get(key), int) for key in ("k", "r", "t_i"))
+                and all(type(d.get(key)) is int for key in ("k", "r", "t_i"))
                 and int_lists(d.get("lines"))
                 and (d.get("classes") is None or int_lists(d["classes"]))):
             raise DesignError("a design document needs integers k, r and t_i, "
@@ -120,7 +121,7 @@ def affine_design(r, t_i):
                   classes=tuple(classes))
 
 
-def validate_design(design: Design, t_i=None, r=None):
+def validate_design(design: Design):
     """Check all Design invariants; returns (ok, report).
 
     The report carries the first violation, and for designs with
@@ -128,8 +129,7 @@ def validate_design(design: Design, t_i=None, r=None):
     partitions the point set, "relaxed" when class lines are merely
     pairwise disjoint.
     """
-    t_i = design.t_i if t_i is None else t_i
-    r = design.r if r is None else r
+    t_i, r = design.t_i, design.r
     report = {"violation": None, "class_level": None}
 
     for idx, line in enumerate(design.lines):

@@ -15,6 +15,7 @@ of expanding every (set, later column) pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -415,13 +416,19 @@ def dual_low_weight(code: LinearCode, wmax):
             for v in words.tolist()]
 
 
+@functools.lru_cache(maxsize=1)
 def peel_table(code: LinearCode, r):
     """Per coordinate i, (helper bitmask, recovery set) pairs of the
     recovery sets of size <= r, ordered by (helpers, coeffs): the rest of
     the support of each dual word through i, with coefficients giving c_i
     as the helpers' combination.  Distinct normalized words give distinct
     sets, so none repeats.  `repair_step` and the stopping-set search
-    read the bitmasks."""
+    read the bitmasks.
+
+    The last (code, r) asked for is memoized, by code identity, so the
+    checks of one command or campaign share one build; a single entry
+    keeps memory flat while callers hold many codes.  The rows are
+    tuples, so no caller can change the shared table."""
     field = code.field
     table = [[] for _ in range(code.n)]
     for dw in dual_low_weight(code, r + 1):
@@ -433,18 +440,16 @@ def peel_table(code: LinearCode, r):
             coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
             table[i].append((mask ^ (1 << i), RecoverySet(
                 target=i, helpers=helpers, coeffs=coeffs)))
-    for row in table:
-        row.sort(key=lambda entry: (entry[1].helpers, entry[1].coeffs))
-    return table
+    return tuple(tuple(sorted(row, key=lambda entry: (entry[1].helpers,
+                                                      entry[1].coeffs)))
+                 for row in table)
 
 
-def all_recovery_sets(code: LinearCode, r, _table=None):
+def all_recovery_sets(code: LinearCode, r):
     """The recovery sets of `peel_table` by coordinate, stably sorted by
-    size: ordered by (size, helpers, coeffs).  `_table` is a precomputed
-    `peel_table` of the code at this r."""
+    size: ordered by (size, helpers, coeffs)."""
     return [[rs for _, rs in sorted(row, key=lambda e: len(e[1].helpers))]
-            for row in (_table if _table is not None
-                        else peel_table(code, r))]
+            for row in peel_table(code, r)]
 
 
 def recovery_sets_for(code: LinearCode, i, r):

@@ -13,7 +13,9 @@ codes:
     }
 
 Export followed by import is bit-exact.  Import checks the document
-and raises ParameterError when it is malformed.
+and raises ParameterError when it is malformed; an integer is
+`type(x) is int`, since JSON true and false load as bools, which
+Python counts as ints.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _check_params(field, params, rows, cols, roles):
     whose layout has H's shape, (n - k) x n; its s and mu, and
     coordinate roles, when given, must be that layout's."""
     _require(params, SHAPE_KEYS, "params block")
-    if not all(isinstance(params[key], int) and params[key] >= 1
+    if not all(type(params[key]) is int and params[key] >= 1
                for key in SHAPE_KEYS):
         raise ParameterError(f"params {', '.join(SHAPE_KEYS)} must be "
                              f"positive integers")
@@ -66,8 +68,9 @@ def _check_params(field, params, rows, cols, roles):
         raise ParameterError(f"params give n - k = {shape.n - shape.k} "
                              f"rows, but H has {rows}")
     for key in ("s", "mu"):
-        if params.get(key, getattr(shape, key)) != getattr(shape, key):
-            raise ParameterError(f"params {key} = {params[key]!r} differs "
+        value = params.get(key, getattr(shape, key))
+        if type(value) is not int or value != getattr(shape, key):
+            raise ParameterError(f"params {key} = {value!r} differs "
                                  f"from the layout's {getattr(shape, key)}")
     if roles is not None and roles != list(shape.roles):
         raise ParameterError(
@@ -79,17 +82,17 @@ def dict_to_matrix(doc):
     _require(doc, ("field", "rows", "cols", "entries"), "matrix document")
     spec = doc["field"]
     _require(spec, ("p", "m", "prim_poly", "generator"), "field spec")
-    if not (all(isinstance(spec[key], int) for key in ("p", "m", "generator"))
+    if not (all(type(spec[key]) is int for key in ("p", "m", "generator"))
             and isinstance(spec["prim_poly"], list)
-            and all(isinstance(c, int) for c in spec["prim_poly"])):
+            and all(type(c) is int for c in spec["prim_poly"])):
         raise ParameterError("field spec needs integers p, m and generator "
                              "and a list of integers prim_poly")
     fld = GF.from_spec_dict(spec)
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int)
+    if not (type(rows) is int and type(cols) is int
             and isinstance(entries, list) and rows >= 0 and cols >= 0
             and len(entries) == rows * cols
-            and all(isinstance(x, int) for x in entries)):
+            and all(type(x) is int for x in entries)):
         raise ParameterError(
             f"entries must be a list of rows*cols = {rows}*{cols} integers")
     if not all(0 <= x < fld.q for x in entries):

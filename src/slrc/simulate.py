@@ -3,10 +3,11 @@
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
 schedules deterministic.  Each step is `linear.repair_step` on the
-`peel_table` that `verify`'s stopping-set search also reads; a campaign
-builds its table once.  Within the certified tolerance the peeling
-condition guarantees greedy never gets stuck, so no backtracking is
-needed; outside it, a stuck state is a structured result.
+`peel_table` that `verify`'s stopping-set search also reads; its
+one-entry memo hands every plan of a campaign the same table.  Within
+the certified tolerance the peeling condition guarantees greedy never
+gets stuck, so no backtracking is needed; outside it, a stuck state is
+a structured result.
 """
 
 from __future__ import annotations
@@ -54,16 +55,15 @@ def _coordinate_error(code, erased):
                           f"got {sorted(erased)}")
 
 
-def plan_repair(code, erased, r, _table=None):
+def plan_repair(code, erased, r):
     """Greedy peeling plan for the erased coordinate set.
 
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
     Raises ParameterError for a coordinate that is not an integer or
-    lies outside 0..n-1.  `_table` is a precomputed `peel_table` of the
-    code at this r.
+    lies outside 0..n-1.
     """
-    peel = _table if _table is not None else peel_table(code, r)
+    peel = peel_table(code, r)
     try:
         erased = tuple(sorted(set(map(operator.index, erased))))
     except TypeError:
@@ -130,12 +130,17 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     Pattern sizes are drawn uniformly from 1..t (capped at n).  Success
     rate must be 1.0 whenever t is at or below the certified tolerance.
     `trace`, when given, is called with every executed RepairStep.
+    Raises ParameterError, before the first draw, for a constructed
+    code whose H is not in its layout, since its messages cannot be
+    encoded.
     """
     if trials < 1 or t < 1:
         raise ParameterError(
             f"trials and t must be >= 1, got trials={trials}, t={t}")
+    if isinstance(code, ConstructedCode) and not code.in_layout:
+        raise ParameterError("H does not have the [M* I 0; 0 W* I] layout "
+                             "of its params, so no message can be encoded")
     fld, n = code.field, code.n
-    peel = peel_table(code, r)
     rng = np.random.default_rng(seed)
     successes = 0
     total_steps = 0
@@ -151,7 +156,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
             coeffs = rng.integers(0, fld.q, size=code.dimension)
             word = tuple(fld.vsum(fld.vmul(coeffs[:, None], code.generator),
                                   axis=0).tolist())
-        schedule = plan_repair(code, erased, r, _table=peel)
+        schedule = plan_repair(code, erased, r)
         if schedule.complete:
             if trace is not None:
                 for step in schedule.steps:

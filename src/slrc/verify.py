@@ -22,6 +22,10 @@ rules cut the search without changing what it finds:
 
 `MAX_NODES` is spent one node per search node entered and one per
 last-member candidate tested.
+
+The checks take a code and r and nothing else: the search and the
+structure battery read the table through `peel_table`'s one-entry memo,
+so a command that runs both at one r builds it once.
 """
 
 from __future__ import annotations
@@ -114,14 +118,12 @@ def _first_stopping_set(masks, size, nodes):
     return extend((), 0, [])
 
 
-def _stopping_search(code, r, cap, partial, table):
+def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
-    out of MAX_NODES, a partial search reports the sizes done in full.
-    `table` is the code's `peel_table` at r, or None to build it."""
+    out of MAX_NODES, a partial search reports the sizes done in full."""
     if cap < 1:
         raise ParameterError(f"tolerance t must be >= 1, got {cap}")
-    masks = [[m for m, _ in row]
-             for row in (table if table is not None else peel_table(code, r))]
+    masks = [[m for m, _ in row] for row in peel_table(code, r)]
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:
@@ -138,21 +140,18 @@ def _stopping_search(code, r, cap, partial, table):
     return None, witnesses, True
 
 
-def check_sequential(code, r, t, _table=None):
-    """Certify (r, t) sequential recovery: no stopping set of size <= t.
-    `_table` is a precomputed `peel_table` of the code at this r."""
-    failing, witnesses, _ = _stopping_search(code, r, t, False, _table)
+def check_sequential(code, r, t):
+    """Certify (r, t) sequential recovery: no stopping set of size <= t."""
+    failing, witnesses, _ = _stopping_search(code, r, t, False)
     return VerificationReport(checked_t=t, holds=failing is None,
                               failing_pattern=failing, witnesses=witnesses)
 
 
-def max_sequential_t(code, r, cap, _table=None):
+def max_sequential_t(code, r, cap):
     """Largest t <= cap at which sequential recovery holds exhaustively;
     out of MAX_NODES, the largest size searched in full, with
-    complete=False.  `_table` is a precomputed `peel_table` of the code
-    at this r."""
-    failing, witnesses, complete = _stopping_search(code, r, cap, True,
-                                                    _table)
+    complete=False."""
+    failing, witnesses, complete = _stopping_search(code, r, cap, True)
     t_star = len(failing) - 1 if failing is not None else len(witnesses)
     return VerificationReport(checked_t=t_star, holds=True,
                               failing_pattern=failing, witnesses=witnesses,
@@ -163,15 +162,11 @@ def max_sequential_t(code, r, cap, _table=None):
 class LocalityReport:
     per_coordinate: dict        # i -> {"supports": [...], "conditions": {...}}
     conditions_1_4: bool
-    condition_5: bool | None    # None when not requested
-    condition_5_t: int | None
     failures: list
 
     def to_dict(self):
         return {
             "conditions_1_4": self.conditions_1_4,
-            "condition_5": self.condition_5,
-            "condition_5_t": self.condition_5_t,
             "failures": list(self.failures),
             "per_coordinate": {
                 i + 1: {
@@ -183,7 +178,7 @@ class LocalityReport:
         }
 
 
-def check_information_locality(code: ConstructedCode, check_condition5=False):
+def check_information_locality(code: ConstructedCode):
     """Check the locality conditions for every information coordinate.
 
     For each i among the first k coordinates: its t_i row-block supports
@@ -191,8 +186,7 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
     minimum distance exactly delta (2), the supports pairwise intersect
     exactly in {i} (3), and each contains exactly delta - 1 parity
     coordinates (4).  Condition (5), recoverability of every pattern up
-    to delta*t_i + 1 erasures, is a separate exhaustive run and is
-    reported, not presumed.
+    to delta*t_i + 1 erasures, is `check_sequential` at t_abstract.
     """
     p = code.params
     parity = set(range(p.k, code.n))
@@ -220,18 +214,8 @@ def check_information_locality(code: ConstructedCode, check_condition5=False):
         for name, ok in conds.items():
             if not ok:
                 failures.append(f"coordinate {i + 1}: condition {name} fails")
-    cond5 = None
-    t5 = None
-    if check_condition5:
-        t5 = p.t_abstract
-        cond5 = check_sequential(code, p.r, t5).holds
-    return LocalityReport(
-        per_coordinate=per_coord,
-        conditions_1_4=not failures,
-        condition_5=cond5,
-        condition_5_t=t5,
-        failures=failures,
-    )
+    return LocalityReport(per_coordinate=per_coord,
+                          conditions_1_4=not failures, failures=failures)
 
 
 @dataclass
@@ -246,7 +230,7 @@ class StructureReport:
         return {"statements": self.statements, "all_hold": self.all_hold}
 
 
-def check_code_structure(code: ConstructedCode, _table=None):
+def check_code_structure(code: ConstructedCode):
     """Verify the four structural recovery-set claims of the construction.
 
     1. every information coordinate has t_i pairwise-disjoint recovery
@@ -256,11 +240,9 @@ def check_code_structure(code: ConstructedCode, _table=None):
     3. each of the first ceil(s/r)*r line parities has a recovery set
        inside the parity coordinates, excluding itself;
     4. every global parity has a recovery set among the line parities.
-
-    `_table` is a precomputed `peel_table` of the code at its r.
     """
     p = code.params
-    table = all_recovery_sets(code, p.r, _table=_table)
+    table = all_recovery_sets(code, p.r)
     best = [_max_disjoint(table[i]) for i in range(p.k)]
     bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
     statements = {"1": {

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 import slrc
 import strategies
 from slrc.cli import EXIT_PIPE, main
-from slrc.construct import SHAPE_KEYS
+from slrc.construct import SHAPE_KEYS, constructed_from_matrix
 from slrc.errors import ParameterError
+from slrc.linear import peel_table
 from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
                            matrix_to_dict, save_matrix, save_matrix_csv)
 from slrc.reference import golden, reference_code
@@ -40,6 +41,26 @@ def test_matrix_file_round_trip(tmp_path):
     # byte-exact re-export
     save_matrix(code, tmp_path / "h2.json")
     assert (tmp_path / "h.json").read_bytes() == (tmp_path / "h2.json").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.codes)
+def test_export_import_is_bit_exact_on_drawn_codes(code):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (os.path.join(tmp, name) for name in "ab")
+        save_matrix(code, first)
+        fld, H, roles, params = load_matrix(first)
+        again = constructed_from_matrix(fld, H, params)
+        save_matrix(again, second)
+        with open(first, "rb") as fh, open(second, "rb") as gh:
+            assert fh.read() == gh.read()
+    assert fld == code.field
+    assert again.H.dtype == code.H.dtype and (again.H == code.H).all()
+    shape = SHAPE_KEYS + ("s", "mu", "n", "t_claim", "t_abstract")
+    assert ([getattr(again.params, key) for key in shape]
+            == [getattr(code.params, key) for key in shape])
+    assert roles == list(again.coordinate_roles) == list(
+        code.coordinate_roles)
 
 
 def test_csv_round_trip(tmp_path):
@@ -218,6 +239,8 @@ def _one_line_error(err):
     ("{not json", "not a JSON document"),
     ("{}", "design document needs"),
     ('{"k": 6, "r": 3, "t_i": 2, "lines": [["a"]]}', "design document needs"),
+    ('{"lines": [[true, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]], "k": 6, '
+     '"r": 3, "t_i": 2}', "design document needs"),
 ])
 def test_construct_malformed_design_file_exits_2(tmp_path, capsys, text,
                                                  match):
@@ -290,6 +313,9 @@ def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
     (lambda d: d["params"].update(mu=1), "params mu = 1 differs"),
     (lambda d: d.update(rows=11, entries=d["entries"] + [0] * 16),
      "give n - k = 10 rows, but H has 11"),
+    # JSON true is no integer, although Python's bool is an int
+    (lambda d: d["params"].update(t_i=True), "must be positive"),
+    (lambda d: d["entries"].__setitem__(3, True), "entries must be a list"),
 ])
 def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
     doc = matrix_to_dict(reference_code())
@@ -509,36 +535,38 @@ def test_verify_bytes_are_pinned(tmp_path, capsys, case):
                                                                 plain_sha)
 
 
-def _counted_peel_tables(monkeypatch):
-    """Wraps `peel_table` in every slrc module that holds it; returns
-    the list its calls append to."""
-    from slrc import cli, linear, simulate, verify
-    calls = []
-    real = linear.peel_table
+@pytest.mark.parametrize("col", [7, 13, 15])
+def test_simulate_outside_layout_exits_2(tmp_path, capsys, col):
+    # params that fit H's shape, but an H whose words its layout cannot
+    # encode: bad input, refused before the first trial
+    path = tmp_path / "code.json"
+    _zeroed(col)(path, capsys)
+    rc, stdout, err = run(capsys, "simulate", "--in", str(path), "--t", "3")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "layout" in err
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    for module in (linear, verify, simulate, cli):
-        monkeypatch.setattr(module, "peel_table", counted)
-    return calls
+def _counted_peel_tables():
+    """Empties `peel_table`'s memo; returns a function giving its misses
+    since, the number of tables built."""
+    peel_table.cache_clear()
+    return lambda: peel_table.cache_info().misses
 
 
 @pytest.mark.parametrize("argv, sha", [
     (("verify", "--max-t", "9"), VERIFY_PINS["reference"][2]),
     (("demo-paper",),
      "053bc9586133418f01974e1c6f18235e7b68290ad52fff25b92f5ef8fc1f5e84"),
+    (("verify",), VERIFY_PINS["reference"][3]),
 ])
-def test_one_recovery_set_table_per_command(tmp_path, capsys, monkeypatch,
-                                            argv, sha):
+def test_one_recovery_set_table_per_command(tmp_path, capsys, argv, sha):
     path = tmp_path / "ref.json"
     save_matrix(reference_code(), path)
-    calls = _counted_peel_tables(monkeypatch)
+    builds = _counted_peel_tables()
     if argv[0] == "verify":
         argv = ("verify", "--in", str(path)) + argv[1:]
     rc, stdout, _ = run(capsys, *argv)
-    assert len(calls) == 1
+    assert builds() == 1
     assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (0, sha)
 
 
@@ -574,7 +602,7 @@ def spoiled_documents(draw):
         path = draw(st.sampled_from(REQUIRED + OPTIONAL))
         parent, key = _parent(doc, path)
         parent[key] = draw(st.sampled_from([
-            v for v in ("3", 3.5, [3], {"v": 3}, None)
+            v for v in ("3", 3.5, [3], {"v": 3}, None, True)
             if type(v) is not type(parent[key])
             and (v is not None or path not in NULLABLE)]))
     elif kind == "count":           # len(entries) != rows * cols

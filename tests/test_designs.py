@@ -24,7 +24,7 @@ def test_triangle_design():
 def test_k5_design_validates():
     d = complete_graph_design(4)
     assert d.incidence.shape == (5, 10)
-    ok, report = validate_design(d, t_i=2, r=4)
+    ok, report = validate_design(d)
     assert ok, report
 
 
@@ -93,14 +93,14 @@ def test_affine_rejects_bad_args():
 def test_validate_rejects_shared_pair():
     d = Design(k=6, r=3, t_i=2,
                lines=((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)))
-    ok, report = validate_design(d, t_i=2, r=3)
+    ok, report = validate_design(d)
     assert not ok
     assert "share points [1, 2]" in report["violation"]
 
 
 def test_validate_rejects_bad_row_weight():
     d = Design(k=4, r=3, t_i=2, lines=((0, 1), (0, 1, 3)))
-    ok, report = validate_design(d, t_i=2, r=3)
+    ok, report = validate_design(d)
     assert not ok
     assert "line 1" in report["violation"]
 

@@ -15,8 +15,10 @@ from slrc.field import GF
 from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
                          peel_table)
 from slrc.mds import build_mds_parity
-from slrc.simulate import execute_repair, plan_repair
-from slrc.verify import (MAX_NODES, _first_stopping_set, check_sequential,
+from slrc.reference import reference_code
+from slrc.simulate import execute_repair, plan_repair, trial_campaign
+from slrc.verify import (MAX_NODES, _first_stopping_set, check_code_structure,
+                         check_information_locality, check_sequential,
                          max_sequential_t)
 
 
@@ -141,6 +143,57 @@ def test_stopping_set_search_matches_pattern_oracle_on_sweep_points():
         _assert_search_matches_patterns(code, r, 9, masks)
         checked += 1
     assert checked == 11
+
+
+# erasure patterns the pattern oracle checks per drawn code at most
+ORACLE_PATTERNS = 100_000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.codes.filter(lambda code: sum(
+    math.comb(code.n, size) for size in range(1, code.params.t_claim + 2))
+    <= ORACLE_PATTERNS))
+def test_t_claim_holds_by_pattern_oracle(code):
+    # one size past t_claim, so the oracle also sees where repair stops;
+    # the dual words are checked against their own oracles in test_linear
+    p = code.params
+    masks = dual_oracle.helper_masks(dual_low_weight(code, p.r + 1), code.n)
+    _assert_search_matches_patterns(code, p.r, p.t_claim + 1, masks)
+    assert max_sequential_t(code, p.r, p.t_claim + 1).t_star >= p.t_claim
+
+
+def test_peel_table_memo_is_one_entry_per_code_and_r():
+    H = reference_code().H
+    a, b = LinearCode(GF(4), H), LinearCode(GF(4), H)
+    peel_table.cache_clear()
+    table = peel_table(a, 3)
+    assert peel_table(a, 3) is table
+    # a code equal in H is another code: it gets its own build
+    assert peel_table(b, 3) == table
+    assert peel_table(b, 3) is not table
+    assert peel_table.cache_info().misses == 2
+    # another r rebuilds, and evicts the entry before it
+    assert peel_table(b, 2) != peel_table(b, 3)
+    assert peel_table.cache_info().misses == 4
+    with pytest.raises(TypeError):
+        table[0] = ()
+    with pytest.raises(AttributeError):
+        table[0].append(table[1][0])
+    with pytest.raises(TypeError):
+        table[0][0] = table[1][0]
+
+
+def test_one_table_per_sweep_point_and_campaign():
+    code = strategies.build(3, 3, 2, 4, "complete-graph", "vandermonde")
+    p = code.params
+    peel_table.cache_clear()
+    check_sequential(code, p.r, p.t_claim)
+    check_information_locality(code)
+    check_code_structure(code)
+    assert peel_table.cache_info().misses == 1
+    peel_table.cache_clear()
+    trial_campaign(code, p.r, p.t_claim, 50, 0)
+    assert peel_table.cache_info().misses == 1
 
 
 @st.composite

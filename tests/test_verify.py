@@ -163,9 +163,10 @@ def test_information_locality_reference(ref):
 
 
 def test_information_locality_condition5_recorded(ref):
-    rep = check_information_locality(ref, check_condition5=True)
-    assert rep.condition_5_t == 7
-    assert rep.condition_5 is False  # measured, not presumed
+    # condition 5 is the sequential check at delta*t_i + 1
+    p = ref.params
+    assert p.t_abstract == 7
+    assert check_sequential(ref, p.r, p.t_abstract).holds is False
 
 
 def test_sabotaged_parity_column_fails_condition2(ref):
