@@ -152,16 +152,14 @@ def cmd_bounds(args):
     if args.infile:
         code, params, _ = _load_code(args.infile)
         if params is None:
-            print("error: matrix file has no params block", file=sys.stderr)
-            return EXIT_PARAM
+            raise ParameterError("matrix file has no params block")
         shape = code.params
     d = rate_report(args.r, args.ti, args.delta, shape).to_dict()
-    width = max(len(k) for k in d if k != "notes")
-    for key in ("r", "t_i", "delta", "t", "exact_rate", "closed_form_rate",
-                "availability_bound", "2seq_bound", "3seq_bound",
-                "resolvable_family_rate"):
-        print(f"{key:<{width}}  {d[key]}")
-    for note in d["notes"]:
+    notes = d.pop("notes")
+    width = max(map(len, d))
+    for key, value in d.items():
+        print(f"{key:<{width}}  {value}")
+    for note in notes:
         print(f"note: {note}")
     return EXIT_OK
 

@@ -106,9 +106,9 @@ class ConstructionParams(CodeShape):
         if self.t_i > self.delta:
             raise ParameterError(
                 f"t_i = {self.t_i} exceeds delta = {self.delta}")
-        ok, report = validate_design(self.design)
-        if not ok:
-            raise ParameterError(f"invalid design: {report['violation']}")
+        violation = validate_design(self.design)
+        if violation:
+            raise ParameterError(f"invalid design: {violation}")
 
 
 class ConstructedCode(LinearCode):
@@ -282,5 +282,4 @@ def code_params(params: CodeShape):
         "mu": params.mu,
         "t_claim": params.t_claim,
         "t_abstract": params.t_abstract,
-        "t_abstract_status": "to verify",
     }

@@ -159,9 +159,6 @@ class GF:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return self.inv_table.item(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == 0:
             if e < 0:

@@ -31,10 +31,6 @@ class MdsLocalMatrix:
         ident = np.eye(self.delta - 1, dtype=np.int64)
         return np.hstack([self.Q, ident])
 
-    @property
-    def length(self):
-        return self.r + self.delta - 1
-
 
 def build_mds_parity(r, delta, field: GF, style="vandermonde"):
     """Build a verified [r+delta-1, r, delta] MDS parity check.

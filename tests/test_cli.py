@@ -16,6 +16,7 @@ import slrc
 import strategies
 from slrc.cli import EXIT_PIPE, main
 from slrc.construct import SHAPE_KEYS, constructed_from_matrix
+from slrc.designs import complete_graph_design
 from slrc.errors import ParameterError
 from slrc.linear import peel_table
 from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
@@ -191,6 +192,17 @@ def test_bounds_from_file_table(tmp_path, capsys):
     assert stdout == BOUNDS_REFERENCE
 
 
+def test_bounds_from_file_without_params_exits_2(tmp_path, capsys):
+    doc = matrix_to_dict(reference_code())
+    del doc["params"]
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "bounds", "--r", "3", "--ti", "2",
+                          "--delta", "3", "--in", str(path))
+    assert rc == 2 and stdout == ""
+    assert err == "error: matrix file has no params block\n"
+
+
 def test_export_json_is_save_matrix(tmp_path, capsys):
     out = tmp_path / "code.json"
     save_matrix(reference_code(), out)
@@ -227,6 +239,25 @@ def test_construct_design_from_file(tmp_path, capsys):
                         "--ti", "2", "--q", "4",
                         "--design", f"file:{csv_path}", "--out", str(out))
     assert rc == 0
+    _, H, _, _ = load_matrix(out)
+    assert (H == golden("h")).all()
+
+
+@pytest.mark.parametrize("classes", ["as written", None, [[1], [99]], [[0]]],
+                         ids=["as-written", "null", "line-99", "line-0"])
+def test_construct_design_document_ignores_classes(tmp_path, capsys, classes):
+    # a design is its lines: any classes key, even one naming no line,
+    # is ignored
+    doc = complete_graph_design(3).to_dict()
+    if classes != "as written":
+        doc["classes"] = classes
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "code.json"
+    rc, _, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                     "--ti", "2", "--q", "4",
+                     "--design", f"file:{path}", "--out", str(out))
+    assert rc == 0 and err == ""
     _, H, _, _ = load_matrix(out)
     assert (H == golden("h")).all()
 

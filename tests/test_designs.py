@@ -24,8 +24,7 @@ def test_triangle_design():
 def test_k5_design_validates():
     d = complete_graph_design(4)
     assert d.incidence.shape == (5, 10)
-    ok, report = validate_design(d)
-    assert ok, report
+    assert validate_design(d) is None
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -46,32 +45,28 @@ def test_affine_2x2_grid():
     assert d.k == 4
     assert [sorted(p + 1 for p in line) for line in d.lines] == [
         [1, 2], [3, 4], [1, 3], [2, 4]]
-    ok, report = validate_design(d)
-    assert ok
-    assert report["class_level"] == "strict"
+    assert validate_design(d) is None
 
 
 def test_affine_r3_two_classes():
     d = affine_design(3, 2)
     assert d.b == 6 and d.k == 9
-    ok, _ = validate_design(d)
-    assert ok
+    assert validate_design(d) is None
 
 
 def test_affine_r3_all_classes_pairwise_meet_once():
     d = affine_design(3, 4)
     assert d.b == 12
-    for ci, cj in itertools.combinations(range(4), 2):
-        for li in d.classes[ci]:
-            for lj in d.classes[cj]:
-                assert len(set(d.lines[li]) & set(d.lines[lj])) == 1
+    pencils = [d.lines[c * d.r:(c + 1) * d.r] for c in range(4)]
+    for pi, pj in itertools.combinations(pencils, 2):
+        for li in pi:
+            for lj in pj:
+                assert len(set(li) & set(lj)) == 1
 
 
 def test_affine_r4_validates():
     d = affine_design(4, 3)
-    ok, report = validate_design(d)
-    assert ok, report
-    assert report["class_level"] == "strict"
+    assert validate_design(d) is None
 
 
 def test_affine_every_point_pair_at_most_one_line():
@@ -93,25 +88,12 @@ def test_affine_rejects_bad_args():
 def test_validate_rejects_shared_pair():
     d = Design(k=6, r=3, t_i=2,
                lines=((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)))
-    ok, report = validate_design(d)
-    assert not ok
-    assert "share points [1, 2]" in report["violation"]
+    assert "share points [1, 2]" in validate_design(d)
 
 
 def test_validate_rejects_bad_row_weight():
     d = Design(k=4, r=3, t_i=2, lines=((0, 1), (0, 1, 3)))
-    ok, report = validate_design(d)
-    assert not ok
-    assert "line 1" in report["violation"]
-
-
-def test_validate_relaxed_class_level():
-    # classes whose lines are disjoint but do not cover every point
-    d = Design(k=6, r=2, t_i=1, lines=((0, 1), (2, 3), (4, 5)),
-               classes=((0,), (1,), (2,)))
-    ok, report = validate_design(d)
-    assert ok
-    assert report["class_level"] == "relaxed"
+    assert "line 1" in validate_design(d)
 
 
 def test_load_reference_matrix():
@@ -131,10 +113,10 @@ def test_load_rejects_girth_violation():
 
 def test_load_rejects_nonuniform():
     m = np.array([[1, 1, 0], [1, 0, 0]])
-    with pytest.raises(DesignError, match="row 2"):
+    with pytest.raises(DesignError, match="line 2"):
         load_design(m)
     m = np.array([[1, 1, 0], [1, 1, 0]])
-    with pytest.raises(DesignError, match="column 3"):
+    with pytest.raises(DesignError, match="point 3"):
         load_design(m)
 
 
