@@ -9,10 +9,9 @@ from .construct import (CodeShape, ConstructedCode, ConstructionParams,
                         build_parity_check, build_w_star, code_params,
                         constructed_from_matrix, expand_m_star)
 from .linear import (LinearCode, RecoverySet, dual_low_weight, min_distance,
-                     puncture, rank_and_basis, recovery_sets_for)
-from .verify import (check_availability, check_code_structure,
-                     check_information_locality, check_sequential,
-                     max_sequential_t, rank_report)
+                     puncture, recovery_sets_for)
+from .verify import (check_code_structure, check_information_locality,
+                     check_sequential, max_sequential_t, rank_report)
 from .simulate import (RepairSchedule, RepairStep, execute_repair,
                        plan_repair, trial_campaign)
 from .bounds import (rate_availability_bound, rate_formula, rate_report,

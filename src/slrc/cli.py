@@ -2,7 +2,8 @@
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
-field, design or matrix file), 3 I/O error, 4 search over its budget,
+field, design or matrix file, or an MDS style that fails at the requested
+point), 3 I/O error, 4 search over its budget,
 141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
 when the reader of standard output closes it early, as `| head -1` does;
 that case prints no error line.  Human-facing coordinates are 1-based.
@@ -21,8 +22,8 @@ from .bounds import rate_report
 from .construct import (ConstructionParams, build_parity_check, code_params,
                         constructed_from_matrix)
 from .designs import affine_design, complete_graph_design, load_design, Design
-from .errors import (DesignError, FieldError, InfeasibleError,
-                     ParameterError, SlrcError)
+from .errors import (ConstructionError, DesignError, FieldError,
+                     InfeasibleError, ParameterError, SlrcError)
 from .field import GF
 from .linear import LinearCode
 from .matrixio import (load_matrix, load_matrix_csv, read_json, save_matrix,
@@ -38,8 +39,11 @@ EXIT_PARAM = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_PIPE = 141
-# first match wins; any other SlrcError is a failed verification
-_EXIT_CODES = [((ParameterError, FieldError, DesignError), EXIT_PARAM),
+# first match wins; any other SlrcError is a failed verification.  The
+# CLI meets ConstructionError only for an MDS candidate that fails at the
+# requested (r, delta, q), which is bad input.
+_EXIT_CODES = [((ParameterError, FieldError, DesignError, ConstructionError),
+                EXIT_PARAM),
                (InfeasibleError, EXIT_BUDGET), (OSError, EXIT_IO),
                (SlrcError, EXIT_VERIFY_FAIL)]
 

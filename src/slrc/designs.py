@@ -77,7 +77,7 @@ def complete_graph_design(r):
     if r < 2:
         raise ParameterError(f"complete-graph design needs r >= 2, got {r}")
     vertices = range(r + 1)
-    edges = list(itertools.combinations(vertices, 2))
+    edges = [(a, b) for a in vertices for b in vertices if a < b]
     index = {e: i for i, e in enumerate(edges)}
     lines = tuple(
         tuple(sorted(index[e] for e in edges if v in e)) for v in vertices)
@@ -124,11 +124,12 @@ def validate_design(design: Design):
     for p, c in enumerate(counts):
         if c != t_i:
             return f"point {p + 1} lies on {c} lines, expected {t_i}"
-    for i, j in itertools.combinations(range(design.b), 2):
-        common = set(design.lines[i]) & set(design.lines[j])
-        if len(common) > 1:
-            return (f"lines {i + 1},{j + 1} share points "
-                    f"{sorted(p + 1 for p in common)}")
+    for i, line in enumerate(design.lines):
+        for j in range(i + 1, design.b):
+            common = set(line) & set(design.lines[j])
+            if len(common) > 1:
+                return (f"lines {i + 1},{j + 1} share points "
+                        f"{sorted(p + 1 for p in common)}")
     if design.b * r != design.k * t_i:
         return f"b*r = {design.b * r} differs from k*t_i = {design.k * t_i}"
     return None

@@ -52,12 +52,6 @@ def rref(field: GF, A):
     return R.astype(np.int64), pivots
 
 
-def rank_and_basis(field: GF, A):
-    """Rank plus an echelon basis of the row space."""
-    R, pivots = rref(field, A)
-    return len(pivots), R[:len(pivots)]
-
-
 def nullspace(field: GF, A):
     """Basis (as rows) of {x : A x = 0}; shape (dim, ncols)."""
     return _kernel(field, *rref(field, A))

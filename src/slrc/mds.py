@@ -2,20 +2,19 @@
 
 The local code has length r + delta - 1, dimension r and minimum
 distance exactly delta; the MDS property is never assumed from the
-entry pattern but always verified by checking every (delta-1)-subset of
-columns for independence.
+entry pattern but always verified by the low-weight search of `linear`:
+no nonzero word of weight below delta may lie in the null space of [Q | I].
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .field import GF
-from .linear import rank_and_basis
+from .linear import DUAL_BYTE_BUDGET, _low_weight_dual_words
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,24 @@ def build_mds_parity(r, delta, field: GF, style="vandermonde"):
     mds = MdsLocalMatrix(r=r, delta=delta, field=field, Q=Q)
     ok, witness = verify_mds(mds)
     if not ok:
-        hint = "; try style='cauchy'" if style == "vandermonde" else ""
+        hint = ("; try the cauchy style" if style == "vandermonde"
+                and field.q >= r + delta - 1 else "")
+        cols = ", ".join(str(j + 1) for j in witness)
         raise ConstructionError(
             f"{style} candidate for (r={r}, delta={delta}, q={field.q}) is not "
-            f"MDS: columns {witness} are dependent{hint}")
+            f"MDS: columns {cols} (1-based) are dependent{hint}")
     return mds
 
 
 def verify_mds(mds: MdsLocalMatrix):
-    """True iff every (delta-1)-subset of columns of [Q | I] is linearly
-    independent; on failure returns a dependent subset as witness."""
-    H = mds.matrix
-    rows = mds.delta - 1
-    for cols in itertools.combinations(range(H.shape[1]), rows):
-        if rank_and_basis(mds.field, H[:, cols])[0] < rows:
-            return False, cols
-    return True, None
+    """True iff no nonzero y of weight <= delta - 1 has [Q | I] y = 0,
+    that is, every (delta-1)-subset of columns is independent.  On failure
+    the witness is the 0-based support of the first such y by (weight,
+    vector), a minimal dependent column set.  A search over
+    DUAL_BYTE_BUDGET raises InfeasibleError."""
+    words = _low_weight_dual_words(mds.field, mds.matrix, mds.delta - 1,
+                                   DUAL_BYTE_BUDGET)
+    if not len(words):
+        return True, None
+    first = min(words.tolist(), key=lambda v: (len(v) - v.count(0), v))
+    return False, tuple(j for j, x in enumerate(first) if x)

@@ -30,7 +30,8 @@ at a time, the oracle of the code membership `encode` checks.
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`
 and `_nullspace` are scalar Gauss-Jordan elimination, the oracles for
-`slrc.linear.rank_and_basis` and `nullspace`.
+`slrc.linear.rref` and `nullspace`, and `_rref` decides the column
+dependence that `slrc.mds.verify_mds` reports.
 
 None shares code with the functions under test beyond the field
 arithmetic.

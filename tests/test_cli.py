@@ -370,6 +370,28 @@ def test_construct_non_prime_power_exits_2(capsys):
     assert _one_line_error(err) and "not a prime power" in err
 
 
+def test_construct_non_mds_point_exits_2(capsys):
+    # the Vandermonde candidate at (r, delta, q) = (3, 4, 5) is not MDS, and
+    # Cauchy needs q >= r + delta - 1 = 6, so no style is suggested
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "4",
+                          "--ti", "2", "--q", "5")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "columns 1, 3, 5 (1-based)" in err
+    assert "style=" not in err and "cauchy" not in err
+
+
+def test_construct_non_mds_point_suggests_an_admissible_style(capsys):
+    # at (4, 4, 7) Vandermonde fails and Cauchy fits (q >= 7) and passes
+    rc, _, err = run(capsys, "construct", "--r", "4", "--delta", "4",
+                     "--ti", "2", "--q", "7")
+    assert rc == 2
+    assert _one_line_error(err) and err.rstrip().endswith(
+        "columns 1, 4, 6 (1-based) are dependent; try the cauchy style")
+    rc, _, _ = run(capsys, "construct", "--r", "4", "--delta", "4",
+                   "--ti", "2", "--q", "7", "--mds", "cauchy")
+    assert rc == 0
+
+
 def test_verify_field_spec_p6_exits_2(tmp_path, capsys):
     doc = matrix_to_dict(reference_code())
     doc["field"].update(p=6, m=1)

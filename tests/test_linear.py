@@ -12,7 +12,7 @@ from slrc.designs import complete_graph_design
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, dual_low_weight, min_distance, nullspace,
-                         puncture, rank_and_basis, recovery_sets_for)
+                         puncture, recovery_sets_for, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -34,8 +34,8 @@ def test_rank_of_reference_h(ref_lc):
 
 def test_rank_identity_and_zero():
     gf = GF(4)
-    assert rank_and_basis(gf, np.eye(5, dtype=int))[0] == 5
-    assert rank_and_basis(gf, np.zeros((3, 4), dtype=int))[0] == 0
+    assert len(rref(gf, np.eye(5, dtype=int))[1]) == 5
+    assert len(rref(gf, np.zeros((3, 4), dtype=int))[1]) == 0
 
 
 def test_rank_agrees_with_gf2_gaussian_oracle():
@@ -56,7 +56,7 @@ def test_rank_agrees_with_gf2_gaussian_oracle():
                 if i != rank and rows[i] >> bit & 1:
                     rows[i] ^= rows[rank]
             rank += 1
-        assert rank_and_basis(gf, A)[0] == rank
+        assert len(rref(gf, A)[1]) == rank
 
 
 def test_nullspace_vectors_annihilate():
@@ -64,7 +64,7 @@ def test_nullspace_vectors_annihilate():
     rng = np.random.default_rng(5)
     A = rng.integers(0, 4, size=(3, 7))
     N = nullspace(gf, A)
-    assert N.shape[0] == 7 - rank_and_basis(gf, A)[0]
+    assert N.shape[0] == 7 - len(rref(gf, A)[1])
     assert N.tolist() == dual_oracle._nullspace(gf, A, 7)
     for v in N.tolist():
         for row in A.tolist():
@@ -97,7 +97,7 @@ def test_min_distance_subset_route_agrees():
     for w in range(1, lc.n + 1):
         found = False
         for cols in itertools.combinations(range(lc.n), w):
-            if rank_and_basis(gf, lc.H[:, cols])[0] < w:
+            if len(rref(gf, lc.H[:, cols])[1]) < w:
                 found = True
                 break
         if found:
@@ -124,9 +124,9 @@ def test_linear_algebra_matches_scalar_oracles(field_and_h):
     field, H = field_and_h
     n = H.shape[1]
     basis, pivots = dual_oracle._rref(field, H)
-    rank, R = rank_and_basis(field, H)
-    assert rank == len(pivots)
-    assert R.tolist() == basis
+    R, got = rref(field, H)
+    assert got == pivots
+    assert R[:len(got)].tolist() == basis and not R[len(got):].any()
     assert nullspace(field, H).tolist() == dual_oracle._nullspace(field, H,
                                                                   n)
     lc = LinearCode(field, H)
@@ -144,7 +144,8 @@ def test_linear_algebra_matches_scalar_oracles_gf1024():
     H = rng.integers(0, 1024, size=(5, 9))
     H[3] = field.vadd(H[0], field.vmul(7, H[1]))     # rank 4
     basis, pivots = dual_oracle._rref(field, H)
-    assert rank_and_basis(field, H)[1].tolist() == basis
+    R, got = rref(field, H)
+    assert R[:len(got)].tolist() == basis
     assert nullspace(field, H).tolist() == dual_oracle._nullspace(field, H,
                                                                   9)
     lc = LinearCode(field, H[[0, 1, 2, 4], :5])       # 1024 codewords

@@ -1,8 +1,11 @@
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dual_oracle import brute_force_distance
+from dual_oracle import _rref, brute_force_distance
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import LinearCode, min_distance
@@ -58,6 +61,47 @@ def test_verify_mds_agrees_with_brute_force_random():
         code_ok = (LinearCode(gf, mds.matrix).dimension == 3
                    and brute_force_distance(gf, mds.matrix) == 3)
         assert ok == code_ok
+
+
+def _independent(field, H, cols):
+    return len(_rref(field, H[:, list(cols)])[1]) == len(cols)
+
+
+@st.composite
+def local_matrices(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    r, delta = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=(delta - 1) * r,
+                            max_size=(delta - 1) * r))
+    Q = np.array(entries, dtype=np.int64).reshape(delta - 1, r)
+    return MdsLocalMatrix(r=r, delta=delta, field=GF(q), Q=Q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices())
+def test_verify_mds_matches_brute_force_with_minimal_witness(mds):
+    ok, witness = verify_mds(mds)
+    H = mds.matrix
+    assert ok == (brute_force_distance(mds.field, H) == mds.delta)
+    if ok:
+        assert witness is None
+        return
+    assert 1 <= len(witness) < mds.delta
+    assert not _independent(mds.field, H, witness)
+    assert all(_independent(mds.field, H, sub)
+               for sub in itertools.combinations(witness, len(witness) - 1))
+
+
+@pytest.mark.parametrize("r,delta,q,style", [(7, 3, 9, "vandermonde"),
+                                             (10, 4, 13, "cauchy")])
+def test_built_points_pass_the_subset_rank_definition(r, delta, q, style):
+    # every (delta-1)-subset of columns independent, checked one subset at
+    # a time by scalar elimination
+    gf = GF(q)
+    mds = build_mds_parity(r, delta, gf, style=style)
+    assert verify_mds(mds) == (True, None)
+    assert all(_independent(gf, mds.matrix, cols) for cols in
+               itertools.combinations(range(r + delta - 1), delta - 1))
 
 
 def test_field_too_small():

@@ -13,9 +13,9 @@ from slrc.field import GF
 from slrc.linear import LinearCode, RecoverySet, all_recovery_sets
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
-from slrc.verify import (_max_disjoint, check_availability,
-                         check_code_structure, check_information_locality,
-                         check_sequential, max_sequential_t, rank_report)
+from slrc.verify import (_max_disjoint, check_code_structure,
+                         check_information_locality, check_sequential,
+                         max_sequential_t, rank_report)
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +236,14 @@ def test_structure_specific_sets(ref):
 
 
 def test_availability_reference(ref):
-    assert check_availability(ref, 0, 3) >= 2
-    assert check_availability(ref, 6, 3) >= 1
+    table = all_recovery_sets(ref, 3)
+    assert len(_max_disjoint(table[0])) >= 2
+    assert len(_max_disjoint(table[6])) >= 1
 
 
 def test_availability_single_set():
     lc = LinearCode(GF(4), [[1, 1, 1, 1]])
-    assert check_availability(lc, 0, 3) == 1
+    assert len(_max_disjoint(all_recovery_sets(lc, 3)[0])) == 1
 
 
 def _same_family(got, want):
