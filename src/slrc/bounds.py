@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import CodeShape, code_params
+from .errors import ParameterError
 
 
 def rate_availability_bound(r, t):
@@ -88,11 +89,19 @@ class RateReport:
 
 def rate_report(r, t_i, delta, params: CodeShape = None):
     """Collect every applicable bound next to the construction's exact
-    rate, flagging hypothesis violations and divergences."""
+    rate, flagging hypothesis violations and divergences.  Raises
+    ParameterError when params has another r, t_i or delta: the exact
+    rate would be another code's."""
     t = t_i * (delta - 1)
     notes = []
     exact = None
     if params is not None:
+        asked = {"r": r, "t_i": t_i, "delta": delta}
+        differ = [k for k in asked if asked[k] != getattr(params, k)]
+        if differ:
+            raise ParameterError("asked for {} but the code has {}".format(*(
+                ", ".join(f"{k} = {v[k]}" for k in differ)
+                for v in (asked, vars(params)))))
         exact = exact_rate(params)
     formula = rate_formula(r, t_i, delta)
     if exact is not None and exact != formula:

@@ -237,8 +237,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--max-t", dest="max_t", type=int, default=None)
+    tolerance = p.add_mutually_exclusive_group()
+    tolerance.add_argument("--t", type=int, default=None)
+    tolerance.add_argument("--max-t", dest="max_t", type=int, default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,8 @@ ties the first ceil(s/r)*r line parities to the global parities:
 
 Coordinate layout (0-based): information 0..k-1, line parities
 k..k+mu-1 (line j owns the delta-1 consecutive columns starting at
-k + j*(delta-1)), global parities afterwards.
+k + j*(delta-1)), global parities afterwards, so 0..k-1 is the first
+information set and the generator `LinearCode` derives is [I_k | P].
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import Design, validate_design
-from .errors import ConstructionError, FieldError, ParameterError
+from .errors import ParameterError
 from .field import GF, same_field
 from .linear import LinearCode
 from .mds import MdsLocalMatrix
@@ -118,8 +119,9 @@ class ConstructedCode(LinearCode):
     def __init__(self, params: CodeShape, H):
         super().__init__(params.field, H)
         self.params = params
-        self._parity_map = None
-        self._in_layout = None      # set with the parity map
+        # G[:, :k] = I_k; false too when the dimension is not k
+        self._systematic = np.array_equal(self.generator[:, :params.k],
+                                          np.eye(params.k))
 
     @property
     def k(self):
@@ -145,63 +147,15 @@ class ConstructedCode(LinearCode):
         block = self.H[j * d1:(j + 1) * d1]
         return tuple(int(c) for c in np.flatnonzero(block.any(axis=0)))
 
-    @property
-    def parity_map(self):
-        """k x (n - k) matrix P with encode(m) = [m | m P], built on first
-        use: row i is the parities of the i-th unit message, its line
-        parities -M*[:, i] and the global parities those give.
-
-        Building it also decides once whether H is in the layout P
-        assumes: encoding is linear, so every encoded word is a codeword
-        exactly when the k unit words [I_k | P] have syndrome zero.
-        """
-        if self._parity_map is None:
-            p, fld = self.params, self.field
-            line = fld.vneg(self.H[:p.mu, :p.k].T)
-            glob = fld.vneg(fld.vsum(fld.vmul(
-                line[:, None, :], self.H[p.mu:, p.k:p.k + p.mu]), axis=2))
-            P = np.hstack([line, glob])
-            units = np.hstack([np.eye(p.k, dtype=fld.dtype), P])
-            self._in_layout = not np.count_nonzero(
-                fld.vsum(fld.vmul(units[:, None, :], self.H), axis=2))
-            self._parity_map = P
-        return self._parity_map
-
-    @property
-    def in_layout(self):
-        """Whether every encoded word is a codeword, decided once with
-        `parity_map`."""
-        self.parity_map             # builds the map on first use
-        return self._in_layout
-
     def encode(self, message):
-        """Systematic codeword for a k-symbol message of integers.
-
-        Raises FieldError for a symbol outside the field or a message
-        that is not of integers (numpy would truncate 1.5 to 1), and
-        ConstructionError when the word fails H w = 0, which happens
-        when H is not in the layout the parity map assumes; only then is
-        the word's syndrome computed.
-        """
-        fld = self.field
-        if len(message) != self.params.k:
-            raise ValueError(
-                f"message length {len(message)} != k = {self.params.k}")
-        msg = np.asarray(message)
-        if msg.dtype.kind not in "iu":
-            raise FieldError(f"message symbols must be integers, got "
-                             f"dtype {msg.dtype}")
-        symbols = msg.tolist()      # min/max of a short list beat numpy's
-        if min(symbols) < 0 or max(symbols) >= fld.q:
-            fld.check(next(a for a in symbols if not 0 <= a < fld.q))
-        parity = fld.vsum(fld.mul_table[msg[:, None], self.parity_map],
-                          axis=0)
-        if not self._in_layout and np.count_nonzero(fld.vsum(fld.vmul(
-                self.H, np.concatenate([msg, parity])))):
-            raise ConstructionError(
-                "encoded word is not a codeword: H does not have the "
-                "[M* I 0; 0 W* I] layout")
-        return tuple(symbols) + tuple(parity.tolist())
+        """[m | m P] by `LinearCode.encode`; raises ParameterError when
+        0..k-1 is not an information set, as off the layout."""
+        if not self._systematic:
+            raise ParameterError(
+                f"coordinates 1..{self.k} are not an information set, so "
+                f"no message can be encoded: H does not have the "
+                f"[M* I 0; 0 W* I] layout of its params")
+        return super().encode(message)
 
 
 def expand_m_star(design: Design, mds: MdsLocalMatrix):

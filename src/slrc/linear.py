@@ -3,10 +3,12 @@
 Matrices are numpy integer arrays whose entries are field-element
 encodings.  Every job runs on whole arrays through the field's array
 operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
-pivot column at a time across all rows, the minimum distance multiplies
-blocks of messages by the generator matrix, and the hot spot, listing
-the low-weight dual codewords that recovery sets come from, is a search
-over column sets of the generator matrix on arrays of the field's
+pivot column at a time across all rows (`LinearCode` takes H's pivots
+from the right, so its generator is the identity on the first
+information set and `encode` is one lookup m G), the minimum distance
+multiplies blocks of messages by the generator, and the hot spot,
+listing the low-weight dual codewords that recovery sets come from, is
+a search over column sets of the generator on arrays of the field's
 compact dtype.  The search gathers rows with `take` and builds its last
 level as a join: it sorts the pairs of the level before by (set,
 residual key) and pairs up entries within runs of equal keys, instead
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleError
+from .errors import FieldError, InfeasibleError, ParameterError
 from .field import GF
 
 # `min_distance` refuses codes with more codewords than this.
@@ -92,17 +94,37 @@ class LinearCode:
         # compact dtype, as for the generator: sweeps keep many codes alive
         self.H = H.astype(field.dtype)
         self.n = H.shape[1]
-        # one row reduction gives both the rank and the generator
-        R, pivots = rref(field, H)
+        # one row reduction, pivots from the right, gives the rank and a
+        # generator that is I on the lexicographically first information set
+        R, pivots = rref(field, H[:, ::-1])
         self.rank = len(pivots)
         self.dimension = self.n - self.rank
-        self._generator = _kernel(field, R, pivots)
+        self._generator = _kernel(field, R, pivots)[::-1, ::-1].copy()
         self._dual_cache = {}
 
     @property
     def generator(self):
         """Generator matrix (dimension x n), rows span the code."""
         return self._generator
+
+    def encode(self, message):
+        """m G as a tuple of ints, m on the first information set.  Raises
+        ValueError for a length other than `dimension`, FieldError for a
+        symbol outside the field or not an integer (numpy would truncate
+        1.5 to 1)."""
+        fld = self.field
+        if len(message) != self.dimension:
+            raise ValueError(f"message length {len(message)} != "
+                             f"dimension {self.dimension}")
+        msg = np.asarray(message)
+        if msg.dtype.kind not in "iu":
+            raise FieldError(f"message symbols must be integers, got "
+                             f"dtype {msg.dtype}")
+        symbols = msg.tolist()      # min/max of a short list beat numpy's
+        if symbols and (min(symbols) < 0 or max(symbols) >= fld.q):
+            fld.check(next(a for a in symbols if not 0 <= a < fld.q))
+        return tuple(fld.vsum(fld.mul_table[msg[:, None], self._generator],
+                              axis=0).tolist())
 
     def contains(self, word):
         fld, word = self.field, np.asarray(word)
@@ -422,7 +444,10 @@ def peel_table(code: LinearCode, r):
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
     keeps memory flat while callers hold many codes.  The rows are
-    tuples, so no caller can change the shared table."""
+    tuples, so no caller can change the shared table.  Raises
+    ParameterError for r < 1: no check at such an r means anything."""
+    if r < 1:
+        raise ParameterError(f"locality r must be >= 1, got {r}")
     field = code.field
     table = [[] for _ in range(code.n)]
     for dw in dual_low_weight(code, r + 1):

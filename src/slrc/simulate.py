@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructedCode
 from .errors import ParameterError
 from .linear import peel_table, repair_step
 
@@ -130,16 +129,12 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     Pattern sizes are drawn uniformly from 1..t (capped at n).  Success
     rate must be 1.0 whenever t is at or below the certified tolerance.
     `trace`, when given, is called with every executed RepairStep.
-    Raises ParameterError, before the first draw, for a constructed
-    code whose H is not in its layout, since its messages cannot be
-    encoded.
+    Each message is `code.dimension` symbols, put through `code.encode`,
+    which raises ParameterError in the first trial for an H off its layout.
     """
     if trials < 1 or t < 1:
         raise ParameterError(
             f"trials and t must be >= 1, got trials={trials}, t={t}")
-    if isinstance(code, ConstructedCode) and not code.in_layout:
-        raise ParameterError("H does not have the [M* I 0; 0 W* I] layout "
-                             "of its params, so no message can be encoded")
     fld, n = code.field, code.n
     rng = np.random.default_rng(seed)
     successes = 0
@@ -150,12 +145,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
         size = int(rng.integers(1, min(t, n) + 1))
         erased = tuple(sorted(
             rng.choice(n, size=size, replace=False).tolist()))
-        if isinstance(code, ConstructedCode):
-            word = code.encode(rng.integers(0, fld.q, size=code.k))
-        else:
-            coeffs = rng.integers(0, fld.q, size=code.dimension)
-            word = tuple(fld.vsum(fld.vmul(coeffs[:, None], code.generator),
-                                  axis=0).tolist())
+        word = code.encode(rng.integers(0, fld.q, size=code.dimension))
         schedule = plan_repair(code, erased, r)
         if schedule.complete:
             if trace is not None:

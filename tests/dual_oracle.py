@@ -25,7 +25,7 @@ Python sets of helpers, the oracle of `slrc.verify._max_disjoint`.
 `layout_encode` encodes a message of a constructed code in two
 stages, line parities and then global parities, as the oracle of
 `slrc.construct.ConstructedCode.encode`; `syndrome` is H w one scalar
-at a time, the oracle of the code membership `encode` checks.
+at a time, the oracle that every word `encode` gives is a codeword.
 
 `brute_force_distance` lists every codeword, as the row space of a
 null-space basis of H, and takes the smallest nonzero weight.  `_rref`

@@ -271,7 +271,7 @@ def test_unit_codewords_bound_the_tolerance_at_delta3_points():
                                     design=design,
                                     mds=build_mds_parity(r, delta, GF(q)))
         code = build_parity_check(params)
-        P = code.parity_map
+        P = code.generator[:, code.k:]
         i = next(i for i in range(code.k) if not P[i, params.mu:].any())
         unit = [0] * code.k
         unit[i] = 1

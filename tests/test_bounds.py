@@ -6,6 +6,7 @@ from slrc.bounds import (exact_rate, rate_availability_bound, rate_formula,
                          rate_report, rate_resolvable, rate_seq_bound)
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
+from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.mds import build_mds_parity
 
@@ -66,6 +67,15 @@ def test_report_flags_divergence():
     assert rep.exact == Fraction(3, 8)
     assert rep.formula == Fraction(1, 5)
     assert any("diverges" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("point,named", [
+    ((2, 2, 3), "r = 2"), ((3, 3, 3), "t_i = 3"),
+    ((2, 2, 2), "r = 2, delta = 2 but the code has r = 3, delta = 3")])
+def test_report_refuses_a_point_other_than_the_codes(point, named):
+    # the exact rate belongs to the code's own (r, t_i, delta)
+    with pytest.raises(ParameterError, match=named):
+        rate_report(*point, params=_reference_params())
 
 
 def test_report_flags_even_t_hypothesis():

@@ -599,6 +599,58 @@ def test_simulate_outside_layout_exits_2(tmp_path, capsys, col):
     assert _one_line_error(err) and "layout" in err
 
 
+def test_simulate_bent_h_with_leading_information_set_exits_0(tmp_path,
+                                                              capsys):
+    # a global-parity row reads message symbol 1: H is outside its
+    # layout, but coordinates 1..k are still an information set, so
+    # every message encodes and every trial within t* repairs
+    code = reference_code()
+    doc = matrix_to_dict(code)
+    doc["entries"][code.params.mu * code.n] = 1
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "simulate", "--in", str(path), "--t", "3",
+                          "--trials", "200")
+    assert (rc, err) == (0, "")
+    assert json.loads(stdout)["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--r", "0"], ["verify", "--r", "-1"],
+    ["simulate", "--r", "0", "--t", "2"]])
+def test_locality_below_one_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "code.json"
+    save_matrix(reference_code(), path)
+    rc, stdout, err = run(capsys, command[0], "--in", str(path),
+                          *command[1:])
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and f"got {command[2]}" in err
+
+
+@pytest.mark.parametrize("point,named", [
+    (("2", "2", "2"), "r = 2, delta = 2 but the code has r = 3, delta = 3"),
+    (("3", "1", "3"), "t_i = 1 but the code has t_i = 2")])
+def test_bounds_point_other_than_the_files_exits_2(tmp_path, capsys, point,
+                                                   named):
+    path = tmp_path / "code.json"
+    save_matrix(reference_code(), path)
+    r, ti, delta = point
+    rc, stdout, err = run(capsys, "bounds", "--r", r, "--ti", ti,
+                          "--delta", delta, "--in", str(path))
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and named in err
+
+
+def test_verify_t_and_max_t_together_is_a_usage_error(tmp_path, capsys):
+    # one would silently win: the failing t = 7 claim went unchecked
+    path = tmp_path / "code.json"
+    save_matrix(reference_code(), path)
+    rc, stdout, err = _outcome(capsys, lambda: main(
+        ["verify", "--in", str(path), "--t", "7", "--max-t", "9"]))
+    assert rc == 2 and stdout == ""
+    assert "not allowed with argument --t" in err
+
+
 def _counted_peel_tables():
     """Empties `peel_table`'s memo; returns a function giving its misses
     since, the number of tables built."""

@@ -1,18 +1,14 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import strategies
-from dual_oracle import layout_encode, syndrome
+from dual_oracle import _rref, layout_encode, syndrome
 from slrc.construct import (SHAPE_KEYS, CodeShape, ConstructionParams,
                             build_parity_check, build_w_star, code_params,
                             constructed_from_matrix, expand_m_star)
 from slrc.designs import affine_design, complete_graph_design
-from slrc.errors import ConstructionError, FieldError, ParameterError
+from slrc.errors import FieldError, ParameterError
 from slrc.field import GF
 from slrc.linear import LinearCode
 from slrc.mds import build_mds_parity
@@ -197,35 +193,17 @@ def test_encode_rejects_bad_length():
 
 def test_encode_rejects_h_outside_layout():
     code = reference_code()
+    shape = {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4}
     H = code.H.copy()
     H[code.params.mu, 0] = 1     # a global-parity row reads a message symbol
-    bent = constructed_from_matrix(
-        code.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
-    assert bent.encode([0] * 6) == (0,) * 16
-    with pytest.raises(ConstructionError, match="not a codeword"):
-        bent.encode([1, 0, 0, 0, 0, 0])
-
-
-def test_encode_check_survives_optimize_flag():
-    # the membership check is not an assert, so python -O keeps it
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    script = (
-        "from slrc.construct import constructed_from_matrix\n"
-        "from slrc.errors import ConstructionError\n"
-        "from slrc.reference import reference_code\n"
-        "code = reference_code()\n"
-        "H = code.H.copy()\n"
-        "H[code.params.mu, 0] = 1\n"
-        "bent = constructed_from_matrix(code.field, H, {'r': 3, 'delta': 3,"
-        " 't_i': 2, 'k': 6, 'b': 4})\n"
-        "try:\n"
-        "    bent.encode([1, 0, 0, 0, 0, 0])\n"
-        "except ConstructionError:\n"
-        "    print('raised')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script],
-                         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "raised"
+    bent = constructed_from_matrix(code.field, H, shape)
+    # 0..k-1 is still an information set, so the word carries m there
+    word = bent.encode([1, 0, 0, 0, 0, 0])
+    assert word[:6] == (1, 0, 0, 0, 0, 0)
+    assert not any(syndrome(code.field, H, word))
+    H[:, 6] = 0                  # line parity 7 is now free: dimension 7
+    with pytest.raises(ParameterError, match="layout"):
+        constructed_from_matrix(code.field, H, shape).encode([0] * 6)
 
 
 def test_encode_rejects_symbol_outside_field():
@@ -244,15 +222,16 @@ def test_encode_rejects_non_integer_symbols(message):
         reference_code().encode(message)
 
 
-def test_parity_map_is_k_by_n_minus_k_in_the_field_dtype():
+def test_generator_is_identity_then_parity_in_the_field_dtype():
     code = reference_code()
-    P = code.parity_map
-    assert P.shape == (6, 10) and P.dtype == code.field.dtype
-    assert code.parity_map is P
+    G = code.generator
+    assert G.shape == (code.dimension, 16) == (6, 16)
+    assert G.dtype == code.field.dtype
+    assert (G[:, :6] == np.eye(6)).all()
     for i in range(6):
         unit = [0] * 6
         unit[i] = 1
-        assert code.encode(unit)[6:] == tuple(P[i].tolist())
+        assert code.encode(unit) == tuple(G[i].tolist())
 
 
 @st.composite
@@ -271,21 +250,35 @@ def maybe_bent_codes(draw):
         code.field, H, {key: getattr(code.params, key) for key in SHAPE_KEYS})
 
 
+def _leads_with_information_set(code):
+    """Whether coordinates 0..k-1 are an information set: the other
+    n - k columns of H are independent and span its column space."""
+    H = code.H.tolist()
+    rank = len(_rref(code.field, H)[1])
+    rest = len(_rref(code.field, [row[code.k:] for row in H])[1])
+    return rank == rest == code.n - code.k
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_encode_matches_layout_oracle(data):
-    # encode proves once per code that H is in its layout; with H bent
-    # anywhere it must still refuse exactly the words H does not annihilate
+    # with H bent anywhere, encode refuses exactly the codes whose
+    # first k coordinates are no information set, and every word it
+    # gives is a codeword carrying the message
     code = data.draw(maybe_bent_codes())
     message = data.draw(strategies.messages(code))
-    word = layout_encode(code, message)
-    if any(syndrome(code.field, code.H, word)):
-        with pytest.raises(ConstructionError, match="not a codeword"):
+    if not _leads_with_information_set(code):
+        with pytest.raises(ParameterError, match="layout"):
             code.encode(message)
-    else:
-        assert code.encode(message) == word
-        assert code.encode(np.array(message, dtype=np.int64)) == word
-        assert all(type(a) is int for a in code.encode(message))
+        return
+    word = code.encode(message)
+    assert not any(syndrome(code.field, code.H, word))
+    assert word[:code.k] == tuple(message)
+    assert code.encode(np.array(message, dtype=np.int64)) == word
+    assert all(type(a) is int for a in word)
+    layout_word = layout_encode(code, message)
+    if not any(syndrome(code.field, code.H, layout_word)):
+        assert word == layout_word
 
 
 def test_encode_makes_no_field_product_per_word(monkeypatch):

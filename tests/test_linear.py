@@ -238,6 +238,35 @@ def test_dual_low_weight_matches_rowspace_oracle(field_and_h, wmax):
     assert words == dual_oracle.rowspace_words(field, H, wmax)
 
 
+def _first_information_set(field, H):
+    """The columns left when H's columns are picked greedily from the
+    right, each kept when it raises the rank of those kept: the
+    lexicographically first information set of the code."""
+    kept = []
+    for j in reversed(range(H.shape[1])):
+        cols = kept + [j]
+        if len(dual_oracle._rref(field, H[:, cols].tolist())[1]) == len(cols):
+            kept = cols
+    return [j for j in range(H.shape[1]) if j not in kept]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_parity_checks(), st.data())
+def test_encode_carries_the_message_on_the_first_information_set(
+        field_and_h, data):
+    field, H = field_and_h
+    code = LinearCode(field, H)
+    info = _first_information_set(field, H)
+    G = code.generator
+    assert G.shape == (len(info), H.shape[1]) and G.dtype == field.dtype
+    assert (G[:, info] == np.eye(len(info))).all()
+    message = data.draw(st.lists(st.integers(0, field.q - 1),
+                                 min_size=len(info), max_size=len(info)))
+    word = code.encode(np.array(message, dtype=np.int64))
+    assert not any(dual_oracle.syndrome(field, H, word))
+    assert [word[j] for j in info] == message
+
+
 def _one_key(calls):
     """A stand-in for `linear._residual_keys` that gives every residual
     one key, so the last level eliminates every pair."""

@@ -221,3 +221,17 @@ def test_first_stopping_set_matches_oracle_on_any_masks(masks):
     first = dual_oracle.first_stopping_sets(masks)
     assert [_first_stopping_set(masks, size, [MAX_NODES])
             for size in range(1, len(masks) + 1)] == first
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_checks_refuse_locality_below_one(r):
+    # every r-taking check reads peel_table, which refuses r < 1 instead
+    # of a table with no recovery sets
+    ref = reference_code()
+    for call in (lambda: peel_table(ref, r),
+                 lambda: check_sequential(ref, r, 2),
+                 lambda: max_sequential_t(ref, r, 4),
+                 lambda: plan_repair(ref, {0}, r),
+                 lambda: trial_campaign(ref, r, 2, 5, 0)):
+        with pytest.raises(ParameterError, match=f"r must be >= 1, got {r}"):
+            call()

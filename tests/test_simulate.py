@@ -181,7 +181,7 @@ CAMPAIGN_PINS = {
         "93857c6a6cbec8dd07b5da269c1e28564330867dc21016567307b17924ebee91",
         "20ee2c322f947d9e4c9e0f0bd62e5379da76d2c247084f1d0d8e6d504a5955d9"),
     # a matrix file without a params block, so the CLI needs --r and the
-    # campaign takes its generator branch
+    # campaign encodes with a plain LinearCode
     "plain-t4-s5": (_plain_reference, 3, 4, 5, 1.0, 0,
         "8f685fdf7ffc8ec396518513082743886aeedd8a45ea93ab75a55a870b1259bf",
         "701890bb46b9f7560b464fa6e7d07b9614ffab41f0cdb21003b143ed3fdb55e6"),
