@@ -18,11 +18,11 @@ for r, delta in ((3, 3), (3, 2), (4, 3)):
     code = build_parity_check(params)
     rep = rate_report(r, 2, delta, params=params)
     print(f"r = {r}, delta = {delta}, t_i = 2 -> [{code.n}, {code.k}] code")
-    for key, val in rep.to_dict().items():
+    for key, val in rep.items():
         if key == "notes":
             for note in val:
                 print(f"    note: {note}")
         else:
             print(f"    {key}: {val}")
-    assert rep.exact == Fraction(code.k, code.n)
+    assert rep["exact_rate"] == Fraction(code.k, code.n)
     print()

@@ -8,12 +8,12 @@ from .designs import (Design, affine_design, complete_graph_design,
 from .construct import (CodeShape, ConstructedCode, ConstructionParams,
                         build_parity_check, build_w_star, code_params,
                         constructed_from_matrix, expand_m_star)
-from .linear import (LinearCode, RecoverySet, dual_low_weight, min_distance,
+from .linear import (LinearCode, RepairStep, dual_low_weight, min_distance,
                      puncture, recovery_sets_for)
 from .verify import (check_code_structure, check_information_locality,
                      check_sequential, max_sequential_t, rank_report)
-from .simulate import (RepairSchedule, RepairStep, execute_repair,
-                       plan_repair, trial_campaign)
+from .simulate import (RepairSchedule, execute_repair, plan_repair,
+                       trial_campaign)
 from .bounds import (rate_availability_bound, rate_formula, rate_report,
                      rate_resolvable, rate_seq_bound, exact_rate)
 from .errors import (ConstructionError, DesignError, FieldError,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import CodeShape, code_params
@@ -58,40 +57,16 @@ def exact_rate(params: CodeShape):
     return code_params(params)["rate"]
 
 
-@dataclass
-class RateReport:
-    r: int
-    t_i: int
-    delta: int
-    t: int
-    exact: Fraction | None
-    formula: Fraction
-    availability_bound: Fraction
-    seq2_bound: Fraction
-    seq3_bound: Fraction
-    resolvable_rate: Fraction
-    notes: list
-
-    def to_dict(self):
-        def fr(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
-        return {
-            "r": self.r, "t_i": self.t_i, "delta": self.delta, "t": self.t,
-            "exact_rate": fr(self.exact),
-            "closed_form_rate": fr(self.formula),
-            "availability_bound": fr(self.availability_bound),
-            "2seq_bound": fr(self.seq2_bound),
-            "3seq_bound": fr(self.seq3_bound),
-            "resolvable_family_rate": fr(self.resolvable_rate),
-            "notes": list(self.notes),
-        }
-
-
 def rate_report(r, t_i, delta, params: CodeShape = None):
-    """Collect every applicable bound next to the construction's exact
-    rate, flagging hypothesis violations and divergences.  Raises
-    ParameterError when params has another r, t_i or delta: the exact
+    """The rate table, in print order: every applicable bound next to
+    the construction's exact rate (None without params), as Fractions
+    strictly inside (0, 1), then notes flagging hypothesis violations
+    and divergences.  Raises ParameterError for r < 1, t_i < 1 or
+    delta < 2, and when params has another r, t_i or delta: the exact
     rate would be another code's."""
+    if r < 1 or t_i < 1 or delta < 2:
+        raise ParameterError(f"need r >= 1, t_i >= 1 and delta >= 2, got "
+                             f"r = {r}, t_i = {t_i}, delta = {delta}")
     t = t_i * (delta - 1)
     notes = []
     exact = None
@@ -110,13 +85,13 @@ def rate_report(r, t_i, delta, params: CodeShape = None):
     if not (t >= 3 and t % 2 == 1):
         notes.append(
             f"resolvable-family rate stated for odd t >= 3; t = {t} is outside")
-    return RateReport(
-        r=r, t_i=t_i, delta=delta, t=t,
-        exact=exact,
-        formula=formula,
-        availability_bound=rate_availability_bound(r, t),
-        seq2_bound=rate_seq_bound(r, 2),
-        seq3_bound=rate_seq_bound(r, 3),
-        resolvable_rate=rate_resolvable(r, t),
-        notes=notes,
-    )
+    return {
+        "r": r, "t_i": t_i, "delta": delta, "t": t,
+        "exact_rate": exact,
+        "closed_form_rate": formula,
+        "availability_bound": rate_availability_bound(r, t),
+        "2seq_bound": rate_seq_bound(r, 2),
+        "3seq_bound": rate_seq_bound(r, 3),
+        "resolvable_family_rate": rate_resolvable(r, t),
+        "notes": notes,
+    }

@@ -158,7 +158,7 @@ def cmd_bounds(args):
         if params is None:
             raise ParameterError("matrix file has no params block")
         shape = code.params
-    d = rate_report(args.r, args.ti, args.delta, shape).to_dict()
+    d = rate_report(args.r, args.ti, args.delta, shape)
     notes = d.pop("notes")
     width = max(map(len, d))
     for key, value in d.items():
@@ -202,15 +202,15 @@ def cmd_demo_paper(args):
     p = code.params
     struct = check_code_structure(code)
     print(f"structure battery: {'pass' if struct.all_hold else 'FAIL'}")
-    seq = check_sequential(code, p.r, p.t_claim)
-    print(f"sequential recovery at t = {p.t_claim}: "
-          f"{'pass' if seq.holds else 'FAIL'}")
+    # one stopping-set search: recovery at t_claim <= 9 is t* >= t_claim
     rep = max_sequential_t(code, p.r, cap=9)
+    seq = rep.t_star >= p.t_claim
+    print(f"sequential recovery at t = {p.t_claim}: "
+          f"{'pass' if seq else 'FAIL'}")
     print(f"measured t* = {rep.t_star} (cap 9)")
     print(f"claimed tolerance {p.t_abstract}: "
           f"{'holds' if rep.t_star >= p.t_abstract else 'does not hold'}")
-    ok = (loc.conditions_1_4 and struct.all_hold and seq.holds
-          and rep.t_star >= p.t_claim)
+    ok = loc.conditions_1_4 and struct.all_hold and seq
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -12,7 +12,9 @@ a search over column sets of the generator on arrays of the field's
 compact dtype.  The search gathers rows with `take` and builds its last
 level as a join: it sorts the pairs of the level before by (set,
 residual key) and pairs up entries within runs of equal keys, instead
-of expanding every (set, later column) pair.
+of expanding every (set, later column) pair.  A recovery set is one
+`RepairStep` record, built by `peel_table`, and `simulate.plan_repair`
+returns those records as its steps.
 """
 
 from __future__ import annotations
@@ -69,10 +71,11 @@ def _kernel(field, R, pivots):
 
 
 @dataclass(frozen=True)
-class RecoverySet:
-    """Helpers and coefficients expressing coordinate `target` as a
-    linear combination valid on every codeword."""
-    target: int
+class RepairStep:
+    """A recovery set: helpers and coefficients expressing coordinate
+    `repaired` as a linear combination valid on every codeword, and so
+    one step of a repair schedule."""
+    repaired: int
     helpers: tuple
     coeffs: tuple
 
@@ -125,12 +128,6 @@ class LinearCode:
             fld.check(next(a for a in symbols if not 0 <= a < fld.q))
         return tuple(fld.vsum(fld.mul_table[msg[:, None], self._generator],
                               axis=0).tolist())
-
-    def contains(self, word):
-        fld, word = self.field, np.asarray(word)
-        if word.size and (word.min() < 0 or word.max() >= fld.q):
-            raise FieldError("word entries outside field range")
-        return not fld.vsum(fld.vmul(self.H, word)).any()
 
 
 def min_distance(code: LinearCode):
@@ -438,8 +435,8 @@ def peel_table(code: LinearCode, r):
     recovery sets of size <= r, ordered by (helpers, coeffs): the rest of
     the support of each dual word through i, with coefficients giving c_i
     as the helpers' combination.  Distinct normalized words give distinct
-    sets, so none repeats.  `repair_step` and the stopping-set search
-    read the bitmasks.
+    sets, so none repeats.  `simulate.plan_repair` and the stopping-set
+    search read the bitmasks.
 
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
@@ -457,8 +454,8 @@ def peel_table(code: LinearCode, r):
             helpers = tuple(j for j in support if j != i)
             scale = field.neg(field.inv(dw.vector[i]))
             coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
-            table[i].append((mask ^ (1 << i), RecoverySet(
-                target=i, helpers=helpers, coeffs=coeffs)))
+            table[i].append((mask ^ (1 << i), RepairStep(
+                repaired=i, helpers=helpers, coeffs=coeffs)))
     return tuple(tuple(sorted(row, key=lambda entry: (entry[1].helpers,
                                                       entry[1].coeffs)))
                  for row in table)
@@ -475,13 +472,3 @@ def recovery_sets_for(code: LinearCode, i, r):
     """All recovery sets of size <= r for coordinate i."""
     return all_recovery_sets(code, r)[i]
 
-
-def repair_step(peel, members, erased_mask):
-    """One peeling step: the lexicographically smallest recovery set,
-    avoiding every coordinate in `erased_mask`, of the first of `members`
-    that has one; None when the members are stuck."""
-    for i in members:
-        for mask, rs in peel[i]:
-            if not mask & erased_mask:
-                return rs
-    return None

@@ -2,12 +2,13 @@
 
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
-schedules deterministic.  Each step is `linear.repair_step` on the
-`peel_table` that `verify`'s stopping-set search also reads; its
-one-entry memo hands every plan of a campaign the same table.  Within
-the certified tolerance the peeling condition guarantees greedy never
-gets stuck, so no backtracking is needed; outside it, a stuck state is
-a structured result.
+schedules deterministic.  Each step is a `linear.RepairStep` record of
+the `peel_table` that `verify`'s stopping-set search also reads, the
+record itself and not a copy; the table's one-entry memo hands every
+plan of a campaign the same table.  Within the certified tolerance the
+peeling condition guarantees greedy never gets stuck, so no
+backtracking is needed; outside it, a stuck state is a structured
+result.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linear import peel_table, repair_step
-
-
-@dataclass(frozen=True)
-class RepairStep:
-    repaired: int
-    helpers: tuple
-    coeffs: tuple
+from .linear import peel_table
 
 
 @dataclass(frozen=True)
@@ -76,13 +70,16 @@ def plan_repair(code, erased, r):
         mask |= 1 << i
     steps = []
     while remaining:
-        rs = repair_step(peel, remaining, mask)
-        if rs is None:
+        # the first recovery set, by coordinate and then by helpers, that
+        # avoids every erased coordinate
+        step = next((step for i in remaining for helper_mask, step in peel[i]
+                     if not helper_mask & mask), None)
+        if step is None:
             return RepairSchedule(erased, tuple(steps), False,
                                   tuple(remaining))
-        steps.append(RepairStep(rs.target, rs.helpers, rs.coeffs))
-        remaining.remove(rs.target)
-        mask ^= 1 << rs.target
+        steps.append(step)
+        remaining.remove(step.repaired)
+        mask ^= 1 << step.repaired
     return RepairSchedule(erased, tuple(steps), True)
 
 

@@ -43,7 +43,7 @@ import itertools
 
 import numpy as np
 
-from slrc.linear import DualWord, RecoverySet
+from slrc.linear import DualWord, RepairStep
 
 SLICE = 1 << 16
 
@@ -258,7 +258,8 @@ def recovery_sets_oracle(field, words, i):
         coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
         if (helpers, coeffs) not in seen:
             seen.add((helpers, coeffs))
-            sets.append(RecoverySet(target=i, helpers=helpers, coeffs=coeffs))
+            sets.append(RepairStep(repaired=i, helpers=helpers,
+                                   coeffs=coeffs))
     sets.sort(key=lambda s: (len(s.helpers), s.helpers, s.coeffs))
     return sets
 

@@ -112,11 +112,11 @@ def test_criterion_08_rate_accounting():
     p = code.params
     rep = rate_report(p.r, p.t_i, p.delta, params=p)
     n_formula = p.k + p.b * (p.delta - 1) + p.w_blocks * (p.delta - 1)
-    ok = (rep.exact == Fraction(3, 8)
+    ok = (rep["exact_rate"] == Fraction(3, 8)
           and Fraction(code.dimension, n_formula) == Fraction(3, 8)
           and n_formula == code.n
-          and rep.formula == Fraction(1, 5)
-          and any("diverges" in note for note in rep.notes))
+          and rep["closed_form_rate"] == Fraction(1, 5)
+          and any("diverges" in note for note in rep["notes"]))
     report(8, "exact rate 3/8 from both counts, formula 1/5 flagged", ok)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import strategies
 from slrc.bounds import (exact_rate, rate_availability_bound, rate_formula,
                          rate_report, rate_resolvable, rate_seq_bound)
 from slrc.construct import ConstructionParams, build_parity_check
@@ -64,9 +65,9 @@ def test_exact_rate_matches_matrix_dimensions():
 
 def test_report_flags_divergence():
     rep = rate_report(3, 2, 3, params=_reference_params())
-    assert rep.exact == Fraction(3, 8)
-    assert rep.formula == Fraction(1, 5)
-    assert any("diverges" in n for n in rep.notes)
+    assert rep["exact_rate"] == Fraction(3, 8)
+    assert rep["closed_form_rate"] == Fraction(1, 5)
+    assert any("diverges" in n for n in rep["notes"])
 
 
 @pytest.mark.parametrize("point,named", [
@@ -80,11 +81,52 @@ def test_report_refuses_a_point_other_than_the_codes(point, named):
 
 def test_report_flags_even_t_hypothesis():
     rep = rate_report(3, 2, 3)
-    assert any("odd t" in n for n in rep.notes)
+    assert any("odd t" in n for n in rep["notes"])
+
+
+RATE_KEYS = ("exact_rate", "closed_form_rate", "availability_bound",
+             "2seq_bound", "3seq_bound", "resolvable_family_rate")
+
+
+def test_report_is_the_printed_table_in_order():
+    rep = rate_report(3, 2, 3, params=_reference_params())
+    assert tuple(rep) == ("r", "t_i", "delta", "t") + RATE_KEYS + ("notes",)
+    assert (rep["r"], rep["t_i"], rep["delta"], rep["t"]) == (3, 2, 3, 4)
+
+
+def _reports():
+    """The report at r 1..7, t_i 1..4, delta 2..5 without params, and at
+    each admissible (r, delta, t_i, design) with its code's params."""
+    for r in range(1, 8):
+        for t_i in range(1, 5):
+            for delta in range(2, 6):
+                yield rate_report(r, t_i, delta)
+    seen = set()
+    for point in strategies.ADMISSIBLE:
+        r, delta, t_i, _, design, _ = point
+        if (r, delta, t_i, design) not in seen:
+            seen.add((r, delta, t_i, design))
+            yield rate_report(r, t_i, delta,
+                              params=strategies.build(*point).params)
 
 
 def test_all_values_in_unit_interval():
-    rep = rate_report(4, 2, 2)
-    for v in (rep.formula, rep.availability_bound, rep.seq2_bound,
-              rep.seq3_bound, rep.resolvable_rate):
-        assert 0 < v <= 1
+    # the CLI prints str(Fraction), which reads num/den only for a value
+    # that is not an integer
+    for rep in _reports():
+        for key in RATE_KEYS:
+            v = rep[key]
+            if v is None:
+                assert key == "exact_rate"
+                continue
+            assert isinstance(v, Fraction) and 0 < v < 1
+            assert str(v) == f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("point", [(0, 2, 3), (3, 0, 3), (3, 2, 1),
+                                   (-1, 2, 3), (3, 2, 0)])
+def test_report_refuses_a_point_outside_the_family(point):
+    r, t_i, delta = point
+    with pytest.raises(ParameterError, match=f"got r = {r}, t_i = {t_i}, "
+                                             f"delta = {delta}"):
+        rate_report(r, t_i, delta)

@@ -641,6 +641,19 @@ def test_bounds_point_other_than_the_files_exits_2(tmp_path, capsys, point,
     assert _one_line_error(err) and named in err
 
 
+@pytest.mark.parametrize("point", [("0", "2", "3"), ("3", "0", "3"),
+                                   ("3", "2", "1")])
+def test_bounds_outside_the_family_exits_2(capsys, point):
+    # r = 0 divided by zero and t = 0 failed a bound's own check: both
+    # exited 1, the code of a failed verification, with a traceback
+    r, ti, delta = point
+    rc, stdout, err = run(capsys, "bounds", "--r", r, "--ti", ti,
+                          "--delta", delta)
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err)
+    assert f"got r = {r}, t_i = {ti}, delta = {delta}" in err
+
+
 def test_verify_t_and_max_t_together_is_a_usage_error(tmp_path, capsys):
     # one would silently win: the failing t = 7 claim went unchecked
     path = tmp_path / "code.json"

@@ -178,11 +178,10 @@ def test_encode_unit_message():
 
 def test_encode_random_membership():
     code = reference_code()
-    lc = code.as_linear_code()
     rng = np.random.default_rng(23)
     for _ in range(200):
         word = code.encode([int(x) for x in rng.integers(0, 4, size=6)])
-        assert lc.contains(word)
+        assert not any(syndrome(code.field, code.H, word))
 
 
 def test_encode_rejects_bad_length():
@@ -301,11 +300,10 @@ def test_encode_prime_field_membership():
                                 design=affine_design(4, 2),
                                 mds=build_mds_parity(4, 3, fld))
     code = build_parity_check(params)
-    lc = code.as_linear_code()
     rng = np.random.default_rng(29)
     for _ in range(20):
         word = code.encode([int(x) for x in rng.integers(0, 5, size=code.k)])
-        assert lc.contains(word)
+        assert not any(syndrome(code.field, code.H, word))
 
 
 def test_constructed_from_matrix_round_trip():

@@ -352,14 +352,11 @@ def _no_lookup(*args):
 
 
 def test_linear_code_rejects_entries_outside_the_field(monkeypatch):
-    lc = LinearCode(GF(4), [[1, 1]])
     monkeypatch.setattr(GF, "vmul", _no_lookup)
     monkeypatch.setattr(GF, "vadd", _no_lookup)
     for bad in (4, -1):
         with pytest.raises(FieldError, match="outside field range"):
             LinearCode(GF(4), [[1, 2], [3, bad]])
-        with pytest.raises(FieldError, match="outside field range"):
-            lc.contains([1, bad])
 
 
 def test_matrix_document_rejects_entries_outside_the_field(monkeypatch):

@@ -59,7 +59,7 @@ def test_plan_repair_matches_peeling_oracle(case):
     assert schedule.residual == residual
     if schedule.complete:
         word = _codeword(field, H, message)
-        assert lc.contains(word)
+        assert not any(dual_oracle.syndrome(field, H, word))
         assert execute_repair(lc, word, erased, schedule) == word
 
 
@@ -82,7 +82,7 @@ def test_all_recovery_sets_is_the_by_size_view_of_peel_table(code, r):
         sets = [rs for _, rs in row]
         assert sets == sorted(sets, key=lambda rs: (rs.helpers, rs.coeffs))
         for mask, rs in row:
-            assert rs.target == i and i not in rs.helpers
+            assert rs.repaired == i and i not in rs.helpers
             assert mask == sum(1 << h for h in rs.helpers)
     # sorted() is stable: equal sizes keep the (helpers, coeffs) order
     assert all_recovery_sets(code, r) == [

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dual_oracle
+import slrc
 import strategies
 from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import ParameterError
-from slrc.linear import LinearCode
+from slrc.linear import LinearCode, peel_table
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc.simulate import execute_repair, plan_repair, trial_campaign
@@ -75,12 +77,11 @@ def test_uncertified_pattern_reports_stuck(ref):
 
 
 def test_non_codeword_input_fails_membership(ref):
-    lc = ref.as_linear_code()
     word = list(ref.encode([1, 0, 2, 3, 1, 0]))
     word[5] = (word[5] + 1) % 4  # corrupt a surviving symbol
     sched = plan_repair(ref, {0}, 3)
     restored = execute_repair(ref, tuple(word), {0}, sched)
-    assert not lc.contains(restored)
+    assert any(dual_oracle.syndrome(ref.field, ref.H, restored))
 
 
 def test_campaign_certified_success(ref):
@@ -132,6 +133,22 @@ def test_plan_holds_python_ints(ref):
     assert schedule == plan_repair(ref, [0, 6], 3)
     assert all(type(i) is int for i in schedule.erased)
     assert json.loads(json.dumps(schedule.to_dict()))["erased"] == [1, 7]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.codes, st.data())
+def test_plan_steps_are_the_peel_tables_own_records(code, data):
+    r = code.params.r
+    erased = data.draw(st.sets(st.integers(0, code.n - 1), max_size=8))
+    schedule = plan_repair(code, erased, r)
+    table = peel_table(code, r)
+    for step in schedule.steps:
+        assert any(rs is step for _, rs in table[step.repaired])
+
+
+def test_one_repair_step_record_is_exported():
+    assert slrc.RepairStep is slrc.linear.RepairStep
+    assert not hasattr(slrc, "RecoverySet")
 
 
 @pytest.mark.parametrize("erased", [{0, 5}, set(), {5}])

@@ -10,7 +10,7 @@ from slrc.construct import (ConstructionParams, build_parity_check,
                             constructed_from_matrix)
 from slrc.errors import InfeasibleError
 from slrc.field import GF
-from slrc.linear import LinearCode, RecoverySet, all_recovery_sets
+from slrc.linear import LinearCode, RepairStep, all_recovery_sets
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 from slrc.verify import (_max_disjoint, check_code_structure,
@@ -255,7 +255,7 @@ def _same_family(got, want):
                 max_size=14))
 def test_max_disjoint_matches_set_oracle(helper_sets):
     # repeated and overlapping helper sets, in any order
-    sets = [RecoverySet(target=12, helpers=tuple(sorted(h)), coeffs=())
+    sets = [RepairStep(repaired=12, helpers=tuple(sorted(h)), coeffs=())
             for h in helper_sets]
     assert _same_family(_max_disjoint(sets),
                         dual_oracle.max_disjoint_sets(sets))
