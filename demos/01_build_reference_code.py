@@ -35,7 +35,7 @@ print(code.H)
 
 cp = code_params(params)
 print(f"\nparameters: n = {cp['n']}, k = {cp['k']}, rate = {cp['rate']}")
-print(f"coordinate roles: {dict((role, sum(1 for x in code.coordinate_roles if x == role)) for role in ('information', 'line_parity', 'global_parity'))}")
+print(f"coordinate roles: {dict((role, sum(1 for x in code.params.roles if x == role)) for role in ('information', 'line_parity', 'global_parity'))}")
 
 message = [1, 0, 2, 0, 0, 3]
 word = code.encode(message)

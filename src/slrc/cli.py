@@ -3,7 +3,7 @@
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
 field, design or matrix file, or an MDS style that fails at the requested
-point), 3 I/O error, 4 search over its budget,
+point), 3 I/O error, 4 a search or a generator over its budget,
 141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
 when the reader of standard output closes it early, as `| head -1` does;
 that case prints no error line.  Human-facing coordinates are 1-based.
@@ -67,8 +67,10 @@ def _load_design_arg(spec, r, t_i):
 
 def cmd_construct(args):
     fld = GF(args.q)
-    design = _load_design_arg(args.design, args.r, args.ti)
+    # the MDS matrix first: its q >= r + delta - 2, with q <= 1024, bounds
+    # r before the complete-graph design's O(r^3) line loop runs
     mds = build_mds_parity(args.r, args.delta, fld, style=args.mds)
+    design = _load_design_arg(args.design, args.r, args.ti)
     params = ConstructionParams(r=args.r, delta=args.delta, t_i=args.ti,
                                 field=fld, design=design, mds=mds)
     code = build_parity_check(params)
@@ -125,7 +127,7 @@ def cmd_verify(args):
         ok &= struct.all_hold
         checks.append({"name": "structure_battery",
                        "pass": struct.all_hold,
-                       "witness": struct.to_dict()["statements"]})
+                       "witness": struct.statements})
         checks.append({"name": "rank", "pass": True,
                        "witness": rank_report(code)})
     report = {"params": params, "checks": checks, "pass": ok}

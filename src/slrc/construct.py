@@ -127,19 +127,9 @@ class ConstructedCode(LinearCode):
     def k(self):
         return self.params.k
 
-    @property
-    def coordinate_roles(self):
-        return self.params.roles
-
     def as_linear_code(self):
         """The code itself, which is a LinearCode."""
         return self
-
-    def line_parity_coords(self):
-        return range(self.k, self.k + self.params.mu)
-
-    def global_parity_coords(self):
-        return range(self.k + self.params.mu, self.n)
 
     def row_block_support(self, j):
         """Nonzero columns of row block j (0-based, j < b + w_blocks)."""

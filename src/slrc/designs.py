@@ -15,6 +15,7 @@ is 1-based.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -117,13 +118,14 @@ def validate_design(design: Design):
             return f"line {idx + 1} has {len(set(line))} points, expected {r}"
         if any(p < 0 or p >= design.k for p in line):
             return f"line {idx + 1} references a point outside [1, {design.k}]"
-    counts = [0] * design.k
-    for line in design.lines:
-        for p in line:
-            counts[p] += 1
-    for p, c in enumerate(counts):
-        if c != t_i:
-            return f"point {p + 1} lies on {c} lines, expected {t_i}"
+    counts = collections.Counter(p for line in design.lines for p in line)
+    # sized by the lines, not by k: unless every point is counted, one of
+    # 0..len(counts) is on no line, so the first miscounted point is among
+    # them or the counted
+    p = min((p for p in itertools.chain(range(len(counts) + 1), counts)
+             if p < design.k and counts[p] != t_i), default=None)
+    if p is not None:
+        return f"point {p + 1} lies on {counts[p]} lines, expected {t_i}"
     for i, line in enumerate(design.lines):
         for j in range(i + 1, design.b):
             common = set(line) & set(design.lines[j])

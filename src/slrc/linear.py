@@ -31,8 +31,9 @@ from .field import GF
 
 # `min_distance` refuses codes with more codewords than this.
 ENUM_LIMIT = 1 << 22
-# Bound, in bytes, on the estimated working set of `dual_low_weight`
-# and of one block of codewords in `min_distance`.
+# Bound, in bytes, on the generator `LinearCode` builds, on the estimated
+# working set of `dual_low_weight` and on one block of codewords in
+# `min_distance`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -87,7 +88,8 @@ class DualWord:
 
 
 class LinearCode:
-    """A linear code given by a parity-check matrix over GF(q)."""
+    """A linear code given by a parity-check matrix over GF(q); raises
+    InfeasibleError when its generator would exceed DUAL_BYTE_BUDGET."""
 
     def __init__(self, field: GF, H):
         self.field = field
@@ -102,6 +104,11 @@ class LinearCode:
         R, pivots = rref(field, H[:, ::-1])
         self.rank = len(pivots)
         self.dimension = self.n - self.rank
+        # the generator and its flipped copy, checked before either exists
+        if 2 * self.dimension * self.n * field.dtype.itemsize > DUAL_BYTE_BUDGET:
+            raise InfeasibleError(
+                f"a {self.dimension} x {self.n} generator exceeds the "
+                f"{DUAL_BYTE_BUDGET}-byte budget")
         self._generator = _kernel(field, R, pivots)[::-1, ::-1].copy()
         self._dual_cache = {}
 
@@ -165,23 +172,23 @@ def puncture(code: LinearCode, keep):
                                             code.generator[:, keep]))
 
 
-def _full_support_words(field, u, Z, w, budget):
+def _full_support_words(field, u, Z, w):
     """Rows u + sum_j lam_j Z[:, j] over all lam in GF(q)^d whose first w
     slots are all nonzero; u is (P, slots), Z is (P, d, slots).  Returns
     (pair index, slot vector) arrays."""
     q = field.q
     P, d, slots = Z.shape
     per_pair = 4 * q ** d * slots * field.dtype.itemsize   # X, temporaries
-    if per_pair > budget:
+    if per_pair > DUAL_BYTE_BUDGET:
         raise InfeasibleError(
             f"{q}^{d} null-space combinations per dependent column set "
-            f"exceed the {budget}-byte dual-search budget")
+            f"exceed the {DUAL_BYTE_BUDGET}-byte dual-search budget")
     lam = np.array(list(itertools.product(range(q), repeat=d)),
                    dtype=field.dtype).reshape(q ** d, d)
     idx, vecs = [], []
     # a table lookup also holds its index, up to 4 bytes an entry, and
     # the 8-byte copy that `take` makes of it
-    block = max(1, budget // (per_pair + 12 * q ** d * slots))
+    block = max(1, DUAL_BYTE_BUDGET // (per_pair + 12 * q ** d * slots))
     for lo in range(0, P, block):
         X = np.broadcast_to(u[lo:lo + block, None, :],
                             (min(block, P - lo), q ** d, slots))
@@ -194,7 +201,7 @@ def _full_support_words(field, u, Z, w, budget):
     return np.concatenate(idx), np.concatenate(vecs)
 
 
-def _low_weight_dual_words(field, G, wmax, budget):
+def _low_weight_dual_words(field, G, wmax):
     """All vectors y of weight in [1, wmax] with G y = 0, as an (M, n)
     array normalized so the leading nonzero entry is 1, unsorted.
 
@@ -246,10 +253,10 @@ def _low_weight_dual_words(field, G, wmax, budget):
     # k + 1 + wmax entries of the field's dtype and six intp indices.
     per_pair = 6 * (k + 1 + wmax) * dt.itemsize + 6 * 8
     cap = max(math.comb(n - 1, w) for w in range(wmax))
-    if cap * per_pair > budget:
+    if cap * per_pair > DUAL_BYTE_BUDGET:
         raise InfeasibleError(
             f"dual search over column sets of size <= {wmax} of {n} columns "
-            f"exceeds the {budget}-byte budget")
+            f"exceeds the {DUAL_BYTE_BUDGET}-byte budget")
     found, start = [], 0
     while start < n:
         # first columns [start, stop) have C(n - start, w) - C(n - stop, w)
@@ -259,7 +266,7 @@ def _low_weight_dual_words(field, G, wmax, budget):
                 math.comb(n - start, w) - math.comb(n - stop - 1, w) <= cap
                 for w in range(1, wmax + 1)):
             stop += 1
-        found += _search_from(field, Gt, wmax, start, stop, budget)
+        found += _search_from(field, Gt, wmax, start, stop)
         start = stop
     if not found:
         return np.zeros((0, n), dtype=dt)
@@ -308,7 +315,7 @@ def _join_pairs(parent, key, own):
     return a[by_ab], b[by_ab]
 
 
-def _search_from(field, Gt, wmax, start, stop, budget):
+def _search_from(field, Gt, wmax, start, stop):
     """Words over the column sets whose first column is in [start, stop),
     all searched in one pass of the levels."""
     n = len(Gt)
@@ -353,8 +360,7 @@ def _search_from(field, Gt, wmax, start, stop, budget):
                 continue
             Z = nulls.take(parent[sel], axis=0)[flags[nullity == d]].reshape(
                 len(sel), d, wmax)
-            pair, vec = _full_support_words(field, u.take(sel, axis=0), Z,
-                                            w, budget)
+            pair, vec = _full_support_words(field, u.take(sel, axis=0), Z, w)
             vec = field.vmul(field.vinv(vec[:, :1]), vec[:, :w])
             support = np.hstack([cols.take(parent[sel[pair]], axis=0),
                                  c[sel[pair], None]])
@@ -418,8 +424,7 @@ def dual_low_weight(code: LinearCode, wmax):
     words = next((arr for w, arr in sorted(code._dual_cache.items())
                   if w >= wmax), None)
     if words is None:
-        words = _low_weight_dual_words(code.field, code.generator, wmax,
-                                       DUAL_BYTE_BUDGET)
+        words = _low_weight_dual_words(code.field, code.generator, wmax)
         weight = np.count_nonzero(words, axis=1)
         words = words[np.lexsort(np.vstack([words.T[::-1], weight]))]
         code._dual_cache[wmax] = words

@@ -37,7 +37,7 @@ def matrix_to_dict(code):
         "rows": int(code.H.shape[0]),
         "cols": int(code.H.shape[1]),
         "entries": [int(x) for x in code.H.ravel()],
-        "coordinate_roles": None if p is None else list(code.coordinate_roles),
+        "coordinate_roles": None if p is None else list(p.roles),
         "params": None if p is None else {
             "r": p.r, "delta": p.delta, "t_i": p.t_i, "k": p.k, "b": p.b,
             "s": p.s, "mu": p.mu},

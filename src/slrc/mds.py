@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .field import GF
-from .linear import DUAL_BYTE_BUDGET, _low_weight_dual_words
+from .linear import _low_weight_dual_words
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def verify_mds(mds: MdsLocalMatrix):
     the witness is the 0-based support of the first such y by (weight,
     vector), a minimal dependent column set.  A search over
     DUAL_BYTE_BUDGET raises InfeasibleError."""
-    words = _low_weight_dual_words(mds.field, mds.matrix, mds.delta - 1,
-                                   DUAL_BYTE_BUDGET)
+    words = _low_weight_dual_words(mds.field, mds.matrix, mds.delta - 1)
     if not len(words):
         return True, None
     first = min(words.tolist(), key=lambda v: (len(v) - v.count(0), v))

@@ -28,13 +28,9 @@ def golden(name):
     return np.array(json.loads(text)["matrix"], dtype=np.int64)
 
 
-def reference_field():
-    return GF(4)
-
-
 def reference_code():
     """Construct the [16, 6] instance from scratch."""
-    fld = reference_field()
+    fld = GF(Q)
     design = complete_graph_design(R)
     mds = build_mds_parity(R, DELTA, fld, style="vandermonde")
     params = ConstructionParams(r=R, delta=DELTA, t_i=T_I, field=fld,

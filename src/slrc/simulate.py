@@ -29,19 +29,6 @@ class RepairSchedule:
     complete: bool
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
-    def to_dict(self):
-        return {
-            "erased": [i + 1 for i in self.erased],
-            "complete": self.complete,
-            "residual": [i + 1 for i in self.residual],
-            "steps": [
-                {"repaired": s.repaired + 1,
-                 "helpers": [h + 1 for h in s.helpers],
-                 "coeffs": list(s.coeffs)}
-                for s in self.steps
-            ],
-        }
-
 
 def _coordinate_error(code, erased):
     return ParameterError(f"erased coordinates must lie in 0..{code.n - 1}, "

@@ -162,19 +162,6 @@ class LocalityReport:
     conditions_1_4: bool
     failures: list
 
-    def to_dict(self):
-        return {
-            "conditions_1_4": self.conditions_1_4,
-            "failures": list(self.failures),
-            "per_coordinate": {
-                i + 1: {
-                    "supports": [[c + 1 for c in s] for s in rec["supports"]],
-                    "conditions": rec["conditions"],
-                }
-                for i, rec in self.per_coordinate.items()
-            },
-        }
-
 
 def check_information_locality(code: ConstructedCode):
     """Check the locality conditions for every information coordinate.
@@ -226,9 +213,6 @@ class StructureReport:
     def all_hold(self):
         return all(s["holds"] for s in self.statements.values())
 
-    def to_dict(self):
-        return {"statements": self.statements, "all_hold": self.all_hold}
-
 
 def check_code_structure(code: ConstructedCode):
     """Verify the four structural recovery-set claims of the construction.
@@ -252,8 +236,8 @@ def check_code_structure(code: ConstructedCode):
     }}
     # statements 2-4: each listed coordinate has a recovery set inside
     # the coordinates it may read (a set never holds its own target)
-    line_par = set(code.line_parity_coords())
-    glob_par = set(code.global_parity_coords())
+    line_par = {i for i, role in enumerate(p.roles) if role == "line_parity"}
+    glob_par = {i for i, role in enumerate(p.roles) if role == "global_parity"}
     for name, coords, allowed in (
             ("2", line_par, set(range(p.k))),
             ("3", range(p.k, p.k + p.w_blocks * p.r), line_par | glob_par),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from slrc.cli import EXIT_PIPE, main
 from slrc.construct import SHAPE_KEYS, constructed_from_matrix
 from slrc.designs import complete_graph_design
 from slrc.errors import ParameterError
+from slrc.field import GF
 from slrc.linear import peel_table
 from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
                            matrix_to_dict, save_matrix, save_matrix_csv)
@@ -37,7 +39,7 @@ def test_matrix_file_round_trip(tmp_path):
     fld, H, roles, params = load_matrix(path)
     assert fld == code.field
     assert (H == code.H).all()
-    assert roles == list(code.coordinate_roles)
+    assert roles == list(code.params.roles)
     assert params["k"] == 6 and params["mu"] == 8
     # byte-exact re-export
     save_matrix(code, tmp_path / "h2.json")
@@ -60,8 +62,7 @@ def test_export_import_is_bit_exact_on_drawn_codes(code):
     shape = SHAPE_KEYS + ("s", "mu", "n", "t_claim", "t_abstract")
     assert ([getattr(again.params, key) for key in shape]
             == [getattr(code.params, key) for key in shape])
-    assert roles == list(again.coordinate_roles) == list(
-        code.coordinate_roles)
+    assert roles == list(again.params.roles) == list(code.params.roles)
 
 
 def test_csv_round_trip(tmp_path):
@@ -480,6 +481,46 @@ def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert rc == 4
     assert stdout == ""
     assert _one_line_error(err) and "exceeds the budget" in err
+
+
+def test_construct_checks_the_field_before_the_design(capsys, monkeypatch):
+    # q = 4 < r + delta - 2 is refused before the complete-graph design,
+    # whose line loop costs O(r^3), is built
+    def no_design(r):
+        raise AssertionError("a design was built before the field check")
+    monkeypatch.setattr("slrc.cli.complete_graph_design", no_design)
+    rc, stdout, err = run(capsys, "construct", "--r", "2000", "--delta", "3",
+                          "--ti", "2", "--q", "4")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "field too small" in err
+
+
+def test_construct_design_file_with_a_huge_k_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 10 ** 12, "r": 3, "t_i": 2,
+                                "lines": [[1, 2, 3]]}))
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                          "--ti", "2", "--q", "4", "--design", f"file:{path}")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "point 1 lies on 1 lines" in err
+
+
+def test_over_budget_generator_is_refused_before_it_is_built(tmp_path,
+                                                             capsys):
+    # one GF(2) row over 6000 columns: the 5999 x 6000 generator and its
+    # flipped copy would take 72 MB, over the 64 MB budget
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": GF(2).spec_dict(), "rows": 1,
+                                "cols": 6000, "entries": [1] * 6000}))
+    tracemalloc.start()
+    try:
+        rc, stdout, err = run(capsys, "verify", "--in", str(path), "--r", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err) and "5999 x 6000 generator" in err
+    assert peak < 8 << 20
 
 
 def _outcome(capsys, call):

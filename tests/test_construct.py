@@ -312,7 +312,7 @@ def test_constructed_from_matrix_round_trip():
     again = constructed_from_matrix(
         code.field, code.H,
         {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4},
-        code.coordinate_roles)
+        code.params.roles)
     assert (again.H == code.H).all()
     assert again.params == shape
     assert again.params.mu == 8 and again.params.s == 2
@@ -340,7 +340,6 @@ def test_constructed_code_is_a_linear_code():
     assert isinstance(code, LinearCode)
     assert code.as_linear_code() is code
     assert code.n == code.params.n == code.H.shape[1]
-    assert code.coordinate_roles == code.params.roles
     assert code.field == code.params.field
 
 
@@ -357,7 +356,8 @@ def test_shape_n_and_roles_match_the_built_matrix(r, delta, t_i, q, design):
         mds=build_mds_parity(r, delta, fld)))
     p = code.params
     assert code.H.shape == (p.n - p.k, p.n)
-    assert list(code.line_parity_coords()) == [
-        i for i, role in enumerate(p.roles) if role == "line_parity"]
-    assert list(code.global_parity_coords()) == [
-        i for i, role in enumerate(p.roles) if role == "global_parity"]
+    # the roles name the identity blocks of [M* I 0; 0 W* I]
+    line = [i for i, role in enumerate(p.roles) if role == "line_parity"]
+    glob = [i for i, role in enumerate(p.roles) if role == "global_parity"]
+    assert (code.H[:p.mu, line] == np.eye(p.mu)).all()
+    assert (code.H[p.mu:, glob] == np.eye(len(glob))).all()

@@ -91,6 +91,17 @@ def test_validate_rejects_shared_pair():
     assert "share points [1, 2]" in validate_design(d)
 
 
+@pytest.mark.parametrize("lines,violation", [
+    # the K4 lines cover points 1..6 of k = 10^12, so point 7 is on none
+    (complete_graph_design(3).lines, "point 7 lies on 0 lines, expected 2"),
+    (((0, 1, 2),), "point 1 lies on 1 lines, expected 2"),
+])
+def test_validate_counts_points_by_the_lines(lines, violation):
+    # counts sized by k = 10^12 would not fit in memory
+    d = Design(k=10 ** 12, r=3, t_i=2, lines=lines)
+    assert validate_design(d) == violation
+
+
 def test_validate_rejects_bad_row_weight():
     d = Design(k=4, r=3, t_i=2, lines=((0, 1), (0, 1, 3)))
     assert "line 1" in validate_design(d)

@@ -308,9 +308,9 @@ def test_dual_low_weight_groups_first_columns_within_column_0(ref_lc,
     passes = []
     search = linear._search_from
 
-    def spy(field, Gt, wmax, start, stop, budget):
+    def spy(field, Gt, wmax, start, stop):
         passes.append((start, stop))
-        return search(field, Gt, wmax, start, stop, budget)
+        return search(field, Gt, wmax, start, stop)
     monkeypatch.setattr(linear, "_search_from", spy)
     lc = LinearCode(ref_lc.field, ref_lc.H)
     assert dual_low_weight(lc, 4) == want
