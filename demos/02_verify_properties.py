@@ -28,8 +28,9 @@ for j in range(code.params.b):
 loc = check_information_locality(code)
 print(f"\nlocality conditions 1-4 for all information symbols: "
       f"{loc.conditions_1_4}")
-print(f"supports of coordinate 1: "
-      f"{[[c + 1 for c in s] for s in loc.per_coordinate[0]['supports']]}")
+first = [s for s in map(code.row_block_support, range(code.params.b))
+         if 0 in s]
+print(f"supports of coordinate 1: {[[c + 1 for c in s] for s in first]}")
 
 struct = check_code_structure(code)
 print(f"structural recovery-set statements: "

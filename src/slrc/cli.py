@@ -26,8 +26,8 @@ from .errors import (ConstructionError, DesignError, FieldError,
                      InfeasibleError, ParameterError, SlrcError)
 from .field import GF
 from .linear import LinearCode
-from .matrixio import (load_matrix, load_matrix_csv, read_json, save_matrix,
-                       save_matrix_csv)
+from .matrixio import (load_matrix, load_matrix_csv, read_json, read_matrix,
+                       save_matrix, save_matrix_csv)
 from .mds import build_mds_parity
 from .simulate import trial_campaign
 from .verify import (check_code_structure, check_information_locality,
@@ -156,10 +156,9 @@ def cmd_simulate(args):
 def cmd_bounds(args):
     shape = None
     if args.infile:
-        code, params, _ = _load_code(args.infile)
-        if params is None:
+        shape = read_matrix(args.infile).params
+        if shape is None:
             raise ParameterError("matrix file has no params block")
-        shape = code.params
     d = rate_report(args.r, args.ti, args.delta, shape)
     notes = d.pop("notes")
     width = max(map(len, d))
@@ -171,16 +170,17 @@ def cmd_bounds(args):
 
 
 def cmd_export(args):
-    code, _, _ = _load_code(args.infile)
+    matrix = read_matrix(args.infile)
     if args.csv:
-        save_matrix_csv(code, args.csv)
+        save_matrix_csv(matrix, args.csv)
     if args.json_out:
-        save_matrix(code, args.json_out)
+        save_matrix(matrix, args.json_out)
     return EXIT_OK
 
 
 def cmd_demo_paper(args):
-    diffs = reference.rebuild_and_diff()
+    code = reference.reference_code()
+    diffs = reference.rebuild_and_diff(code)
     failed = False
     for name, diff in diffs.items():
         if diff is None:
@@ -193,7 +193,6 @@ def cmd_demo_paper(args):
     if failed:
         return EXIT_VERIFY_FAIL
 
-    code = reference.reference_code()
     rk = rank_report(code)
     print(f"rank {rk['rank']}, dimension {rk['dimension']}"
           + ("" if rk["rank_matches_statement"] else

@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import Design, validate_design
-from .errors import ParameterError
+from .errors import InfeasibleError, ParameterError
 from .field import GF, same_field
-from .linear import LinearCode
+from .linear import DUAL_BYTE_BUDGET, LinearCode, generator_bytes
 from .mds import MdsLocalMatrix
 
 
@@ -43,6 +43,11 @@ class CodeShape:
     t_i: int
     k: int
     b: int
+
+    @classmethod
+    def from_params(cls, field, params_dict):
+        """The shape a matrix file's params block gives."""
+        return cls(field, *(params_dict[key] for key in SHAPE_KEYS))
 
     @property
     def s(self):
@@ -119,9 +124,12 @@ class ConstructedCode(LinearCode):
     def __init__(self, params: CodeShape, H):
         super().__init__(params.field, H)
         self.params = params
-        # G[:, :k] = I_k; false too when the dimension is not k
-        self._systematic = np.array_equal(self.generator[:, :params.k],
-                                          np.eye(params.k))
+        # G[:, :k] = I_k, read without building I_k: a k x k matrix with
+        # k nonzero entries, all of them ones on the diagonal
+        first = self.generator[:, :params.k]
+        self._systematic = (first.shape == (params.k, params.k)
+                            and np.count_nonzero(first) == params.k
+                            and bool((first.diagonal() == 1).all()))
 
     @property
     def k(self):
@@ -176,7 +184,14 @@ def build_w_star(blocks, mds: MdsLocalMatrix):
 
 
 def build_parity_check(params: ConstructionParams):
-    """Assemble the full parity-check matrix and wrap it as a code."""
+    """Assemble the full parity-check matrix and wrap it as a code.
+    Raises InfeasibleError, before H exists, when a k x n generator
+    exceeds DUAL_BYTE_BUDGET: H has n - k rows, so the dimension is at
+    least k."""
+    if generator_bytes(params.field, params.k, params.n) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"a generator of at least {params.k} x {params.n} exceeds the "
+            f"{DUAL_BYTE_BUDGET}-byte budget")
     mu = params.mu
     w_cols = params.w_blocks * params.r
     if w_cols > mu:
@@ -211,8 +226,7 @@ def constructed_from_matrix(field: GF, H, params_dict, roles=None):
     `roles`, the file's copy, is not read: `matrixio.dict_to_matrix`
     rejects a file whose roles differ from them.
     """
-    return ConstructedCode(
-        CodeShape(field, *(params_dict[key] for key in SHAPE_KEYS)), H)
+    return ConstructedCode(CodeShape.from_params(field, params_dict), H)
 
 
 def code_params(params: CodeShape):

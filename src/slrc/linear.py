@@ -29,11 +29,12 @@ import numpy as np
 from .errors import FieldError, InfeasibleError, ParameterError
 from .field import GF
 
-# `min_distance` refuses codes with more codewords than this.
+# `min_distance` and `punctured_distances` refuse codes with more
+# codewords than this.
 ENUM_LIMIT = 1 << 22
 # Bound, in bytes, on the generator `LinearCode` builds, on the estimated
 # working set of `dual_low_weight` and on one block of codewords in
-# `min_distance`.
+# `_min_weight`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -87,6 +88,13 @@ class DualWord:
     support: frozenset
 
 
+def generator_bytes(field, dimension, n):
+    """Bytes of a dimension x n generator and its flipped copy, the two
+    arrays `LinearCode` holds while it builds one; checked before either
+    exists."""
+    return 2 * dimension * n * field.dtype.itemsize
+
+
 class LinearCode:
     """A linear code given by a parity-check matrix over GF(q); raises
     InfeasibleError when its generator would exceed DUAL_BYTE_BUDGET."""
@@ -104,8 +112,7 @@ class LinearCode:
         R, pivots = rref(field, H[:, ::-1])
         self.rank = len(pivots)
         self.dimension = self.n - self.rank
-        # the generator and its flipped copy, checked before either exists
-        if 2 * self.dimension * self.n * field.dtype.itemsize > DUAL_BYTE_BUDGET:
+        if generator_bytes(field, self.dimension, self.n) > DUAL_BYTE_BUDGET:
             raise InfeasibleError(
                 f"a {self.dimension} x {self.n} generator exceeds the "
                 f"{DUAL_BYTE_BUDGET}-byte budget")
@@ -138,18 +145,21 @@ class LinearCode:
 
 
 def min_distance(code: LinearCode):
-    """Exact minimum nonzero codeword weight.
-
-    Multiplies every nonzero message by the generator matrix, in blocks
-    whose working set stays within DUAL_BYTE_BUDGET.  Raises
-    InfeasibleError above ENUM_LIMIT codewords.
-    """
-    field, q, k, n = code.field, code.field.q, code.dimension, code.n
-    if k == 0:
+    """Exact minimum nonzero codeword weight, by `_min_weight` of the
+    generator.  Raises InfeasibleError above ENUM_LIMIT codewords."""
+    if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codeword")
+    return _min_weight(code.field, code.generator)
+
+
+def _min_weight(field, G):
+    """Least weight of m G over the nonzero messages m, for G of full row
+    rank: every such message is multiplied by G, in blocks whose working
+    set stays within DUAL_BYTE_BUDGET.  Raises InfeasibleError above
+    ENUM_LIMIT codewords."""
+    q, (k, n) = field.q, G.shape
     if q ** k > ENUM_LIMIT:
         raise InfeasibleError(f"q^dim = {q}^{k} codewords is too many to list")
-    G = code.generator
     # a message's (k, n) products and the sum's temporaries, 8 bytes each
     block = max(1, DUAL_BYTE_BUDGET // (4 * k * n * 8))
     best = n
@@ -170,6 +180,28 @@ def puncture(code: LinearCode, keep):
         raise ValueError("keep must be nonempty")
     return LinearCode(code.field, nullspace(code.field,
                                             code.generator[:, keep]))
+
+
+def punctured_distances(code: LinearCode, supports):
+    """`min_distance(puncture(code, S))` for each support S, None where
+    that puncture is the zero code, without building the punctured codes.
+
+    The punctured code is the row space of G[:, S], so its distance is
+    `_min_weight` of a row-reduced basis of the nonzero rows of G[:, S].
+    Supports whose nonzero rows are the same matrix share one row
+    reduction and one enumeration: the lines of a constructed code all
+    carry the same local MDS block."""
+    G, found, out = code.generator, {}, []
+    for s in supports:
+        sub = G[:, sorted(s)]
+        sub = sub[sub.any(axis=1)]
+        key = (sub.shape, sub.tobytes())
+        if key not in found:
+            R, pivots = rref(code.field, sub)
+            found[key] = (_min_weight(code.field, R[:len(pivots)])
+                          if pivots else None)
+        out.append(found[key])
+    return out
 
 
 def _full_support_words(field, u, Z, w):

@@ -22,16 +22,29 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import SHAPE_KEYS, CodeShape, ConstructedCode
+from .construct import SHAPE_KEYS, CodeShape
 from .errors import ParameterError
 from .field import GF
 
 
+@dataclass(frozen=True)
+class MatrixFile:
+    """A matrix file as read, with no row reduction: its field, H, and
+    the CodeShape of its params block, None without one.  `save_matrix`
+    and `save_matrix_csv` write it as they write a code."""
+    field: GF
+    H: np.ndarray
+    params: CodeShape | None
+
+
 def matrix_to_dict(code):
-    p = code.params if isinstance(code, ConstructedCode) else None
+    """The document of a code or a MatrixFile; the layout fields are
+    those of its params, when it has them."""
+    p = getattr(code, "params", None)
     return {
         "field": code.field.spec_dict(),
         "rows": int(code.H.shape[0]),
@@ -59,7 +72,7 @@ def _check_params(field, params, rows, cols, roles):
                for key in SHAPE_KEYS):
         raise ParameterError(f"params {', '.join(SHAPE_KEYS)} must be "
                              f"positive integers")
-    shape = CodeShape(field, *(params[key] for key in SHAPE_KEYS))
+    shape = CodeShape.from_params(field, params)
     if shape.n != cols:
         raise ParameterError(
             f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
@@ -120,6 +133,13 @@ def read_json(path):
 
 def load_matrix(path):
     return dict_to_matrix(read_json(path))
+
+
+def read_matrix(path):
+    """The matrix file at path as a MatrixFile."""
+    fld, H, _, params = load_matrix(path)
+    return MatrixFile(fld, H, None if params is None
+                      else CodeShape.from_params(fld, params))
 
 
 def save_matrix_csv(code, path):

@@ -52,10 +52,10 @@ def diff_matrices(actual, expected):
     return (i + 1, j + 1, int(actual[i, j]), int(expected[i, j]))
 
 
-def rebuild_and_diff():
-    """Rebuild all four reference matrices and diff each against its
-    golden copy.  Returns {name: diff-or-None} in build order."""
-    code = reference_code()
+def rebuild_and_diff(code):
+    """Diff all four matrices of `code`, a `reference_code()` rebuild,
+    against their golden copies.  Returns {name: diff-or-None} in build
+    order."""
     design, mds = code.params.design, code.params.mds
     return {
         "design": diff_matrices(design.incidence, golden("design")),

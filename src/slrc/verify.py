@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
 from .errors import InfeasibleError, ParameterError
-from .linear import all_recovery_sets, min_distance, peel_table, puncture
+from .linear import all_recovery_sets, peel_table, punctured_distances
 
 # Search nodes one sequential check may visit across all its sizes.
 MAX_NODES = 5_000_000
@@ -158,7 +158,6 @@ def max_sequential_t(code, r, cap):
 
 @dataclass
 class LocalityReport:
-    per_coordinate: dict        # i -> {"supports": [...], "conditions": {...}}
     conditions_1_4: bool
     failures: list
 
@@ -168,21 +167,23 @@ def check_information_locality(code: ConstructedCode):
 
     For each i among the first k coordinates: its t_i row-block supports
     have size <= r + delta - 1 (1), the punctured subcode on each has
-    minimum distance exactly delta (2), the supports pairwise intersect
-    exactly in {i} (3), and each contains exactly delta - 1 parity
-    coordinates (4).  Condition (5), recoverability of every pattern up
-    to delta*t_i + 1 erasures, is `check_sequential` at t_abstract.
+    minimum distance exactly delta (2; a block that punctures to the zero
+    code fails it), the supports pairwise intersect exactly in {i} (3),
+    and each contains exactly delta - 1 parity coordinates (4).
+    Condition (5), recoverability of every pattern up to delta*t_i + 1
+    erasures, is `check_sequential` at t_abstract.
     """
     p = code.params
     parity = set(range(p.k, code.n))
     supports = [set(code.row_block_support(j)) for j in range(p.b)]
     # conditions 1, 2 and 4 belong to a row block: each is found once for
     # every block that holds an information coordinate
-    block = {j: (len(s) <= p.r + p.delta - 1,
-                 min_distance(puncture(code, s)) == p.delta,
-                 len(s & parity) == p.delta - 1)
-             for j, s in enumerate(supports) if min(s, default=p.k) < p.k}
-    per_coord = {}
+    info_blocks = [j for j, s in enumerate(supports)
+                   if min(s, default=p.k) < p.k]
+    distances = punctured_distances(code, [supports[j] for j in info_blocks])
+    block = {j: (len(supports[j]) <= p.r + p.delta - 1, d == p.delta,
+                 len(supports[j] & parity) == p.delta - 1)
+             for j, d in zip(info_blocks, distances)}
     failures = []
     for i in range(p.k):
         mine = [j for j in range(p.b) if i in supports[j]]
@@ -196,13 +197,10 @@ def check_information_locality(code: ConstructedCode):
             "3": len(set().union(*rest)) == sum(map(len, rest)),
             "4": all(block[j][2] for j in mine),
         }
-        per_coord[i] = {"supports": [sorted(supports[j]) for j in mine],
-                        "conditions": conds}
         for name, ok in conds.items():
             if not ok:
                 failures.append(f"coordinate {i + 1}: condition {name} fails")
-    return LocalityReport(per_coordinate=per_coord,
-                          conditions_1_4=not failures, failures=failures)
+    return LocalityReport(conditions_1_4=not failures, failures=failures)
 
 
 @dataclass

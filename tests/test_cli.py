@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import slrc
 import strategies
 from slrc.cli import EXIT_PIPE, main
-from slrc.construct import SHAPE_KEYS, constructed_from_matrix
+from slrc.construct import (SHAPE_KEYS, build_parity_check,
+                            constructed_from_matrix)
 from slrc.designs import complete_graph_design
 from slrc.errors import ParameterError
 from slrc.field import GF
@@ -840,3 +841,100 @@ def test_spoiled_matrix_documents_exit_2_with_one_error_line(text):
             assert (rc, "Traceback" in out.getvalue() + err.getvalue()) == (
                 2, False), err.getvalue()
             assert _one_line_error(err.getvalue()), err.getvalue()
+
+
+def test_verify_block_punctured_to_the_zero_code_exits_1(tmp_path, capsys):
+    # H rows 1 and 2 set to e_1 and e_2 force c_1 = c_2 = 0, so row block
+    # 1 punctures to the zero code: a failed condition 2, not a traceback
+    code = reference_code()
+    doc = matrix_to_dict(code)
+    for row in (0, 1):
+        doc["entries"][row * code.n:(row + 1) * code.n] = [
+            int(col == row) for col in range(code.n)]
+    path = tmp_path / "zero_block.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert (rc, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+    assert checks["information_locality_1_4"]["witness"] == [
+        "coordinate 1: condition 2 fails", "coordinate 1: condition 4 fails",
+        "coordinate 2: condition 2 fails", "coordinate 2: condition 4 fails",
+        "coordinate 3: condition count fails"]
+
+
+def test_export_writes_a_file_whose_generator_is_over_budget(tmp_path,
+                                                            capsys):
+    # the one-row 6000-column GF(2) file that verify refuses for its
+    # 5999 x 6000 generator: export writes H, so it builds no generator
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": GF(2).spec_dict(), "rows": 1,
+                                "cols": 6000, "entries": [1] * 6000}))
+    first, again, csv_path = (tmp_path / name
+                              for name in ("a.json", "b.json", "w.csv"))
+    rc, stdout, err = run(capsys, "export", "--in", str(path),
+                          "--json", str(first), "--csv", str(csv_path))
+    assert (rc, stdout, err) == (0, "", "")
+    assert run(capsys, "export", "--in", str(first),
+               "--json", str(again)) == (0, "", "")
+    assert again.read_bytes() == first.read_bytes()
+    _, H, roles, params = load_matrix(again)
+    assert H.shape == (1, 6000) and (H == 1).all()
+    assert roles is None and params is None
+    assert (load_matrix_csv(csv_path) == H).all()
+
+
+def test_bounds_and_export_row_reduce_nothing(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "code.json"
+    save_matrix(reference_code(), path)
+
+    def no_rref(field, A):
+        raise AssertionError("a matrix was row-reduced")
+    monkeypatch.setattr("slrc.linear.rref", no_rref)
+    rc, stdout, _ = run(capsys, "bounds", "--r", "3", "--ti", "2",
+                        "--delta", "3", "--in", str(path))
+    assert (rc, stdout) == (0, BOUNDS_REFERENCE)
+    again = tmp_path / "again.json"
+    assert run(capsys, "export", "--in", str(path),
+               "--json", str(again)) == (0, "", "")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_construct_refuses_an_over_budget_generator_before_h(capsys,
+                                                            monkeypatch):
+    # K_151 has k = 11325 points and n = 11629: a generator of at least
+    # k x n bytes and its flipped copy exceed the 64 MB budget, which the
+    # shape shows before H is assembled and row-reduced
+    def no_h(design, mds):
+        raise AssertionError("H was assembled")
+    monkeypatch.setattr("slrc.construct.expand_m_star", no_h)
+    rc, stdout, err = run(capsys, "construct", "--r", "150", "--delta", "3",
+                          "--ti", "2", "--q", "151")
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err)
+    assert "generator of at least 11325 x 11629" in err
+
+
+DEMO_PAPER = """\
+design: matches golden matrix
+mds: matches golden matrix
+m_star: matches golden matrix
+h: matches golden matrix
+rank 10, dimension 6 (construction note claims rank 8; measured value disagrees)
+locality conditions 1-4: pass
+structure battery: pass
+sequential recovery at t = 4: pass
+measured t* = 4 (cap 9)
+claimed tolerance 7: does not hold
+"""
+
+
+def test_demo_paper_builds_the_reference_code_once(capsys, monkeypatch):
+    import slrc.reference
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return build_parity_check(params)
+    monkeypatch.setattr(slrc.reference, "build_parity_check", counted)
+    assert run(capsys, "demo-paper") == (0, DEMO_PAPER, "")
+    assert len(built) == 1

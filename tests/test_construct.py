@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,3 +363,21 @@ def test_shape_n_and_roles_match_the_built_matrix(r, delta, t_i, q, design):
     glob = [i for i, role in enumerate(p.roles) if role == "global_parity"]
     assert (code.H[:p.mu, line] == np.eye(p.mu)).all()
     assert (code.H[p.mu:, glob] == np.eye(len(glob))).all()
+
+
+def test_systematic_check_builds_no_identity():
+    # K51 has k = 1275: a float64 I_k would take 12.4 MB, more than the
+    # whole code, generator and row reduction included
+    fld = GF(53)
+    code = build_parity_check(ConstructionParams(
+        r=50, delta=3, t_i=2, field=fld, design=complete_graph_design(50),
+        mds=build_mds_parity(50, 3, fld)))
+    tracemalloc.start()
+    try:
+        again = constructed_from_matrix(fld, code.H, {
+            key: getattr(code.params, key) for key in SHAPE_KEYS})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again._systematic
+    assert peak < code.k * code.k * 8

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import dual_oracle
 import strategies
-from slrc.construct import (ConstructionParams, build_parity_check,
-                            constructed_from_matrix)
+from slrc.construct import (SHAPE_KEYS, ConstructionParams,
+                            build_parity_check, constructed_from_matrix)
 from slrc.errors import InfeasibleError
 from slrc.field import GF
-from slrc.linear import LinearCode, RepairStep, all_recovery_sets
+from slrc.linear import (LinearCode, RepairStep, all_recovery_sets,
+                         min_distance, puncture, punctured_distances)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 from slrc.verify import (_max_disjoint, check_code_structure,
@@ -28,7 +29,7 @@ def brute_force_sequential(lc, r, t):
     direct linear algebra (no recovery-set table): coordinate i is
     repairable from outside I iff puncturing away I \\ {i} leaves a dual
     word through i of weight <= r + 1."""
-    from slrc.linear import dual_low_weight, puncture
+    from slrc.linear import dual_low_weight
     n = lc.n
     for size in range(1, t + 1):
         for pattern in itertools.combinations(range(n), size):
@@ -155,11 +156,10 @@ def test_zero_column_gives_t_star_zero():
 def test_information_locality_reference(ref):
     rep = check_information_locality(ref)
     assert rep.conditions_1_4
-    supports = rep.per_coordinate[0]["supports"]
-    assert sorted(supports) == [[0, 1, 2, 6, 7], [0, 3, 4, 8, 9]]
-    for i in range(6):
-        conds = rep.per_coordinate[i]["conditions"]
-        assert all(conds.values())
+    assert rep.failures == []
+    supports = [s for s in map(ref.row_block_support, range(ref.params.b))
+                if 0 in s]
+    assert supports == [(0, 1, 2, 6, 7), (0, 3, 4, 8, 9)]
 
 
 def test_information_locality_condition5_recorded(ref):
@@ -190,12 +190,65 @@ def test_non_mds_row_block_fails_condition2_alone(ref):
     rep = check_information_locality(bad)
     in_block0 = set(bad.row_block_support(0)) & set(range(6))
     assert in_block0 == {0, 1, 2}
-    for i in range(6):
-        conds = rep.per_coordinate[i]["conditions"]
-        assert conds == {"count": True, "1": True, "2": i not in in_block0,
-                         "3": True, "4": True}
+    assert punctured_distances(bad, [bad.row_block_support(0)]) == [2]
     assert rep.failures == [f"coordinate {i + 1}: condition 2 fails"
                             for i in (0, 1, 2)]
+
+
+def test_row_block_punctured_to_the_zero_code_fails_condition2(ref):
+    # H rows 0 and 1 set to e_0 and e_1 force c_0 = c_1 = 0, so block 0,
+    # whose support is {0, 1}, punctures to the zero code
+    H = ref.H.copy()
+    H[:2] = np.eye(2, ref.n, dtype=H.dtype)
+    bad = constructed_from_matrix(
+        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    assert bad.row_block_support(0) == (0, 1)
+    assert punctured_distances(bad, [(0, 1)]) == [None]
+    rep = check_information_locality(bad)
+    assert rep.failures == [
+        "coordinate 1: condition 2 fails", "coordinate 1: condition 4 fails",
+        "coordinate 2: condition 2 fails", "coordinate 2: condition 4 fails",
+        "coordinate 3: condition count fails"]
+
+
+def _distances_by_puncture(code, supports):
+    """The oracle: min_distance of each punctured code, None for the
+    zero code."""
+    subs = [puncture(code, s) for s in supports]
+    return [min_distance(sub) if sub.dimension else None for sub in subs]
+
+
+def _admissible_and_spoiled():
+    """Every admissible code, and a copy of each with one nonzero H entry,
+    drawn with a fixed seed, set to zero."""
+    rng = np.random.default_rng(20)
+    for point in strategies.ADMISSIBLE:
+        code = strategies.build(*point)
+        rows, cols = np.nonzero(code.H)
+        pick = rng.integers(len(rows))
+        H = code.H.copy()
+        H[rows[pick], cols[pick]] = 0
+        p = code.params
+        yield point, code, constructed_from_matrix(
+            code.field, H, {key: getattr(p, key) for key in SHAPE_KEYS})
+
+
+def test_punctured_distances_match_the_puncture_oracle(monkeypatch):
+    # per information row block, and through the whole locality check
+    for point, *codes in _admissible_and_spoiled():
+        for code in codes:
+            p = code.params
+            blocks = [s for s in map(code.row_block_support, range(p.b))
+                      if min(s, default=p.k) < p.k]
+            assert (punctured_distances(code, blocks)
+                    == _distances_by_puncture(code, blocks)), point
+            rep = check_information_locality(code)
+            with monkeypatch.context() as patch:
+                patch.setattr("slrc.verify.punctured_distances",
+                              _distances_by_puncture)
+                oracle = check_information_locality(code)
+            assert (rep.conditions_1_4, rep.failures) == (
+                oracle.conditions_1_4, oracle.failures), point
 
 
 def test_structure_battery_reference(ref):
