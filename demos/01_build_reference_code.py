@@ -18,7 +18,7 @@ print(f"\ndesign: k = {design.k} points (edges of K4), "
       f"b = {design.b} lines (vertices), each point on t_i = {design.t_i} lines")
 print(np.asarray(design.incidence, dtype=np.int64))
 
-mds = build_mds_parity(3, 3, fld, style="vandermonde")
+mds = build_mds_parity(3, 3, fld)
 print("\nlocal MDS parity check [Q | I], a [5, 3, 3] code:")
 print(mds.matrix)
 

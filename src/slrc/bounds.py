@@ -6,17 +6,26 @@ import math
 from fractions import Fraction
 
 from .construct import CodeShape, code_params
-from .errors import ParameterError
+from .errors import InfeasibleError, ParameterError
+
+# Python's default int-to-str limit: no longer denominator is printed
+MAX_DIGITS = 4300
 
 
 def rate_availability_bound(r, t):
     """Product bound on the rate of codes with locality r and
-    availability t: prod_{j=1..t} 1/(1 + 1/(j r))."""
+    availability t: prod_{j=1..t} jr/(jr + 1).  Raises InfeasibleError
+    once the denominator passes MAX_DIGITS digits; it only grows, as step
+    j multiplies it by jr + 1 and divides it by a factor of j."""
     if r < 1 or t < 1:
         raise ValueError("need r >= 1 and t >= 1")
-    out = Fraction(1)
+    out, longest = Fraction(1), 10 ** MAX_DIGITS
     for j in range(1, t + 1):
-        out *= 1 / (1 + Fraction(1, j * r))
+        out *= Fraction(j * r, j * r + 1)
+        if out.denominator >= longest:
+            raise InfeasibleError(
+                f"the availability bound at r = {r}, t = {t} is too long to "
+                f"print: its denominator has more than {MAX_DIGITS} digits")
     return out
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
-field, design or matrix file, or an MDS style that fails at the requested
-point), 3 I/O error, 4 a search or a generator over its budget,
+field, design or matrix file), 3 I/O error, 4 a search, a generator or a
+printed rate over its budget,
 141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
 when the reader of standard output closes it early, as `| head -1` does;
 that case prints no error line.  Human-facing coordinates are 1-based.
@@ -39,9 +39,8 @@ EXIT_PARAM = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_PIPE = 141
-# first match wins; any other SlrcError is a failed verification.  The
-# CLI meets ConstructionError only for an MDS candidate that fails at the
-# requested (r, delta, q), which is bad input.
+# first match wins; any other SlrcError is a failed verification.  A local
+# MDS matrix that failed its own check (ConstructionError) is bad input.
 _EXIT_CODES = [((ParameterError, FieldError, DesignError, ConstructionError),
                 EXIT_PARAM),
                (InfeasibleError, EXIT_BUDGET), (OSError, EXIT_IO),
@@ -68,8 +67,8 @@ def _load_design_arg(spec, r, t_i):
 def cmd_construct(args):
     fld = GF(args.q)
     # the MDS matrix first: its q >= r + delta - 2, with q <= 1024, bounds
-    # r before the complete-graph design's O(r^3) line loop runs
-    mds = build_mds_parity(args.r, args.delta, fld, style=args.mds)
+    # r before any design is built
+    mds = build_mds_parity(args.r, args.delta, fld)
     design = _load_design_arg(args.design, args.r, args.ti)
     params = ConstructionParams(r=args.r, delta=args.delta, t_i=args.ti,
                                 field=fld, design=design, mds=mds)
@@ -230,8 +229,6 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--design", default="complete-graph",
                    help="complete-graph | affine | file:PATH (.json or .csv)")
-    p.add_argument("--mds", default="vandermonde",
-                   choices=["vandermonde", "cauchy"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 

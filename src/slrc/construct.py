@@ -112,6 +112,13 @@ class ConstructionParams(CodeShape):
         if self.t_i > self.delta:
             raise ParameterError(
                 f"t_i = {self.t_i} exceeds delta = {self.delta}")
+        # before validate_design's O(b^2 r) line pairs (b r != k t_i is a
+        # bad design): H has n - k rows, so the dimension is at least k
+        if (self.b * self.r == self.k * self.t_i and generator_bytes(
+                self.field, self.k, self.n) > DUAL_BYTE_BUDGET):
+            raise InfeasibleError(
+                f"a generator of at least {self.k} x {self.n} exceeds the "
+                f"{DUAL_BYTE_BUDGET}-byte budget")
         violation = validate_design(self.design)
         if violation:
             raise ParameterError(f"invalid design: {violation}")
@@ -184,14 +191,9 @@ def build_w_star(blocks, mds: MdsLocalMatrix):
 
 
 def build_parity_check(params: ConstructionParams):
-    """Assemble the full parity-check matrix and wrap it as a code.
-    Raises InfeasibleError, before H exists, when a k x n generator
-    exceeds DUAL_BYTE_BUDGET: H has n - k rows, so the dimension is at
-    least k."""
-    if generator_bytes(params.field, params.k, params.n) > DUAL_BYTE_BUDGET:
-        raise InfeasibleError(
-            f"a generator of at least {params.k} x {params.n} exceeds the "
-            f"{DUAL_BYTE_BUDGET}-byte budget")
+    """Assemble the full parity-check matrix and wrap it as a code; its
+    params have refused, before H exists, a k x n generator over
+    DUAL_BYTE_BUDGET."""
     mu = params.mu
     w_cols = params.w_blocks * params.r
     if w_cols > mu:

@@ -72,17 +72,18 @@ def complete_graph_design(r):
     """Edges of K_{r+1} as points, vertices as lines (t_i = 2).
 
     Edges are ordered lexicographically by endpoint pair; line v holds
-    the r edges incident to vertex v.  Two vertices share exactly one
-    edge, so the girth condition holds by construction.
+    the r edges incident to vertex v, in increasing order.  Two vertices
+    share exactly one edge, so the girth condition holds by construction.
     """
     if r < 2:
         raise ParameterError(f"complete-graph design needs r >= 2, got {r}")
     vertices = range(r + 1)
     edges = [(a, b) for a in vertices for b in vertices if a < b]
-    index = {e: i for i, e in enumerate(edges)}
-    lines = tuple(
-        tuple(sorted(index[e] for e in edges if v in e)) for v in vertices)
-    return Design(k=len(edges), r=r, t_i=2, lines=lines)
+    lines = [[] for _ in vertices]
+    for i, (a, b) in enumerate(edges):
+        lines[a].append(i)
+        lines[b].append(i)
+    return Design(k=len(edges), r=r, t_i=2, lines=tuple(map(tuple, lines)))
 
 
 def affine_design(r, t_i):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError
 from .field import GF
-from .linear import _low_weight_dual_words
+from .linear import _low_weight_dual_words, rref
 
 
 @dataclass(frozen=True)
@@ -31,46 +31,35 @@ class MdsLocalMatrix:
         return np.hstack([self.Q, ident])
 
 
-def build_mds_parity(r, delta, field: GF, style="vandermonde"):
-    """Build a verified [r+delta-1, r, delta] MDS parity check.
-
-    vandermonde: Q[i][j] = beta^(i*j) with beta the field generator
-    (row 0 all ones).  cauchy: Q[i][j] = 1/(x_i - y_j) over the first
-    r+delta-1 field elements in encoding order; in characteristic 2 the
-    difference equals the sum.  Either way the candidate must pass
-    verify_mds, otherwise the call fails rather than substituting.
-    """
+def build_mds_parity(r, delta, field: GF):
+    """The systematic doubly-extended Reed-Solomon [r+delta-1, r, delta]
+    parity check [Q | I], verified.  Its columns evaluate (1, x, ...,
+    x^(delta-2)) at x = beta^j for j < r (Q; beta the field generator)
+    and at 0, beta^r, ..., beta^(r+delta-4) and infinity, the column
+    (0, ..., 0, 1) (I; for delta = 2 the single column (1)); one rref
+    makes the latter I.  The points are distinct exactly when
+    q >= r + delta - 2, and such a code is MDS (MacWilliams & Sloane,
+    ch. 11); for delta <= 3, Q stays beta^(i*j).  verify_mds still checks
+    the candidate, and a failure raises ConstructionError."""
     if r < 1 or delta < 2:
         raise ParameterError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
     if field.q < r + delta - 2:
         raise ParameterError(
             f"q = {field.q} < r + delta - 2 = {r + delta - 2}: field too small")
-    rows = delta - 1
-    if style == "vandermonde":
-        beta = field.generator
-        Q = np.array([[field.pow(beta, i * j) for j in range(r)]
-                      for i in range(rows)], dtype=np.int64)
-    elif style == "cauchy":
-        if field.q < r + delta - 1:
-            raise ParameterError(
-                f"cauchy style needs r + delta - 1 = {r + delta - 1} distinct "
-                f"field elements, q = {field.q}")
-        xs = list(range(rows))
-        ys = list(range(rows, rows + r))
-        Q = np.array([[field.inv(field.sub(x, y)) for y in ys] for x in xs],
-                     dtype=np.int64)
-    else:
-        raise ParameterError(f"unknown MDS style {style!r}")
-
+    rows, beta = delta - 1, field.generator
+    # None is infinity; for delta = 2 the one identity point is 0
+    points = (([0] + [field.pow(beta, j) for j in range(r, r + delta - 3)]
+               + [None])[:rows] + [field.pow(beta, j) for j in range(r)])
+    V = np.array([[int(i == rows - 1) if x is None else field.pow(x, i)
+                   for x in points] for i in range(rows)], dtype=np.int64)
+    Q = rref(field, V)[0][:, rows:]
     mds = MdsLocalMatrix(r=r, delta=delta, field=field, Q=Q)
     ok, witness = verify_mds(mds)
     if not ok:
-        hint = ("; try the cauchy style" if style == "vandermonde"
-                and field.q >= r + delta - 1 else "")
         cols = ", ".join(str(j + 1) for j in witness)
         raise ConstructionError(
-            f"{style} candidate for (r={r}, delta={delta}, q={field.q}) is not "
-            f"MDS: columns {cols} (1-based) are dependent{hint}")
+            f"the local matrix for (r={r}, delta={delta}, q={field.q}) is not "
+            f"MDS: columns {cols} (1-based) are dependent")
     return mds
 
 

@@ -1,7 +1,7 @@
 """The worked reference instance: a [16, 6] code over GF(4).
 
 Built from r = 3, delta = 3, t_i = 2, the K4 complete-graph design and
-the Vandermonde local MDS matrix, under the documented conventions
+the local MDS matrix Q[i][j] = beta^(i*j), under the documented conventions
 (GF(4) defined by x^2 + x + 1, primitive element encoded as 2,
 lexicographic edge order).  Golden copies of the four intermediate
 matrices live in data/ so the rebuild can be diffed entry by entry.
@@ -32,7 +32,7 @@ def reference_code():
     """Construct the [16, 6] instance from scratch."""
     fld = GF(Q)
     design = complete_graph_design(R)
-    mds = build_mds_parity(R, DELTA, fld, style="vandermonde")
+    mds = build_mds_parity(R, DELTA, fld)
     params = ConstructionParams(r=R, delta=DELTA, t_i=T_I, field=fld,
                                 design=design, mds=mds)
     return build_parity_check(params)

@@ -1,22 +1,27 @@
 """Hypothesis strategies over admissible construction parameters.
 
-`ADMISSIBLE` lists every (r, delta, t_i, q, design, MDS style) with
+`ADMISSIBLE` lists every (r, delta, t_i, q, design, local matrix) with
 r in 2..4, delta in {2, 3}, q in {2, 3, 4, 5, 7, 8, 9} that the
 construction accepts: q >= r + delta - 2 (r + delta - 1 for Cauchy),
-t_i <= delta, and t_i = 2 for the complete-graph design.  `codes`
-draws one and builds it; each code is built once per session.
+t_i <= delta, and t_i = 2 for the complete-graph design.  The local
+matrix is "vandermonde", the library's `build_mds_parity`, whose Q is
+beta^(i*j) at every delta <= 3, or "cauchy", a second MDS family built
+here: Q[i][j] = 1/(x_i - y_j) over the first r + delta - 1 field
+elements in encoding order, checked by `verify_mds`.  `codes` draws one
+point and builds it; each code is built once per session.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import affine_design, complete_graph_design
 from slrc.field import GF
-from slrc.mds import build_mds_parity
+from slrc.mds import MdsLocalMatrix, build_mds_parity, verify_mds
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -32,6 +37,17 @@ ADMISSIBLE = tuple(
     if q >= r + delta - 2 + (style == "cauchy"))
 
 
+def cauchy_mds(r, delta, field):
+    """The verified Cauchy [Q | I]: x_i = i for i < delta - 1, y_j =
+    delta - 1 + j for j < r; needs q >= r + delta - 1."""
+    xs, ys = range(delta - 1), range(delta - 1, delta - 1 + r)
+    Q = np.array([[field.inv(field.sub(x, y)) for y in ys] for x in xs],
+                 dtype=np.int64)
+    mds = MdsLocalMatrix(r=r, delta=delta, field=field, Q=Q)
+    assert verify_mds(mds) == (True, None), (r, delta, field.q)
+    return mds
+
+
 @functools.lru_cache(maxsize=None)
 def build(r, delta, t_i, q, design, style):
     fld = GF(q)
@@ -39,7 +55,8 @@ def build(r, delta, t_i, q, design, style):
         r=r, delta=delta, t_i=t_i, field=fld,
         design=(complete_graph_design(r) if design == "complete-graph"
                 else affine_design(r, t_i)),
-        mds=build_mds_parity(r, delta, fld, style=style)))
+        mds=(cauchy_mds if style == "cauchy" else build_mds_parity)(
+            r, delta, fld)))
 
 
 codes = st.sampled_from(ADMISSIBLE).map(lambda point: build(*point))

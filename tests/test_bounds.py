@@ -1,13 +1,15 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 import strategies
-from slrc.bounds import (exact_rate, rate_availability_bound, rate_formula,
-                         rate_report, rate_resolvable, rate_seq_bound)
+from slrc.bounds import (MAX_DIGITS, exact_rate, rate_availability_bound,
+                         rate_formula, rate_report, rate_resolvable,
+                         rate_seq_bound)
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
-from slrc.errors import ParameterError
+from slrc.errors import InfeasibleError, ParameterError
 from slrc.field import GF
 from slrc.mds import build_mds_parity
 
@@ -16,6 +18,39 @@ def test_availability_bound():
     assert rate_availability_bound(3, 1) == Fraction(3, 4)
     assert rate_availability_bound(3, 2) == Fraction(9, 14)
     assert rate_availability_bound(3, 3) == Fraction(9, 14) * Fraction(9, 10)
+
+
+def _product(r, t):
+    out = Fraction(1)
+    for j in range(1, t + 1):
+        out *= 1 / (1 + Fraction(1, j * r))
+    return out
+
+
+def test_availability_bound_is_the_product():
+    for r in range(1, 6):
+        for t in range(1, 40):
+            assert rate_availability_bound(r, t) == _product(r, t)
+
+
+def test_print_limit_is_pythons():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    assert get is None or get() in (0, MAX_DIGITS)
+
+
+@pytest.mark.parametrize("r", [2, 5, 40])
+def test_availability_bound_refused_exactly_past_the_print_limit(r):
+    # the first t whose product has a denominator of more than MAX_DIGITS
+    # digits; the denominators only grow with t, so every later t is refused
+    out, t, longest = Fraction(1), 0, 10 ** MAX_DIGITS
+    while out.denominator < longest:
+        last, t = out, t + 1
+        out *= 1 / (1 + Fraction(1, t * r))
+        assert out.denominator > last.denominator
+    assert rate_availability_bound(r, t - 1) == last
+    for past in (t, t + 1, 10 ** 9):
+        with pytest.raises(InfeasibleError):
+            rate_availability_bound(r, past)
 
 
 def test_seq_bounds():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -77,8 +78,7 @@ def test_construct_reference(tmp_path, capsys):
     out = tmp_path / "code.json"
     rc, stdout, _ = run(capsys, "construct", "--r", "3", "--delta", "3",
                         "--ti", "2", "--q", "4",
-                        "--design", "complete-graph",
-                        "--mds", "vandermonde", "--out", str(out))
+                        "--design", "complete-graph", "--out", str(out))
     assert rc == 0
     doc = json.loads(stdout)
     assert doc["n"] == 16 and doc["k"] == 6 and doc["rate"] == "3/8"
@@ -372,26 +372,35 @@ def test_construct_non_prime_power_exits_2(capsys):
     assert _one_line_error(err) and "not a prime power" in err
 
 
-def test_construct_non_mds_point_exits_2(capsys):
-    # the Vandermonde candidate at (r, delta, q) = (3, 4, 5) is not MDS, and
-    # Cauchy needs q >= r + delta - 1 = 6, so no style is suggested
+@pytest.mark.parametrize("r,q", [("3", "5"), ("4", "7")])
+def test_construct_delta4_point_builds_and_verifies(tmp_path, capsys, r, q):
+    # Q = beta^(i*j) is not MDS at (r, delta, q) = (3, 4, 5) or (4, 4, 7),
+    # and both points were refused; the doubly-extended Reed-Solomon
+    # matrix is MDS at every q >= r + delta - 2
+    out = tmp_path / "code.json"
+    rc, stdout, err = run(capsys, "construct", "--r", r, "--delta", "4",
+                          "--ti", "2", "--q", q, "--out", str(out))
+    assert rc == 0 and err == ""
+    rc, stdout, err = run(capsys, "verify", "--in", str(out))
+    assert rc == 0 and err == ""
+    assert json.loads(stdout)["pass"] is True
+    rc, stdout, _ = run(capsys, "verify", "--in", str(out), "--max-t", "9")
+    assert rc == 0 and stdout.startswith("t* = 6\n")
+
+
+def test_construct_field_below_r_plus_delta_minus_2_exits_2(capsys):
     rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "4",
-                          "--ti", "2", "--q", "5")
+                          "--ti", "2", "--q", "4")
     assert rc == 2 and stdout == ""
-    assert _one_line_error(err) and "columns 1, 3, 5 (1-based)" in err
-    assert "style=" not in err and "cauchy" not in err
+    assert _one_line_error(err) and "q = 4 < r + delta - 2 = 5" in err
 
 
-def test_construct_non_mds_point_suggests_an_admissible_style(capsys):
-    # at (4, 4, 7) Vandermonde fails and Cauchy fits (q >= 7) and passes
-    rc, _, err = run(capsys, "construct", "--r", "4", "--delta", "4",
-                     "--ti", "2", "--q", "7")
-    assert rc == 2
-    assert _one_line_error(err) and err.rstrip().endswith(
-        "columns 1, 4, 6 (1-based) are dependent; try the cauchy style")
-    rc, _, _ = run(capsys, "construct", "--r", "4", "--delta", "4",
-                   "--ti", "2", "--q", "7", "--mds", "cauchy")
-    assert rc == 0
+def test_construct_has_no_mds_option(capsys):
+    rc, stdout, err = _outcome(capsys, lambda: main(
+        ["construct", "--r", "3", "--delta", "3", "--ti", "2", "--q", "4",
+         "--mds", "cauchy"]))
+    assert rc == 2 and stdout == ""
+    assert "unrecognized arguments: --mds cauchy" in err
 
 
 def test_verify_field_spec_p6_exits_2(tmp_path, capsys):
@@ -696,6 +705,36 @@ def test_bounds_outside_the_family_exits_2(capsys, point):
     assert f"got r = {r}, t_i = {ti}, delta = {delta}" in err
 
 
+@pytest.mark.parametrize("ti,delta,t", [("4000", "3", 8000),
+                                        ("100000", "3", 200000),
+                                        ("50", "1024", 51150)])
+def test_bounds_too_long_to_print_exits_4(capsys, ti, delta, t):
+    # the availability bound's denominator passes Python's 4300-digit
+    # int-to-str limit: this ended in a ValueError traceback with exit 1,
+    # after 3.4 s at delta = 1024 and past 30 s at t_i = 100000
+    start = time.perf_counter()
+    rc, stdout, err = run(capsys, "bounds", "--r", "3", "--ti", ti,
+                          "--delta", delta)
+    assert time.perf_counter() - start < 5
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err)
+    assert f"r = 3, t = {t} is too long to print" in err
+
+
+def test_bounds_at_the_longest_printable_bound(capsys):
+    # t = 6009 is the largest t at r = 3 whose bound prints: its
+    # denominator has 4300 digits, t = 6010's has more
+    rc, stdout, _ = run(capsys, "bounds", "--r", "3", "--ti", "6009",
+                        "--delta", "2")
+    assert rc == 0
+    bound = dict(line.split() for line in stdout.splitlines()
+                 if not line.startswith("note"))["availability_bound"]
+    assert len(bound.split("/")[1]) == 4300
+    rc, _, err = run(capsys, "bounds", "--r", "3", "--ti", "6010",
+                     "--delta", "2")
+    assert rc == 4 and _one_line_error(err)
+
+
 def test_verify_t_and_max_t_together_is_a_usage_error(tmp_path, capsys):
     # one would silently win: the failing t = 7 claim went unchecked
     path = tmp_path / "code.json"
@@ -912,6 +951,23 @@ def test_construct_refuses_an_over_budget_generator_before_h(capsys,
     assert rc == 4 and stdout == ""
     assert _one_line_error(err)
     assert "generator of at least 11325 x 11629" in err
+
+
+def test_construct_refuses_an_over_budget_design_before_validating_it(
+        capsys, monkeypatch):
+    # K_601 has k = 180300 points: the generator's size is known from the
+    # shape, before validate_design's O(b^2 r) pairs of lines; this took
+    # 20 s, 5.5 s of it listing the lines and 11.5 s validating them
+    def no_validation(design):
+        raise AssertionError("the design was validated")
+    monkeypatch.setattr("slrc.construct.validate_design", no_validation)
+    start = time.perf_counter()
+    rc, stdout, err = run(capsys, "construct", "--r", "600", "--delta", "2",
+                          "--ti", "2", "--q", "1024")
+    assert time.perf_counter() - start < 5
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err)
+    assert "generator of at least 180300 x 180902" in err
 
 
 DEMO_PAPER = """\

@@ -35,6 +35,17 @@ def test_complete_graph_counts_and_girth(r):
         assert len(set(d.lines[i]) & set(d.lines[j])) <= 1
 
 
+def test_complete_graph_lines_are_each_vertex_s_edges():
+    # line v: the lexicographic indices of the edges at v, found by a scan
+    # of every edge per vertex
+    for r in range(2, 30):
+        edges = list(itertools.combinations(range(r + 1), 2))
+        lines = tuple(tuple(i for i, e in enumerate(edges) if v in e)
+                      for v in range(r + 1))
+        assert complete_graph_design(r) == Design(k=len(edges), r=r, t_i=2,
+                                                  lines=lines)
+
+
 def test_complete_graph_rejects_small_r():
     with pytest.raises(ParameterError):
         complete_graph_design(1)
