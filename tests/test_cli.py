@@ -100,6 +100,10 @@ def test_construct_bad_field(capsys):
                      "--ti", "2", "--q", "2")
     assert rc == 2
     assert "r + delta - 2" in err
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "4",
+                          "--ti", "2", "--q", "4")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "q = 4 < r + delta - 2 = 5" in err
 
 
 def test_verify_t4(tmp_path, capsys):
@@ -386,13 +390,6 @@ def test_construct_delta4_point_builds_and_verifies(tmp_path, capsys, r, q):
     assert json.loads(stdout)["pass"] is True
     rc, stdout, _ = run(capsys, "verify", "--in", str(out), "--max-t", "9")
     assert rc == 0 and stdout.startswith("t* = 6\n")
-
-
-def test_construct_field_below_r_plus_delta_minus_2_exits_2(capsys):
-    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "4",
-                          "--ti", "2", "--q", "4")
-    assert rc == 2 and stdout == ""
-    assert _one_line_error(err) and "q = 4 < r + delta - 2 = 5" in err
 
 
 def test_construct_has_no_mds_option(capsys):
