@@ -7,7 +7,7 @@ K4, a [5, 3, 3] MDS local code, the expanded block M*, and the final
 import numpy as np
 
 from slrc import (GF, ConstructionParams, build_mds_parity,
-                  build_parity_check, code_params, complete_graph_design,
+                  build_parity_check, complete_graph_design,
                   expand_m_star)
 
 fld = GF(4)
@@ -33,9 +33,10 @@ code = build_parity_check(params)
 print(f"\nH is {code.H.shape[0]} x {code.H.shape[1]}:")
 print(code.H)
 
-cp = code_params(params)
-print(f"\nparameters: n = {cp['n']}, k = {cp['k']}, rate = {cp['rate']}")
-print(f"coordinate roles: {dict((role, sum(1 for x in code.params.roles if x == role)) for role in ('information', 'line_parity', 'global_parity'))}")
+print(f"\nparameters: n = {params.n}, k = {params.k}, rate = {params.rate}")
+roles = {"information": params.k, "line_parity": params.mu,
+         "global_parity": params.n - params.k - params.mu}
+print(f"coordinate roles: {roles}")
 
 message = [1, 0, 2, 0, 0, 3]
 word = code.encode(message)

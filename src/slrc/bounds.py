@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .construct import CodeShape, code_params
+from .construct import CodeShape
 from .errors import InfeasibleError, ParameterError
 
 # Python's default int-to-str limit: no longer denominator is printed
@@ -19,6 +19,8 @@ def rate_availability_bound(r, t):
     j multiplies it by jr + 1 and divides it by a factor of j."""
     if r < 1 or t < 1:
         raise ValueError("need r >= 1 and t >= 1")
+    if r == 1:                      # the product telescopes
+        return Fraction(1, t + 1)
     out, longest = Fraction(1), 10 ** MAX_DIGITS
     for j in range(1, t + 1):
         out *= Fraction(j * r, j * r + 1)
@@ -61,11 +63,6 @@ def rate_formula(r, t_i, delta):
     return Fraction(1, denom)
 
 
-def exact_rate(params: CodeShape):
-    """k/n of the construction's block layout."""
-    return code_params(params)["rate"]
-
-
 def rate_report(r, t_i, delta, params: CodeShape = None):
     """The rate table, in print order: every applicable bound next to
     the construction's exact rate (None without params), as Fractions
@@ -86,7 +83,7 @@ def rate_report(r, t_i, delta, params: CodeShape = None):
             raise ParameterError("asked for {} but the code has {}".format(*(
                 ", ".join(f"{k} = {v[k]}" for k in differ)
                 for v in (asked, vars(params)))))
-        exact = exact_rate(params)
+        exact = params.rate
     formula = rate_formula(r, t_i, delta)
     if exact is not None and exact != formula:
         notes.append(

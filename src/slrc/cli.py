@@ -19,7 +19,7 @@ import sys
 
 from . import reference
 from .bounds import rate_report
-from .construct import (ConstructionParams, build_parity_check, code_params,
+from .construct import (ConstructionParams, build_parity_check,
                         constructed_from_matrix)
 from .designs import affine_design, complete_graph_design, load_design, Design
 from .errors import (ConstructionError, DesignError, FieldError,
@@ -75,33 +75,29 @@ def cmd_construct(args):
     code = build_parity_check(params)
     if args.out:
         save_matrix(code, args.out)
-    cp = code_params(params)
-    _print_json({
-        "n": cp["n"], "k": cp["k"],
-        "rate": f"{cp['rate'].numerator}/{cp['rate'].denominator}",
-        "b": cp["b"], "s": cp["s"], "mu": cp["mu"],
-        "out": args.out,
-    })
+    _print_json({"n": params.n, "k": params.k, "rate": str(params.rate),
+                 "b": params.b, "s": params.s, "mu": params.mu,
+                 "out": args.out})
     return EXIT_OK
 
 
-def _load_code(path, r=None, need_r=False):
+def _load_code(path, r):
     """(code, params block or None, r), where r is the given one, else
-    the params block's."""
+    the params block's; raises ParameterError when there is neither."""
     fld, H, roles, params = load_matrix(path)
     if params is None:
         code = LinearCode(fld, H)
     else:
         code = constructed_from_matrix(fld, H, params)
         r = params["r"] if r is None else r
-    if need_r and r is None:
+    if r is None:
         raise ParameterError("--r is required for files without a params "
                              "block")
     return code, params, r
 
 
 def cmd_verify(args):
-    code, params, r = _load_code(args.infile, args.r, need_r=True)
+    code, params, r = _load_code(args.infile, args.r)
     t = args.t if args.t is not None else (
         code.params.t_claim if params else 1)
     checks = []
@@ -139,7 +135,7 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
-    code, _, r = _load_code(args.infile, args.r, need_r=True)
+    code, _, r = _load_code(args.infile, args.r)
     trace = None
     if args.trace:
         def trace(step):

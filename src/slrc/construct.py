@@ -1,9 +1,9 @@
 """Assembly of the global parity-check matrix.
 
-The construction expands every line of the incidence matrix into a
-(delta-1)-row block carrying the columns of Q, stacks the identity over
-the line-parity coordinates, and appends a block-diagonal W* tier that
-ties the first ceil(s/r)*r line parities to the global parities:
+The right block of H is the identity I_{n-k}; below its diagonal the
+block-diagonal W* ties the first ceil(s/r)*r line parities to the global
+parities, and on top of the first k columns M* expands every line of the
+incidence matrix into a (delta-1)-row block carrying the columns of Q:
 
     H = [ M*   I_mu                      0 ]
         [ 0    W* (zero-padded to mu)    I ]
@@ -67,6 +67,11 @@ class CodeShape:
     def n(self):
         """Block length k + (b + ceil(ceil(k/r)/r))(delta - 1)."""
         return self.k + (self.b + self.w_blocks) * (self.delta - 1)
+
+    @property
+    def rate(self):
+        """The exact rate k/n."""
+        return Fraction(self.k, self.n)
 
     @property
     def roles(self):
@@ -148,7 +153,11 @@ class ConstructedCode(LinearCode):
 
     def row_block_support(self, j):
         """Nonzero columns of row block j (0-based, j < b + w_blocks)."""
-        d1 = self.params.delta - 1
+        p = self.params
+        if not 0 <= j < p.b + p.w_blocks:
+            raise ParameterError(
+                f"row block {j} is outside 0..{p.b + p.w_blocks - 1}")
+        d1 = p.delta - 1
         block = self.H[j * d1:(j + 1) * d1]
         return tuple(int(c) for c in np.flatnonzero(block.any(axis=0)))
 
@@ -183,11 +192,7 @@ def build_w_star(blocks, mds: MdsLocalMatrix):
     takes its shape's ceil(s/r) (`CodeShape.w_blocks`)."""
     if blocks < 1:
         raise ParameterError(f"W* block count must be >= 1, got {blocks}")
-    d1 = mds.delta - 1
-    W = np.zeros((blocks * d1, blocks * mds.r), dtype=np.int64)
-    for t in range(blocks):
-        W[t * d1:(t + 1) * d1, t * mds.r:(t + 1) * mds.r] = mds.Q
-    return W
+    return np.kron(np.eye(blocks, dtype=np.int64), mds.Q)
 
 
 def build_parity_check(params: ConstructionParams):
@@ -200,23 +205,12 @@ def build_parity_check(params: ConstructionParams):
         raise ParameterError(
             f"W* width {w_cols} exceeds the {mu} line-parity columns; "
             f"increase b (more lines) or delta")
-    M_star = expand_m_star(params.design, params.mds)
-    W_star = build_w_star(params.w_blocks, params.mds)
-    g = params.n - params.k - mu  # global parity rows
-    k = params.k
-
-    top = np.hstack([
-        M_star,
-        np.eye(mu, dtype=np.int64),
-        np.zeros((mu, g), dtype=np.int64),
-    ])
-    bottom = np.hstack([
-        np.zeros((g, k), dtype=np.int64),
-        W_star,
-        np.zeros((g, mu - w_cols), dtype=np.int64),
-        np.eye(g, dtype=np.int64),
-    ])
-    return ConstructedCode(params, np.vstack([top, bottom]))
+    k, rows = params.k, params.n - params.k
+    H = np.zeros((rows, params.n), dtype=np.int64)
+    H[:mu, :k] = expand_m_star(params.design, params.mds)
+    H[mu:, k:k + w_cols] = build_w_star(params.w_blocks, params.mds)
+    np.fill_diagonal(H[:, k:], 1)
+    return ConstructedCode(params, H)
 
 
 def constructed_from_matrix(field: GF, H, params_dict, roles=None):
@@ -230,16 +224,3 @@ def constructed_from_matrix(field: GF, H, params_dict, roles=None):
     """
     return ConstructedCode(CodeShape.from_params(field, params_dict), H)
 
-
-def code_params(params: CodeShape):
-    """Derived parameter report for a construction."""
-    return {
-        "n": params.n,
-        "k": params.k,
-        "rate": Fraction(params.k, params.n),
-        "b": params.b,
-        "s": params.s,
-        "mu": params.mu,
-        "t_claim": params.t_claim,
-        "t_abstract": params.t_abstract,
-    }

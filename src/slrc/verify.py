@@ -234,14 +234,13 @@ def check_code_structure(code: ConstructedCode):
     }}
     # statements 2-4: each listed coordinate has a recovery set inside
     # the coordinates it may read (a set never holds its own target)
-    line_par = {i for i, role in enumerate(p.roles) if role == "line_parity"}
-    glob_par = {i for i, role in enumerate(p.roles) if role == "global_parity"}
+    line_par, glob_par = range(p.k, p.k + p.mu), range(p.k + p.mu, p.n)
     for name, coords, allowed in (
-            ("2", line_par, set(range(p.k))),
-            ("3", range(p.k, p.k + p.w_blocks * p.r), line_par | glob_par),
+            ("2", line_par, range(p.k)),
+            ("3", range(p.k, p.k + p.w_blocks * p.r), range(p.k, p.n)),
             ("4", glob_par, line_par)):
-        bad = [i + 1 for i in sorted(coords)
-               if not any(set(rs.helpers) <= allowed for rs in table[i])]
+        bad = [i + 1 for i in coords if not any(
+            all(h in allowed for h in rs.helpers) for rs in table[i])]
         statements[name] = {"holds": not bad, "witness": {"missing": bad}}
     return StructureReport(statements=statements)
 

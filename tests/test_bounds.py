@@ -1,10 +1,11 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import strategies
-from slrc.bounds import (MAX_DIGITS, exact_rate, rate_availability_bound,
+from slrc.bounds import (MAX_DIGITS, rate_availability_bound,
                          rate_formula, rate_report, rate_resolvable,
                          rate_seq_bound)
 from slrc.construct import ConstructionParams, build_parity_check
@@ -31,6 +32,13 @@ def test_availability_bound_is_the_product():
     for r in range(1, 6):
         for t in range(1, 40):
             assert rate_availability_bound(r, t) == _product(r, t)
+
+
+def test_availability_bound_at_r1_telescopes_without_a_loop():
+    start = time.perf_counter()
+    rep = rate_report(1, 10 ** 6, 3)            # t = t_i (delta - 1)
+    assert rep["availability_bound"] == Fraction(1, 2 * 10 ** 6 + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_print_limit_is_pythons():
@@ -85,17 +93,17 @@ def _reference_params(delta=3):
 
 
 def test_exact_rate_reference():
-    assert exact_rate(_reference_params()) == Fraction(3, 8)
+    assert _reference_params().rate == Fraction(3, 8)
 
 
 def test_exact_rate_delta2():
-    assert exact_rate(_reference_params(delta=2)) == Fraction(6, 11)
+    assert _reference_params(delta=2).rate == Fraction(6, 11)
 
 
 def test_exact_rate_matches_matrix_dimensions():
     params = _reference_params()
     code = build_parity_check(params)
-    assert exact_rate(params) == Fraction(code.dimension, code.n)
+    assert params.rate == Fraction(code.dimension, code.n)
 
 
 def test_report_flags_divergence():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import strategies
 from dual_oracle import _rref, layout_encode, syndrome
 from slrc.construct import (SHAPE_KEYS, CodeShape, ConstructionParams,
-                            build_parity_check, build_w_star, code_params,
+                            build_parity_check, build_w_star,
                             constructed_from_matrix, expand_m_star)
 from slrc.designs import affine_design, complete_graph_design
-from slrc.errors import FieldError, ParameterError
+from slrc.errors import FieldError, ParameterError, SlrcError
 from slrc.field import GF
 from slrc.linear import LinearCode
 from slrc.mds import build_mds_parity
@@ -104,6 +105,76 @@ def test_identity_blocks_positions():
         assert code.n - code.H.shape[0] == k
 
 
+def _block_diagonal(blocks, mds):
+    """W* copied Q by Q into a zero matrix."""
+    d1, r = mds.delta - 1, mds.r
+    W = np.zeros((blocks * d1, blocks * r), dtype=np.int64)
+    for t in range(blocks):
+        W[t * d1:(t + 1) * d1, t * r:(t + 1) * r] = mds.Q
+    return W
+
+
+def _stacked_parity_check(params):
+    """H assembled block by block as [M* I_mu 0; 0 W* I], W* padded
+    with zeros to mu columns: the oracle for the three-write assembly."""
+    mu, k = params.mu, params.k
+    W_star = _block_diagonal(params.w_blocks, params.mds)
+    g = params.n - k - mu
+    top = np.hstack([expand_m_star(params.design, params.mds),
+                     np.eye(mu, dtype=np.int64),
+                     np.zeros((mu, g), dtype=np.int64)])
+    bottom = np.hstack([np.zeros((g, k), dtype=np.int64), W_star,
+                        np.zeros((g, mu - W_star.shape[1]), dtype=np.int64),
+                        np.eye(g, dtype=np.int64)])
+    return np.vstack([top, bottom])
+
+
+def _grid_params():
+    """Every constructible point with q <= 16, r <= 7, delta <= 5, both
+    designs and every t_i <= delta."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        fld = GF(q)
+        for r, delta, t_i in itertools.product(
+                range(1, 8), range(2, 6), range(1, 6)):
+            for design in (complete_graph_design, affine_design):
+                try:
+                    yield ConstructionParams(
+                        r=r, delta=delta, t_i=t_i, field=fld,
+                        design=(design(r) if design is complete_graph_design
+                                else design(r, t_i)),
+                        mds=build_mds_parity(r, delta, fld))
+                except SlrcError:
+                    pass
+
+
+def test_parity_check_is_the_stacked_layout_on_the_grid():
+    built = 0
+    for params in _grid_params():
+        H = build_parity_check(params).H
+        want = _stacked_parity_check(params)
+        assert H.shape == want.shape
+        assert H.tobytes() == want.astype(H.dtype).tobytes()
+        built += 1
+    assert built == 437
+
+
+def test_w_star_is_the_block_diagonal_loop():
+    mds = build_mds_parity(3, 3, GF(8))
+    for blocks in range(1, 5):
+        want = _block_diagonal(blocks, mds)
+        W = build_w_star(blocks, mds)
+        assert W.dtype == want.dtype and W.tobytes() == want.tobytes()
+
+
+def test_row_block_support_refuses_a_block_outside_h():
+    code = reference_code()
+    last = code.params.b + code.params.w_blocks - 1
+    assert code.row_block_support(last) == (6, 7, 8, 14, 15)
+    for j in (-1, last + 1, 100):
+        with pytest.raises(ParameterError, match=f"row block {j} "):
+            code.row_block_support(j)
+
+
 def test_delta2_dimensions():
     code = build_parity_check(k4_params(delta=2))
     assert code.H.shape == (5, 11)
@@ -124,16 +195,14 @@ def test_row_blocks_recover_local_matrix():
 
 def test_code_params_reference():
     params = k4_params()
-    cp = code_params(params)
-    assert cp["n"] == 16 and cp["k"] == 6
-    assert cp["rate"] == 0.375
-    assert cp["t_claim"] == 4 and cp["t_abstract"] == 7
+    assert params.n == 16 and params.k == 6
+    assert params.rate == 0.375
+    assert params.t_claim == 4 and params.t_abstract == 7
 
 
 def test_code_params_delta2():
     params = k4_params(delta=2)
-    cp = code_params(params)
-    assert cp["n"] == params.k + params.b + params.w_blocks == 11
+    assert params.n == params.k + params.b + params.w_blocks == 11
 
 
 def test_code_params_affine_cross_check():
@@ -141,7 +210,7 @@ def test_code_params_affine_cross_check():
                                 design=affine_design(3, 2),
                                 mds=build_mds_parity(3, 3, GF(4)))
     code = build_parity_check(params)
-    assert code_params(params)["n"] == code.n
+    assert params.n == code.n
 
 
 def test_param_validation():
