@@ -15,8 +15,11 @@ a·q + b, the index held in the smallest unsigned dtype that fits q² - 1
 elements: an entry b >= q reads a wrong element instead of raising, so
 inputs are range-checked where they enter the package (``LinearCode``,
 ``matrixio.dict_to_matrix``, ``ConstructedCode.encode``).  Larger
-fields are out of scope and raise FieldError.  A ``GF`` is immutable
-and safe to share between threads.
+fields are out of scope and raise FieldError.  The tables are built
+once per process for each valid (q, prim_poly) and the powers of each
+generator once per (q, prim_poly, generator); every ``GF`` of that spec
+shares them, and the arrays are read-only.  A ``GF`` is immutable and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -68,6 +71,65 @@ def _search_prim_poly(p, m):
             return tuple(low.tolist()) + (1,)
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(p, m, prim_poly):
+    """The add, mul, neg and inv tables of GF(p^m) modulo prim_poly, made
+    read-only, flat views of add and mul, and the smallest element of
+    order p^m - 1.  Raises FieldError, and caches nothing, when no
+    element has that order."""
+    # Both tables are filled in column blocks, one base-p digit k of b at
+    # a time: column r + c·p^k (r < p^k) is column r plus the element
+    # c·x^k, and a·(c·x^k) = c·(x^k·a).
+    q = p ** m
+    dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
+    weights = p ** np.arange(m)
+    d = np.arange(q)[:, None] // weights % p        # digits, low first
+    c = np.arange(1, p)
+    add = np.empty((q, q), dtype=dtype)
+    add[:, 0] = np.arange(q)
+    for k, w in enumerate(weights):
+        # adding c·x^k to a + r changes digit k of a only
+        step = ((d[:, k, None] + c) % p - d[:, k, None]) * w
+        add[:, w:p * w] = (add[:, None, :w] + step[:, :, None]).reshape(q, -1)
+    mul = np.zeros((q, q), dtype=dtype)
+    xa = d                                          # digits of x^k·a
+    for k, w in enumerate(weights):
+        if k:
+            xa = _times_x(xa, np.array(prim_poly[:m]), p)
+        cxa = c[:, None] * xa[:, None, :] % p @ weights
+        mul[:, w:p * w] = add[mul[:, None, :w],
+                              cxa[:, :, None]].reshape(q, -1)
+    neg = (-d % p @ weights).astype(dtype)
+    inv = np.argmax(mul == 1, axis=1).astype(dtype)
+    first = next((g for g in range(1, q)
+                  if len(_powers(mul[g].tolist())) == q - 1), None)
+    if first is None:
+        raise FieldError(f"prim_poly {prim_poly} is reducible over GF({p}): "
+                         f"no element has order {q - 1}")
+    for table in (add, mul, neg, inv):
+        table.flags.writeable = False
+    # flat views, not copies, for the array operations' one `take`
+    return add, mul, neg, inv, add.ravel(), mul.ravel(), first
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_log(p, m, prim_poly, generator):
+    """[1, g, g^2, ...] for the generator g of GF(p^m) modulo prim_poly,
+    and the exponent of each nonzero element, as tuples.  Raises
+    FieldError, and caches nothing, unless g has order p^m - 1."""
+    q = p ** m
+    if not 0 < generator < q:
+        raise FieldError(f"generator {generator} out of range for GF({q})")
+    exp = tuple(_powers(_tables(p, m, prim_poly)[1][generator].tolist()))
+    if len(exp) != q - 1:
+        raise FieldError(
+            f"generator {generator} does not have order {q - 1} in GF({q})")
+    log = [0] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    return exp, tuple(log)
+
+
 class GF:
     """GF(q), q = p^m <= MAX_Q.  prim_poly (monic of degree m over GF(p),
     low to high) must leave an element of order q - 1, which only an
@@ -91,49 +153,12 @@ class GF:
             raise FieldError(f"prim_poly of the prime field GF({q}) must be "
                              f"(0, 1), got {prim_poly}")
         self.prim_poly = prim_poly
-
-        # Both tables are filled in column blocks, one base-p digit k of
-        # b at a time: column r + c·p^k (r < p^k) is column r plus the
-        # element c·x^k, and a·(c·x^k) = c·(x^k·a).
-        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
-        weights = p ** np.arange(m)
-        d = np.arange(q)[:, None] // weights % p    # digits, low first
-        c = np.arange(1, p)
-        add = np.empty((q, q), dtype=self.dtype)
-        add[:, 0] = np.arange(q)
-        for k, w in enumerate(weights):
-            # adding c·x^k to a + r changes digit k of a only
-            step = ((d[:, k, None] + c) % p - d[:, k, None]) * w
-            add[:, w:p * w] = (add[:, None, :w]
-                               + step[:, :, None]).reshape(q, -1)
-        mul = np.zeros((q, q), dtype=self.dtype)
-        xa = d                                      # digits of x^k·a
-        for k, w in enumerate(weights):
-            if k:
-                xa = _times_x(xa, np.array(prim_poly[:m]), p)
-            cxa = c[:, None] * xa[:, None, :] % p @ weights
-            mul[:, w:p * w] = add[mul[:, None, :w],
-                                  cxa[:, :, None]].reshape(q, -1)
-        self.add_table, self.mul_table = add, mul
-        # flat views, not copies, for the array operations' one `take`
-        self._add_flat, self._mul_flat = add.ravel(), mul.ravel()
+        (self.add_table, self.mul_table, self.neg_table, self.inv_table,
+         self._add_flat, self._mul_flat, first) = _tables(p, m, prim_poly)
+        self.generator = first if generator is None else int(generator)
+        self._exp, self._log = _exp_log(p, m, prim_poly, self.generator)
+        self.dtype = self.add_table.dtype
         self._index = np.min_scalar_type(q * q - 1)
-        self.neg_table = (-d % p @ weights).astype(self.dtype)
-        self.inv_table = np.argmax(mul == 1, axis=1).astype(self.dtype)
-
-        for g in range(1, q) if generator is None else [int(generator)]:
-            if not 0 < g < q:
-                raise FieldError(f"generator {g} out of range for GF({q})")
-            self._exp = _powers(mul[g].tolist())
-            if len(self._exp) == q - 1:
-                break
-        else:
-            raise FieldError(
-                f"generator {generator} does not have order {q - 1} in GF({q})"
-                if generator is not None else f"prim_poly {prim_poly} is "
-                f"reducible over GF({p}): no element has order {q - 1}")
-        self.generator = g
-        self._log = {a: i for i, a in enumerate(self._exp)}
 
     # -- scalar operations: table reads, returning Python ints ---------------
 

@@ -266,9 +266,13 @@ def _low_weight_dual_words(field, G, wmax):
     T + {c} that the join names.
 
     Consecutive first columns are searched in one pass while their
-    summed pair count at every level stays within the largest level of
-    first column 0, so the budget check, made for that level, holds for
-    every pass.
+    summed pair count at every level stays within `_pass_limit`, so no
+    pass is estimated above max(cap·per_pair, DUAL_BYTE_BUDGET / 16)
+    bytes, and small codes, whose many small passes would be mostly
+    numpy call overhead, run in one pass.  Where cap alone fills a
+    sixteenth of the budget, the passes are those of cap: the n=34 sweep
+    point keeps its 9 passes, which peak at 2.4 MB traced where one pass
+    would peak at about 11.5 MB.
     """
     k, n = G.shape
     wmax = min(wmax, n)
@@ -289,13 +293,14 @@ def _low_weight_dual_words(field, G, wmax):
         raise InfeasibleError(
             f"dual search over column sets of size <= {wmax} of {n} columns "
             f"exceeds the {DUAL_BYTE_BUDGET}-byte budget")
+    limit = _pass_limit(cap, per_pair)
     found, start = [], 0
     while start < n:
         # first columns [start, stop) have C(n - start, w) - C(n - stop, w)
-        # pairs at level w; the pass takes as many as stay within cap
+        # pairs at level w; the pass takes as many as stay within limit
         stop = start + 1
         while stop < n and all(
-                math.comb(n - start, w) - math.comb(n - stop - 1, w) <= cap
+                math.comb(n - start, w) - math.comb(n - stop - 1, w) <= limit
                 for w in range(1, wmax + 1)):
             stop += 1
         found += _search_from(field, Gt, wmax, start, stop)
@@ -303,6 +308,13 @@ def _low_weight_dual_words(field, G, wmax):
     if not found:
         return np.zeros((0, n), dtype=dt)
     return np.concatenate(found)
+
+
+def _pass_limit(cap, per_pair):
+    """Pairs a pass may hold at each level: cap, the largest level of first
+    column 0, whose bytes the budget check has passed, or as many as fill
+    a sixteenth of the budget when that is more."""
+    return max(cap, DUAL_BYTE_BUDGET // 16 // per_pair)
 
 
 def _residual_keys(field, v):

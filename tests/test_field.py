@@ -160,6 +160,49 @@ def test_spec_dict_round_trip():
     assert gf == again
 
 
+TABLES = ("add_table", "mul_table", "neg_table", "inv_table", "_add_flat",
+          "_mul_flat")
+
+
+def test_fields_of_one_spec_share_read_only_tables():
+    a, b = GF(4), GF(4)
+    c = GF.from_spec_dict(GF(4).spec_dict())
+    for name in TABLES:
+        table = getattr(a, name)
+        assert getattr(b, name) is table and getattr(c, name) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+    assert a.add(2, 3) == 1 and a.mul(2, 3) == 1
+
+
+def test_equality_and_hash_read_the_spec():
+    assert GF(4) == GF(4) == GF.from_spec_dict(GF(4).spec_dict())
+    assert hash(GF(4)) == hash(GF(4, prim_poly=[1, 1, 1], generator=2))
+    assert GF(5) == GF(5, prim_poly=[0, 1])
+    # the same tables, another generator: another field spec
+    assert GF(4, generator=3).mul_table is GF(4).mul_table
+    assert GF(4, generator=3) != GF(4)
+    assert GF(4) != GF(8) and GF(4) != 4
+    assert len({GF(4), GF(4), GF(8), GF(4, generator=3)}) == 3
+
+
+@pytest.mark.parametrize("spec", [
+    dict(q=6), dict(q=4, prim_poly=[0, 0, 1]), dict(q=4, prim_poly=[1, 0, 1]),
+    dict(q=4, generator=1), dict(q=4, generator=4)])
+def test_invalid_spec_raises_every_time_and_caches_nothing(spec):
+    import slrc.field as field
+    GF(4)
+
+    def cached():
+        return (field._tables.cache_info().currsize,
+                field._exp_log.cache_info().currsize)
+    before = cached()
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            GF(**spec)
+    assert cached() == before
+
+
 @pytest.mark.parametrize("p, m, match", [
     (4, 1, "p = 4 is not a prime"),         # 4 ** 1 would build GF(2^2)
     (-2, 2, "p = -2 is not a prime"),       # (-2) ** 2 is 4

@@ -219,8 +219,8 @@ def test_dual_low_weight_subset_route_agrees(ref_lc):
 
 @st.composite
 def small_parity_checks(draw):
-    # up to n = 14 the search takes several first columns in one pass;
-    # GF(9) is characteristic 3 beyond the prime field
+    # up to n = 14 the search runs in one pass unless its pass limit is
+    # patched; GF(9) is characteristic 3 beyond the prime field
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     n = draw(st.integers(1, 14))
     # the row-space oracle lists q^rows vectors
@@ -298,33 +298,105 @@ def test_dual_low_weight_unfiltered_last_level_matches_rowspace_oracle(
     assert words == dual_oracle.rowspace_words(field, H, wmax)
 
 
-def test_dual_low_weight_groups_first_columns_within_column_0(ref_lc,
-                                                             monkeypatch):
-    # each pass takes as many consecutive first columns as keep their
-    # summed pair count C(n - 1 - f, w - 1) at every level w within the
-    # largest level of first column 0
+# pass limits that split small codes into several passes: the largest
+# level of first column 0, which sized every pass before passes were
+# sized in bytes, and one first column a pass
+SPLIT_PASS_LIMITS = {"column_0": lambda cap, per_pair: cap,
+                     "one_column": lambda cap, per_pair: 0}
+
+
+@pytest.mark.parametrize("rule", SPLIT_PASS_LIMITS)
+@settings(max_examples=100, deadline=None)
+@given(small_parity_checks(), st.integers(1, 5), st.booleans())
+def test_dual_low_weight_split_passes_match_rowspace_oracle(
+        rule, field_and_h, wmax, unfiltered):
+    # passes that start past column 0, with and without the last level's
+    # residual-key filter
     import slrc.linear as linear
-    want = dual_low_weight(LinearCode(ref_lc.field, ref_lc.H), 4)
+    field, H = field_and_h
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_pass_limit", SPLIT_PASS_LIMITS[rule])
+        if unfiltered:
+            mp.setattr(linear, "_residual_keys", _one_key([]))
+        words = dual_low_weight(LinearCode(field, H), wmax)
+    assert words == dual_oracle.rowspace_words(field, H, wmax)
+
+
+def _sweep_code(n):
+    """The linear code of the criterion-09 sweep point of length n, and
+    its search weight r + 1."""
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        params = ConstructionParams(r=r, delta=delta, t_i=t_i, field=fld,
+                                    design=design,
+                                    mds=build_mds_parity(r, delta, fld))
+        lc = build_parity_check(params).as_linear_code()
+        if lc.n == n:
+            return lc, r + 1
+    raise LookupError(n)
+
+
+def _passes(lc, wmax):
+    """The (start, stop) first-column passes of one search, and its words."""
+    import slrc.linear as linear
     passes = []
     search = linear._search_from
 
     def spy(field, Gt, wmax, start, stop):
         passes.append((start, stop))
         return search(field, Gt, wmax, start, stop)
-    monkeypatch.setattr(linear, "_search_from", spy)
-    lc = LinearCode(ref_lc.field, ref_lc.H)
-    assert dual_low_weight(lc, 4) == want
-    n = lc.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_search_from", spy)
+        words = dual_low_weight(LinearCode(lc.field, lc.H), wmax)
+    return passes, words
+
+
+# the passes of the reference code (n = 16) and of sweep points: the two
+# codes of the `tstar` benchmark (n = 18 and 29), n = 25, which takes
+# three, and n = 34, whose cap alone fills a sixteenth of the budget, so
+# it keeps the 9 passes of the cap rule
+PASS_PINS = {
+    16: [(0, 16)],
+    18: [(0, 18)],
+    29: [(0, 29)],
+    25: [(0, 2), (2, 6), (6, 25)],
+    34: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (7, 10), (10, 20),
+         (20, 34)],
+}
+
+
+@pytest.mark.parametrize("n", PASS_PINS)
+def test_dual_low_weight_passes_are_maximal_within_the_byte_limit(
+        n, ref_lc, monkeypatch):
+    # each pass takes as many consecutive first columns as keep their
+    # summed pair count C(n - 1 - f, w - 1) at every level w within
+    # max(cap, DUAL_BYTE_BUDGET // 16 // per_pair)
+    import slrc.linear as linear
+    lc, wmax = (ref_lc, 4) if n == 16 else _sweep_code(n)
+    passes, words = _passes(lc, wmax)
+    assert passes == PASS_PINS[n]
+    k = lc.dimension
+    per_pair = 6 * (k + 1 + wmax) * lc.field.dtype.itemsize + 6 * 8
+    cap = max(math.comb(n - 1, w) for w in range(wmax))
+    limit = max(cap, linear.DUAL_BYTE_BUDGET // 16 // per_pair)
 
     def pairs(group):
         return [sum(math.comb(n - 1 - f, w - 1) for f in group)
-                for w in range(1, 5)]
+                for w in range(1, wmax + 1)]
     assert [a for a, _ in passes] == [0] + [b for _, b in passes[:-1]]
-    assert passes[-1][1] == n and len(passes) < n
+    assert passes[-1][1] == n
     for start, stop in passes:
-        assert max(pairs(range(start, stop))) <= max(pairs([0]))
+        assert max(pairs(range(start, stop))) <= limit
+        assert max(pairs(range(start, stop))) * per_pair <= max(
+            cap * per_pair, linear.DUAL_BYTE_BUDGET // 16)
         if stop < n:
-            assert max(pairs(range(start, stop + 1))) > max(pairs([0]))
+            assert max(pairs(range(start, stop + 1))) > limit
+    # the words are those of the passes sized by first column 0
+    monkeypatch.setattr(linear, "_pass_limit", SPLIT_PASS_LIMITS["column_0"])
+    split, before = _passes(lc, wmax)
+    assert words == before
+    assert len(split) >= len(passes)
 
 
 # (q, row length): 1024^7 and 9^20 exceed 2^63, so the keys of the
