@@ -18,8 +18,9 @@ inputs are range-checked where they enter the package (``LinearCode``,
 fields are out of scope and raise FieldError.  The tables are built
 once per process for each valid (q, prim_poly) and the powers of each
 generator once per (q, prim_poly, generator); every ``GF`` of that spec
-shares them, and the arrays are read-only.  A ``GF`` is immutable and
-safe to share between threads.
+shares them, and the arrays are read-only.  ``nested_tables`` gives add
+and mul as tuples of row tuples, for scalar loops, built on first use
+once per spec.  A ``GF`` is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -113,6 +114,16 @@ def _tables(p, m, prim_poly):
 
 
 @functools.lru_cache(maxsize=None)
+def _nested_tables(p, m, prim_poly):
+    """The add and mul tables of a valid spec as tuples of row tuples,
+    every entry one of q shared ints (a pointer, not an int object each)."""
+    ints = list(range(p ** m))
+    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
+                       for row in table)
+                 for table in _tables(p, m, prim_poly)[:2])
+
+
+@functools.lru_cache(maxsize=None)
 def _exp_log(p, m, prim_poly, generator):
     """[1, g, g^2, ...] for the generator g of GF(p^m) modulo prim_poly,
     and the exponent of each nonzero element, as tuples.  Raises
@@ -190,6 +201,12 @@ class GF:
                 raise ZeroDivisionError("zero to a negative power")
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def nested_tables(self):
+        """(add, mul) as tuples of row tuples of Python ints, add[a][b] =
+        a + b, for loops that read many single entries; built on first
+        use, once per spec."""
+        return _nested_tables(self.p, self.m, self.prim_poly)
 
     def elements(self):
         return range(self.q)

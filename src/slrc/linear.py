@@ -82,6 +82,17 @@ class RepairStep:
     coeffs: tuple
 
 
+class _PeelTable(tuple):
+    """`peel_table`'s rows, one tuple per coordinate, and `schedules`,
+    the memo `simulate.plan_repair` keeps of the schedules planned on
+    this table; every new table starts with an empty one."""
+
+    def __new__(cls, rows):
+        table = super().__new__(cls, rows)
+        table.schedules = {}
+        return table
+
+
 @dataclass(frozen=True)
 class DualWord:
     vector: tuple      # normalized: leading nonzero entry is 1
@@ -490,8 +501,10 @@ def peel_table(code: LinearCode, r):
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
     keeps memory flat while callers hold many codes.  The rows are
-    tuples, so no caller can change the shared table.  Raises
-    ParameterError for r < 1: no check at such an r means anything."""
+    tuples, so no caller can change the shared table; its `schedules`
+    dict is `simulate.plan_repair`'s memo, which lives and dies with it.
+    Raises ParameterError for r < 1: no check at such an r means
+    anything."""
     if r < 1:
         raise ParameterError(f"locality r must be >= 1, got {r}")
     field = code.field
@@ -505,9 +518,9 @@ def peel_table(code: LinearCode, r):
             coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
             table[i].append((mask ^ (1 << i), RepairStep(
                 repaired=i, helpers=helpers, coeffs=coeffs)))
-    return tuple(tuple(sorted(row, key=lambda entry: (entry[1].helpers,
-                                                      entry[1].coeffs)))
-                 for row in table)
+    return _PeelTable(tuple(sorted(row, key=lambda entry: (entry[1].helpers,
+                                                           entry[1].coeffs)))
+                      for row in table)
 
 
 def all_recovery_sets(code: LinearCode, r):

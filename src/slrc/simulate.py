@@ -5,14 +5,20 @@ coordinate first, lexicographically smallest helper set), which makes
 schedules deterministic.  Each step is a `linear.RepairStep` record of
 the `peel_table` that `verify`'s stopping-set search also reads, the
 record itself and not a copy; the table's one-entry memo hands every
-plan of a campaign the same table.  Within the certified tolerance the
-peeling condition guarantees greedy never gets stuck, so no
-backtracking is needed; outside it, a stuck state is a structured
-result.
+plan of a campaign the same table, and the plans of that table are
+memoized by erased set.  Within the certified tolerance the peeling
+condition guarantees greedy never gets stuck, so no backtracking is
+needed; outside it, a stuck state is a structured result.
+
+A campaign's random draws are those of numpy's `integers` and `choice`
+on the seeded `Generator`, made from its raw 32-bit stream without a
+numpy call per trial (`_Draws`).
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -22,12 +28,17 @@ from .errors import ParameterError
 from .linear import peel_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)    # plan_repair's memo holds thousands
 class RepairSchedule:
     erased: tuple
     steps: tuple
     complete: bool
     residual: tuple = ()   # coordinates left unrepaired when stuck
+
+
+# schedules plan_repair memoizes per peel table before it empties the memo
+_MEMO_SIZE = 1 << 12
+_BLOCK = 4096           # raw words per numpy call of _Draws
 
 
 def _coordinate_error(code, erased):
@@ -41,7 +52,8 @@ def plan_repair(code, erased, r):
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
     Raises ParameterError for a coordinate that is not an integer or
-    lies outside 0..n-1.
+    lies outside 0..n-1.  Schedules are memoized by erased set for the
+    current peel table, so one set planned twice gives the same object.
     """
     peel = peel_table(code, r)
     try:
@@ -51,10 +63,24 @@ def plan_repair(code, erased, r):
                              f"got {erased!r}") from None
     if erased and (erased[0] < 0 or erased[-1] >= code.n):
         raise _coordinate_error(code, erased)
-    remaining = list(erased)
     mask = 0
     for i in erased:
         mask |= 1 << i
+    # the table's own memo, by erased bitmask: a table built anew starts
+    # empty, so a schedule's steps are always the current table's records
+    schedules = peel.schedules
+    schedule = schedules.get(mask)
+    if schedule is None:
+        if len(schedules) >= _MEMO_SIZE:
+            schedules.clear()
+        schedule = schedules[mask] = _greedy(peel, erased, mask)
+    return schedule
+
+
+def _greedy(peel, erased, mask):
+    """The greedy schedule for the sorted erased tuple, whose bitmask is
+    `mask`, on the peel table."""
+    remaining = list(erased)
     steps = []
     while remaining:
         # the first recovery set, by coordinate and then by helpers, that
@@ -81,7 +107,7 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     if len(codeword) != code.n:
         raise ParameterError(
             f"word length {len(codeword)} != n = {code.n}")
-    add, mul = code.field.add_table.item, code.field.mul_table.item
+    add, mul = code.field.nested_tables()
     values = list(codeword)
     missing = set(erased)
     for i in missing:
@@ -99,12 +125,70 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
                 raise RuntimeError(
                     f"schedule reads coordinate {h + 1} before it is repaired")
             if a and v:
-                acc = add(acc, mul(a, v))
+                acc = add[acc][mul[a][v]]
         values[step.repaired] = acc
         missing.discard(step.repaired)
     if missing:
         raise RuntimeError(f"schedule leaves {sorted(missing)} unrepaired")
     return tuple(values)
+
+
+class _Draws:
+    """The draws of a seeded `np.random.default_rng(seed)`, made from its
+    raw 32-bit stream, which is read in blocks of _BLOCK words with one
+    numpy call each (every word one `next_uint32`, the stream numpy's
+    bounded draws read).  Each method returns exactly what its numpy call
+    returns and consumes exactly the words that call consumes, so a
+    campaign's draws match those of `integers` and `choice` call for
+    call, with no numpy call per trial.
+
+    `below` is numpy's 32-bit Lemire draw (Lemire, ACM TOMACS 2019);
+    `sample` is `choice(replace=False)`, Floyd's algorithm (Bentley &
+    Floyd, CACM 1987) and then a shuffle, or a partial shuffle of
+    arange(n) when n > 10000 and the sample is over n // 50."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        # the lambda holds rng and not self: no cycle keeps a block alive
+        blocks = iter(lambda: rng.integers(0, 1 << 32, size=_BLOCK,
+                                           dtype=np.uint32).tolist(), None)
+        self._words = itertools.chain.from_iterable(blocks)
+        self._next = self._words.__next__
+
+    def below(self, span):
+        """`integers(0, span)`, 1 <= span <= 2**32, as a Python int."""
+        if span == 1:
+            return 0
+        m = self._next() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (1 << 32) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next() * span
+        return m >> 32
+
+    def integers(self, span, size):
+        """`integers(0, span, size=size)` as a list of Python ints."""
+        if (1 << 32) % span:
+            return [self.below(span) for _ in range(size)]
+        # span divides 2**32: no word is rejected
+        return [u * span >> 32 for u in itertools.islice(self._words, size)]
+
+    def sample(self, n, size):
+        """The sorted tuple of `choice(n, size, replace=False)`."""
+        below = self.below
+        if n > 10000 and size > n // 50:
+            moved = {}          # the entries of arange(n) the shuffle moved
+            for i in range(n - 1, max(n - size, 1) - 1, -1):
+                j = below(i + 1)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return tuple(sorted(moved.get(i, i) for i in range(n - size, n)))
+        chosen = set()
+        for j in range(n - size, n):
+            v = below(j + 1)
+            chosen.add(j if v in chosen else v)
+        for i in range(size - 1, 0, -1):
+            below(i + 1)        # numpy shuffles the sample; it is sorted here
+        return tuple(sorted(chosen))
 
 
 def trial_campaign(code, r, t, trials, seed, trace=None):
@@ -115,21 +199,30 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     `trace`, when given, is called with every executed RepairStep.
     Each message is `code.dimension` symbols, put through `code.encode`,
     which raises ParameterError in the first trial for an H off its layout.
+    The summary lists the first ten failed trials and counts them all.
+    Raises ParameterError for trials or t below 1 and for a seed that
+    is not a non-negative integer.
     """
     if trials < 1 or t < 1:
         raise ParameterError(
             f"trials and t must be >= 1, got trials={trials}, t={t}")
-    fld, n = code.field, code.n
-    rng = np.random.default_rng(seed)
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    q, n, k = code.field.q, code.n, code.dimension
+    draws = _Draws(seed)
     successes = 0
     total_steps = 0
     total_helpers = 0
     failures = []
+    failure_count = 0
     for trial in range(trials):
-        size = int(rng.integers(1, min(t, n) + 1))
-        erased = tuple(sorted(
-            rng.choice(n, size=size, replace=False).tolist()))
-        word = code.encode(rng.integers(0, fld.q, size=code.dimension))
+        # the draws of numpy's integers(1, min(t, n) + 1), choice(n, size,
+        # replace=False) and integers(0, q, size=k), in that order
+        size = 1 + draws.below(min(t, n))
+        erased = draws.sample(n, size)
+        # an int64 array, as numpy drew it, so k = 0 is no float array
+        word = code.encode(np.array(draws.integers(q, k), dtype=np.int64))
         schedule = plan_repair(code, erased, r)
         if schedule.complete:
             if trace is not None:
@@ -139,12 +232,14 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
                 successes += 1
                 total_steps += len(schedule.steps)
                 total_helpers += sum(len(s.helpers) for s in schedule.steps)
-            else:
-                failures.append({"trial": trial, "erased": [i + 1 for i in erased],
-                                 "reason": "mismatch after repair"})
+                continue
+            failure = {"reason": "mismatch after repair"}
         else:
-            failures.append({"trial": trial, "erased": [i + 1 for i in erased],
-                             "residual": [i + 1 for i in schedule.residual]})
+            failure = {"residual": [i + 1 for i in schedule.residual]}
+        failure_count += 1
+        if len(failures) < 10:
+            failures.append({"trial": trial,
+                             "erased": [i + 1 for i in erased], **failure})
     return {
         "trials": trials,
         "t": t,
@@ -153,6 +248,6 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
         "mean_schedule_length": total_steps / successes if successes else None,
         "mean_helpers_per_repair": (total_helpers / total_steps
                                     if total_steps else None),
-        "failures": failures[:10],
-        "failure_count": len(failures),
+        "failures": failures,
+        "failure_count": failure_count,
     }

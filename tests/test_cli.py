@@ -333,6 +333,15 @@ def test_simulate_zero_trials_exits_2(tmp_path, capsys, t, trials):
     assert _one_line_error(err) and "must be >= 1" in err
 
 
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    save_matrix(reference_code(), out)
+    rc, stdout, err = run(capsys, "simulate", "--in", str(out), "--t", "2",
+                          "--seed", "-1")
+    assert rc == 2 and stdout == ""
+    assert _one_line_error(err) and "seed must be a non-negative" in err
+
+
 @pytest.mark.parametrize("spoil,match", [
     (lambda d: d.pop("field"), "lacks field"),
     (lambda d: d["field"].pop("prim_poly"), "lacks prim_poly"),

@@ -175,6 +175,20 @@ def test_fields_of_one_spec_share_read_only_tables():
     assert a.add(2, 3) == 1 and a.mul(2, 3) == 1
 
 
+@pytest.mark.parametrize("q", [2, 4, 9, 1024])
+def test_nested_tables_are_the_shared_tables_as_tuples(q):
+    fld = GF(q)
+    add, mul = fld.nested_tables()
+    assert GF(q).nested_tables() is fld.nested_tables()
+    assert GF.from_spec_dict(fld.spec_dict()).nested_tables()[0] is add
+    for nested, table in ((add, fld.add_table), (mul, fld.mul_table)):
+        assert type(nested) is tuple and all(type(row) is tuple
+                                             for row in nested)
+        assert nested == tuple(map(tuple, table.tolist()))
+    # every entry is one of q shared ints, also above the small-int cache
+    assert len({id(x) for row in add + mul for x in row}) == q
+
+
 def test_equality_and_hash_read_the_spec():
     assert GF(4) == GF(4) == GF.from_spec_dict(GF(4).spec_dict())
     assert hash(GF(4)) == hash(GF(4, prim_poly=[1, 1, 1], generator=2))

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from slrc.errors import ParameterError
 from slrc.linear import LinearCode, peel_table
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
-from slrc.simulate import execute_repair, plan_repair, trial_campaign
+from slrc import simulate
+from slrc.simulate import _Draws, execute_repair, plan_repair, trial_campaign
 from slrc.verify import max_sequential_t
 
 
@@ -243,3 +245,160 @@ def test_encode_erase_repair_is_the_identity(data):
     schedule = plan_repair(code, erased, p.r)
     assert schedule.complete
     assert execute_repair(code, word, erased, schedule) == word
+
+
+# -- the campaign's draws: numpy's own calls, as trial_campaign made them
+# one trial at a time, are the oracle for the raw-stream reader ---------
+
+def _numpy_trials(seed, n, t, q, k, trials):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        size = int(rng.integers(1, min(t, n) + 1))
+        erased = tuple(sorted(
+            rng.choice(n, size=size, replace=False).tolist()))
+        yield size, erased, rng.integers(0, q, size=k).tolist()
+
+
+def _reader_trials(seed, n, t, q, k, trials):
+    draws = _Draws(seed)
+    for _ in range(trials):
+        size = 1 + draws.below(min(t, n))
+        yield size, draws.sample(n, size), draws.integers(q, k)
+
+
+# (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n, the
+# spans 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their
+# words, and k = 0 draws no message
+DRAW_SHAPES = [(16, 1, 4, 6), (16, 16, 4, 6), (9, 9, 2, 3), (25, 5, 3, 10),
+               (30, 30, 7, 5), (12, 4, 1021, 8), (20, 20, 2 ** 31 + 1, 4),
+               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0)]
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES, ids=str)
+def test_draws_match_numpy_calls(shape):
+    for seed in range(30):
+        assert (list(_reader_trials(seed, *shape, 150))
+                == list(_numpy_trials(seed, *shape, 150)))
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 4, 7, 1021, 2 ** 31 + 1,
+                                  3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32])
+def test_below_and_integers_match_numpy_integers(span):
+    for seed in range(10):
+        rng, draws = np.random.default_rng(seed), _Draws(seed)
+        for _ in range(20):
+            assert draws.below(span) == rng.integers(0, span)
+            assert draws.integers(span, 25) == rng.integers(
+                0, span, size=25).tolist()
+
+
+# numpy draws n > 10000 samples larger than n // 50 by shuffling the tail
+# of arange(n), and all others by Floyd's algorithm and a shuffle
+@pytest.mark.parametrize("n,size", [(1, 1), (16, 16), (10000, 5000),
+                                    (10001, 200), (10001, 201),
+                                    (10001, 10001), (20000, 401)])
+def test_sample_matches_numpy_choice(n, size):
+    for seed in range(5):
+        rng, draws = np.random.default_rng(seed), _Draws(seed)
+        for _ in range(3):
+            assert draws.sample(n, size) == tuple(sorted(
+                rng.choice(n, size=size, replace=False).tolist()))
+        # and both have read the same words
+        assert draws.below(1 << 20) == rng.integers(0, 1 << 20)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2]])
+def test_campaign_rejects_a_seed_that_is_not_a_non_negative_integer(
+        ref, seed):
+    with pytest.raises(ParameterError, match="seed must be a non-negative"):
+        trial_campaign(ref, 3, 4, 10, seed)
+
+
+def test_campaign_takes_a_numpy_integer_seed(ref):
+    assert (trial_campaign(ref, 3, 4, 50, np.int64(7))
+            == trial_campaign(ref, 3, 4, 50, 7))
+
+
+def test_campaign_calls_encode_plan_execute_once_per_trial(monkeypatch):
+    # the benchmark's repair oracle replays a campaign through these names
+    code, calls = _plain_reference(), []
+
+    def recorder(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(code, "encode", recorder("encode", code.encode))
+    for name in ("plan_repair", "execute_repair"):
+        monkeypatch.setattr(simulate, name,
+                            recorder(name, getattr(simulate, name)))
+    stats = trial_campaign(code, 3, 16, 100, 42)
+    want = []
+    complete = [plan_repair(code, erased, 3).complete
+                for _, erased, _ in _numpy_trials(42, 16, 16, 4, 6, 100)]
+    for done in complete:
+        want += ["encode", "plan_repair"] + ["execute_repair"] * done
+    assert calls == want
+    assert stats["failure_count"] == complete.count(False) > 0
+
+
+def test_campaign_memory_does_not_grow_with_failed_trials(ref, monkeypatch):
+    # about 40% of t = 16 trials fail, and the summary lists ten of them;
+    # the plan memo is held to one schedule, so only the campaign's own
+    # memory is measured
+    monkeypatch.setattr(simulate, "_MEMO_SIZE", 1, raising=False)
+
+    def peak(trials):
+        trial_campaign(ref, 3, 16, 10, 0)       # builds the shared tables
+        tracemalloc.start()
+        try:
+            stats = trial_campaign(ref, 3, 16, trials, 1)
+            return tracemalloc.get_traced_memory()[1], stats
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(200)
+    large, stats = peak(2000)
+    assert stats["failure_count"] > 500 and len(stats["failures"]) == 10
+    assert large - small < 50_000, (small, large)
+
+
+def test_plan_memo_gives_one_schedule_per_erased_set(ref):
+    first = plan_repair(ref, [9, 2, 4, 2], 3)
+    assert plan_repair(ref, (2, 4, 9), 3) is first
+    assert plan_repair(ref, np.array([4, 9, 2]), 3) is first
+
+
+def test_plan_memo_is_read_only_after_validation(ref):
+    plan_repair(ref, [1], 3)
+    with pytest.raises(ParameterError, match="must be integers"):
+        plan_repair(ref, [1.0], 3)      # hashes like (1,)
+    plan_repair(ref, [15], 3)
+    with pytest.raises(ParameterError, match="0..15"):
+        plan_repair(ref, [15, 16], 3)
+
+
+def _own_records(schedule, table):
+    return all(any(rs is step for _, rs in table[step.repaired])
+               for step in schedule.steps)
+
+
+def test_plan_memo_follows_the_current_peel_table():
+    code = reference_code()
+    first = plan_repair(code, {0, 6}, 3)
+    plan_repair(_affine25(), {0, 6}, 4)         # another code's table
+    again = plan_repair(code, {0, 6}, 3)        # code's table, rebuilt
+    assert again == first and again is not first
+    assert again.complete and _own_records(again, peel_table(code, 3))
+    # the same set at another r is planned on that r's table
+    assert not plan_repair(code, {0, 6}, 2).complete
+    assert plan_repair(code, {0, 6}, 3).complete
+
+
+def test_plan_memo_is_bounded(ref, monkeypatch):
+    monkeypatch.setattr(simulate, "_MEMO_SIZE", 8)
+    for pattern in itertools.combinations(range(16), 2):
+        schedule = plan_repair(ref, pattern, 3)
+        assert plan_repair(ref, pattern, 3) is schedule
+        assert len(peel_table(ref, 3).schedules) <= 8
