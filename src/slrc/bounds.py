@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .construct import CodeShape
@@ -15,19 +16,22 @@ MAX_DIGITS = 4300
 def rate_availability_bound(r, t):
     """Product bound on the rate of codes with locality r and
     availability t: prod_{j=1..t} jr/(jr + 1).  Raises InfeasibleError
-    once the denominator passes MAX_DIGITS digits; it only grows, as step
-    j multiplies it by jr + 1 and divides it by a factor of j."""
+    once the denominator passes MAX_DIGITS digits, or Python's int-to-str
+    limit when one is set lower; it only grows, as step j multiplies it by
+    jr + 1 and divides it by a factor of j."""
     if r < 1 or t < 1:
         raise ValueError("need r >= 1 and t >= 1")
     if r == 1:                      # the product telescopes
         return Fraction(1, t + 1)
-    out, longest = Fraction(1), 10 ** MAX_DIGITS
+    digits = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits",
+                                     lambda: 0)() or MAX_DIGITS)
+    out, longest = Fraction(1), 10 ** digits
     for j in range(1, t + 1):
         out *= Fraction(j * r, j * r + 1)
         if out.denominator >= longest:
             raise InfeasibleError(
                 f"the availability bound at r = {r}, t = {t} is too long to "
-                f"print: its denominator has more than {MAX_DIGITS} digits")
+                f"print: its denominator has more than {digits} digits")
     return out
 
 

@@ -6,8 +6,8 @@ polynomial ``prim_poly``.  The field is four lookup tables built on
 whole arrays of digits: the q×q ``add_table`` and ``mul_table`` and the
 length-q ``neg_table`` and ``inv_table``.  Sums are digitwise mod p, and
 a·b is the sum over k of b_k·(x^k·a), with x^k·a from a vectorized
-"times x" step.  The generator and its exp/log come from ``mul_table``.
-Scalar operations read the tables and return Python ints.  Array
+"times x" step.  Scalar operations, ``pow`` too, read the tables and
+return Python ints, and the generator is checked on ``mul_table``.  Array
 operations take from them: ``vmul``, and ``vadd`` in odd
 characteristic, read the flattened q×q table with one ``take`` of
 a·q + b, the index held in the smallest unsigned dtype that fits q² - 1
@@ -16,11 +16,9 @@ elements: an entry b >= q reads a wrong element instead of raising, so
 inputs are range-checked where they enter the package (``LinearCode``,
 ``matrixio.dict_to_matrix``, ``ConstructedCode.encode``).  Larger
 fields are out of scope and raise FieldError.  The tables are built
-once per process for each valid (q, prim_poly) and the powers of each
-generator once per (q, prim_poly, generator); every ``GF`` of that spec
-shares them, and the arrays are read-only.  ``nested_tables`` gives add
-and mul as tuples of row tuples, for scalar loops, built on first use
-once per spec.  A ``GF`` is immutable and safe to share between threads.
+once per process for each valid (q, prim_poly); every ``GF`` of that
+spec shares them, and the arrays are read-only.  A ``GF`` holds its spec
+and those tables only, and is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -113,34 +111,6 @@ def _tables(p, m, prim_poly):
     return add, mul, neg, inv, add.ravel(), mul.ravel(), first
 
 
-@functools.lru_cache(maxsize=None)
-def _nested_tables(p, m, prim_poly):
-    """The add and mul tables of a valid spec as tuples of row tuples,
-    every entry one of q shared ints (a pointer, not an int object each)."""
-    ints = list(range(p ** m))
-    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
-                       for row in table)
-                 for table in _tables(p, m, prim_poly)[:2])
-
-
-@functools.lru_cache(maxsize=None)
-def _exp_log(p, m, prim_poly, generator):
-    """[1, g, g^2, ...] for the generator g of GF(p^m) modulo prim_poly,
-    and the exponent of each nonzero element, as tuples.  Raises
-    FieldError, and caches nothing, unless g has order p^m - 1."""
-    q = p ** m
-    if not 0 < generator < q:
-        raise FieldError(f"generator {generator} out of range for GF({q})")
-    exp = tuple(_powers(_tables(p, m, prim_poly)[1][generator].tolist()))
-    if len(exp) != q - 1:
-        raise FieldError(
-            f"generator {generator} does not have order {q - 1} in GF({q})")
-    log = [0] * q
-    for i, a in enumerate(exp):
-        log[a] = i
-    return exp, tuple(log)
-
-
 class GF:
     """GF(q), q = p^m <= MAX_Q.  prim_poly (monic of degree m over GF(p),
     low to high) must leave an element of order q - 1, which only an
@@ -166,8 +136,12 @@ class GF:
         self.prim_poly = prim_poly
         (self.add_table, self.mul_table, self.neg_table, self.inv_table,
          self._add_flat, self._mul_flat, first) = _tables(p, m, prim_poly)
-        self.generator = first if generator is None else int(generator)
-        self._exp, self._log = _exp_log(p, m, prim_poly, self.generator)
+        self.generator = g = first if generator is None else int(generator)
+        if not 0 < g < q:
+            raise FieldError(f"generator {g} out of range for GF({q})")
+        if g != first and len(_powers(self.mul_table[g].tolist())) != q - 1:
+            raise FieldError(
+                f"generator {g} does not have order {q - 1} in GF({q})")
         self.dtype = self.add_table.dtype
         self._index = np.min_scalar_type(q * q - 1)
 
@@ -200,13 +174,12 @@ class GF:
             if e < 0:
                 raise ZeroDivisionError("zero to a negative power")
             return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def nested_tables(self):
-        """(add, mul) as tuples of row tuples of Python ints, add[a][b] =
-        a + b, for loops that read many single entries; built on first
-        use, once per spec."""
-        return _nested_tables(self.p, self.m, self.prim_poly)
+        mul, out, e = self.mul_table.item, 1, e % (self.q - 1)
+        while e:                            # square and multiply
+            if e & 1:
+                out = mul(out, a)
+            a, e = mul(a, a), e >> 1
+        return out
 
     def elements(self):
         return range(self.q)

@@ -82,17 +82,6 @@ class RepairStep:
     coeffs: tuple
 
 
-class _PeelTable(tuple):
-    """`peel_table`'s rows, one tuple per coordinate, and `schedules`,
-    the memo `simulate.plan_repair` keeps of the schedules planned on
-    this table; every new table starts with an empty one."""
-
-    def __new__(cls, rows):
-        table = super().__new__(cls, rows)
-        table.schedules = {}
-        return table
-
-
 @dataclass(frozen=True)
 class DualWord:
     vector: tuple      # normalized: leading nonzero entry is 1
@@ -128,6 +117,8 @@ class LinearCode:
                 f"a {self.dimension} x {self.n} generator exceeds the "
                 f"{DUAL_BYTE_BUDGET}-byte budget")
         self._generator = _kernel(field, R, pivots)[::-1, ::-1].copy()
+        # read-only, as the field's tables: the memoized facts derive from them
+        self.H.flags.writeable = self._generator.flags.writeable = False
         self._dual_cache = {}
 
     @property
@@ -144,6 +135,8 @@ class LinearCode:
         if len(message) != self.dimension:
             raise ValueError(f"message length {len(message)} != "
                              f"dimension {self.dimension}")
+        if not self.dimension:      # np.asarray([]) is float64
+            return (0,) * self.n
         msg = np.asarray(message)
         if msg.dtype.kind not in "iu":
             raise FieldError(f"message symbols must be integers, got "
@@ -501,8 +494,7 @@ def peel_table(code: LinearCode, r):
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
     keeps memory flat while callers hold many codes.  The rows are
-    tuples, so no caller can change the shared table; its `schedules`
-    dict is `simulate.plan_repair`'s memo, which lives and dies with it.
+    tuples, so no caller can change the shared table.
     Raises ParameterError for r < 1: no check at such an r means
     anything."""
     if r < 1:
@@ -518,9 +510,8 @@ def peel_table(code: LinearCode, r):
             coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
             table[i].append((mask ^ (1 << i), RepairStep(
                 repaired=i, helpers=helpers, coeffs=coeffs)))
-    return _PeelTable(tuple(sorted(row, key=lambda entry: (entry[1].helpers,
-                                                           entry[1].coeffs)))
-                      for row in table)
+    return tuple(tuple(sorted(row, key=lambda e: (e[1].helpers, e[1].coeffs)))
+                 for row in table)
 
 
 def all_recovery_sets(code: LinearCode, r):

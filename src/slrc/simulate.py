@@ -5,8 +5,8 @@ coordinate first, lexicographically smallest helper set), which makes
 schedules deterministic.  Each step is a `linear.RepairStep` record of
 the `peel_table` that `verify`'s stopping-set search also reads, the
 record itself and not a copy; the table's one-entry memo hands every
-plan of a campaign the same table, and the plans of that table are
-memoized by erased set.  Within the certified tolerance the peeling
+plan of a campaign the same table, and `_memo` keeps that table's
+plans by erased set.  Within the certified tolerance the peeling
 condition guarantees greedy never gets stuck, so no backtracking is
 needed; outside it, a stuck state is a structured result.
 
@@ -17,6 +17,7 @@ numpy call per trial (`_Draws`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import operator
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .field import GF
 from .linear import peel_table
 
 
@@ -36,8 +38,9 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-# schedules plan_repair memoizes per peel table before it empties the memo
-_MEMO_SIZE = 1 << 12
+# plan_repair's memo: (the peel table, its schedules by erased bitmask)
+_memo = (None, {})
+_MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
 _BLOCK = 4096           # raw words per numpy call of _Draws
 
 
@@ -66,9 +69,11 @@ def plan_repair(code, erased, r):
     mask = 0
     for i in erased:
         mask |= 1 << i
-    # the table's own memo, by erased bitmask: a table built anew starts
-    # empty, so a schedule's steps are always the current table's records
-    schedules = peel.schedules
+    # a new table rebinds the whole pair, so no table reads another's plans
+    global _memo
+    table, schedules = _memo
+    if table is not peel:
+        _memo = table, schedules = peel, {}
     schedule = schedules.get(mask)
     if schedule is None:
         if len(schedules) >= _MEMO_SIZE:
@@ -96,6 +101,17 @@ def _greedy(peel, erased, mask):
     return RepairSchedule(erased, tuple(steps), True)
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(q, prim_poly):
+    """GF(q)'s add and mul tables modulo prim_poly as tuples of row tuples
+    of q shared ints, keyed by the spec: a `GF` hashes slower."""
+    ints = list(range(q))
+    fld = GF(q, prim_poly)
+    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
+                       for row in table)
+                 for table in (fld.add_table, fld.mul_table))
+
+
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word.
 
@@ -107,7 +123,7 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     if len(codeword) != code.n:
         raise ParameterError(
             f"word length {len(codeword)} != n = {code.n}")
-    add, mul = code.field.nested_tables()
+    add, mul = _scalar_tables(code.field.q, code.field.prim_poly)
     values = list(codeword)
     missing = set(erased)
     for i in missing:

@@ -230,7 +230,7 @@ def check_code_structure(code: ConstructedCode):
     statements = {"1": {
         "holds": not bad,
         "witness": {"missing": bad} if bad else {"example_coordinate_1": [
-            list(rs.helpers) for rs in best[0]] if best else None},
+            [h + 1 for h in rs.helpers] for rs in best[0]] if best else None},
     }}
     # statements 2-4: each listed coordinate has a recovery set inside
     # the coordinates it may read (a set never holds its own target)

@@ -613,22 +613,22 @@ def _constructed(*argv):
 VERIFY_PINS = {
     "reference": (_constructed("--r", "3", "--delta", "3", "--ti", "2",
                                "--q", "4"), 0,
-        "a2fe12c0e268d3801a613d12d0990a2e16a18fac40e408a3771d743d11dcfb80",
-        "b3a49569b868ccc310ec1e9944cd7fd158fd95d7d7e6e41eb8382f8fff1f1665"),
+        "65ccae1c57080bde338908503e14ca14dc8dc5d4231cb055423080d6a2003ffc",
+        "a8e8e8a695547301a21a5cedb03f8532340600388dcbb322c72e082b69a3b398"),
     "k3-r2-delta3-q3": (_constructed("--r", "2", "--delta", "3", "--ti", "2",
                                      "--q", "3", "--design",
                                      "complete-graph"), 0,
-        "0d199b8dd3265d8b9b2281bc7bc004ef50ae74b7963b5006fb201d2f895d4d6c",
-        "3692f6e98cfa438bc45fb21b00553a5f3038943fc7e8379d4b0c300f49d457f5"),
+        "7f40027732bdb3e85c686cd9f8b0c23e04ab5bf181f5c55beab502d3a97b56ad",
+        "cab35aa99a042b5f6463f34d2b0c8b9ea6148a1ddf41f5256d1cd689a59d6423"),
     "reference-zero-col7": (_zeroed(7), 1,
-        "a1ef110514b698da7f8d21a18b0e68d46a657161771ba6f292e775ba3c7bf7d7",
-        "552733b211e137513131f855a9514f1f81c0fc1cd6b7f5045ce3b1d6a3848b96"),
+        "dac3c1477b2d5e9b21541c4b0b3b1692ca5856317e255ff1b944dd1fc70a74e2",
+        "c3dca3eb403afbf406a1854ef97f0c96892d592d8d412f4154373ecf62d5f69b"),
     "reference-zero-col13": (_zeroed(13), 1,
-        "cfd6e7956755f27198b9520a7b25a05ea113cec39c09bccaa8fe6803afa912d3",
-        "8c1912dd5f262a21206881b8667be1304332d28af10c830f3e2170591caeb2a8"),
+        "36b5561ca39449ed02809f1e4861f036f0d1bba56029493b02e4f8fa7e96d383",
+        "5805b716f6f909a30dcbe0fd99696ed840dd16d22ee9c0b8115daf1ae3a360fb"),
     "reference-zero-col15": (_zeroed(15), 1,
-        "dbb2a9f21cb4000d1f8377ea5013078ec01996dd8cc83b4ae7479dd02f625bec",
-        "8721d3ec19c36baa1053a045d5cce1867a1dde0c397cb4ba248f85766e54910d"),
+        "20a1b5055d9dca2adfb421c95ba1f62f660e1c78285d8bf458265ea2bebcd13e",
+        "9e1c4490d813763d61be51ca52428a9b5d6ef3410629b53999b895ccf51df347"),
 }
 
 
@@ -725,6 +725,24 @@ def test_bounds_too_long_to_print_exits_4(capsys, ti, delta, t):
     assert rc == 4 and stdout == ""
     assert _one_line_error(err)
     assert f"r = 3, t = {t} is too long to print" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str limit")
+def test_bounds_past_a_lower_python_print_limit_exits_4(capsys):
+    # with the limit at 640 digits this ended in a ValueError traceback
+    # with exit 1; t = 200's 143-digit denominator still prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, stdout, err = run(capsys, "bounds", "--r", "3", "--ti", "1000",
+                              "--delta", "3")
+        assert rc == 4 and stdout == "" and _one_line_error(err)
+        assert "more than 640 digits" in err
+        assert run(capsys, "bounds", "--r", "3", "--ti", "100",
+                   "--delta", "3")[0] == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bounds_at_the_longest_printable_bound(capsys):

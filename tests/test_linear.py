@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import dual_oracle
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
-from slrc.errors import InfeasibleError
+from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, dual_low_weight, min_distance, nullspace,
                          puncture, recovery_sets_for, rref)
@@ -265,6 +265,21 @@ def test_encode_carries_the_message_on_the_first_information_set(
     word = code.encode(np.array(message, dtype=np.int64))
     assert not any(dual_oracle.syndrome(field, H, word))
     assert [word[j] for j in info] == message
+
+
+def test_encode_accepts_an_empty_message():
+    # np.asarray([]) is float64, which is no symbol dtype
+    zero = LinearCode(GF(4), np.eye(3, dtype=np.int64))
+    assert zero.dimension == 0
+    assert zero.encode([]) == zero.encode(np.zeros(0, np.int64)) == (0, 0, 0)
+    with pytest.raises(FieldError, match="must be integers"):
+        LinearCode(GF(4), [[1, 1]]).encode([1.5])
+
+
+def test_parity_check_and_generator_are_read_only(ref_lc):
+    for array in (ref_lc.H, ref_lc.generator):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
 
 
 def _one_key(calls):

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -401,4 +403,34 @@ def test_plan_memo_is_bounded(ref, monkeypatch):
     for pattern in itertools.combinations(range(16), 2):
         schedule = plan_repair(ref, pattern, 3)
         assert plan_repair(ref, pattern, 3) is schedule
-        assert len(peel_table(ref, 3).schedules) <= 8
+        assert len(simulate._memo[1]) <= 8
+
+
+def test_plan_memo_holds_when_threads_interleave(ref, monkeypatch):
+    # two threads plan at r = 2 and two at r = 3 on the same few sets, so
+    # the peel table and the memo pair change under each other, and each
+    # plan sleeps between reading the memo and writing it: a plan written
+    # into another table's memo would be read back at the wrong r
+    patterns = [(0, 6), (1, 2), (3, 9), (4, 5), (7, 8), (10, 11)]
+    want = {(p, r): plan_repair(ref, p, r) for p in patterns for r in (2, 3)}
+    assert all(want[p, 2] != want[p, 3] for p in patterns)
+    greedy = simulate._greedy
+
+    def slow_greedy(*args):
+        time.sleep(1e-4)
+        return greedy(*args)
+    monkeypatch.setattr(simulate, "_greedy", slow_greedy)
+    wrong = []
+
+    def work(r):
+        for p in patterns * 50:
+            if plan_repair(ref, p, r) != want[p, r]:
+                wrong.append((p, r))
+
+    threads = [threading.Thread(target=work, args=(r,)) for r in (3, 2, 3, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -261,6 +261,14 @@ def test_structure_battery_reference(ref):
     assert len(flat) == len(set(flat))
 
 
+def test_structure_witness_is_one_based(ref):
+    # helpers of coordinate 1 in the report's 1-based coordinates, as
+    # failing_pattern and missing are; 0-based they are [[1, 6, 7], ...]
+    rep = check_code_structure(ref)
+    assert rep.statements["1"]["witness"]["example_coordinate_1"] == [
+        [2, 7, 8], [3, 15, 16], [4, 5, 9]]
+
+
 def test_global_parity_recoverable_only_through_another_fails_statement4(ref):
     # global-parity row 0 takes row 1's line part plus line parity 9, so
     # the sum of the two rows is e9 + e14 + e15: coordinate 14's only
