@@ -19,14 +19,14 @@ import sys
 
 from . import reference
 from .bounds import rate_report
-from .construct import (ConstructionParams, build_parity_check,
-                        constructed_from_matrix)
+from .construct import (ConstructedCode, ConstructionParams,
+                        build_parity_check)
 from .designs import affine_design, complete_graph_design, load_design, Design
 from .errors import (ConstructionError, DesignError, FieldError,
                      InfeasibleError, ParameterError, SlrcError)
 from .field import GF
 from .linear import LinearCode
-from .matrixio import (load_matrix, load_matrix_csv, read_json, read_matrix,
+from .matrixio import (load_matrix, load_matrix_csv, params_block, read_json,
                        save_matrix, save_matrix_csv)
 from .mds import build_mds_parity
 from .simulate import trial_campaign
@@ -82,24 +82,24 @@ def cmd_construct(args):
 
 
 def _load_code(path, r):
-    """(code, params block or None, r), where r is the given one, else
-    the params block's; raises ParameterError when there is neither."""
-    fld, H, roles, params = load_matrix(path)
-    if params is None:
+    """(code, shape or None, r): a ConstructedCode of the file's
+    CodeShape, else a LinearCode, and the given r, else the shape's;
+    raises ParameterError when there is neither."""
+    fld, H, _, shape = load_matrix(path)
+    if shape is None:
         code = LinearCode(fld, H)
     else:
-        code = constructed_from_matrix(fld, H, params)
-        r = params["r"] if r is None else r
+        code = ConstructedCode(shape, H)
+        r = shape.r if r is None else r
     if r is None:
         raise ParameterError("--r is required for files without a params "
                              "block")
-    return code, params, r
+    return code, shape, r
 
 
 def cmd_verify(args):
-    code, params, r = _load_code(args.infile, args.r)
-    t = args.t if args.t is not None else (
-        code.params.t_claim if params else 1)
+    code, shape, r = _load_code(args.infile, args.r)
+    t = args.t if args.t is not None else (shape.t_claim if shape else 1)
     checks = []
     ok = True
     if args.max_t is not None:
@@ -112,7 +112,7 @@ def cmd_verify(args):
         ok &= rep.holds
         checks.append({"name": f"check_sequential(t={t})",
                        "pass": rep.holds, "witness": rep.to_dict()})
-    if params is not None:
+    if shape is not None:
         loc = check_information_locality(code)
         ok &= loc.conditions_1_4
         checks.append({"name": "information_locality_1_4",
@@ -125,7 +125,8 @@ def cmd_verify(args):
                        "witness": struct.statements})
         checks.append({"name": "rank", "pass": True,
                        "witness": rank_report(code)})
-    report = {"params": params, "checks": checks, "pass": ok}
+    report = {"params": None if shape is None else params_block(shape),
+              "checks": checks, "pass": ok}
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -151,7 +152,7 @@ def cmd_simulate(args):
 def cmd_bounds(args):
     shape = None
     if args.infile:
-        shape = read_matrix(args.infile).params
+        shape = load_matrix(args.infile).params
         if shape is None:
             raise ParameterError("matrix file has no params block")
     d = rate_report(args.r, args.ti, args.delta, shape)
@@ -165,7 +166,9 @@ def cmd_bounds(args):
 
 
 def cmd_export(args):
-    matrix = read_matrix(args.infile)
+    if args.csv is None and args.json_out is None:
+        args.parser.error("one of --csv and --json is required")
+    matrix = load_matrix(args.infile)
     if args.csv:
         save_matrix_csv(matrix, args.csv)
     if args.json_out:
@@ -257,7 +260,7 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", dest="json_out", default=None)
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, parser=p)
 
     p = sub.add_parser("demo-paper",
                        help="rebuild the reference instance and verify it")

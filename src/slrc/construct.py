@@ -28,26 +28,17 @@ from .linear import DUAL_BYTE_BUDGET, LinearCode, generator_bytes
 from .mds import MdsLocalMatrix
 
 
-# the keys of a matrix file's params block that give a CodeShape
-SHAPE_KEYS = ("r", "delta", "t_i", "k", "b")
-
-
 @dataclass(frozen=True)
 class CodeShape:
     """The scalar parameters of a constructed code and the block layout
     they fix; every size and coordinate role of the layout is derived
-    here.  A loaded matrix file rehydrates exactly this."""
+    here.  A matrix file's params block is this shape (`matrixio`)."""
     field: GF
     r: int
     delta: int
     t_i: int
     k: int
     b: int
-
-    @classmethod
-    def from_params(cls, field, params_dict):
-        """The shape a matrix file's params block gives."""
-        return cls(field, *(params_dict[key] for key in SHAPE_KEYS))
 
     @property
     def s(self):
@@ -213,14 +204,13 @@ def build_parity_check(params: ConstructionParams):
     return ConstructedCode(params, H)
 
 
-def constructed_from_matrix(field: GF, H, params_dict, roles=None):
-    """Rehydrate a ConstructedCode from a loaded matrix file.
+def constructed_from_matrix(field: GF, H, shape: CodeShape, roles=None):
+    """`ConstructedCode(shape, H)`, the code of a loaded matrix file.
 
-    params_dict carries the scalar parameter block of the file format;
-    the originating design and MDS matrix are not needed for
-    verification or simulation.  The code's roles are its shape's, so
-    `roles`, the file's copy, is not read: `matrixio.dict_to_matrix`
-    rejects a file whose roles differ from them.
+    The design and MDS matrix behind H are not needed for verification
+    or simulation.  `field` and `roles` are not read: the shape holds
+    the field, and `matrixio.dict_to_matrix` rejects a file whose roles
+    differ from the shape's.
     """
-    return ConstructedCode(CodeShape.from_params(field, params_dict), H)
+    return ConstructedCode(shape, H)
 

@@ -114,6 +114,9 @@ def validate_design(design: Design):
     """The one check of a design's invariants: returns the first
     violation as a string naming its 1-based line or point, or None."""
     t_i, r = design.t_i, design.r
+    if min(design.k, r, t_i) < 1:
+        return (f"k, r and t_i must be >= 1, got k={design.k}, r={r}, "
+                f"t_i={t_i}")
     for idx, line in enumerate(design.lines):
         if len(set(line)) != r:
             return f"line {idx + 1} has {len(set(line))} points, expected {r}"

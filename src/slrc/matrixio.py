@@ -12,33 +12,43 @@ codes:
       "params": optional {"r", "delta", "t_i", "k", "b", "s", "mu"}
     }
 
-Export followed by import is bit-exact.  Import checks the document
-and raises ParameterError when it is malformed; an integer is
-`type(x) is int`, since JSON true and false load as bools, which
-Python counts as ints.
+Only this module knows the params block (`SHAPE_KEYS`, `params_block`):
+import reads it into its `CodeShape`.  Export followed by import is
+bit-exact.  Import checks the document and raises ParameterError when
+it is malformed; an integer is `type(x) is int`, since JSON true and
+false load as bools, which Python counts as ints.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .construct import SHAPE_KEYS, CodeShape
+from .construct import CodeShape
 from .errors import ParameterError
 from .field import GF
 
+# the keys of a params block that give a CodeShape; s and mu are derived
+SHAPE_KEYS = ("r", "delta", "t_i", "k", "b")
 
-@dataclass(frozen=True)
-class MatrixFile:
-    """A matrix file as read, with no row reduction: its field, H, and
-    the CodeShape of its params block, None without one.  `save_matrix`
-    and `save_matrix_csv` write it as they write a code."""
+
+class MatrixFile(NamedTuple):
+    """A matrix file as read, with no row reduction: its field, H, its
+    coordinate roles and the CodeShape of its params block, the last two
+    None when the file has none.  `save_matrix` and `save_matrix_csv`
+    write it as they write a code."""
     field: GF
     H: np.ndarray
+    roles: list | None
     params: CodeShape | None
+
+
+def params_block(shape):
+    """The params block of a CodeShape: its SHAPE_KEYS, s and mu."""
+    return {key: getattr(shape, key) for key in SHAPE_KEYS + ("s", "mu")}
 
 
 def matrix_to_dict(code):
@@ -51,9 +61,7 @@ def matrix_to_dict(code):
         "cols": int(code.H.shape[1]),
         "entries": [int(x) for x in code.H.ravel()],
         "coordinate_roles": None if p is None else list(p.roles),
-        "params": None if p is None else {
-            "r": p.r, "delta": p.delta, "t_i": p.t_i, "k": p.k, "b": p.b,
-            "s": p.s, "mu": p.mu},
+        "params": None if p is None else params_block(p),
     }
 
 
@@ -64,15 +72,15 @@ def _require(doc, keys, what):
 
 
 def _check_params(field, params, rows, cols, roles):
-    """The params block must hold positive integers r, delta, t_i, k, b
-    whose layout has H's shape, (n - k) x n; its s and mu, and
-    coordinate roles, when given, must be that layout's."""
+    """The CodeShape of a params block, which must hold positive integers
+    r, delta, t_i, k, b whose layout has H's shape, (n - k) x n; its s
+    and mu, and coordinate roles, when given, must be that layout's."""
     _require(params, SHAPE_KEYS, "params block")
     if not all(type(params[key]) is int and params[key] >= 1
                for key in SHAPE_KEYS):
         raise ParameterError(f"params {', '.join(SHAPE_KEYS)} must be "
                              f"positive integers")
-    shape = CodeShape.from_params(field, params)
+    shape = CodeShape(field, **{key: params[key] for key in SHAPE_KEYS})
     if shape.n != cols:
         raise ParameterError(
             f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
@@ -88,10 +96,11 @@ def _check_params(field, params, rows, cols, roles):
     if roles is not None and roles != list(shape.roles):
         raise ParameterError(
             "coordinate_roles differ from the layout of the params block")
+    return shape
 
 
 def dict_to_matrix(doc):
-    """Returns (field, H, coordinate_roles, params_dict)."""
+    """The MatrixFile of a document; H has at least one column."""
     _require(doc, ("field", "rows", "cols", "entries"), "matrix document")
     spec = doc["field"]
     _require(spec, ("p", "m", "prim_poly", "generator"), "field spec")
@@ -103,18 +112,20 @@ def dict_to_matrix(doc):
     fld = GF.from_spec_dict(spec)
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     if not (type(rows) is int and type(cols) is int
-            and isinstance(entries, list) and rows >= 0 and cols >= 0
+            and isinstance(entries, list) and rows >= 0
             and len(entries) == rows * cols
             and all(type(x) is int for x in entries)):
         raise ParameterError(
             f"entries must be a list of rows*cols = {rows}*{cols} integers")
+    if cols < 1:
+        raise ParameterError(f"H needs at least one column, got cols = {cols}")
     if not all(0 <= x < fld.q for x in entries):
         raise ParameterError("matrix entry outside the field range")
     H = np.array(entries, dtype=np.int64).reshape(rows, cols)
     params, roles = doc.get("params"), doc.get("coordinate_roles")
     if params is not None:
-        _check_params(fld, params, rows, cols, roles)
-    return fld, H, roles, params
+        params = _check_params(fld, params, rows, cols, roles)
+    return MatrixFile(fld, H, roles, params)
 
 
 def save_matrix(code, path):
@@ -132,14 +143,8 @@ def read_json(path):
 
 
 def load_matrix(path):
+    """The matrix file at path as a MatrixFile, with no row reduction."""
     return dict_to_matrix(read_json(path))
-
-
-def read_matrix(path):
-    """The matrix file at path as a MatrixFile."""
-    fld, H, _, params = load_matrix(path)
-    return MatrixFile(fld, H, None if params is None
-                      else CodeShape.from_params(fld, params))
 
 
 def save_matrix_csv(code, path):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FieldError, ParameterError
 from .field import GF
 from .linear import peel_table
 
@@ -104,12 +104,14 @@ def _greedy(peel, erased, mask):
 @functools.lru_cache(maxsize=None)
 def _scalar_tables(q, prim_poly):
     """GF(q)'s add and mul tables modulo prim_poly as tuples of row tuples
-    of q shared ints, keyed by the spec: a `GF` hashes slower."""
+    of q shared ints, and the set of those ints, keyed by the spec: a
+    `GF` hashes slower."""
     ints = list(range(q))
     fld = GF(q, prim_poly)
-    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
-                       for row in table)
-                 for table in (fld.add_table, fld.mul_table))
+    add, mul = (tuple(tuple(map(ints.__getitem__, row.tolist()))
+                      for row in table)
+                for table in (fld.add_table, fld.mul_table))
+    return add, mul, frozenset(ints)
 
 
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
@@ -117,13 +119,22 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
 
     Raises ParameterError for a word whose length is not n, an erased
     coordinate outside 0..n-1 or an erased set other than the
-    schedule's, and RuntimeError if a step reads a symbol that is still
-    erased (that would be a planner bug, not a data property).
+    schedule's, FieldError for a symbol equal to none of 0..q-1, and
+    RuntimeError if a step reads a symbol that is still erased (that
+    would be a planner bug, not a data property).
     """
+    fld = code.field
     if len(codeword) != code.n:
         raise ParameterError(
             f"word length {len(codeword)} != n = {code.n}")
-    add, mul = _scalar_tables(code.field.q, code.field.prim_poly)
+    add, mul, symbols = _scalar_tables(fld.q, fld.prim_poly)
+    try:
+        in_field = symbols.issuperset(codeword)
+    except TypeError:               # an unhashable symbol
+        in_field = False
+    if not in_field:
+        raise FieldError(f"codeword symbols must lie in 0..{fld.q - 1}, "
+                         f"got {codeword!r}")
     values = list(codeword)
     missing = set(erased)
     for i in missing:
@@ -217,12 +228,13 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     which raises ParameterError in the first trial for an H off its layout.
     The summary lists the first ten failed trials and counts them all.
     Raises ParameterError for trials or t below 1 and for a seed that
-    is not a non-negative integer.
+    is not a non-negative integer; a bool is not one.
     """
     if trials < 1 or t < 1:
         raise ParameterError(
             f"trials and t must be >= 1, got trials={trials}, t={t}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or seed < 0):
         raise ParameterError(
             f"seed must be a non-negative integer, got {seed!r}")
     q, n, k = code.field.q, code.n, code.dimension

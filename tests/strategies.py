@@ -8,7 +8,8 @@ matrix is "vandermonde", the library's `build_mds_parity`, whose Q is
 beta^(i*j) at every delta <= 3, or "cauchy", a second MDS family built
 here: Q[i][j] = 1/(x_i - y_j) over the first r + delta - 1 field
 elements in encoding order, checked by `verify_mds`.  `codes` draws one
-point and builds it; each code is built once per session.
+point and builds it; each code is built once per session.  `shape_of`
+gives a code's bare CodeShape, as its matrix file does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import numpy as np
 from hypothesis import strategies as st
 
-from slrc.construct import ConstructionParams, build_parity_check
+from slrc.construct import CodeShape, ConstructionParams, build_parity_check
 from slrc.designs import affine_design, complete_graph_design
 from slrc.field import GF
 from slrc.mds import MdsLocalMatrix, build_mds_parity, verify_mds
@@ -60,6 +61,13 @@ def build(r, delta, t_i, q, design, style):
 
 
 codes = st.sampled_from(ADMISSIBLE).map(lambda point: build(*point))
+
+
+def shape_of(code):
+    """The CodeShape of a code's params without their design and local
+    matrix: what the code's matrix file reads back as."""
+    p = code.params
+    return CodeShape(p.field, p.r, p.delta, p.t_i, p.k, p.b)
 
 
 @st.composite

@@ -17,14 +17,14 @@ from hypothesis import given, settings, strategies as st
 import slrc
 import strategies
 from slrc.cli import EXIT_PIPE, main
-from slrc.construct import (SHAPE_KEYS, build_parity_check,
-                            constructed_from_matrix)
+from slrc.construct import build_parity_check, constructed_from_matrix
 from slrc.designs import complete_graph_design
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import peel_table
-from slrc.matrixio import (dict_to_matrix, load_matrix, load_matrix_csv,
-                           matrix_to_dict, save_matrix, save_matrix_csv)
+from slrc.matrixio import (SHAPE_KEYS, MatrixFile, dict_to_matrix,
+                           load_matrix, load_matrix_csv, matrix_to_dict,
+                           save_matrix, save_matrix_csv)
 from slrc.reference import golden, reference_code
 
 
@@ -38,11 +38,14 @@ def test_matrix_file_round_trip(tmp_path):
     code = reference_code()
     path = tmp_path / "h.json"
     save_matrix(code, path)
-    fld, H, roles, params = load_matrix(path)
+    matrix = load_matrix(path)
+    assert isinstance(matrix, MatrixFile)
+    fld, H, roles, params = matrix
     assert fld == code.field
     assert (H == code.H).all()
     assert roles == list(code.params.roles)
-    assert params["k"] == 6 and params["mu"] == 8
+    assert params == strategies.shape_of(code)
+    assert params.k == 6 and params.mu == 8
     # byte-exact re-export
     save_matrix(code, tmp_path / "h2.json")
     assert (tmp_path / "h.json").read_bytes() == (tmp_path / "h2.json").read_bytes()
@@ -278,6 +281,9 @@ def _one_line_error(err):
     ('{"k": 6, "r": 3, "t_i": 2, "lines": [["a"]]}', "design document needs"),
     ('{"lines": [[true, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]], "k": 6, '
      '"r": 3, "t_i": 2}', "design document needs"),
+    # no points: refused for its W* block count, which names no design
+    ('{"k": 0, "r": 3, "t_i": 2, "lines": []}',
+     "invalid design: k, r and t_i must be >= 1, got k=0, r=3, t_i=2"),
 ])
 def test_construct_malformed_design_file_exits_2(tmp_path, capsys, text,
                                                  match):
@@ -313,6 +319,40 @@ def test_verify_file_without_entries_exits_2(tmp_path, capsys):
     assert _one_line_error(err) and "entries" in err
 
 
+def test_verify_reports_the_layouts_params_block(tmp_path, capsys):
+    # a block with a key the format does not have and without s and mu
+    # is reported as the layout gives it, all seven keys and no other
+    doc = matrix_to_dict(reference_code())
+    del doc["params"]["s"], doc["params"]["mu"]
+    doc["params"]["note"] = "anything"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, _ = run(capsys, "verify", "--in", str(path), "--t", "4")
+    assert rc == 0
+    assert json.loads(stdout)["params"] == {
+        "b": 4, "delta": 3, "k": 6, "mu": 8, "r": 3, "s": 2, "t_i": 2}
+
+
+def test_matrix_file_without_rows_is_the_whole_space():
+    # H with no rows checks nothing: every word is a codeword
+    doc = {"field": GF(4).spec_dict(), "rows": 0, "cols": 3, "entries": []}
+    fld, H, roles, params = dict_to_matrix(doc)
+    assert H.shape == (0, 3) and fld == GF(4)
+    assert roles is None and params is None
+
+
+def test_export_without_an_output_is_a_usage_error(tmp_path, capsys):
+    # it wrote nothing and exited 0
+    path = tmp_path / "code.json"
+    save_matrix(reference_code(), path)
+    rc, stdout, err = _outcome(capsys, lambda: main(
+        ["export", "--in", str(path)]))
+    assert rc == 2 and stdout == ""
+    assert err.startswith("usage: ")
+    assert "error: one of --csv and --json is required" in err
+    assert os.listdir(tmp_path) == ["code.json"]
+
+
 def test_verify_params_wider_than_h_exits_2(tmp_path, capsys):
     doc = matrix_to_dict(reference_code())
     doc["params"]["k"] = 20
@@ -346,6 +386,10 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     (lambda d: d.pop("field"), "lacks field"),
     (lambda d: d["field"].pop("prim_poly"), "lacks prim_poly"),
     (lambda d: d["entries"].pop(), "rows\\*cols"),
+    # verify proved t* = 3 of this empty code, and simulate erased its
+    # coordinate 0
+    (lambda d: d.update(rows=0, cols=0, entries=[], params=None),
+     "H needs at least one column, got cols = 0"),
     (lambda d: d.update(rows="10"), "rows\\*cols"),
     (lambda d: d["entries"].__setitem__(3, "x"), "integers"),
     (lambda d: d["entries"].__setitem__(3, 4), "outside the field"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import strategies
 from dual_oracle import _rref, layout_encode, syndrome
-from slrc.construct import (SHAPE_KEYS, CodeShape, ConstructionParams,
+from slrc.construct import (CodeShape, ConstructionParams,
                             build_parity_check, build_w_star,
                             constructed_from_matrix, expand_m_star)
 from slrc.designs import affine_design, complete_graph_design
@@ -263,7 +263,7 @@ def test_encode_rejects_bad_length():
 
 def test_encode_rejects_h_outside_layout():
     code = reference_code()
-    shape = {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4}
+    shape = CodeShape(code.field, r=3, delta=3, t_i=2, k=6, b=4)
     H = code.H.copy()
     H[code.params.mu, 0] = 1     # a global-parity row reads a message symbol
     bent = constructed_from_matrix(code.field, H, shape)
@@ -316,8 +316,7 @@ def maybe_bent_codes(draw):
     j = draw(st.integers(0, code.n - 1))
     H[i, j] = (int(H[i, j]) + draw(st.integers(1, code.field.q - 1))) \
         % code.field.q
-    return constructed_from_matrix(
-        code.field, H, {key: getattr(code.params, key) for key in SHAPE_KEYS})
+    return constructed_from_matrix(code.field, H, strategies.shape_of(code))
 
 
 def _leads_with_information_set(code):
@@ -380,12 +379,10 @@ def test_encode_prime_field_membership():
 def test_constructed_from_matrix_round_trip():
     code = reference_code()
     shape = CodeShape(field=code.field, r=3, delta=3, t_i=2, k=6, b=4)
-    again = constructed_from_matrix(
-        code.field, code.H,
-        {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4},
-        code.params.roles)
+    again = constructed_from_matrix(code.field, code.H, shape,
+                                    code.params.roles)
     assert (again.H == code.H).all()
-    assert again.params == shape
+    assert again.params is shape
     assert again.params.mu == 8 and again.params.s == 2
 
 
@@ -443,8 +440,8 @@ def test_systematic_check_builds_no_identity():
         mds=build_mds_parity(50, 3, fld)))
     tracemalloc.start()
     try:
-        again = constructed_from_matrix(fld, code.H, {
-            key: getattr(code.params, key) for key in SHAPE_KEYS})
+        again = constructed_from_matrix(fld, code.H,
+                                        strategies.shape_of(code))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

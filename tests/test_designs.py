@@ -113,6 +113,14 @@ def test_validate_counts_points_by_the_lines(lines, violation):
     assert validate_design(d) == violation
 
 
+@pytest.mark.parametrize("k,r,t_i", [(0, 3, 2), (6, 0, 2), (6, 3, 0)])
+def test_validate_rejects_sizes_below_one(k, r, t_i):
+    # k = 0 with no lines satisfied every other check
+    d = Design(k=k, r=r, t_i=t_i, lines=())
+    assert validate_design(d) == (
+        f"k, r and t_i must be >= 1, got k={k}, r={r}, t_i={t_i}")
+
+
 def test_validate_rejects_bad_row_weight():
     d = Design(k=4, r=3, t_i=2, lines=((0, 1), (0, 1, 3)))
     assert "line 1" in validate_design(d)

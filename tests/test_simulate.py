@@ -15,7 +15,7 @@ import slrc
 import strategies
 from slrc.cli import main
 from slrc.construct import ConstructedCode
-from slrc.errors import ParameterError
+from slrc.errors import FieldError, ParameterError
 from slrc.linear import LinearCode, peel_table
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
@@ -175,6 +175,23 @@ def test_execute_rejects_coordinates_outside_the_code(ref, erased):
         execute_repair(ref, (0,) * 16, erased, plan_repair(ref, {0}, 3))
 
 
+@pytest.mark.parametrize("symbol", [-1, 4, 7, 1.5, None, "1", [1]])
+def test_execute_rejects_a_symbol_outside_the_field(ref, symbol):
+    # coordinate 1 helps repair coordinate 0; -1 read as a table index
+    # wrapped to the last entry and repaired coordinate 0 to 0, and 7
+    # ended in an IndexError
+    word = list(ref.encode([1, 0, 0, 0, 0, 0]))
+    word[1] = symbol
+    with pytest.raises(FieldError, match=r"must lie in 0\.\.3"):
+        execute_repair(ref, word, {0}, plan_repair(ref, {0}, 3))
+
+
+def test_execute_takes_numpy_symbols(ref):
+    word = ref.encode([1, 2, 3, 0, 1, 2])
+    assert execute_repair(ref, np.array(word), {0, 5},
+                          plan_repair(ref, {0, 5}, 3)) == word
+
+
 def _affine25():
     return strategies.build(4, 2, 2, 4, "affine", "vandermonde")
 
@@ -309,7 +326,7 @@ def test_sample_matches_numpy_choice(n, size):
         assert draws.below(1 << 20) == rng.integers(0, 1 << 20)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2]])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2], True, False])
 def test_campaign_rejects_a_seed_that_is_not_a_non_negative_integer(
         ref, seed):
     with pytest.raises(ParameterError, match="seed must be a non-negative"):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import dual_oracle
 import strategies
-from slrc.construct import (SHAPE_KEYS, ConstructionParams,
-                            build_parity_check, constructed_from_matrix)
+from slrc.construct import (ConstructionParams, build_parity_check,
+                            constructed_from_matrix)
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, RepairStep, all_recovery_sets,
@@ -172,8 +172,7 @@ def test_information_locality_condition5_recorded(ref):
 def test_sabotaged_parity_column_fails_condition2(ref):
     H = ref.H.copy()
     H[:, 6] = 0  # zero out the first line-parity column
-    bad = constructed_from_matrix(
-        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    bad = constructed_from_matrix(ref.field, H, strategies.shape_of(ref))
     rep = check_information_locality(bad)
     assert not rep.conditions_1_4
     assert any("condition" in f for f in rep.failures)
@@ -185,8 +184,7 @@ def test_non_mds_row_block_fails_condition2_alone(ref):
     # has distance 2; its support and parity count do not change
     H = ref.H.copy()
     H[0, 0] = 0
-    bad = constructed_from_matrix(
-        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    bad = constructed_from_matrix(ref.field, H, strategies.shape_of(ref))
     rep = check_information_locality(bad)
     in_block0 = set(bad.row_block_support(0)) & set(range(6))
     assert in_block0 == {0, 1, 2}
@@ -200,8 +198,7 @@ def test_row_block_punctured_to_the_zero_code_fails_condition2(ref):
     # whose support is {0, 1}, punctures to the zero code
     H = ref.H.copy()
     H[:2] = np.eye(2, ref.n, dtype=H.dtype)
-    bad = constructed_from_matrix(
-        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    bad = constructed_from_matrix(ref.field, H, strategies.shape_of(ref))
     assert bad.row_block_support(0) == (0, 1)
     assert punctured_distances(bad, [(0, 1)]) == [None]
     rep = check_information_locality(bad)
@@ -228,9 +225,8 @@ def _admissible_and_spoiled():
         pick = rng.integers(len(rows))
         H = code.H.copy()
         H[rows[pick], cols[pick]] = 0
-        p = code.params
         yield point, code, constructed_from_matrix(
-            code.field, H, {key: getattr(p, key) for key in SHAPE_KEYS})
+            code.field, H, strategies.shape_of(code))
 
 
 def test_punctured_distances_match_the_puncture_oracle(monkeypatch):
@@ -277,8 +273,7 @@ def test_global_parity_recoverable_only_through_another_fails_statement4(ref):
     mu = ref.params.mu
     H[mu, 6:9] = H[mu + 1, 6:9]
     H[mu, 9] = 1
-    bent = constructed_from_matrix(
-        ref.field, H, {"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4})
+    bent = constructed_from_matrix(ref.field, H, strategies.shape_of(ref))
     parities = set(range(6, 16))
     inside = [rs.helpers for rs in all_recovery_sets(bent, 3)[14]
               if set(rs.helpers) <= parities]
