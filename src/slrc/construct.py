@@ -27,6 +27,9 @@ from .field import GF, same_field
 from .linear import DUAL_BYTE_BUDGET, LinearCode, generator_bytes
 from .mds import MdsLocalMatrix
 
+# the role of each coordinate of a layout, in layout order
+ROLES = ("information", "line_parity", "global_parity")
+
 
 @dataclass(frozen=True)
 class CodeShape:
@@ -66,8 +69,9 @@ class CodeShape:
 
     @property
     def roles(self):
-        return (("information",) * self.k + ("line_parity",) * self.mu
-                + ("global_parity",) * (self.n - self.k - self.mu))
+        info, line, glob = ROLES
+        return ((info,) * self.k + (line,) * self.mu
+                + (glob,) * (self.n - self.k - self.mu))
 
     @property
     def t_claim(self):

@@ -12,9 +12,11 @@ a search over column sets of the generator on arrays of the field's
 compact dtype.  The search gathers rows with `take` and builds its last
 level as a join: it sorts the pairs of the level before by (set,
 residual key) and pairs up entries within runs of equal keys, instead
-of expanding every (set, later column) pair.  A recovery set is one
-`RepairStep` record, built by `peel_table`, and `simulate.plan_repair`
-returns those records as its steps.
+of expanding every (set, later column) pair.  The recovery sets come
+from the one sorted array of those words in two tables: `peel_table`
+holds their helper bitmasks, all that verification reads, and
+`repair_steps` the `RepairStep` records with their coefficients, index
+for index, which `simulate.plan_repair` returns as its steps.
 """
 
 from __future__ import annotations
@@ -457,6 +459,19 @@ def _search_from(field, Gt, wmax, start, stop):
     return found
 
 
+def _dual_words(code: LinearCode, wmax):
+    """The dual words of weight in [1, wmax] as the code's cached array,
+    in `dual_low_weight`'s order; see there."""
+    words = next((arr for w, arr in sorted(code._dual_cache.items())
+                  if w >= wmax), None)
+    if words is None:
+        words = _low_weight_dual_words(code.field, code.generator, wmax)
+        weight = np.count_nonzero(words, axis=1)
+        words = words[np.lexsort(np.vstack([words.T[::-1], weight]))]
+        code._dual_cache[wmax] = words
+    return words[:np.count_nonzero(np.count_nonzero(words, axis=1) <= wmax)]
+
+
 def dual_low_weight(code: LinearCode, wmax):
     """All dual codewords (row space of H) of weight in [1, wmax],
     deduplicated up to scalar multiples and normalized so the leading
@@ -469,59 +484,86 @@ def dual_low_weight(code: LinearCode, wmax):
     exceeds DUAL_BYTE_BUDGET; the estimate is checked before the arrays
     are allocated.
     """
-    words = next((arr for w, arr in sorted(code._dual_cache.items())
-                  if w >= wmax), None)
-    if words is None:
-        words = _low_weight_dual_words(code.field, code.generator, wmax)
-        weight = np.count_nonzero(words, axis=1)
-        words = words[np.lexsort(np.vstack([words.T[::-1], weight]))]
-        code._dual_cache[wmax] = words
-    words = words[:np.count_nonzero(np.count_nonzero(words, axis=1) <= wmax)]
     return [DualWord(vector=tuple(v),
                      support=frozenset(j for j, x in enumerate(v) if x))
-            for v in words.tolist()]
+            for v in _dual_words(code, wmax).tolist()]
+
+
+def _recovery_entries(code: LinearCode, r):
+    """Every recovery set of size <= r as arrays, one entry per (dual
+    word, coordinate i of its support), sorted by (i, helpers, coeffs):
+    i, the helpers padded with -1 after the last, and the coefficients
+    -v_j / v_i of the helpers j, padded with 0.  Raises ParameterError
+    for r < 1: no check at such an r means anything."""
+    if r < 1:
+        raise ParameterError(f"locality r must be >= 1, got {r}")
+    field, words = code.field, _dual_words(code, r + 1)
+    word, coord = np.nonzero(words)     # each word's support, in order
+    weight = np.bincount(word, minlength=len(words))
+    # slot of each entry within its word's support
+    slot = np.arange(len(word)) - (np.cumsum(weight) - weight)[word]
+    width = int(weight.max(initial=1))
+    support = np.full((len(words), width), -1)
+    support[word, slot] = coord
+    # an entry's helpers: its word's support less its own slot
+    helpers = support[word][np.arange(width) != slot[:, None]].reshape(
+        len(word), width - 1)
+    scale = field.vneg(field.vinv(words[word, coord]))
+    # a -1 pad reads the word's last entry, which the mask zeroes
+    coeffs = field.vmul(scale[:, None],
+                        words[word[:, None], helpers] * (helpers >= 0))
+    order = np.lexsort((*coeffs.T[::-1], *helpers.T[::-1], coord))
+    return coord[order], helpers[order], coeffs[order]
+
+
+def _by_coordinate(n, coord, entries):
+    """The entries, in order, as one tuple per coordinate 0..n-1; coord
+    is sorted."""
+    ends = np.cumsum(np.bincount(coord, minlength=n)).tolist()
+    return tuple(tuple(entries[a:b]) for a, b in zip([0] + ends, ends))
 
 
 @functools.lru_cache(maxsize=1)
 def peel_table(code: LinearCode, r):
-    """Per coordinate i, (helper bitmask, recovery set) pairs of the
-    recovery sets of size <= r, ordered by (helpers, coeffs): the rest of
-    the support of each dual word through i, with coefficients giving c_i
-    as the helpers' combination.  Distinct normalized words give distinct
-    sets, so none repeats.  `simulate.plan_repair` and the stopping-set
-    search read the bitmasks.
+    """Per coordinate i, the helper bitmasks of its recovery sets of size
+    <= r, ordered by helpers: the rest of the support of each dual word
+    through i.  `verify` reads nothing else; `repair_steps` holds the
+    sets themselves, index for index.
 
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
     keeps memory flat while callers hold many codes.  The rows are
     tuples, so no caller can change the shared table.
-    Raises ParameterError for r < 1: no check at such an r means
-    anything."""
-    if r < 1:
-        raise ParameterError(f"locality r must be >= 1, got {r}")
-    field = code.field
-    table = [[] for _ in range(code.n)]
-    for dw in dual_low_weight(code, r + 1):
-        support = sorted(dw.support)
-        mask = sum(1 << j for j in support)
-        for i in support:
-            helpers = tuple(j for j in support if j != i)
-            scale = field.neg(field.inv(dw.vector[i]))
-            coeffs = tuple(field.mul(scale, dw.vector[j]) for j in helpers)
-            table[i].append((mask ^ (1 << i), RepairStep(
-                repaired=i, helpers=helpers, coeffs=coeffs)))
-    return tuple(tuple(sorted(row, key=lambda e: (e[1].helpers, e[1].coeffs)))
-                 for row in table)
+    Raises ParameterError for r < 1."""
+    coord, helpers, _ = _recovery_entries(code, r)
+    # Python ints for any n; the -1 padding reads the trailing 0
+    bit = np.array([1 << j for j in range(code.n)] + [0], dtype=object)
+    return _by_coordinate(code.n, coord, bit[helpers].sum(axis=1).tolist())
+
+
+@functools.lru_cache(maxsize=1)
+def repair_steps(code: LinearCode, r):
+    """Per coordinate i, its recovery sets of size <= r as `RepairStep`
+    records, ordered by (helpers, coeffs), so that entry j of a row is
+    the set whose helper bitmask is entry j of `peel_table`'s row.
+    Distinct normalized words give distinct sets, so none repeats.
+    Memoized as `peel_table` is; raises ParameterError for r < 1."""
+    coord, helpers, coeffs = _recovery_entries(code, r)
+    size = np.count_nonzero(helpers >= 0, axis=1).tolist()
+    steps = [RepairStep(repaired=i, helpers=tuple(h[:s]),
+                        coeffs=tuple(c[:s]))
+             for i, h, c, s in zip(coord.tolist(), helpers.tolist(),
+                                   coeffs.tolist(), size)]
+    return _by_coordinate(code.n, coord, steps)
 
 
 def all_recovery_sets(code: LinearCode, r):
-    """The recovery sets of `peel_table` by coordinate, stably sorted by
+    """The recovery sets of `repair_steps` by coordinate, stably sorted by
     size: ordered by (size, helpers, coeffs)."""
-    return [[rs for _, rs in sorted(row, key=lambda e: len(e[1].helpers))]
-            for row in peel_table(code, r)]
+    return [sorted(row, key=lambda rs: len(rs.helpers))
+            for row in repair_steps(code, r)]
 
 
 def recovery_sets_for(code: LinearCode, i, r):
     """All recovery sets of size <= r for coordinate i."""
     return all_recovery_sets(code, r)[i]
-

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import CodeShape
+from .construct import ROLES, CodeShape
 from .errors import ParameterError
 from .field import GF
 
@@ -53,14 +53,16 @@ def params_block(shape):
 
 def matrix_to_dict(code):
     """The document of a code or a MatrixFile; the layout fields are
-    those of its params, when it has them."""
+    those of its params, when it has them, and a MatrixFile without
+    params keeps its own roles."""
     p = getattr(code, "params", None)
     return {
         "field": code.field.spec_dict(),
         "rows": int(code.H.shape[0]),
         "cols": int(code.H.shape[1]),
         "entries": [int(x) for x in code.H.ravel()],
-        "coordinate_roles": None if p is None else list(p.roles),
+        "coordinate_roles": (getattr(code, "roles", None) if p is None
+                             else list(p.roles)),
         "params": None if p is None else params_block(p),
     }
 
@@ -125,6 +127,11 @@ def dict_to_matrix(doc):
     params, roles = doc.get("params"), doc.get("coordinate_roles")
     if params is not None:
         params = _check_params(fld, params, rows, cols, roles)
+    elif roles is not None and not (
+            isinstance(roles, list) and len(roles) == cols
+            and all(role in ROLES for role in roles)):
+        raise ParameterError(f"coordinate_roles must be a list of {cols} "
+                             f"names among {', '.join(ROLES)}")
     return MatrixFile(fld, H, roles, params)
 
 

@@ -2,13 +2,15 @@
 
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
-schedules deterministic.  Each step is a `linear.RepairStep` record of
-the `peel_table` that `verify`'s stopping-set search also reads, the
-record itself and not a copy; the table's one-entry memo hands every
-plan of a campaign the same table, and `_memo` keeps that table's
-plans by erased set.  Within the certified tolerance the peeling
-condition guarantees greedy never gets stuck, so no backtracking is
-needed; outside it, a stuck state is a structured result.
+schedules deterministic.  The planner picks each step's recovery set
+by the helper bitmasks of `linear.peel_table`, the table `verify`'s
+stopping-set search reads, and takes the step itself, not a copy, from
+the `linear.RepairStep` records of `linear.repair_steps` at the same
+index.  The two tables' one-entry memos hand every plan of a campaign
+the same tables, and `_memo` keeps their plans by erased set.  Within
+the certified tolerance the peeling condition guarantees greedy never
+gets stuck, so no backtracking is needed; outside it, a stuck state is
+a structured result.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
 on the seeded `Generator`, made from its raw 32-bit stream without a
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import FieldError, ParameterError
 from .field import GF
-from .linear import peel_table
+from .linear import peel_table, repair_steps
 
 
 @dataclass(frozen=True, slots=True)    # plan_repair's memo holds thousands
@@ -38,8 +40,9 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-# plan_repair's memo: (the peel table, its schedules by erased bitmask)
-_memo = (None, {})
+# plan_repair's memo: (the peel table, the table's RepairStep records,
+# its schedules by erased bitmask)
+_memo = (None, (), {})
 _MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
 _BLOCK = 4096           # raw words per numpy call of _Draws
 
@@ -69,28 +72,30 @@ def plan_repair(code, erased, r):
     mask = 0
     for i in erased:
         mask |= 1 << i
-    # a new table rebinds the whole pair, so no table reads another's plans
+    # a new table rebinds the whole triple, so no table reads another's
+    # plans
     global _memo
-    table, schedules = _memo
+    table, records, schedules = _memo
     if table is not peel:
-        _memo = table, schedules = peel, {}
+        _memo = table, records, schedules = peel, repair_steps(code, r), {}
     schedule = schedules.get(mask)
     if schedule is None:
         if len(schedules) >= _MEMO_SIZE:
             schedules.clear()
-        schedule = schedules[mask] = _greedy(peel, erased, mask)
+        schedule = schedules[mask] = _greedy(peel, records, erased, mask)
     return schedule
 
 
-def _greedy(peel, erased, mask):
+def _greedy(peel, records, erased, mask):
     """The greedy schedule for the sorted erased tuple, whose bitmask is
-    `mask`, on the peel table."""
+    `mask`, on the peel table and its records."""
     remaining = list(erased)
     steps = []
     while remaining:
         # the first recovery set, by coordinate and then by helpers, that
         # avoids every erased coordinate
-        step = next((step for i in remaining for helper_mask, step in peel[i]
+        step = next((records[i][j] for i in remaining
+                     for j, helper_mask in enumerate(peel[i])
                      if not helper_mask & mask), None)
         if step is None:
             return RepairSchedule(erased, tuple(steps), False,

@@ -25,7 +25,9 @@ last-member candidate tested.
 
 The checks take a code and r and nothing else: the search and the
 structure battery read the table through `peel_table`'s one-entry memo,
-so a command that runs both at one r builds it once.
+so a command that runs both at one r builds it once.  They read helper
+bitmasks only; no check builds a `linear.RepairStep` record or a
+coefficient.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
 from .errors import InfeasibleError, ParameterError
-from .linear import all_recovery_sets, peel_table, punctured_distances
+from .linear import peel_table, punctured_distances
 
 # Search nodes one sequential check may visit across all its sizes.
 MAX_NODES = 5_000_000
@@ -121,7 +123,7 @@ def _stopping_search(code, r, cap, partial):
     out of MAX_NODES, a partial search reports the sizes done in full."""
     if cap < 1:
         raise ParameterError(f"tolerance t must be >= 1, got {cap}")
-    masks = [[m for m, _ in row] for row in peel_table(code, r)]
+    masks = peel_table(code, r)
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:
@@ -224,13 +226,17 @@ def check_code_structure(code: ConstructedCode):
     4. every global parity has a recovery set among the line parities.
     """
     p = code.params
-    table = all_recovery_sets(code, p.r)
-    best = [_max_disjoint(table[i]) for i in range(p.k)]
+    table = peel_table(code, p.r)
+    # smallest sets first; sorted() is stable, so equal sizes keep the
+    # table's order by helpers
+    best = [_max_disjoint(sorted(table[i], key=int.bit_count))
+            for i in range(p.k)]
     bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
     statements = {"1": {
         "holds": not bad,
         "witness": {"missing": bad} if bad else {"example_coordinate_1": [
-            [h + 1 for h in rs.helpers] for rs in best[0]] if best else None},
+            [h + 1 for h in range(m.bit_length()) if m >> h & 1]
+            for m in best[0]] if best else None},
     }}
     # statements 2-4: each listed coordinate has a recovery set inside
     # the coordinates it may read (a set never holds its own target)
@@ -239,17 +245,17 @@ def check_code_structure(code: ConstructedCode):
             ("2", line_par, range(p.k)),
             ("3", range(p.k, p.k + p.w_blocks * p.r), range(p.k, p.n)),
             ("4", glob_par, line_par)):
-        bad = [i + 1 for i in coords if not any(
-            all(h in allowed for h in rs.helpers) for rs in table[i])]
+        outside = ~sum(1 << h for h in allowed)
+        bad = [i + 1 for i in coords
+               if not any(not m & outside for m in table[i])]
         statements[name] = {"holds": not bad, "witness": {"missing": bad}}
     return StructureReport(statements=statements)
 
 
-def _max_disjoint(sets):
-    """Largest pairwise-disjoint subfamily of recovery sets, by
-    backtracking over their helper bitmasks in list order; returns the
-    family itself, the first of its size that the search meets."""
-    masks = [sum(1 << h for h in rs.helpers) for rs in sets]
+def _max_disjoint(masks):
+    """Largest pairwise-disjoint subfamily of helper bitmasks, by
+    backtracking in list order; returns the family itself, the first of
+    its size that the search meets."""
     best = []
 
     def extend(idx, chosen, used):
@@ -260,12 +266,12 @@ def _max_disjoint(sets):
             return
         for j in range(idx, len(masks)):
             if not masks[j] & used:
-                chosen.append(j)
+                chosen.append(masks[j])
                 extend(j + 1, chosen, used | masks[j])
                 chosen.pop()
 
     extend(0, [], 0)
-    return [sets[j] for j in best]
+    return best
 
 
 def rank_report(code: ConstructedCode):

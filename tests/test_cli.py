@@ -414,6 +414,38 @@ def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
         dict_to_matrix(doc)
 
 
+
+@pytest.mark.parametrize("roles", [
+    5, ["x", "x", "x"], ["x"] * 16, "information", {"v": 1}, [True] * 16,
+    ["information"] * 15, ["information"] * 17])
+def test_roles_without_params_are_checked(tmp_path, capsys, roles):
+    # without a params block any value loaded, verify exited 0 on it,
+    # and export wrote "coordinate_roles": null in its place
+    doc = matrix_to_dict(reference_code())
+    doc.update(params=None, coordinate_roles=roles)
+    with pytest.raises(ParameterError, match="coordinate_roles must be a "
+                       "list of 16 names among information, line_parity, "
+                       "global_parity"):
+        dict_to_matrix(doc)
+    path = tmp_path / "roles.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, "verify", "--in", str(path), "--r", "3",
+                          "--t", "2")
+    assert rc == 2 and stdout == "" and _one_line_error(err)
+
+
+def test_roles_without_params_round_trip(tmp_path, capsys):
+    roles = ["global_parity"] * 8 + ["information"] * 8
+    for given in (roles, None):
+        doc = matrix_to_dict(reference_code())
+        doc.update(params=None, coordinate_roles=given)
+        assert dict_to_matrix(doc).roles == given
+        path, again = tmp_path / "bare.json", tmp_path / "again.json"
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        rc, _, _ = run(capsys, "export", "--in", str(path), "--json",
+                       str(again))
+        assert rc == 0 and again.read_bytes() == path.read_bytes()
+
 def test_verify_non_json_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -826,9 +858,17 @@ def _counted_peel_tables():
      "053bc9586133418f01974e1c6f18235e7b68290ad52fff25b92f5ef8fc1f5e84"),
     (("verify",), VERIFY_PINS["reference"][3]),
 ])
-def test_one_recovery_set_table_per_command(tmp_path, capsys, argv, sha):
+def test_one_recovery_set_table_per_command(tmp_path, capsys, monkeypatch,
+                                            argv, sha):
+    # one table of helper bitmasks, and no RepairStep record: those are
+    # built for repair alone
     path = tmp_path / "ref.json"
     save_matrix(reference_code(), path)
+
+    def refuse(*args):
+        raise AssertionError(f"slrc {argv[0]} built RepairStep records")
+    monkeypatch.setattr(slrc.linear, "repair_steps", refuse)
+    monkeypatch.setattr(slrc.simulate, "repair_steps", refuse)
     builds = _counted_peel_tables()
     if argv[0] == "verify":
         argv = ("verify", "--in", str(path)) + argv[1:]

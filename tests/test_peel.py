@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import dual_oracle
 import strategies
+from slrc import linear
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
-                         peel_table)
+                         peel_table, repair_steps)
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
 from slrc.simulate import execute_repair, plan_repair, trial_campaign
@@ -73,21 +74,40 @@ def test_all_recovery_sets_matches_per_coordinate_oracle(case):
                      for i in range(H.shape[1])]
 
 
+def _assert_masks_index_the_records(code, r):
+    peel, steps = peel_table(code, r), repair_steps(code, r)
+    assert [len(row) for row in peel] == [len(row) for row in steps]
+    for i, (masks, row) in enumerate(zip(peel, steps)):
+        assert row == tuple(sorted(row, key=lambda rs: (rs.helpers,
+                                                       rs.coeffs)))
+        for mask, rs in zip(masks, row):
+            assert rs.repaired == i and i not in rs.helpers
+            assert mask == sum(1 << h for h in rs.helpers)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(strategies.codes, st.integers(1, 4))
+def test_peel_table_holds_the_masks_of_repair_steps(code, r):
+    _assert_masks_index_the_records(code, min(r, code.params.r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_erasures())
+def test_peel_table_holds_the_masks_of_repair_steps_on_any_code(case):
+    field, H, r, _, _ = case
+    _assert_masks_index_the_records(LinearCode(field, H), r)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(strategies.codes, st.integers(1, 4))
 def test_all_recovery_sets_is_the_by_size_view_of_peel_table(code, r):
+    # of the records of repair_steps, the sets whose masks peel_table
+    # holds at the same index; sorted() is stable, so equal sizes keep
+    # the (helpers, coeffs) order
     r = min(r, code.params.r)
-    peel = peel_table(code, r)
-    for i, row in enumerate(peel):
-        sets = [rs for _, rs in row]
-        assert sets == sorted(sets, key=lambda rs: (rs.helpers, rs.coeffs))
-        for mask, rs in row:
-            assert rs.repaired == i and i not in rs.helpers
-            assert mask == sum(1 << h for h in rs.helpers)
-    # sorted() is stable: equal sizes keep the (helpers, coeffs) order
     assert all_recovery_sets(code, r) == [
-        sorted((rs for _, rs in row), key=lambda rs: len(rs.helpers))
-        for row in peel]
+        sorted(row, key=lambda rs: len(rs.helpers))
+        for row in repair_steps(code, r)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,12 +207,32 @@ def test_one_table_per_sweep_point_and_campaign():
     code = strategies.build(3, 3, 2, 4, "complete-graph", "vandermonde")
     p = code.params
     peel_table.cache_clear()
+    repair_steps.cache_clear()
     check_sequential(code, p.r, p.t_claim)
     check_information_locality(code)
     check_code_structure(code)
     assert peel_table.cache_info().misses == 1
+    assert repair_steps.cache_info().misses == 0
     peel_table.cache_clear()
     trial_campaign(code, p.r, p.t_claim, 50, 0)
+    assert peel_table.cache_info().misses == 1
+    assert repair_steps.cache_info().misses == 1
+
+
+def test_checks_build_no_repair_step(monkeypatch):
+    # verification reads the helper bitmasks only: the records and their
+    # coefficients are built for repair alone
+    code = reference_code()
+    want = (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
+            check_information_locality(code), check_code_structure(code))
+
+    def refuse(*args):
+        raise AssertionError("a verification check built RepairStep records")
+    monkeypatch.setattr(linear, "repair_steps", refuse)
+    peel_table.cache_clear()
+    assert (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
+            check_information_locality(code),
+            check_code_structure(code)) == want
     assert peel_table.cache_info().misses == 1
 
 

@@ -16,7 +16,7 @@ import strategies
 from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import FieldError, ParameterError
-from slrc.linear import LinearCode, peel_table
+from slrc.linear import LinearCode, peel_table, repair_steps
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc import simulate
@@ -143,12 +143,19 @@ def test_plan_holds_python_ints(ref):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(strategies.codes, st.data())
 def test_plan_steps_are_the_peel_tables_own_records(code, data):
+    # each step is the record of repair_steps at the index of the first
+    # helper bitmask of its coordinate's peel_table row that avoids the
+    # coordinates still erased
     r = code.params.r
     erased = data.draw(st.sets(st.integers(0, code.n - 1), max_size=8))
     schedule = plan_repair(code, erased, r)
-    table = peel_table(code, r)
+    masks, records = peel_table(code, r), repair_steps(code, r)
+    left = sum(1 << i for i in erased)
     for step in schedule.steps:
-        assert any(rs is step for _, rs in table[step.repaired])
+        i = step.repaired
+        j = next(j for j, m in enumerate(masks[i]) if not m & left)
+        assert records[i][j] is step
+        left ^= 1 << i
 
 
 def test_one_repair_step_record_is_exported():
@@ -398,8 +405,8 @@ def test_plan_memo_is_read_only_after_validation(ref):
         plan_repair(ref, [15, 16], 3)
 
 
-def _own_records(schedule, table):
-    return all(any(rs is step for _, rs in table[step.repaired])
+def _own_records(schedule, records):
+    return all(any(rs is step for rs in records[step.repaired])
                for step in schedule.steps)
 
 
@@ -409,7 +416,7 @@ def test_plan_memo_follows_the_current_peel_table():
     plan_repair(_affine25(), {0, 6}, 4)         # another code's table
     again = plan_repair(code, {0, 6}, 3)        # code's table, rebuilt
     assert again == first and again is not first
-    assert again.complete and _own_records(again, peel_table(code, 3))
+    assert again.complete and _own_records(again, repair_steps(code, 3))
     # the same set at another r is planned on that r's table
     assert not plan_repair(code, {0, 6}, 2).complete
     assert plan_repair(code, {0, 6}, 3).complete
@@ -420,7 +427,7 @@ def test_plan_memo_is_bounded(ref, monkeypatch):
     for pattern in itertools.combinations(range(16), 2):
         schedule = plan_repair(ref, pattern, 3)
         assert plan_repair(ref, pattern, 3) is schedule
-        assert len(simulate._memo[1]) <= 8
+        assert len(simulate._memo[2]) <= 8
 
 
 def test_plan_memo_holds_when_threads_interleave(ref, monkeypatch):

@@ -11,7 +11,8 @@ from slrc.construct import (ConstructionParams, build_parity_check,
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, RepairStep, all_recovery_sets,
-                         min_distance, puncture, punctured_distances)
+                         min_distance, peel_table, puncture,
+                         punctured_distances)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 from slrc.verify import (_max_disjoint, check_code_structure,
@@ -291,42 +292,52 @@ def test_structure_specific_sets(ref):
     assert (6, 7, 8) in {rs.helpers for rs in recovery_sets_for(lc, 14, 3)}
 
 
+def _smallest_first(masks):
+    # check_code_structure's order: by size, stably, so by helpers within
+    return sorted(masks, key=int.bit_count)
+
+
 def test_availability_reference(ref):
-    table = all_recovery_sets(ref, 3)
-    assert len(_max_disjoint(table[0])) >= 2
-    assert len(_max_disjoint(table[6])) >= 1
+    table = peel_table(ref, 3)
+    assert len(_max_disjoint(_smallest_first(table[0]))) >= 2
+    assert len(_max_disjoint(_smallest_first(table[6]))) >= 1
 
 
 def test_availability_single_set():
     lc = LinearCode(GF(4), [[1, 1, 1, 1]])
-    assert len(_max_disjoint(all_recovery_sets(lc, 3)[0])) == 1
+    assert _max_disjoint(_smallest_first(peel_table(lc, 3)[0])) == [0b1110]
 
 
-def _same_family(got, want):
-    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+def _masks(sets):
+    return [sum(1 << h for h in rs.helpers) for rs in sets]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
                 max_size=14))
 def test_max_disjoint_matches_set_oracle(helper_sets):
-    # repeated and overlapping helper sets, in any order
+    # repeated and overlapping helper sets, in any order; the family's
+    # members are nonempty and disjoint, so their masks name them
     sets = [RepairStep(repaired=12, helpers=tuple(sorted(h)), coeffs=())
             for h in helper_sets]
-    assert _same_family(_max_disjoint(sets),
-                        dual_oracle.max_disjoint_sets(sets))
+    assert _max_disjoint(_masks(sets)) == _masks(
+        dual_oracle.max_disjoint_sets(sets))
 
 
 def test_max_disjoint_matches_set_oracle_on_grid_tables():
+    # on the sets in all_recovery_sets' by-size order, which the masks
+    # sorted by bit count follow
     from test_acceptance import _smallest_prime_power, sweep_grid
     for r, delta, t_i, design in sweep_grid():
         fld = GF(_smallest_prime_power(r + delta - 2))
         code = build_parity_check(ConstructionParams(
             r=r, delta=delta, t_i=t_i, field=fld, design=design,
             mds=build_mds_parity(r, delta, fld)))
-        for sets in all_recovery_sets(code, r):
-            assert _same_family(_max_disjoint(sets),
-                                dual_oracle.max_disjoint_sets(sets))
+        for masks, sets in zip(peel_table(code, r),
+                               all_recovery_sets(code, r)):
+            assert _smallest_first(masks) == _masks(sets)
+            assert _max_disjoint(_smallest_first(masks)) == _masks(
+                dual_oracle.max_disjoint_sets(sets))
 
 
 def test_rank_report_flags_discrepancy(ref):
