@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count."""
+
+import numbers
 
 
 class SlrcError(Exception):
@@ -23,3 +25,12 @@ class DesignError(SlrcError, ValueError):
 
 class InfeasibleError(SlrcError, RuntimeError):
     """A requested exhaustive search is too large for desk-scale work."""
+
+
+def check_count(name, value):
+    """value as an int; ParameterError unless an integer >= 1, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")
+    return int(value)

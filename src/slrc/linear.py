@@ -9,14 +9,12 @@ information set and `encode` is one lookup m G), the minimum distance
 multiplies blocks of messages by the generator, and the hot spot,
 listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
-compact dtype.  The search gathers rows with `take` and builds its last
-level as a join: it sorts the pairs of the level before by (set,
-residual key) and pairs up entries within runs of equal keys, instead
-of expanding every (set, later column) pair.  The recovery sets come
-from the one sorted array of those words in two tables: `peel_table`
-holds their helper bitmasks, all that verification reads, and
-`repair_steps` the `RepairStep` records with their coefficients, index
-for index, which `simulate.plan_repair` returns as its steps.
+compact dtype, whose last level is a join (`_low_weight_dual_words`).
+The search returns its words sorted by (weight, vector), and the code
+caches that one array; the recovery sets come from it in two tables:
+`peel_table` holds their helper bitmasks, all that verification reads,
+and `repair_steps` the `RepairStep` records with their coefficients,
+index for index, which `simulate.plan_repair` returns as its steps.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleError, ParameterError
+from .errors import FieldError, InfeasibleError, check_count
 from .field import GF
 
 # `min_distance` and `punctured_distances` refuse codes with more
@@ -99,11 +97,14 @@ def generator_bytes(field, dimension, n):
 
 class LinearCode:
     """A linear code given by a parity-check matrix over GF(q); raises
+    FieldError for an entry that is not an integer in 0..q-1 and
     InfeasibleError when its generator would exceed DUAL_BYTE_BUDGET."""
 
     def __init__(self, field: GF, H):
         self.field = field
-        H = np.atleast_2d(np.asarray(H, dtype=np.int64))
+        H = np.atleast_2d(np.asarray(H))
+        if H.size and H.dtype.kind not in "iu":     # int64 truncates 1.7
+            raise FieldError(f"matrix entries must be integers, got {H.dtype}")
         if H.size and (H.min() < 0 or H.max() >= field.q):
             raise FieldError("matrix entries outside field range")
         # compact dtype, as for the generator: sweeps keep many codes alive
@@ -241,7 +242,8 @@ def _full_support_words(field, u, Z, w):
 
 def _low_weight_dual_words(field, G, wmax):
     """All vectors y of weight in [1, wmax] with G y = 0, as an (M, n)
-    array normalized so the leading nonzero entry is 1, unsorted.
+    array normalized so the leading nonzero entry is 1, sorted by
+    weight, then lexicographically: `dual_low_weight`'s order.
 
     A word with support exactly S lies in the null space of G[:, S].
     Column sets are grown level by level, each by a later column, in
@@ -311,9 +313,9 @@ def _low_weight_dual_words(field, G, wmax):
             stop += 1
         found += _search_from(field, Gt, wmax, start, stop)
         start = stop
-    if not found:
-        return np.zeros((0, n), dtype=dt)
-    return np.concatenate(found)
+    words = np.concatenate(found) if found else np.zeros((0, n), dtype=dt)
+    weight = np.count_nonzero(words, axis=1)
+    return words[np.lexsort(np.vstack([words.T[::-1], weight]))]
 
 
 def _pass_limit(cap, per_pair):
@@ -377,10 +379,10 @@ def _search_from(field, Gt, wmax, start, stop):
     u = np.zeros((len(c), wmax), dtype=dt)
     u[:, 0] = 1
     parent = np.zeros(len(c), dtype=np.intp)
-    # the pairs' sets: columns, and null-space basis as flagged slot rows
+    # the pairs' sets: columns, and per member a null vector as a slot
+    # row (1 on the member's slot, so nonzero) or a zero row
     cols = np.zeros((1, 0), dtype=np.int64)
     nulls = np.zeros((1, 0, wmax), dtype=dt)
-    isnull = np.zeros((1, 0), dtype=bool)
     own = c < stop
     found = []
     for w in range(1, wmax + 1):
@@ -402,14 +404,15 @@ def _search_from(field, Gt, wmax, start, stop):
             u[:, :w - 2] = u_src[:, :w - 2]
             fc = field.vmul(f, crow.take(parent, axis=0))
             u[:, :w - 1] = field.vadd(u[:, :w - 1], fc[:, :w - 1])
-        flags = isnull.take(parent[dep], axis=0)
+        rows = nulls.take(parent[dep], axis=0)
+        flags = rows.any(axis=2)
         nullity = flags.sum(axis=1)
         for d in range(w):
-            sel = dep[nullity == d]
+            at = nullity == d
+            sel = dep[at]
             if not len(sel):
                 continue
-            Z = nulls.take(parent[sel], axis=0)[flags[nullity == d]].reshape(
-                len(sel), d, wmax)
+            Z = rows[at][flags[at]].reshape(len(sel), d, wmax)
             pair, vec = _full_support_words(field, u.take(sel, axis=0), Z, w)
             vec = field.vmul(field.vinv(vec[:, :1]), vec[:, :w])
             support = np.hstack([cols.take(parent[sel[pair]], axis=0),
@@ -448,7 +451,6 @@ def _search_from(field, Gt, wmax, start, stop):
         nulls = np.concatenate(
             [nulls.take(up, axis=0), (uch * dependent[ch, None])[:, None]],
             axis=1)
-        isnull = np.hstack([isnull.take(up, axis=0), dependent[ch, None]])
 
         parent = nxt
         v_src = v.take(src, axis=0)
@@ -465,10 +467,8 @@ def _dual_words(code: LinearCode, wmax):
     words = next((arr for w, arr in sorted(code._dual_cache.items())
                   if w >= wmax), None)
     if words is None:
-        words = _low_weight_dual_words(code.field, code.generator, wmax)
-        weight = np.count_nonzero(words, axis=1)
-        words = words[np.lexsort(np.vstack([words.T[::-1], weight]))]
-        code._dual_cache[wmax] = words
+        words = code._dual_cache[wmax] = _low_weight_dual_words(
+            code.field, code.generator, wmax)
     return words[:np.count_nonzero(np.count_nonzero(words, axis=1) <= wmax)]
 
 
@@ -494,9 +494,8 @@ def _recovery_entries(code: LinearCode, r):
     word, coordinate i of its support), sorted by (i, helpers, coeffs):
     i, the helpers padded with -1 after the last, and the coefficients
     -v_j / v_i of the helpers j, padded with 0.  Raises ParameterError
-    for r < 1: no check at such an r means anything."""
-    if r < 1:
-        raise ParameterError(f"locality r must be >= 1, got {r}")
+    unless r is an integer >= 1: no check at another r means anything."""
+    check_count("locality r", r)
     field, words = code.field, _dual_words(code, r + 1)
     word, coord = np.nonzero(words)     # each word's support, in order
     weight = np.bincount(word, minlength=len(words))
@@ -523,7 +522,7 @@ def _by_coordinate(n, coord, entries):
     return tuple(tuple(entries[a:b]) for a, b in zip([0] + ends, ends))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def peel_table(code: LinearCode, r):
     """Per coordinate i, the helper bitmasks of its recovery sets of size
     <= r, ordered by helpers: the rest of the support of each dual word
@@ -532,22 +531,23 @@ def peel_table(code: LinearCode, r):
 
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
-    keeps memory flat while callers hold many codes.  The rows are
+    keeps memory flat while callers hold many codes; r is keyed with its
+    type, so True is refused, not served the r = 1 table.  The rows are
     tuples, so no caller can change the shared table.
-    Raises ParameterError for r < 1."""
+    Raises ParameterError unless r is an integer >= 1."""
     coord, helpers, _ = _recovery_entries(code, r)
     # Python ints for any n; the -1 padding reads the trailing 0
     bit = np.array([1 << j for j in range(code.n)] + [0], dtype=object)
     return _by_coordinate(code.n, coord, bit[helpers].sum(axis=1).tolist())
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def repair_steps(code: LinearCode, r):
     """Per coordinate i, its recovery sets of size <= r as `RepairStep`
     records, ordered by (helpers, coeffs), so that entry j of a row is
     the set whose helper bitmask is entry j of `peel_table`'s row.
     Distinct normalized words give distinct sets, so none repeats.
-    Memoized as `peel_table` is; raises ParameterError for r < 1."""
+    Memoized as `peel_table` is; raises ParameterError as it does."""
     coord, helpers, coeffs = _recovery_entries(code, r)
     size = np.count_nonzero(helpers >= 0, axis=1).tolist()
     steps = [RepairStep(repaired=i, helpers=tuple(h[:s]),

@@ -72,5 +72,4 @@ def verify_mds(mds: MdsLocalMatrix):
     words = _low_weight_dual_words(mds.field, mds.matrix, mds.delta - 1)
     if not len(words):
         return True, None
-    first = min(words.tolist(), key=lambda v: (len(v) - v.count(0), v))
-    return False, tuple(j for j, x in enumerate(first) if x)
+    return False, tuple(np.flatnonzero(words[0]).tolist())

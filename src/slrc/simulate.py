@@ -6,8 +6,8 @@ schedules deterministic.  The planner picks each step's recovery set
 by the helper bitmasks of `linear.peel_table`, the table `verify`'s
 stopping-set search reads, and takes the step itself, not a copy, from
 the `linear.RepairStep` records of `linear.repair_steps` at the same
-index.  The two tables' one-entry memos hand every plan of a campaign
-the same tables, and `_memo` keeps their plans by erased set.  Within
+index.  `_plans` memoizes both tables and their plans by erased set
+for the last (code, r), so a campaign plans on one pair.  Within
 the certified tolerance the peeling condition guarantees greedy never
 gets stuck, so no backtracking is needed; outside it, a stuck state is
 a structured result.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, ParameterError
+from .errors import FieldError, ParameterError, check_count
 from .field import GF
 from .linear import peel_table, repair_steps
 
@@ -40,9 +40,6 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-# plan_repair's memo: (the peel table, the table's RepairStep records,
-# its schedules by erased bitmask)
-_memo = (None, (), {})
 _MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
 _BLOCK = 4096           # raw words per numpy call of _Draws
 
@@ -59,9 +56,9 @@ def plan_repair(code, erased, r):
     peeling gets stuck, with the unrepairable residue recorded.
     Raises ParameterError for a coordinate that is not an integer or
     lies outside 0..n-1.  Schedules are memoized by erased set for the
-    current peel table, so one set planned twice gives the same object.
+    last (code, r), so one set planned twice gives the same object.
     """
-    peel = peel_table(code, r)
+    peel, records, schedules = _plans(code, r)
     try:
         erased = tuple(sorted(set(map(operator.index, erased))))
     except TypeError:
@@ -72,18 +69,20 @@ def plan_repair(code, erased, r):
     mask = 0
     for i in erased:
         mask |= 1 << i
-    # a new table rebinds the whole triple, so no table reads another's
-    # plans
-    global _memo
-    table, records, schedules = _memo
-    if table is not peel:
-        _memo = table, records, schedules = peel, repair_steps(code, r), {}
     schedule = schedules.get(mask)
     if schedule is None:
         if len(schedules) >= _MEMO_SIZE:
             schedules.clear()
         schedule = schedules[mask] = _greedy(peel, records, erased, mask)
     return schedule
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _plans(code, r):
+    """The peel table, its RepairStep records and their schedules by erased
+    bitmask, for the last (code, r) asked for, keyed as the tables' own
+    one-entry memos; each plan reads the triple its call got."""
+    return peel_table(code, r), repair_steps(code, r), {}
 
 
 def _greedy(peel, records, erased, mask):
@@ -232,12 +231,11 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     Each message is `code.dimension` symbols, put through `code.encode`,
     which raises ParameterError in the first trial for an H off its layout.
     The summary lists the first ten failed trials and counts them all.
-    Raises ParameterError for trials or t below 1 and for a seed that
-    is not a non-negative integer; a bool is not one.
+    Raises ParameterError unless trials and t are integers >= 1 and the
+    seed a non-negative integer; a bool is not one.
     """
-    if trials < 1 or t < 1:
-        raise ParameterError(
-            f"trials and t must be >= 1, got trials={trials}, t={t}")
+    # as ints: a numpy integer would overflow in the draws
+    trials, t = check_count("trials", trials), check_count("t", t)
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or seed < 0):
         raise ParameterError(

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, check_count
 from .linear import peel_table, punctured_distances
 
 # Search nodes one sequential check may visit across all its sizes.
@@ -121,8 +121,7 @@ def _first_stopping_set(masks, size, nodes):
 def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
     out of MAX_NODES, a partial search reports the sizes done in full."""
-    if cap < 1:
-        raise ParameterError(f"tolerance t must be >= 1, got {cap}")
+    check_count("tolerance t", cap)
     masks = peel_table(code, r)
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):

@@ -419,6 +419,16 @@ def test_linear_code_rejects_entries_outside_the_field(monkeypatch):
             LinearCode(GF(4), [[1, 2], [3, bad]])
 
 
+@pytest.mark.parametrize("H", [[[1.7, 2.2, 3.9]], [[1.0, 2.0, 3.0]],
+                               [["1", "2", "3"]], [[True, False, True]]])
+def test_linear_code_rejects_entries_that_are_not_integers(H, monkeypatch):
+    # an int64 cast would truncate 1.7 to 1 and parse "1"
+    monkeypatch.setattr(GF, "vmul", _no_lookup)
+    monkeypatch.setattr(GF, "vadd", _no_lookup)
+    with pytest.raises(FieldError, match="must be integers"):
+        LinearCode(GF(4), H)
+
+
 def test_matrix_document_rejects_entries_outside_the_field(monkeypatch):
     doc = matrix_to_dict(reference_code())
     monkeypatch.setattr(GF, "vmul", _no_lookup)

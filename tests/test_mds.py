@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dual_oracle import _rref, brute_force_distance
+from dual_oracle import _rref, brute_force_distance, subset_words
 from strategies import cauchy_mds
 from slrc.errors import ParameterError
 from slrc.field import GF
@@ -78,6 +78,13 @@ def _independent(field, H, cols):
     return len(_rref(field, H[:, list(cols)])[1]) == len(cols)
 
 
+def _first_oracle_support(mds):
+    """The support of the first y != 0 of weight <= delta - 1 with
+    [Q | I] y = 0 in (weight, vector) order, by scalar elimination."""
+    return tuple(sorted(subset_words(mds.field, mds.matrix,
+                                     mds.delta - 1)[0].support))
+
+
 @st.composite
 def local_matrices(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
@@ -97,6 +104,7 @@ def test_verify_mds_matches_brute_force_with_minimal_witness(mds):
     if ok:
         assert witness is None
         return
+    assert witness == _first_oracle_support(mds)
     assert 1 <= len(witness) < mds.delta
     assert not _independent(mds.field, H, witness)
     assert all(_independent(mds.field, H, sub)
@@ -182,7 +190,8 @@ def test_delta4_point_where_beta_powers_are_not_mds():
     beta = gf.generator
     plain = np.array([[gf.pow(beta, i * j) for j in range(3)]
                       for i in range(3)])
-    assert verify_mds(MdsLocalMatrix(r=3, delta=4, field=gf, Q=plain)) == (
-        False, (0, 2, 4))
+    candidate = MdsLocalMatrix(r=3, delta=4, field=gf, Q=plain)
+    assert verify_mds(candidate) == (False, (0, 2, 4))
+    assert _first_oracle_support(candidate) == (0, 2, 4)
     mds = build_mds_parity(3, 4, gf)
     assert brute_force_distance(gf, mds.matrix) == 4

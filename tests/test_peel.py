@@ -275,3 +275,46 @@ def test_checks_refuse_locality_below_one(r):
                  lambda: trial_campaign(ref, r, 2, 5, 0)):
         with pytest.raises(ParameterError, match=f"r must be >= 1, got {r}"):
             call()
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+@pytest.mark.parametrize("name", ["r", "t", "cap", "trials"])
+def test_counts_must_be_integers(name, value):
+    # a bool equals 1 and hashes like it, yet is refused even when the
+    # r = 1 table is the one memoized
+    ref = reference_code()
+    peel_table(ref, 1)
+    plan_repair(ref, {0}, 1)
+    calls = {"r": [lambda: peel_table(ref, value),
+                   lambda: repair_steps(ref, value),
+                   lambda: check_sequential(ref, value, 2),
+                   lambda: plan_repair(ref, {0}, value),
+                   lambda: trial_campaign(ref, value, 2, 5, 0)],
+             "t": [lambda: check_sequential(ref, 3, value),
+                   lambda: trial_campaign(ref, 3, value, 5, 0)],
+             "cap": [lambda: max_sequential_t(ref, 3, value)],
+             "trials": [lambda: trial_campaign(ref, 3, 2, value, 0)]}
+    for call in calls[name]:
+        with pytest.raises(ParameterError, match="must be an integer, got"):
+            call()
+
+
+def test_counts_accept_numpy_integers():
+    ref = reference_code()
+    r, t, trials = np.int64(3), np.uint8(4), np.int32(20)
+    assert peel_table(ref, r) == peel_table(ref, 3)
+    assert check_sequential(ref, r, t) == check_sequential(ref, 3, 4)
+    assert max_sequential_t(ref, r, t) == max_sequential_t(ref, 3, 4)
+    assert trial_campaign(ref, r, t, trials, 0) == trial_campaign(
+        ref, 3, 4, 20, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_with_erasures(), st.integers(1, 5))
+def test_dual_search_returns_words_sorted_and_distinct(case, wmax):
+    field, H, *_ = case
+    words = linear._low_weight_dual_words(
+        field, LinearCode(field, H).generator, wmax).tolist()
+    keys = [(len(v) - v.count(0), v) for v in words]
+    assert keys == sorted(keys)
+    assert len(set(map(tuple, words))) == len(words)

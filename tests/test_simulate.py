@@ -1,5 +1,7 @@
+import ast
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import threading
@@ -427,7 +429,23 @@ def test_plan_memo_is_bounded(ref, monkeypatch):
     for pattern in itertools.combinations(range(16), 2):
         schedule = plan_repair(ref, pattern, 3)
         assert plan_repair(ref, pattern, 3) is schedule
-        assert len(simulate._memo[2]) <= 8
+        assert len(simulate._plans(ref, 3)[2]) <= 8
+
+
+def test_campaign_misses_the_plan_memo_once():
+    code = reference_code()
+    simulate._plans.cache_clear()
+    trial_campaign(code, 3, 4, 200, 5)
+    assert simulate._plans.cache_info().misses == 1
+    assert simulate._plans.cache_info().currsize == 1
+
+
+def test_simulate_keeps_no_module_level_memo():
+    # the plans live in `_plans`' one-entry cache, so no name is rebound
+    tree = ast.parse(inspect.getsource(simulate))
+    assert not hasattr(simulate, "_memo")
+    assert not any(isinstance(node, (ast.Global, ast.Nonlocal))
+                   for node in ast.walk(tree))
 
 
 def test_plan_memo_holds_when_threads_interleave(ref, monkeypatch):
