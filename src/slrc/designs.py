@@ -144,7 +144,8 @@ def validate_design(design: Design):
 def load_design(matrix):
     """Build a Design from a 0/1 incidence matrix, with r and t_i read
     off its first row and column; raises DesignError with
-    validate_design's violation when the result is not a design."""
+    validate_design's violation, prefixed "invalid design: " as
+    ConstructionParams words it, when the result is not a design."""
     M = np.asarray(matrix, dtype=np.int64)
     if M.ndim != 2:
         raise DesignError("incidence matrix must be 2-D")
@@ -157,5 +158,5 @@ def load_design(matrix):
                                 for row in M))
     violation = validate_design(design)
     if violation:
-        raise DesignError(violation)
+        raise DesignError(f"invalid design: {violation}")
     return design

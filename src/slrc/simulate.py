@@ -49,6 +49,11 @@ def _coordinate_error(code, erased):
                           f"got {sorted(erased)}")
 
 
+def _integer_error(erased):
+    return ParameterError(f"erased coordinates must be integers, "
+                          f"got {erased!r}")
+
+
 def plan_repair(code, erased, r):
     """Greedy peeling plan for the erased coordinate set.
 
@@ -62,8 +67,7 @@ def plan_repair(code, erased, r):
     try:
         erased = tuple(sorted(set(map(operator.index, erased))))
     except TypeError:
-        raise ParameterError(f"erased coordinates must be integers, "
-                             f"got {erased!r}") from None
+        raise _integer_error(erased) from None
     if erased and (erased[0] < 0 or erased[-1] >= code.n):
         raise _coordinate_error(code, erased)
     mask = 0
@@ -122,10 +126,11 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word.
 
     Raises ParameterError for a word whose length is not n, an erased
-    coordinate outside 0..n-1 or an erased set other than the
-    schedule's, FieldError for a symbol equal to none of 0..q-1, and
-    RuntimeError if a step reads a symbol that is still erased (that
-    would be a planner bug, not a data property).
+    coordinate that is not an integer or lies outside 0..n-1, or an
+    erased set other than the schedule's, FieldError for a symbol equal
+    to none of 0..q-1, and RuntimeError if a step reads a symbol that is
+    still erased or the steps leave one unrepaired (that would be a
+    planner bug, not a data property).
     """
     fld = code.field
     if len(codeword) != code.n:
@@ -140,11 +145,14 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
         raise FieldError(f"codeword symbols must lie in 0..{fld.q - 1}, "
                          f"got {codeword!r}")
     values = list(codeword)
-    missing = set(erased)
-    for i in missing:
-        if not 0 <= i < code.n:
-            raise _coordinate_error(code, missing)
-        values[i] = None
+    try:
+        missing = set(erased)
+        for i in missing:
+            if not 0 <= i < code.n:
+                raise _coordinate_error(code, missing)
+            values[i] = None
+    except TypeError:   # unhashable, no number, or a float as list index
+        raise _integer_error(erased) from None
     if missing != set(schedule.erased):
         raise ParameterError(f"erased {sorted(missing)} differs from the "
                              f"schedule's {list(schedule.erased)}")

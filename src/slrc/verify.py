@@ -8,20 +8,19 @@ bitmasks of `linear.peel_table`, deepening one size at a time and
 adding members in increasing order, so it meets first the first stuck
 pattern by size and then lexicographically.  A recovery set R of a
 member that avoids the set so far must be met by a later member, so
-the next member is at most R's highest coordinate.  Two more exact
-rules cut the search without changing what it finds:
+the next member is at most R's highest coordinate.  One more exact
+rule cuts the search without changing what it finds, and it decides
+every member alike, the last one too: before descending to a new
+member x, the free recovery sets (those of the members so far and of
+x that avoid the set with x added) are counted greedily into a family
+that is pairwise disjoint above x.  Each later member meets at most
+one of them, and a set with nothing above x can never be met, so x is
+skipped once the family holds as many sets as members are still to
+pick, x included.  For the last member that is any free set at all: x
+is kept exactly when every recovery set of x and of the members
+before it meets the set with x added.
 
-* before descending to a new member x, the free recovery sets (those
-  of the members so far and of x that avoid the set with x added) are
-  counted greedily into a family that is pairwise disjoint above x;
-  each later member meets at most one of them, and a set with nothing
-  above x can never be met, so x is skipped when the family has at
-  least as many sets as members are still to pick, x included;
-* the last member lies in every free set, so its candidates are read
-  from the AND of their masks and tested in increasing order.
-
-`MAX_NODES` is spent one node per search node entered and one per
-last-member candidate tested.
+`MAX_NODES` is spent one node per search node entered.
 
 The checks take a code and r and nothing else: the search and the
 structure battery read the table through `peel_table`'s one-entry memo,
@@ -68,33 +67,19 @@ def _first_stopping_set(masks, size, nodes):
     """The lexicographically first stopping set of exactly `size`
     members, or None.  masks[i] holds the helper bitmasks of i's
     recovery sets; nodes is a one-item list of the nodes left, spent one
-    per search node entered and one per last member tested."""
+    per search node entered."""
     n = len(masks)
 
-    def spend():
+    def extend(picked, erased, free):
+        # free: the recovery sets of picked members that avoid `erased`
         nodes[0] -= 1
         if nodes[0] < 0:
             raise InfeasibleError(f"stopping-set search of size {size} "
                                   f"exceeds the budget of {MAX_NODES} nodes")
-
-    def extend(picked, erased, free):
-        # free: the recovery sets of picked members that avoid `erased`
-        spend()
         left = size - len(picked)
+        if not left:
+            return picked
         start = picked[-1] + 1 if picked else 0
-        if left == 1:
-            # the last member lies in every free set
-            last = (1 << n) - (1 << start)
-            for m in free:
-                last &= m
-            while last:
-                bit = last & -last
-                last ^= bit
-                spend()
-                x = bit.bit_length() - 1
-                if all(m & (erased | bit) for m in masks[x]):
-                    return picked + (x,)
-            return None
         hi = min(min((m.bit_length() for m in free), default=n) - 1, n - left)
         for x in range(start, hi + 1):
             bit = 1 << x
@@ -108,11 +93,12 @@ def _first_stopping_set(masks, size, nodes):
                 if not m & used:
                     used |= m
                     disjoint += 1
-            if disjoint >= left:
-                continue
-            found = extend(picked + (x,), erased | bit, nf)
-            if found is not None:
-                return found
+                    if disjoint == left:
+                        break
+            else:
+                found = extend(picked + (x,), erased | bit, nf)
+                if found is not None:
+                    return found
         return None
 
     return extend((), 0, [])

@@ -309,6 +309,49 @@ def test_construct_malformed_csv_design_exits_2(tmp_path, capsys, text,
     assert _one_line_error(err) and match in err
 
 
+def test_one_design_violation_reads_alike_from_csv_and_json(tmp_path, capsys):
+    # the same three lines, the last with one point, as an incidence
+    # matrix and as a design document
+    (tmp_path / "bad.csv").write_text("1,1,0\n0,1,1\n0,0,1\n")
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"k": 3, "r": 2, "t_i": 1, "lines": [[1, 2], [2, 3], [3]]}))
+    for name in ("bad.csv", "bad.json"):
+        rc, stdout, err = run(capsys, "construct", "--r", "2", "--delta", "3",
+                              "--ti", "1", "--q", "4",
+                              "--design", f"file:{tmp_path / name}")
+        assert (rc, stdout) == (2, "")
+        assert err == "error: invalid design: line 3 has 1 points, expected 2\n"
+
+
+def test_construct_unknown_design_spec_exits_2(capsys):
+    rc, stdout, err = run(capsys, "construct", "--r", "3", "--delta", "3",
+                          "--ti", "2", "--q", "4", "--design", "nope")
+    assert (rc, stdout) == (2, "")
+    assert err == "error: unknown design spec 'nope'\n"
+
+
+def test_demo_paper_reports_a_golden_mismatch(capsys, monkeypatch):
+    # a golden H with entry (2, 5) changed: the rebuild no longer matches
+    from slrc import reference
+    golden_of = reference.golden
+
+    def spoiled(name):
+        matrix = golden_of(name)
+        if name == "h":
+            matrix[1, 4] = (matrix[1, 4] + 1) % 4
+        return matrix
+
+    want = int(golden_of("h")[1, 4])
+    monkeypatch.setattr(reference, "golden", spoiled)
+    rc, stdout, _ = run(capsys, "demo-paper")
+    assert rc == 1
+    assert stdout.splitlines() == [
+        "design: matches golden matrix", "mds: matches golden matrix",
+        "m_star: matches golden matrix",
+        f"h: MISMATCH at row 2, col 5: got {want}, "
+        f"expected {(want + 1) % 4}"]
+
+
 def test_verify_file_without_entries_exits_2(tmp_path, capsys):
     doc = matrix_to_dict(reference_code())
     del doc["entries"]

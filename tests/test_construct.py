@@ -15,7 +15,7 @@ from slrc.errors import FieldError, ParameterError, SlrcError
 from slrc.field import GF
 from slrc.linear import LinearCode
 from slrc.mds import build_mds_parity
-from slrc.reference import golden, reference_code
+from slrc.reference import diff_matrices, golden, reference_code
 
 
 def k4_params(delta=3, q=4):
@@ -24,6 +24,18 @@ def k4_params(delta=3, q=4):
     mds = build_mds_parity(3, delta, gf)
     return ConstructionParams(r=3, delta=delta, t_i=2, field=gf,
                               design=design, mds=mds)
+
+
+def test_diff_matrices_reports_shape_then_first_entry_1_based():
+    h = golden("h")
+    assert diff_matrices(h, h) is None
+    assert diff_matrices(h[:, :-1], h) == (0, 0, "shape (10, 15)",
+                                           "shape (10, 16)")
+    spoiled = h.copy()
+    spoiled[3, 7] += 1
+    spoiled[9, 0] += 1
+    assert diff_matrices(spoiled, h) == (4, 8, int(h[3, 7]) + 1,
+                                         int(h[3, 7]))
 
 
 def test_m_star_reference():

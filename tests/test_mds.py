@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dual_oracle import _rref, brute_force_distance, subset_words
 from strategies import cauchy_mds
-from slrc.errors import ParameterError
+from slrc.errors import ConstructionError, ParameterError
 from slrc.field import GF
 from slrc.linear import LinearCode, min_distance
 from slrc.mds import MdsLocalMatrix, build_mds_parity, verify_mds
@@ -51,6 +51,17 @@ def test_reference_matrix_distance_exact():
     mds = build_mds_parity(3, 3, gf)
     assert brute_force_distance(gf, mds.matrix) == 3
     assert min_distance(LinearCode(gf, mds.matrix)) == 3
+
+
+def test_builder_names_a_failed_checks_columns_1_based(monkeypatch):
+    # the built matrix is MDS, so only a check that fails reaches the error
+    import slrc.mds
+    monkeypatch.setattr(slrc.mds, "verify_mds", lambda mds: (False, (0, 2)))
+    with pytest.raises(ConstructionError) as info:
+        build_mds_parity(3, 3, GF(4))
+    assert str(info.value) == ("the local matrix for (r=3, delta=3, q=4) is "
+                               "not MDS: columns 1, 3 (1-based) are "
+                               "dependent")
 
 
 def test_verify_mds_rejects_repeated_column():

@@ -184,6 +184,40 @@ def test_execute_rejects_coordinates_outside_the_code(ref, erased):
         execute_repair(ref, (0,) * 16, erased, plan_repair(ref, {0}, 3))
 
 
+@pytest.mark.parametrize("erased", [(0.0, 6, 7), ("0", 6, 7), (0, 6, 7.5)])
+def test_plan_and_execute_reject_non_integer_coordinates_alike(ref, erased):
+    # execute_repair ended in a bare TypeError on each of these
+    schedule = plan_repair(ref, (0, 6, 7), 3)
+    word = ref.encode([1, 2, 3, 0, 1, 2])
+    message = f"erased coordinates must be integers, got {erased!r}"
+    for call in (lambda: plan_repair(ref, erased, 3),
+                 lambda: execute_repair(ref, word, erased, schedule)):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_execute_detects_a_step_that_reads_an_erased_coordinate(ref):
+    # a hand-built schedule repairs 0 from 6 while 6 is still erased
+    good = plan_repair(ref, (0, 6, 7), 3)
+    first = good.steps[0]
+    early = slrc.RepairStep(0, (6,) + first.helpers[1:], first.coeffs)
+    bad = simulate.RepairSchedule(good.erased, (early,) + good.steps[1:],
+                                  True)
+    word = ref.encode([1, 2, 3, 0, 1, 2])
+    with pytest.raises(RuntimeError,
+                       match="reads coordinate 7 before it is repaired"):
+        execute_repair(ref, word, (0, 6, 7), bad)
+
+
+def test_execute_detects_a_schedule_that_leaves_erasures(ref):
+    good = plan_repair(ref, (0, 6, 7), 3)
+    short = simulate.RepairSchedule(good.erased, good.steps[:1], True)
+    word = ref.encode([1, 2, 3, 0, 1, 2])
+    with pytest.raises(RuntimeError, match=r"leaves \[6, 7\] unrepaired"):
+        execute_repair(ref, word, (0, 6, 7), short)
+
+
 @pytest.mark.parametrize("symbol", [-1, 4, 7, 1.5, None, "1", [1]])
 def test_execute_rejects_a_symbol_outside_the_field(ref, symbol):
     # coordinate 1 helps repair coordinate 0; -1 read as a table index
