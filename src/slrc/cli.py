@@ -2,8 +2,8 @@
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
-field, design or matrix file), 3 I/O error, 4 a search, a generator or a
-printed rate over its budget,
+field, design or matrix file), 3 I/O error, 4 a search, a generator, an
+encoder table or a printed rate over its budget,
 141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
 when the reader of standard output closes it early, as `| head -1` does;
 that case prints no error line.  Human-facing coordinates are 1-based.

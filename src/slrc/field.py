@@ -13,8 +13,8 @@ characteristic, read the flattened q×q table with one ``take`` of
 a·q + b, the index held in the smallest unsigned dtype that fits q² - 1
 (``vadd`` in characteristic 2 is XOR).  Array operands must be field
 elements: an entry b >= q reads a wrong element instead of raising, so
-inputs are range-checked where they enter the package (``LinearCode``,
-``matrixio.dict_to_matrix``, ``ConstructedCode.encode``).  Larger
+inputs are range-checked where they enter the package (``LinearCode``
+and its ``encode``, ``matrixio.dict_to_matrix``).  Larger
 fields are out of scope and raise FieldError.  The tables are built
 once per process for each valid (q, prim_poly); every ``GF`` of that
 spec shares them, and the arrays are read-only.  A ``GF`` holds its spec

@@ -5,7 +5,7 @@ encodings.  Every job runs on whole arrays through the field's array
 operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
 pivot column at a time across all rows (`LinearCode` takes H's pivots
 from the right, so its generator is the identity on the first
-information set and `encode` is one lookup m G), the minimum distance
+information set), the minimum distance
 multiplies blocks of messages by the generator, and the hot spot,
 listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
@@ -15,6 +15,9 @@ caches that one array; the recovery sets come from it in two tables:
 `peel_table` holds their helper bitmasks, all that verification reads,
 and `repair_steps` the `RepairStep` records with their coefficients,
 index for index, which `simulate.plan_repair` returns as its steps.
+`encode` alone works on Python ints: m G is one integer sum of packed
+rows of `encoder_table`, a per-call cost of a few table reads where an
+array product would be mostly numpy call overhead.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,25 +136,86 @@ class LinearCode:
         return self._generator
 
     def encode(self, message):
-        """m G as a tuple of ints, m on the first information set.  Raises
-        ValueError for a length other than `dimension`, FieldError for a
-        symbol outside the field or not an integer (numpy would truncate
-        1.5 to 1)."""
+        """m G as a tuple of ints, m on the first information set, summed
+        from the rows of `encoder_table`.  Raises ValueError for a length
+        other than `dimension`, FieldError for a symbol outside the field
+        or not an integer (numpy would truncate 1.5 to 1), and
+        InfeasibleError when the table would exceed DUAL_BYTE_BUDGET."""
         fld = self.field
         if len(message) != self.dimension:
             raise ValueError(f"message length {len(message)} != "
                              f"dimension {self.dimension}")
         if not self.dimension:      # np.asarray([]) is float64
             return (0,) * self.n
-        msg = np.asarray(message)
-        if msg.dtype.kind not in "iu":
-            raise FieldError(f"message symbols must be integers, got "
-                             f"dtype {msg.dtype}")
-        symbols = msg.tolist()      # min/max of a short list beat numpy's
-        if symbols and (min(symbols) < 0 or max(symbols) >= fld.q):
-            fld.check(next(a for a in symbols if not 0 <= a < fld.q))
-        return tuple(fld.vsum(fld.mul_table[msg[:, None], self._generator],
-                              axis=0).tolist())
+        # a list of Python ints is taken as it is; anything else is
+        # judged by the dtype numpy gives it, so bools and floats fail
+        if type(message) is not list or set(map(type, message)) != {int}:
+            msg = np.asarray(message)
+            if msg.dtype.kind not in "iu":
+                raise FieldError(f"message symbols must be integers, got "
+                                 f"dtype {msg.dtype}")
+            message = msg.tolist()
+        if min(message) < 0 or max(message) >= fld.q:
+            fld.check(next(a for a in message if not 0 <= a < fld.q))
+        rows, size, unpack = encoder_table(self)
+        p, m, n = fld.p, fld.m, self.n
+        if p == 2:      # one slot per symbol; a sum of them is their XOR
+            return unpack(functools.reduce(
+                operator.xor, map(operator.getitem, rows, message)).to_bytes(
+                    size, sys.byteorder))
+        # one slot per base-p digit, digit-major: digit d of symbol j is
+        # slot d·n + j, which holds the digit's sum over the message
+        slots = unpack(sum(map(operator.getitem, rows, message)).to_bytes(
+            size, sys.byteorder))
+        word = [a % p for a in slots[(m - 1) * n:]]
+        for d in range(m - 2, -1, -1):
+            word = [w * p + a % p for w, a in zip(word, slots[d * n:])]
+        return tuple(word)
+
+
+def encoder_bytes(q, k, size):
+    """Bytes of an encoder table of k rows, each a tuple of q ints of
+    `size` bytes, every int counted at its full width."""
+    return k * (sys.getsizeof((0,) * q) + q * sys.getsizeof(1 << 8 * size - 1))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def encoder_table(code: LinearCode):
+    """The encoder's rows: entry rows[j][a] is the word a G[j] packed into
+    one Python int, so that m G is one integer sum over the message.
+
+    In characteristic 2 each symbol is one slot of the field's dtype and
+    the sum is XOR.  Otherwise each base-p digit of each symbol is one
+    slot, digit-major, of the smallest unsigned dtype that holds
+    k(p - 1): an integer sum of k entries adds the digits slot by slot
+    with no carry, and each slot mod p is the digit of the sum.  Returns
+    (rows, bytes per entry, the `struct` unpack of an entry's bytes into
+    its slots).
+
+    Memoized for the last code asked for, by identity, as `peel_table`
+    is.  Raises InfeasibleError when `encoder_bytes` exceeds
+    DUAL_BYTE_BUDGET; the size is checked before any entry exists."""
+    fld, G = code.field, code.generator
+    p, m, q = fld.p, fld.m, fld.q
+    k, n = G.shape
+    digits, top = (1, q - 1) if p == 2 else (m, k * (p - 1))
+    dtype = np.min_scalar_type(top)
+    size = n * digits * dtype.itemsize
+    if encoder_bytes(q, k, size) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"an encoder table of {k} x {q} words of {size} bytes exceeds "
+            f"the {DUAL_BYTE_BUDGET}-byte budget")
+    rows = []
+    for g in G:
+        words = fld.mul_table[:, g]                 # a g for every a
+        if p != 2:                                  # digit d at [a, d]
+            words = words[:, None, :] // p ** np.arange(m)[:, None] % p
+        raw = words.astype(dtype).tobytes()
+        rows.append(tuple(int.from_bytes(raw[i:i + size], sys.byteorder)
+                          for i in range(0, q * size, size)))
+    # numpy's type codes are C's, which struct reads in native order
+    unpack = struct.Struct(f"{n * digits}{dtype.char}").unpack
+    return tuple(rows), size, unpack
 
 
 def min_distance(code: LinearCode):

@@ -59,13 +59,17 @@ def plan_repair(code, erased, r):
 
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
-    Raises ParameterError for a coordinate that is not an integer or
-    lies outside 0..n-1.  Schedules are memoized by erased set for the
-    last (code, r), so one set planned twice gives the same object.
+    Raises ParameterError for a coordinate that is not an integer (a
+    bool is none) or lies outside 0..n-1.  Schedules are memoized by
+    erased set for the last (code, r), so one set planned twice gives
+    the same object.
     """
     peel, records, schedules = _plans(code, r)
     try:
-        erased = tuple(sorted(set(map(operator.index, erased))))
+        given = tuple(erased)
+        if bool in map(type, given):    # operator.index(True) is 1
+            raise TypeError
+        erased = tuple(sorted(set(map(operator.index, given))))
     except TypeError:
         raise _integer_error(erased) from None
     if erased and (erased[0] < 0 or erased[-1] >= code.n):
@@ -126,11 +130,11 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word.
 
     Raises ParameterError for a word whose length is not n, an erased
-    coordinate that is not an integer or lies outside 0..n-1, or an
-    erased set other than the schedule's, FieldError for a symbol equal
-    to none of 0..q-1, and RuntimeError if a step reads a symbol that is
-    still erased or the steps leave one unrepaired (that would be a
-    planner bug, not a data property).
+    coordinate that is not an integer (a bool is none) or lies outside
+    0..n-1, or an erased set other than the schedule's, FieldError for a
+    symbol equal to none of 0..q-1, and RuntimeError if a step reads a
+    symbol that is still erased or the steps leave one unrepaired (that
+    would be a planner bug, not a data property).
     """
     fld = code.field
     if len(codeword) != code.n:
@@ -146,7 +150,10 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
                          f"got {codeword!r}")
     values = list(codeword)
     try:
-        missing = set(erased)
+        given = tuple(erased)
+        if bool in map(type, given):    # values[True] is values[1]
+            raise TypeError
+        missing = set(given)
         for i in missing:
             if not 0 <= i < code.n:
                 raise _coordinate_error(code, missing)
@@ -260,8 +267,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
         # replace=False) and integers(0, q, size=k), in that order
         size = 1 + draws.below(min(t, n))
         erased = draws.sample(n, size)
-        # an int64 array, as numpy drew it, so k = 0 is no float array
-        word = code.encode(np.array(draws.integers(q, k), dtype=np.int64))
+        word = code.encode(draws.integers(q, k))
         schedule = plan_repair(code, erased, r)
         if schedule.complete:
             if trace is not None:

@@ -618,6 +618,18 @@ def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert _one_line_error(err) and "exceeds the budget" in err
 
 
+def test_simulate_over_budget_encoder_table_exits_4(tmp_path, capsys,
+                                                    monkeypatch):
+    # the reference code's table of 6 x 4 words holds more than 1000 bytes
+    path = tmp_path / "ref.json"
+    save_matrix(reference_code(), path)
+    monkeypatch.setattr("slrc.linear.DUAL_BYTE_BUDGET", 1000)
+    rc, stdout, err = run(capsys, "simulate", "--in", str(path), "--t", "2",
+                          "--trials", "5")
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err) and "encoder table" in err
+
+
 def test_construct_checks_the_field_before_the_design(capsys, monkeypatch):
     # q = 4 < r + delta - 2 is refused before the complete-graph design,
     # whose line loop costs O(r^3), is built

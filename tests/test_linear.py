@@ -1,18 +1,21 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dual_oracle
+from slrc import linear
 from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
 from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
-from slrc.linear import (LinearCode, dual_low_weight, min_distance, nullspace,
-                         puncture, recovery_sets_for, rref)
+from slrc.linear import (LinearCode, dual_low_weight, encoder_bytes,
+                         encoder_table, min_distance, nullspace, puncture,
+                         recovery_sets_for, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -274,6 +277,50 @@ def test_encode_accepts_an_empty_message():
     assert zero.encode([]) == zero.encode(np.zeros(0, np.int64)) == (0, 0, 0)
     with pytest.raises(FieldError, match="must be integers"):
         LinearCode(GF(4), [[1, 1]]).encode([1.5])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 8, 9, 27, 256, 1024)),
+       k=st.integers(0, 12), checks=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), bent=st.booleans())
+# k(p - 1) = 260 > 255: the digit slots are two bytes wide
+@example(q=3, k=130, checks=20, seed=1, bent=False)
+@example(q=1024, k=0, checks=3, seed=2, bent=False)
+@example(q=9, k=5, checks=4, seed=3, bent=True)
+def test_encode_is_the_scalar_product_m_g(q, k, checks, seed, bent):
+    # a random H of `checks` rows over k + checks columns; bent puts e_0
+    # in its row space, so coordinate 0 is 0 on every codeword and the
+    # first information set does not start at 0
+    field, n = GF(q), k + checks
+    rng = np.random.default_rng(seed)
+    H = rng.integers(0, q, size=(checks, n))
+    if bent:
+        H[0] = 0
+        H[0, 0] = 1
+    code = LinearCode(field, H)
+    if bent:
+        assert not code.generator[:, 0].any()
+    for message in rng.integers(0, q, size=(4, code.dimension)).tolist():
+        # column c of G dotted with m, one scalar product at a time
+        word = dual_oracle.syndrome(field, code.generator.T, message)
+        assert code.encode(message) == word
+        assert code.encode(np.array(message, dtype=np.uint16)) == word
+
+
+def test_encoder_table_bytes_are_checked_before_it_is_built(ref,
+                                                            monkeypatch):
+    # 6 rows of 4 words of 16 one-byte slots; the estimate bounds the
+    # rows and ints the table holds
+    need = encoder_bytes(4, 6, 16)
+    rows = encoder_table(ref)[0]
+    assert sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+               for row in rows) <= need
+    code = LinearCode(ref.field, ref.H)     # a code with no table yet
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", need - 1)
+    with pytest.raises(InfeasibleError, match="encoder table of 6 x 4"):
+        code.encode([1, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", need)
+    assert code.encode([1, 0, 0, 0, 0, 0]) == tuple(ref.generator[0].tolist())
 
 
 def test_parity_check_and_generator_are_read_only(ref_lc):

@@ -128,7 +128,8 @@ def test_plan_dedups_and_sorts_erased(ref):
 
 
 @pytest.mark.parametrize("erased", [[1.0], ["0"], [np.float64(2)],
-                                    [np.True_], None])
+                                    [np.True_], None, [True], [False],
+                                    [1, True]])
 def test_plan_rejects_non_integer_coordinates(ref, erased):
     with pytest.raises(ParameterError, match="must be integers"):
         plan_repair(ref, erased, 3)
@@ -184,9 +185,11 @@ def test_execute_rejects_coordinates_outside_the_code(ref, erased):
         execute_repair(ref, (0,) * 16, erased, plan_repair(ref, {0}, 3))
 
 
-@pytest.mark.parametrize("erased", [(0.0, 6, 7), ("0", 6, 7), (0, 6, 7.5)])
+@pytest.mark.parametrize("erased", [(0.0, 6, 7), ("0", 6, 7), (0, 6, 7.5),
+                                    (False, 6, 7), (0, 6, 7, True)])
 def test_plan_and_execute_reject_non_integer_coordinates_alike(ref, erased):
-    # execute_repair ended in a bare TypeError on each of these
+    # execute_repair ended in a bare TypeError on each of the first three,
+    # and both took a bool as coordinate 0 or 1
     schedule = plan_repair(ref, (0, 6, 7), 3)
     word = ref.encode([1, 2, 3, 0, 1, 2])
     message = f"erased coordinates must be integers, got {erased!r}"
@@ -244,6 +247,12 @@ def _plain_reference():
     return LinearCode(ref.field, ref.H)
 
 
+def _complete_graph(q):
+    """The code of `slrc construct --r 3 --delta 3 --ti 2 --q Q`."""
+    return functools.partial(strategies.build, 3, 3, 2, q, "complete-graph",
+                             "vandermonde")
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -267,6 +276,18 @@ CAMPAIGN_PINS = {
     "plain-t4-s5": (_plain_reference, 3, 4, 5, 1.0, 0,
         "8f685fdf7ffc8ec396518513082743886aeedd8a45ea93ab75a55a870b1259bf",
         "701890bb46b9f7560b464fa6e7d07b9614ffab41f0cdb21003b143ed3fdb55e6"),
+    # one code per field kind the encoder treats apart: an odd prime, a
+    # characteristic-2 field with m = 3, and an odd prime power (two
+    # base-p digits per symbol)
+    "gf5-t4-s2": (_complete_graph(5), 3, 4, 2, 1.0, 0,
+        "02baad03e65b70482c15291c7fc6eb163157b346a74b97dbe39024efd2752e64",
+        "a61acf77504f6c9245e64f296ac2527749d77dee7fbd254541d5ce246cc8fd81"),
+    "gf8-t4-s3": (_complete_graph(8), 3, 4, 3, 1.0, 0,
+        "5d10de48582a2f932c8a4a6bee1c3de8e562f1a3c936d15c08d76be3567d2683",
+        "5a43f46c3ffea49d96fde024d7aae3a988a292263e97dc6d13ffd5bd3a3d3163"),
+    "gf9-t10-s9": (_complete_graph(9), 3, 10, 9, 0.91, 18,
+        "886ce5a33649a6cfebec9188201ffbcc168b30c0a61843e9bb385df4aa64f43c",
+        "213aeb48c6766bed7bb9b32be08a2314a00da69a56cd0c69f449b6a2e4dfc0a2"),
 }
 
 
