@@ -12,11 +12,13 @@ Coordinate layout (0-based): information 0..k-1, line parities
 k..k+mu-1 (line j owns the delta-1 consecutive columns starting at
 k + j*(delta-1)), global parities afterwards, so 0..k-1 is the first
 information set and the generator `LinearCode` derives is [I_k | P].
+`CodeShape` alone checks that a shape is such a layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import KW_ONLY, InitVar, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -34,14 +36,39 @@ ROLES = ("information", "line_parity", "global_parity")
 @dataclass(frozen=True)
 class CodeShape:
     """The scalar parameters of a constructed code and the block layout
-    they fix; every size and coordinate role of the layout is derived
-    here.  A matrix file's params block is this shape (`matrixio`)."""
+    they fix, from which every size and coordinate role is derived.
+    ParameterError unless r, delta, t_i, k and b are integers >= 1 (no
+    bool), delta >= 2, the (rows, columns) `h_shape` of a matrix file's
+    H, when given, is (n - k, n), and W*'s w_blocks·r columns fit in mu."""
     field: GF
     r: int
     delta: int
     t_i: int
     k: int
     b: int
+    _: KW_ONLY
+    h_shape: InitVar[tuple | None] = None
+
+    def __post_init__(self, h_shape):
+        for key in ("r", "delta", "t_i", "k", "b"):
+            value = getattr(self, key)
+            if (not isinstance(value, numbers.Integral) or isinstance(
+                    value, bool) or value < 1 + (key == "delta")):
+                raise ParameterError(
+                    f"r, delta, t_i, k and b must be positive integers, "
+                    f"delta >= 2, got {key} = {value!r}")
+        rows, cols = h_shape or (self.n - self.k, self.n)
+        if self.n != cols:
+            raise ParameterError(
+                f"params (r={self.r}, delta={self.delta}, k={self.k}, "
+                f"b={self.b}) give n = {self.n}, but H has {cols} columns")
+        if self.n - self.k != rows:
+            raise ParameterError(f"params give n - k = {self.n - self.k} "
+                                 f"rows, but H has {rows}")
+        if self.w_blocks * self.r > self.mu:
+            raise ParameterError(
+                f"W* width {self.w_blocks * self.r} exceeds the {self.mu} "
+                f"line-parity columns; increase b (more lines) or delta")
 
     @property
     def s(self):
@@ -94,7 +121,7 @@ class ConstructionParams(CodeShape):
     design: Design
     mds: MdsLocalMatrix
 
-    def __post_init__(self):
+    def __post_init__(self, h_shape):
         object.__setattr__(self, "k", self.design.k)
         object.__setattr__(self, "b", self.design.b)
         same_field(self.field, self.mds.field)
@@ -122,6 +149,7 @@ class ConstructionParams(CodeShape):
         violation = validate_design(self.design)
         if violation:
             raise ParameterError(f"invalid design: {violation}")
+        super().__post_init__(h_shape)      # last: each first error stays
 
 
 class ConstructedCode(LinearCode):
@@ -192,14 +220,9 @@ def build_w_star(blocks, mds: MdsLocalMatrix):
 
 def build_parity_check(params: ConstructionParams):
     """Assemble the full parity-check matrix and wrap it as a code; its
-    params have refused, before H exists, a k x n generator over
-    DUAL_BYTE_BUDGET."""
-    mu = params.mu
-    w_cols = params.w_blocks * params.r
-    if w_cols > mu:
-        raise ParameterError(
-            f"W* width {w_cols} exceeds the {mu} line-parity columns; "
-            f"increase b (more lines) or delta")
+    params have refused, before H exists, a shape that is no layout and
+    a k x n generator over DUAL_BYTE_BUDGET."""
+    mu, w_cols = params.mu, params.w_blocks * params.r
     k, rows = params.k, params.n - params.k
     H = np.zeros((rows, params.n), dtype=np.int64)
     H[:mu, :k] = expand_m_star(params.design, params.mds)
@@ -210,11 +233,7 @@ def build_parity_check(params: ConstructionParams):
 
 def constructed_from_matrix(field: GF, H, shape: CodeShape, roles=None):
     """`ConstructedCode(shape, H)`, the code of a loaded matrix file.
-
-    The design and MDS matrix behind H are not needed for verification
-    or simulation.  `field` and `roles` are not read: the shape holds
-    the field, and `matrixio.dict_to_matrix` rejects a file whose roles
-    differ from the shape's.
-    """
+    `field` and `roles` are not read: the shape holds the field, and
+    `matrixio` refuses roles other than the shape's."""
     return ConstructedCode(shape, H)
 

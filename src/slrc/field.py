@@ -13,8 +13,9 @@ characteristic, read the flattened q×q table with one ``take`` of
 a·q + b, the index held in the smallest unsigned dtype that fits q² - 1
 (``vadd`` in characteristic 2 is XOR).  Array operands must be field
 elements: an entry b >= q reads a wrong element instead of raising, so
-inputs are range-checked where they enter the package (``LinearCode``
-and its ``encode``, ``matrixio.dict_to_matrix``).  Larger
+inputs are range-checked where they enter the package: matrices by
+``LinearCode`` and ``matrixio``, the words of ``LinearCode.encode`` and
+``simulate.execute_repair`` by ``check``, the one symbol rule.  Larger
 fields are out of scope and raise FieldError.  The tables are built
 once per process for each valid (q, prim_poly); every ``GF`` of that
 spec shares them, and the arrays are read-only.  A ``GF`` holds its spec
@@ -24,6 +25,7 @@ and those tables only, and is immutable and safe to share between threads.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -73,9 +75,9 @@ def _search_prim_poly(p, m):
 @functools.lru_cache(maxsize=None)
 def _tables(p, m, prim_poly):
     """The add, mul, neg and inv tables of GF(p^m) modulo prim_poly, made
-    read-only, flat views of add and mul, and the smallest element of
-    order p^m - 1.  Raises FieldError, and caches nothing, when no
-    element has that order."""
+    read-only, flat views of add and mul, the smallest element of order
+    p^m - 1 and the frozenset of the elements.  Raises FieldError, and
+    caches nothing, when no element has that order."""
     # Both tables are filled in column blocks, one base-p digit k of b at
     # a time: column r + c·p^k (r < p^k) is column r plus the element
     # c·x^k, and a·(c·x^k) = c·(x^k·a).
@@ -108,7 +110,8 @@ def _tables(p, m, prim_poly):
     for table in (add, mul, neg, inv):
         table.flags.writeable = False
     # flat views, not copies, for the array operations' one `take`
-    return add, mul, neg, inv, add.ravel(), mul.ravel(), first
+    return add, mul, neg, inv, add.ravel(), mul.ravel(), first, frozenset(
+        range(q))
 
 
 class GF:
@@ -135,7 +138,8 @@ class GF:
                              f"(0, 1), got {prim_poly}")
         self.prim_poly = prim_poly
         (self.add_table, self.mul_table, self.neg_table, self.inv_table,
-         self._add_flat, self._mul_flat, first) = _tables(p, m, prim_poly)
+         self._add_flat, self._mul_flat, first,
+         self._elements) = _tables(p, m, prim_poly)
         self.generator = g = first if generator is None else int(generator)
         if not 0 < g < q:
             raise FieldError(f"generator {g} out of range for GF({q})")
@@ -147,10 +151,23 @@ class GF:
 
     # -- scalar operations: table reads, returning Python ints ---------------
 
-    def check(self, a):
-        if not 0 <= a < self.q:
-            raise FieldError(f"{a} is not an element of GF({self.q})")
-        return a
+    def check(self, symbols):
+        """The symbols as a new list of Python ints; FieldError unless each
+        is an integer, a numpy one too but no bool, in 0..q-1."""
+        try:
+            values = list(symbols)
+        except TypeError:           # no sequence
+            values = [None]
+        if operator.countOf(map(type, values), int) != len(values):
+            # numpy integers become ints, and every other type None
+            values = [int(a) if type(a) is int or isinstance(a, np.integer)
+                      else None for a in values]
+        # with no type but int, equal hashes are equal values
+        if not self._elements.issuperset(values):
+            raise FieldError(f"a symbol of {symbols!r} is not an element of "
+                             f"GF({self.q}): symbols must be integers, no "
+                             f"bools, and must lie in 0..{self.q - 1}")
+        return values
 
     def add(self, a, b):
         return self.add_table.item(a, b)

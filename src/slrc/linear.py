@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleError, check_count
+from .errors import FieldError, InfeasibleError, ParameterError, check_count
 from .field import GF
 
 # `min_distance` and `punctured_distances` refuse codes with more
@@ -137,32 +137,20 @@ class LinearCode:
 
     def encode(self, message):
         """m G as a tuple of ints, m on the first information set, summed
-        from the rows of `encoder_table`.  Raises ValueError for a length
-        other than `dimension`, FieldError for a symbol outside the field
-        or not an integer (numpy would truncate 1.5 to 1), and
-        InfeasibleError when the table would exceed DUAL_BYTE_BUDGET."""
+        from the rows of `encoder_table`.  Raises FieldError for symbols
+        that `GF.check` refuses, ParameterError for a length other than
+        `dimension` and InfeasibleError for a table over the budget."""
         fld = self.field
+        message = fld.check(message)
         if len(message) != self.dimension:
-            raise ValueError(f"message length {len(message)} != "
-                             f"dimension {self.dimension}")
-        if not self.dimension:      # np.asarray([]) is float64
-            return (0,) * self.n
-        # a list of Python ints is taken as it is; anything else is
-        # judged by the dtype numpy gives it, so bools and floats fail
-        if type(message) is not list or set(map(type, message)) != {int}:
-            msg = np.asarray(message)
-            if msg.dtype.kind not in "iu":
-                raise FieldError(f"message symbols must be integers, got "
-                                 f"dtype {msg.dtype}")
-            message = msg.tolist()
-        if min(message) < 0 or max(message) >= fld.q:
-            fld.check(next(a for a in message if not 0 <= a < fld.q))
+            raise ParameterError(f"message length {len(message)} != "
+                                 f"dimension {self.dimension}")
         rows, size, unpack = encoder_table(self)
         p, m, n = fld.p, fld.m, self.n
         if p == 2:      # one slot per symbol; a sum of them is their XOR
             return unpack(functools.reduce(
-                operator.xor, map(operator.getitem, rows, message)).to_bytes(
-                    size, sys.byteorder))
+                operator.xor, map(operator.getitem, rows, message),
+                0).to_bytes(size, sys.byteorder))
         # one slot per base-p digit, digit-major: digit d of symbol j is
         # slot d·n + j, which holds the digit's sum over the message
         slots = unpack(sum(map(operator.getitem, rows, message)).to_bytes(

@@ -13,10 +13,11 @@ codes:
     }
 
 Only this module knows the params block (`SHAPE_KEYS`, `params_block`):
-import reads it into its `CodeShape`.  Export followed by import is
-bit-exact.  Import checks the document and raises ParameterError when
-it is malformed; an integer is `type(x) is int`, since JSON true and
-false load as bools, which Python counts as ints.
+import reads it into its `CodeShape`, which checks that it is a layout
+of H's shape.  Export followed by import is bit-exact.  Import checks
+the rest of the document and raises ParameterError when it is
+malformed; an integer is `type(x) is int`, since JSON true and false
+load as bools, which Python counts as ints.
 """
 
 from __future__ import annotations
@@ -73,36 +74,9 @@ def _require(doc, keys, what):
         raise ParameterError(f"{what} lacks {', '.join(missing)}")
 
 
-def _check_params(field, params, rows, cols, roles):
-    """The CodeShape of a params block, which must hold positive integers
-    r, delta, t_i, k, b whose layout has H's shape, (n - k) x n; its s
-    and mu, and coordinate roles, when given, must be that layout's."""
-    _require(params, SHAPE_KEYS, "params block")
-    if not all(type(params[key]) is int and params[key] >= 1
-               for key in SHAPE_KEYS):
-        raise ParameterError(f"params {', '.join(SHAPE_KEYS)} must be "
-                             f"positive integers")
-    shape = CodeShape(field, **{key: params[key] for key in SHAPE_KEYS})
-    if shape.n != cols:
-        raise ParameterError(
-            f"params (r={shape.r}, delta={shape.delta}, k={shape.k}, "
-            f"b={shape.b}) give n = {shape.n}, but H has {cols} columns")
-    if shape.n - shape.k != rows:
-        raise ParameterError(f"params give n - k = {shape.n - shape.k} "
-                             f"rows, but H has {rows}")
-    for key in ("s", "mu"):
-        value = params.get(key, getattr(shape, key))
-        if type(value) is not int or value != getattr(shape, key):
-            raise ParameterError(f"params {key} = {value!r} differs "
-                                 f"from the layout's {getattr(shape, key)}")
-    if roles is not None and roles != list(shape.roles):
-        raise ParameterError(
-            "coordinate_roles differ from the layout of the params block")
-    return shape
-
-
 def dict_to_matrix(doc):
-    """The MatrixFile of a document; H has at least one column."""
+    """The MatrixFile of a document; H has at least one column, and the
+    s, mu and coordinate roles of a params block are its layout's."""
     _require(doc, ("field", "rows", "cols", "entries"), "matrix document")
     spec = doc["field"]
     _require(spec, ("p", "m", "prim_poly", "generator"), "field spec")
@@ -126,7 +100,18 @@ def dict_to_matrix(doc):
     H = np.array(entries, dtype=np.int64).reshape(rows, cols)
     params, roles = doc.get("params"), doc.get("coordinate_roles")
     if params is not None:
-        params = _check_params(fld, params, rows, cols, roles)
+        _require(params, SHAPE_KEYS, "params block")
+        shape = CodeShape(fld, **{key: params[key] for key in SHAPE_KEYS},
+                          h_shape=(rows, cols))
+        for key in ("s", "mu"):
+            value = params.get(key, getattr(shape, key))
+            if type(value) is not int or value != getattr(shape, key):
+                raise ParameterError(f"params {key} = {value!r} differs from "
+                                     f"the layout's {getattr(shape, key)}")
+        if roles is not None and roles != list(shape.roles):
+            raise ParameterError(
+                "coordinate_roles differ from the layout of the params block")
+        params = shape
     elif roles is not None and not (
             isinstance(roles, list) and len(roles) == cols
             and all(role in ROLES for role in roles)):

@@ -7,10 +7,11 @@ by the helper bitmasks of `linear.peel_table`, the table `verify`'s
 stopping-set search reads, and takes the step itself, not a copy, from
 the `linear.RepairStep` records of `linear.repair_steps` at the same
 index.  `_plans` memoizes both tables and their plans by erased set
-for the last (code, r), so a campaign plans on one pair.  Within
-the certified tolerance the peeling condition guarantees greedy never
-gets stuck, so no backtracking is needed; outside it, a stuck state is
-a structured result.
+for the last (code, r), so a campaign plans on one pair.  Within the
+certified tolerance the peeling condition guarantees greedy never gets
+stuck, so no backtracking is needed; outside it, a stuck state is a
+structured result.  Planning and repair read erased coordinates with
+one reader, `_erased`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
 on the seeded `Generator`, made from its raw 32-bit stream without a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, ParameterError, check_count
+from .errors import ParameterError, check_count
 from .field import GF
 from .linear import peel_table, repair_steps
 
@@ -44,14 +45,24 @@ _MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
 _BLOCK = 4096           # raw words per numpy call of _Draws
 
 
-def _coordinate_error(code, erased):
-    return ParameterError(f"erased coordinates must lie in 0..{code.n - 1}, "
-                          f"got {sorted(erased)}")
-
-
-def _integer_error(erased):
-    return ParameterError(f"erased coordinates must be integers, "
-                          f"got {erased!r}")
+def _erased(code, erased):
+    """The erased coordinates as a sorted tuple of distinct ints; raises
+    ParameterError for a coordinate that is not an integer (a bool is
+    none) or lies outside 0..n-1."""
+    try:
+        given = tuple(erased)
+        if operator.countOf(map(type, given), int) != len(given):
+            if bool in map(type, given):    # operator.index(True) is 1
+                raise TypeError
+            given = map(operator.index, given)      # numpy integers
+        coords = tuple(sorted({*given}))
+    except TypeError:
+        raise ParameterError(f"erased coordinates must be integers, "
+                             f"got {erased!r}") from None
+    if coords and (coords[0] < 0 or coords[-1] >= code.n):
+        raise ParameterError(f"erased coordinates must lie in "
+                             f"0..{code.n - 1}, got {list(coords)}")
+    return coords
 
 
 def plan_repair(code, erased, r):
@@ -59,21 +70,14 @@ def plan_repair(code, erased, r):
 
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
-    Raises ParameterError for a coordinate that is not an integer (a
-    bool is none) or lies outside 0..n-1.  Schedules are memoized by
-    erased set for the last (code, r), so one set planned twice gives
-    the same object.
+    Raises ParameterError as `_erased` does, and unless r is an integer
+    >= 1.  Schedules are memoized by erased set for the last (code, r),
+    so one set planned twice gives the same object.
     """
+    if type(r) is not int:      # an unhashable r cannot key the memo
+        r = check_count("locality r", r)
     peel, records, schedules = _plans(code, r)
-    try:
-        given = tuple(erased)
-        if bool in map(type, given):    # operator.index(True) is 1
-            raise TypeError
-        erased = tuple(sorted(set(map(operator.index, given))))
-    except TypeError:
-        raise _integer_error(erased) from None
-    if erased and (erased[0] < 0 or erased[-1] >= code.n):
-        raise _coordinate_error(code, erased)
+    erased = _erased(code, erased)
     mask = 0
     for i in erased:
         mask |= 1 << i
@@ -116,53 +120,33 @@ def _greedy(peel, records, erased, mask):
 @functools.lru_cache(maxsize=None)
 def _scalar_tables(q, prim_poly):
     """GF(q)'s add and mul tables modulo prim_poly as tuples of row tuples
-    of q shared ints, and the set of those ints, keyed by the spec: a
-    `GF` hashes slower."""
+    of q shared ints, keyed by the spec: a `GF` hashes slower."""
     ints = list(range(q))
     fld = GF(q, prim_poly)
-    add, mul = (tuple(tuple(map(ints.__getitem__, row.tolist()))
-                      for row in table)
-                for table in (fld.add_table, fld.mul_table))
-    return add, mul, frozenset(ints)
+    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
+                       for row in table)
+                 for table in (fld.add_table, fld.mul_table))
 
 
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
-    """Apply a schedule's linear combinations; returns the restored word.
-
-    Raises ParameterError for a word whose length is not n, an erased
-    coordinate that is not an integer (a bool is none) or lies outside
-    0..n-1, or an erased set other than the schedule's, FieldError for a
-    symbol equal to none of 0..q-1, and RuntimeError if a step reads a
-    symbol that is still erased or the steps leave one unrepaired (that
-    would be a planner bug, not a data property).
-    """
+    """Apply a schedule's linear combinations; returns the restored word
+    as a tuple of Python ints.  Raises FieldError for a word that
+    `GF.check` refuses, ParameterError for one whose length is not n or
+    erased coordinates that `_erased` refuses or the schedule does not
+    have, and RuntimeError if a step reads a symbol still erased or the
+    steps leave one unrepaired (a planner bug, not a data property)."""
     fld = code.field
-    if len(codeword) != code.n:
-        raise ParameterError(
-            f"word length {len(codeword)} != n = {code.n}")
-    add, mul, symbols = _scalar_tables(fld.q, fld.prim_poly)
-    try:
-        in_field = symbols.issuperset(codeword)
-    except TypeError:               # an unhashable symbol
-        in_field = False
-    if not in_field:
-        raise FieldError(f"codeword symbols must lie in 0..{fld.q - 1}, "
-                         f"got {codeword!r}")
-    values = list(codeword)
-    try:
-        given = tuple(erased)
-        if bool in map(type, given):    # values[True] is values[1]
-            raise TypeError
-        missing = set(given)
-        for i in missing:
-            if not 0 <= i < code.n:
-                raise _coordinate_error(code, missing)
-            values[i] = None
-    except TypeError:   # unhashable, no number, or a float as list index
-        raise _integer_error(erased) from None
-    if missing != set(schedule.erased):
-        raise ParameterError(f"erased {sorted(missing)} differs from the "
+    values = fld.check(codeword)
+    if len(values) != code.n:
+        raise ParameterError(f"word length {len(values)} != n = {code.n}")
+    erased = _erased(code, erased)
+    if erased != schedule.erased:
+        raise ParameterError(f"erased {list(erased)} differs from the "
                              f"schedule's {list(schedule.erased)}")
+    add, mul = _scalar_tables(fld.q, fld.prim_poly)
+    for i in erased:
+        values[i] = None
+    left = len(erased)          # erased coordinates not yet repaired
     for step in schedule.steps:
         acc = 0
         for h, a in zip(step.helpers, step.coeffs):
@@ -172,10 +156,12 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
                     f"schedule reads coordinate {h + 1} before it is repaired")
             if a and v:
                 acc = add[acc][mul[a][v]]
+        left -= values[step.repaired] is None
         values[step.repaired] = acc
-        missing.discard(step.repaired)
-    if missing:
-        raise RuntimeError(f"schedule leaves {sorted(missing)} unrepaired")
+    if left:
+        raise RuntimeError(f"schedule leaves "
+                           f"{[i for i in erased if values[i] is None]} "
+                           f"unrepaired")
     return tuple(values)
 
 

@@ -212,9 +212,10 @@ def check_code_structure(code: ConstructedCode):
     """
     p = code.params
     table = peel_table(code, p.r)
-    # smallest sets first; sorted() is stable, so equal sizes keep the
-    # table's order by helpers
-    best = [_max_disjoint(sorted(table[i], key=int.bit_count))
+    # smallest sets first, equal sizes in the table's order by helpers;
+    # coordinate 1's largest family is the witness, the others need t_i
+    best = [_max_disjoint(sorted(table[i], key=int.bit_count),
+                          p.t_i if i else None)
             for i in range(p.k)]
     bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
     statements = {"1": {
@@ -237,17 +238,18 @@ def check_code_structure(code: ConstructedCode):
     return StructureReport(statements=statements)
 
 
-def _max_disjoint(masks):
+def _max_disjoint(masks, enough=None):
     """Largest pairwise-disjoint subfamily of helper bitmasks, by
     backtracking in list order; returns the family itself, the first of
-    its size that the search meets."""
+    its size that the search meets.  Given `enough`, the search stops at
+    the first family of that size."""
     best = []
 
     def extend(idx, chosen, used):
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + len(masks) - idx <= len(best):
+        if len(best) == enough or len(chosen) + len(masks) - idx <= len(best):
             return
         for j in range(idx, len(masks)):
             if not masks[j] & used:

@@ -2,8 +2,10 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -404,6 +406,32 @@ def test_verify_params_wider_than_h_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--in", str(bad))
     assert rc == 2
     assert _one_line_error(err) and "16 columns" in err
+
+
+# params that fit H's shape but give no layout: W* needs w_blocks r = 3
+# columns beside mu = 1 line parity, and delta = 1 has no line parity.
+# verify ended in an IndexError (exit 1) on both, and simulate ran
+NO_LAYOUT_DOCS = {
+    "wide_w_star": ({"field": GF(4).spec_dict(), "rows": 2, "cols": 5,
+                     "entries": [1, 1, 1, 1, 0, 0, 0, 0, 1, 1],
+                     "params": {"r": 3, "delta": 2, "t_i": 1, "k": 3, "b": 1,
+                                "s": 1, "mu": 1}}, "W\\*"),
+    "delta_1": ({"field": GF(4).spec_dict(), "rows": 0, "cols": 3,
+                 "entries": [], "params": {"r": 3, "delta": 1, "t_i": 1,
+                                           "k": 3, "b": 1}}, "delta"),
+}
+
+
+@pytest.mark.parametrize("name", NO_LAYOUT_DOCS)
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--max-t", "3"),
+                                  ("simulate", "--t", "2", "--trials", "5")])
+def test_params_that_give_no_layout_exit_2(tmp_path, capsys, name, argv):
+    doc, named = NO_LAYOUT_DOCS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    rc, stdout, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert (rc, stdout) == (2, "")
+    assert _one_line_error(err) and re.search(named, err), err
 
 
 @pytest.mark.parametrize("t,trials", [(2, 0), (0, 5)])
@@ -951,12 +979,26 @@ def _parent(doc, path):
     return doc, path[-1]
 
 
+def _no_layouts(k, rows):
+    """Each (r, delta, b) whose sizes give an H of n - k = rows rows and
+    k + rows columns, but whose W* is wider than its mu line parities."""
+    out = []
+    for r, delta in itertools.product(range(1, k + rows + 1),
+                                      range(2, rows + 2)):
+        w_blocks = -(-(-(-k // r)) // r)        # ceil(ceil(k/r)/r)
+        b = rows // (delta - 1) - w_blocks
+        if (rows % (delta - 1) == 0 and b >= 1
+                and w_blocks * r > b * (delta - 1)):
+            out.append((r, delta, b))
+    return out
+
+
 @st.composite
 def spoiled_documents(draw):
     """The JSON text of a valid matrix document spoiled in one way."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     kind = draw(st.sampled_from(["drop", "type", "count", "entry", "params",
-                                 "field", "truncate"]))
+                                 "layout", "field", "truncate"]))
     if kind == "drop":              # a required key is missing
         parent, key = _parent(doc, draw(st.sampled_from(REQUIRED)))
         del parent[key]
@@ -1010,6 +1052,13 @@ def spoiled_documents(draw):
             roles[i] = draw(st.sampled_from(
                 [r for r in ("information", "line_parity", "global_parity")
                  if r != roles[i]]))
+    elif kind == "layout":          # params that fit H's shape, no layout
+        k, rows = doc["cols"] - doc["rows"], doc["rows"]
+        r, delta, b = draw(st.sampled_from(_no_layouts(k, rows)))
+        mu = b * (delta - 1)
+        doc["params"].update(r=r, delta=delta, b=b, s=-(-k // r), mu=mu)
+        doc["coordinate_roles"] = (["information"] * k + ["line_parity"] * mu
+                                   + ["global_parity"] * (rows - mu))
     elif kind == "field":           # a field-spec number out of range
         spec = doc["field"]
         q = spec["p"] ** spec["m"]

@@ -241,11 +241,25 @@ def test_w_star_wider_than_parity_block_errors():
     from slrc.designs import Design
     gf = GF(4)
     design = Design(k=4, r=4, t_i=1, lines=((0, 1, 2, 3),))
-    params = ConstructionParams(r=4, delta=2, t_i=1, field=gf,
-                                design=design,
-                                mds=build_mds_parity(4, 2, gf))
+    # the params are no layout, so they are refused before H is built
     with pytest.raises(ParameterError, match="W\\*"):
-        build_parity_check(params)
+        ConstructionParams(r=4, delta=2, t_i=1, field=gf, design=design,
+                           mds=build_mds_parity(4, 2, gf))
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"r": 0}, "positive integers"), ({"b": -1}, "positive integers"),
+    ({"t_i": True}, "positive integers"), ({"k": 6.0}, "positive integers"),
+    ({"delta": "3"}, "positive integers"),
+    ({"delta": 1}, "delta >= 2, got delta = 1"),
+    # ceil(ceil(20/3)/3) = 3 copies of Q need 9 of the 8 line parities
+    ({"k": 20}, "W\\* width 9 exceeds the 8 line-parity columns"),
+    ({"b": 1}, "W\\* width 3 exceeds the 2 line-parity columns"),
+])
+def test_code_shape_refuses_a_shape_that_is_no_layout(change, match):
+    with pytest.raises(ParameterError, match=match):
+        CodeShape(GF(4), **{"r": 3, "delta": 3, "t_i": 2, "k": 6, "b": 4,
+                            **change})
 
 
 def test_encode_zero_message():
@@ -297,6 +311,8 @@ def test_encode_rejects_symbol_outside_field():
 @pytest.mark.parametrize("message", [
     [1.5, 0, 0, 0, 0, 0], np.array([1.0, 0, 0, 0, 0, 0]),
     ["1", 0, 0, 0, 0, 0], [True, False, False, False, False, False],
+    # one bool among ints: numpy made the message [1, 0, 0, 0, 0, 0]
+    [True, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, np.True_],
 ])
 def test_encode_rejects_non_integer_symbols(message):
     # numpy would truncate 1.5 to the codeword of [1, 0, 0, 0, 0, 0]

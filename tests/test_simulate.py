@@ -221,11 +221,12 @@ def test_execute_detects_a_schedule_that_leaves_erasures(ref):
         execute_repair(ref, word, (0, 6, 7), short)
 
 
-@pytest.mark.parametrize("symbol", [-1, 4, 7, 1.5, None, "1", [1]])
+@pytest.mark.parametrize("symbol", [-1, 4, 7, 1.5, None, "1", [1], 1.0, True,
+                                    False, np.True_, np.float64(1)])
 def test_execute_rejects_a_symbol_outside_the_field(ref, symbol):
     # coordinate 1 helps repair coordinate 0; -1 read as a table index
-    # wrapped to the last entry and repaired coordinate 0 to 0, and 7
-    # ended in an IndexError
+    # wrapped to the last entry and repaired coordinate 0 to 0, 7 ended in
+    # an IndexError, 1.0 in a TypeError, and True came back as True
     word = list(ref.encode([1, 0, 0, 0, 0, 0]))
     word[1] = symbol
     with pytest.raises(FieldError, match=r"must lie in 0\.\.3"):
@@ -233,9 +234,14 @@ def test_execute_rejects_a_symbol_outside_the_field(ref, symbol):
 
 
 def test_execute_takes_numpy_symbols(ref):
+    # and returns Python ints, as for any other word
     word = ref.encode([1, 2, 3, 0, 1, 2])
-    assert execute_repair(ref, np.array(word), {0, 5},
-                          plan_repair(ref, {0, 5}, 3)) == word
+    for given in (np.array(word), np.array(word, dtype=np.uint8),
+                  list(map(np.int64, word))):
+        restored = execute_repair(ref, given, {0, 5},
+                                  plan_repair(ref, {0, 5}, 3))
+        assert restored == word
+        assert [type(a) for a in restored] == [int] * ref.n
 
 
 def _affine25():

@@ -340,6 +340,24 @@ def test_max_disjoint_matches_set_oracle_on_grid_tables():
                 dual_oracle.max_disjoint_sets(sets))
 
 
+def test_max_disjoint_stops_at_enough_exactly_when_the_oracle_reaches_it():
+    # statement 1 asks coordinates 2..k for t_i disjoint sets, no more
+    from test_acceptance import _smallest_prime_power, sweep_grid
+    for r, delta, t_i, design in sweep_grid():
+        fld = GF(_smallest_prime_power(r + delta - 2))
+        code = build_parity_check(ConstructionParams(
+            r=r, delta=delta, t_i=t_i, field=fld, design=design,
+            mds=build_mds_parity(r, delta, fld)))
+        for masks, sets in zip(peel_table(code, r),
+                               all_recovery_sets(code, r)):
+            most = len(dual_oracle.max_disjoint_sets(sets))
+            for enough in {t_i, most, most + 1} - {0}:
+                family = _max_disjoint(_smallest_first(masks), enough)
+                assert len(family) == min(enough, most), (r, delta, t_i)
+                assert sum(family).bit_count() == sum(
+                    m.bit_count() for m in family)
+
+
 def test_rank_report_flags_discrepancy(ref):
     rep = rank_report(ref)
     assert rep["rank"] == 10
