@@ -1,4 +1,5 @@
-"""Rate bounds and exact-rate accounting, all in exact rationals."""
+"""Rate bounds and exact-rate accounting, all in exact rationals.  Every
+r, t, t_i and delta is read by `errors.check_count`."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from .construct import CodeShape
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, check_count
 
 # Python's default int-to-str limit: no longer denominator is printed
 MAX_DIGITS = 4300
@@ -19,8 +20,7 @@ def rate_availability_bound(r, t):
     once the denominator passes MAX_DIGITS digits, or Python's int-to-str
     limit when one is set lower; it only grows, as step j multiplies it by
     jr + 1 and divides it by a factor of j."""
-    if r < 1 or t < 1:
-        raise ValueError("need r >= 1 and t >= 1")
+    r, t = check_count("r", r), check_count("t", t)
     if r == 1:                      # the product telescopes
         return Fraction(1, t + 1)
     digits = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits",
@@ -40,8 +40,7 @@ def rate_seq_bound(r, t):
     and Kumar, arXiv:1611.08561): r^s / (r^s + 2 sum_{i<s} r^i) at
     t = 2s, r^(s+1) / (r^(s+1) + 2 sum_{i=1..s} r^i + 1) at t = 2s + 1;
     r/(r+2) at t = 2 and (r/(r+1))^2 at t = 3."""
-    if r < 1 or t < 1:
-        raise ValueError("need r >= 1 and t >= 1")
+    r, t = check_count("r", r), check_count("t", t)
     s, odd = divmod(t, 2)
     top = r ** (s + odd)
     return Fraction(top, top + 2 * sum(r ** i for i in range(odd, s + odd))
@@ -71,12 +70,11 @@ def rate_report(r, t_i, delta, params: CodeShape = None):
     """The rate table, in print order: every applicable bound next to
     the construction's exact rate (None without params), as Fractions
     strictly inside (0, 1), then notes flagging hypothesis violations
-    and divergences.  Raises ParameterError for r < 1, t_i < 1 or
-    delta < 2, and when params has another r, t_i or delta: the exact
-    rate would be another code's."""
-    if r < 1 or t_i < 1 or delta < 2:
-        raise ParameterError(f"need r >= 1, t_i >= 1 and delta >= 2, got "
-                             f"r = {r}, t_i = {t_i}, delta = {delta}")
+    and divergences.  Raises ParameterError, by `check_count`, unless r
+    and t_i are integers >= 1 and delta one >= 2, and when params has
+    another r, t_i or delta: the exact rate would be another code's."""
+    r, t_i = check_count("r", r), check_count("t_i", t_i)
+    delta = check_count("delta", delta, 2)
     t = t_i * (delta - 1)
     notes = []
     exact = None

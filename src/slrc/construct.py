@@ -12,19 +12,19 @@ Coordinate layout (0-based): information 0..k-1, line parities
 k..k+mu-1 (line j owns the delta-1 consecutive columns starting at
 k + j*(delta-1)), global parities afterwards, so 0..k-1 is the first
 information set and the generator `LinearCode` derives is [I_k | P].
-`CodeShape` alone checks that a shape is such a layout.
+`CodeShape` alone checks that a shape is such a layout, reading its
+counts through `errors.check_count`.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import KW_ONLY, InitVar, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
 from .designs import Design, validate_design
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, check_count
 from .field import GF, same_field
 from .linear import DUAL_BYTE_BUDGET, LinearCode, generator_bytes
 from .mds import MdsLocalMatrix
@@ -38,8 +38,9 @@ class CodeShape:
     """The scalar parameters of a constructed code and the block layout
     they fix, from which every size and coordinate role is derived.
     ParameterError unless r, delta, t_i, k and b are integers >= 1 (no
-    bool), delta >= 2, the (rows, columns) `h_shape` of a matrix file's
-    H, when given, is (n - k, n), and W*'s w_blocks·r columns fit in mu."""
+    bool; held as ints), delta >= 2, the (rows, columns) `h_shape` of a
+    matrix file's H, when given, is (n - k, n), and W*'s w_blocks·r
+    columns fit in mu."""
     field: GF
     r: int
     delta: int
@@ -51,12 +52,8 @@ class CodeShape:
 
     def __post_init__(self, h_shape):
         for key in ("r", "delta", "t_i", "k", "b"):
-            value = getattr(self, key)
-            if (not isinstance(value, numbers.Integral) or isinstance(
-                    value, bool) or value < 1 + (key == "delta")):
-                raise ParameterError(
-                    f"r, delta, t_i, k and b must be positive integers, "
-                    f"delta >= 2, got {key} = {value!r}")
+            object.__setattr__(self, key, check_count(
+                key, getattr(self, key), 1 + (key == "delta")))
         rows, cols = h_shape or (self.n - self.k, self.n)
         if self.n != cols:
             raise ParameterError(
@@ -213,8 +210,7 @@ def expand_m_star(design: Design, mds: MdsLocalMatrix):
 def build_w_star(blocks, mds: MdsLocalMatrix):
     """Block-diagonal matrix with `blocks` copies of Q; the construction
     takes its shape's ceil(s/r) (`CodeShape.w_blocks`)."""
-    if blocks < 1:
-        raise ParameterError(f"W* block count must be >= 1, got {blocks}")
+    blocks = check_count("W* block count", blocks)
     return np.kron(np.eye(blocks, dtype=np.int64), mds.Q)
 
 

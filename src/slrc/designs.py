@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, DesignError
+from .errors import DesignError, ParameterError, check_count
 from .field import GF
 
 
@@ -75,8 +75,7 @@ def complete_graph_design(r):
     the r edges incident to vertex v, in increasing order.  Two vertices
     share exactly one edge, so the girth condition holds by construction.
     """
-    if r < 2:
-        raise ParameterError(f"complete-graph design needs r >= 2, got {r}")
+    r = check_count("complete-graph design r", r, 2)
     vertices = range(r + 1)
     edges = [(a, b) for a in vertices for b in vertices if a < b]
     lines = [[] for _ in vertices]
@@ -96,8 +95,9 @@ def affine_design(r, t_i):
     point; each pencil partitions the point set, so pencil c is
     lines[c*r:(c+1)*r].
     """
-    if t_i < 2 or t_i > r + 1:
-        raise ParameterError(f"need 2 <= t_i <= r + 1, got t_i={t_i}, r={r}")
+    r, t_i = check_count("affine design r", r, 2), check_count("t_i", t_i, 2)
+    if t_i > r + 1:
+        raise ParameterError(f"need t_i <= r + 1, got t_i={t_i}, r={r}")
     gf = GF(r)  # raises FieldError when r is not a prime power
     pencils = []
     pencils.append([tuple(a * r + b for b in range(r)) for a in range(r)])
@@ -146,11 +146,17 @@ def load_design(matrix):
     off its first row and column; raises DesignError with
     validate_design's violation, prefixed "invalid design: " as
     ConstructionParams words it, when the result is not a design."""
-    M = np.asarray(matrix, dtype=np.int64)
-    if M.ndim != 2:
-        raise DesignError("incidence matrix must be 2-D")
+    try:
+        M = np.asarray(matrix)
+    except ValueError:              # ragged rows
+        M = None
+    if M is None or M.ndim != 2:
+        raise DesignError("incidence matrix must be 2-D, with rows of "
+                          "equal length")
+    # before the cast, which would read 0.5 as 0
     if not np.isin(M, (0, 1)).all():
         raise DesignError("incidence matrix entries must be 0 or 1")
+    M = M.astype(np.int64)
     b, k = M.shape
     design = Design(k=k, r=int(M[0].sum()) if b else 0,
                     t_i=int(M[:, 0].sum()) if k else 0,

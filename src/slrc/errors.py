@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the check of a count."""
+"""Exception types shared across the package, and `check_count`, the one
+reader of a count: every r, delta, t_i, q, k, b, block count, tolerance,
+trial count and seed a public entry point takes.  Upper bounds and rules
+that relate two parameters stay with the code that needs them."""
 
 import numbers
 
@@ -27,10 +30,11 @@ class InfeasibleError(SlrcError, RuntimeError):
     """A requested exhaustive search is too large for desk-scale work."""
 
 
-def check_count(name, value):
-    """value as an int; ParameterError unless an integer >= 1, not a bool."""
+def check_count(name, value, least=1):
+    """value as an int; ParameterError unless an integer >= least, not a
+    bool."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
     return int(value)

@@ -29,20 +29,25 @@ import operator
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, check_count
 
 MAX_Q = 1024
 
 
 def _factor_prime_power(q):
-    """Return (p, m) with q = p^m, or raise FieldError."""
-    if q < 2:
-        raise FieldError(f"field size must be at least 2, got {q}")
+    """Return (p, m) with q = p^m >= 2, or raise FieldError."""
     p = next(c for c in range(2, q + 1) if q % c == 0)
     m = next(m for m in range(1, q + 1) if p ** m >= q)
     if p ** m != q:
         raise FieldError(f"{q} is not a prime power")
     return p, m
+
+
+def _integers(values):
+    """The values as a list of Python ints, each None unless an integer,
+    a numpy one too but no bool."""
+    return [int(a) if type(a) is int or isinstance(a, np.integer) else None
+            for a in values]
 
 
 def _times_x(d, low, p):
@@ -119,16 +124,27 @@ class GF:
     low to high) must leave an element of order q - 1, which only an
     irreducible one does; it defaults to the smallest in which x is
     primitive.  generator defaults to the smallest primitive element,
-    which is x when x is primitive (1..p-1 lie in GF(p))."""
+    which is x when x is primitive (1..p-1 lie in GF(p)).  q is read by
+    `errors.check_count` (ParameterError unless an integer >= 2); the
+    coefficients, read mod p, and the generator must be integers, numpy
+    ones too but no bool, or FieldError."""
 
     def __init__(self, q, prim_poly=None, generator=None):
+        q = check_count("field size q", q, 2)
         if q > MAX_Q:
             raise FieldError(f"field size {q} exceeds supported maximum {MAX_Q}")
         p, m = _factor_prime_power(q)
         self.q, self.p, self.m = q, p, m
         if prim_poly is None:       # m == 1: plain arithmetic mod p
             prim_poly = (0, 1) if m == 1 else _search_prim_poly(p, m)
-        prim_poly = tuple(int(c) % p for c in prim_poly)
+        try:
+            coeffs = _integers(prim_poly)
+        except TypeError:           # no sequence
+            coeffs = [None]
+        if None in coeffs:
+            raise FieldError(f"prim_poly must be a sequence of integers, "
+                             f"got {prim_poly!r}")
+        prim_poly = tuple(c % p for c in coeffs)
         if len(prim_poly) != m + 1 or prim_poly[-1] != 1:
             raise FieldError(
                 f"prim_poly must be monic of degree {m}, got {prim_poly}")
@@ -140,9 +156,11 @@ class GF:
         (self.add_table, self.mul_table, self.neg_table, self.inv_table,
          self._add_flat, self._mul_flat, first,
          self._elements) = _tables(p, m, prim_poly)
-        self.generator = g = first if generator is None else int(generator)
-        if not 0 < g < q:
-            raise FieldError(f"generator {g} out of range for GF({q})")
+        self.generator = g = (first if generator is None
+                              else _integers([generator])[0])
+        if g is None or not 0 < g < q:
+            raise FieldError(f"generator must be an integer in "
+                             f"1..{q - 1} for GF({q}), got {generator!r}")
         if g != first and len(_powers(self.mul_table[g].tolist())) != q - 1:
             raise FieldError(
                 f"generator {g} does not have order {q - 1} in GF({q})")
@@ -159,9 +177,7 @@ class GF:
         except TypeError:           # no sequence
             values = [None]
         if operator.countOf(map(type, values), int) != len(values):
-            # numpy integers become ints, and every other type None
-            values = [int(a) if type(a) is int or isinstance(a, np.integer)
-                      else None for a in values]
+            values = _integers(values)
         # with no type but int, equal hashes are equal values
         if not self._elements.issuperset(values):
             raise FieldError(f"a symbol of {symbols!r} is not an element of "

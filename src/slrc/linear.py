@@ -103,12 +103,19 @@ def generator_bytes(field, dimension, n):
 
 class LinearCode:
     """A linear code given by a parity-check matrix over GF(q); raises
+    ParameterError for an H that is not 2-D or has ragged rows,
     FieldError for an entry that is not an integer in 0..q-1 and
     InfeasibleError when its generator would exceed DUAL_BYTE_BUDGET."""
 
     def __init__(self, field: GF, H):
         self.field = field
-        H = np.atleast_2d(np.asarray(H))
+        try:
+            H = np.atleast_2d(np.asarray(H))
+        except ValueError:          # ragged rows
+            H = None
+        if H is None or H.ndim != 2:
+            raise ParameterError("H must be a 2-D matrix, with rows of "
+                                 "equal length")
         if H.size and H.dtype.kind not in "iu":     # int64 truncates 1.7
             raise FieldError(f"matrix entries must be integers, got {H.dtype}")
         if H.size and (H.min() < 0 or H.max() >= field.q):

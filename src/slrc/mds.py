@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, check_count
 from .field import GF
 from .linear import _low_weight_dual_words, rref
 
@@ -41,8 +41,7 @@ def build_mds_parity(r, delta, field: GF):
     q >= r + delta - 2, and such a code is MDS (MacWilliams & Sloane,
     ch. 11); for delta <= 3, Q stays beta^(i*j).  verify_mds still checks
     the candidate, and a failure raises ConstructionError."""
-    if r < 1 or delta < 2:
-        raise ParameterError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
+    r, delta = check_count("r", r), check_count("delta", delta, 2)
     if field.q < r + delta - 2:
         raise ParameterError(
             f"q = {field.q} < r + delta - 2 = {r + delta - 2}: field too small")

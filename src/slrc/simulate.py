@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -237,10 +236,7 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     """
     # as ints: a numpy integer would overflow in the draws
     trials, t = check_count("trials", trials), check_count("t", t)
-    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
-            or seed < 0):
-        raise ParameterError(
-            f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_count("seed", seed, 0)
     q, n, k = code.field.q, code.n, code.dimension
     draws = _Draws(seed)
     successes = 0

@@ -107,8 +107,8 @@ def _first_stopping_set(masks, size, nodes):
 def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
     out of MAX_NODES, a partial search reports the sizes done in full."""
-    check_count("tolerance t", cap)
-    masks = peel_table(code, r)
+    # before the memo key, which an unhashable r would end in TypeError
+    masks = peel_table(code, check_count("locality r", r))
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:
@@ -127,6 +127,7 @@ def _stopping_search(code, r, cap, partial):
 
 def check_sequential(code, r, t):
     """Certify (r, t) sequential recovery: no stopping set of size <= t."""
+    t = check_count("tolerance t", t)
     failing, witnesses, _ = _stopping_search(code, r, t, False)
     return VerificationReport(checked_t=t, holds=failing is None,
                               failing_pattern=failing, witnesses=witnesses)
@@ -136,7 +137,8 @@ def max_sequential_t(code, r, cap):
     """Largest t <= cap at which sequential recovery holds exhaustively;
     out of MAX_NODES, the largest size searched in full, with
     complete=False."""
-    failing, witnesses, complete = _stopping_search(code, r, cap, True)
+    failing, witnesses, complete = _stopping_search(
+        code, r, check_count("tolerance t", cap), True)
     t_star = len(failing) - 1 if failing is not None else len(witnesses)
     return VerificationReport(checked_t=t_star, holds=True,
                               failing_pattern=failing, witnesses=witnesses,

@@ -1,29 +1,43 @@
-"""Bad input at the entry points of repair and simulation.
+"""Bad input at the public entry points.
 
 Hypothesis draws JSON-like values -- huge and negative integers, bools,
 floats, strings, None, nested lists and objects -- and numpy scalars,
 and puts them into the messages of `LinearCode.encode`, the words and
 erased sets of `execute_repair` and `plan_repair`, the locality r of
-`plan_repair`, and the counts and seed of `trial_campaign`.  Each call
-either returns or raises an `SlrcError`: never a bare TypeError,
-IndexError or ValueError.  What a call returns is checked too: symbols
-come back as Python ints of the field, whatever integers went in.
+`plan_repair`, the counts and seed of `trial_campaign`, and the counts
+(r, delta, t_i, q, k, b, block counts, t and caps) of the field, design,
+MDS, layout, bound and verification entry points.  Each call either
+returns or raises an `SlrcError`: never a bare TypeError, IndexError or
+ValueError.  What a call returns is checked too: symbols come back as
+Python ints of the field, whatever integers went in, and so do counts.
+Fixed cases pin the non-count inputs the same search found: a ragged or
+3-D matrix, and an incidence matrix that is not 0s and 1s.
 
 Valid counts that would make a call long (a locality r above 4, which
-enumerates most of the dual code, or thousands of trials) are not
-drawn; every invalid value is.
+enumerates most of the dual code, a complete-graph design past r = 6,
+or thousands of trials) are not drawn; every invalid value is.
 """
 
 import numbers
 
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import strategies
 from dual_oracle import syndrome
-from slrc.errors import SlrcError
+from slrc.bounds import rate_availability_bound, rate_report, rate_seq_bound
+from slrc.construct import CodeShape, ConstructionParams, build_w_star
+from slrc.designs import affine_design, complete_graph_design, load_design
+from slrc.errors import DesignError, ParameterError, SlrcError
+from slrc.field import GF
+from slrc.linear import LinearCode
+from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
 from slrc.simulate import execute_repair, plan_repair, trial_campaign
+from slrc.verify import check_sequential, max_sequential_t
 
 BIG = 2 ** 70
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -52,9 +66,9 @@ JSON_LIKE = st.recursive(
     max_leaves=6)
 
 
-def _positive_int(value):
+def _count(value, least=1):
     return (isinstance(value, numbers.Integral)
-            and not isinstance(value, (bool, np.bool_)) and value >= 1)
+            and not isinstance(value, (bool, np.bool_)) and value >= least)
 
 
 @st.composite
@@ -78,11 +92,12 @@ def spoiled(draw, valid):
     return valid[:i] + [value] + valid[i + 1:]
 
 
-def _small_or_bad(limit):
-    """A count: an integer in 1..limit, or any JSON-like value that is no
-    positive integer."""
-    return st.one_of(st.integers(1, limit),
-                     JSON_LIKE.filter(lambda v: not _positive_int(v)))
+def _small_or_bad(limit, least=1):
+    """A count: an integer in least..limit, a Python or a numpy one, or
+    any JSON-like value that is no integer >= least."""
+    return st.one_of(st.integers(least, limit),
+                     st.integers(least, limit).map(np.int64),
+                     JSON_LIKE.filter(lambda v: not _count(v, least)))
 
 
 def _is_word(code, word):
@@ -150,3 +165,93 @@ def test_trial_campaign_runs_or_raises(data):
     except SlrcError:
         return
     assert stats["trials"] == trials and 0 <= stats["success_rate"] <= 1
+
+
+MDS = build_mds_parity(3, 3, GF(4))
+REF = reference_code()
+
+# each entry point with one strategy per count it takes: r <= 6, q <= 16
+# and t <= 50 when valid
+CONSTRUCTION = {
+    "GF": (GF, [_small_or_bad(16, 2)]),
+    "build_mds_parity": (lambda r, delta: build_mds_parity(r, delta, GF(16)),
+                         [_small_or_bad(6), _small_or_bad(6, 2)]),
+    "complete_graph_design": (complete_graph_design, [_small_or_bad(6, 2)]),
+    "affine_design": (affine_design, [_small_or_bad(6, 2),
+                                      _small_or_bad(8, 2)]),
+    "build_w_star": (lambda blocks: build_w_star(blocks, MDS),
+                     [_small_or_bad(6)]),
+    "CodeShape": (lambda *counts: CodeShape(GF(4), *counts),
+                  [_small_or_bad(6), _small_or_bad(6, 2), _small_or_bad(6),
+                   _small_or_bad(20), _small_or_bad(10)]),
+    "ConstructionParams": (
+        lambda r, delta, t_i: ConstructionParams(
+            r=r, delta=delta, t_i=t_i, field=GF(4),
+            design=complete_graph_design(3), mds=MDS),
+        [_small_or_bad(6), _small_or_bad(6, 2), _small_or_bad(6)]),
+}
+BOUNDS = {
+    "rate_report": (rate_report, [_small_or_bad(6), _small_or_bad(10),
+                                  _small_or_bad(6, 2)]),
+    "rate_availability_bound": (rate_availability_bound,
+                                [_small_or_bad(6), _small_or_bad(50)]),
+    "rate_seq_bound": (rate_seq_bound, [_small_or_bad(6), _small_or_bad(50)]),
+}
+VERIFY = {
+    "check_sequential": (lambda r, t: check_sequential(REF, r, t),
+                         [_small_or_bad(4), _small_or_bad(50)]),
+    "max_sequential_t": (lambda r, cap: max_sequential_t(REF, r, cap),
+                         [_small_or_bad(4), _small_or_bad(50)]),
+}
+
+
+def _call(data, entry_points):
+    """Call one drawn entry point on drawn counts: its result, or None
+    when it raised an SlrcError."""
+    name = data.draw(st.sampled_from(sorted(entry_points)))
+    call, counts = entry_points[name]
+    try:
+        return call(*(data.draw(count) for count in counts))
+    except SlrcError:
+        return None
+
+
+@SETTINGS
+@given(st.data())
+def test_construction_entry_points_build_or_raise(data):
+    built = _call(data, CONSTRUCTION)
+    for key in ("q", "r", "delta", "t_i", "k", "b"):
+        assert type(getattr(built, key, 0)) is int
+
+
+@SETTINGS
+@given(st.data())
+def test_bounds_return_a_rate_or_raise(data):
+    rate = _call(data, BOUNDS)
+    if isinstance(rate, dict):
+        assert all(type(rate[key]) is int for key in ("r", "t_i", "delta"))
+        rate = rate["availability_bound"]
+    assert rate is None or (isinstance(rate, Fraction) and 0 < rate < 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_sequential_checks_report_or_raise(data):
+    report = _call(data, VERIFY)
+    assert report is None or type(report.checked_t) is int
+
+
+@pytest.mark.parametrize("H", [[[1, 0], [1]], [[[1, 0]], [[0, 1]]]])
+def test_linear_code_refuses_a_ragged_or_3d_matrix(H):
+    with pytest.raises(ParameterError, match="H must be a 2-D matrix"):
+        LinearCode(GF(4), H)
+
+
+@pytest.mark.parametrize("matrix, match", [
+    ([[1, 1], [1]], "must be 2-D"),
+    ([["a", 1], [1, 1]], "must be 0 or 1"),
+    # K3's incidence but for 1.5, which is no 0/1 entry though its int is
+    ([[1.5, 1, 0], [1, 0, 1], [0, 1, 1]], "must be 0 or 1")])
+def test_load_design_refuses_a_ragged_or_non_integer_matrix(matrix, match):
+    with pytest.raises(DesignError, match=match):
+        load_design(matrix)

@@ -170,6 +170,7 @@ def test_all_values_in_unit_interval():
                                    (-1, 2, 3), (3, 2, 0)])
 def test_report_refuses_a_point_outside_the_family(point):
     r, t_i, delta = point
-    with pytest.raises(ParameterError, match=f"got r = {r}, t_i = {t_i}, "
-                                             f"delta = {delta}"):
+    with pytest.raises(ParameterError, match=(
+            f"^(r must be >= 1, got {r}|t_i must be >= 1, got {t_i}"
+            f"|delta must be >= 2, got {delta})$")):
         rate_report(r, t_i, delta)

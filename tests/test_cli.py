@@ -450,7 +450,7 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     rc, stdout, err = run(capsys, "simulate", "--in", str(out), "--t", "2",
                           "--seed", "-1")
     assert rc == 2 and stdout == ""
-    assert _one_line_error(err) and "seed must be a non-negative" in err
+    assert _one_line_error(err) and "seed must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize("spoil,match", [
@@ -465,7 +465,9 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     (lambda d: d["entries"].__setitem__(3, "x"), "integers"),
     (lambda d: d["entries"].__setitem__(3, 4), "outside the field"),
     (lambda d: d["params"].pop("b"), "params block lacks b"),
-    (lambda d: d["params"].update(r=0), "positive integers"),
+    # the ids of the two count cases keep their names
+    pytest.param(lambda d: d["params"].update(r=0), "r must be >= 1, got 0",
+                 id="<lambda>-positive integers"),
     (lambda d: d["params"].update(delta=4), "give n = 21"),
     (lambda d: d["field"].update(p="4"), "integers p, m and generator"),
     (lambda d: d["field"].update(prim_poly=5), "list of integers prim_poly"),
@@ -475,7 +477,9 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     (lambda d: d.update(rows=11, entries=d["entries"] + [0] * 16),
      "give n - k = 10 rows, but H has 11"),
     # JSON true is no integer, although Python's bool is an int
-    (lambda d: d["params"].update(t_i=True), "must be positive"),
+    pytest.param(lambda d: d["params"].update(t_i=True),
+                 "t_i must be an integer, got True",
+                 id="<lambda>-must be positive"),
     (lambda d: d["entries"].__setitem__(3, True), "entries must be a list"),
 ])
 def test_dict_to_matrix_rejects_malformed_documents(spoil, match):
@@ -867,7 +871,8 @@ def test_bounds_outside_the_family_exits_2(capsys, point):
                           "--delta", delta)
     assert rc == 2 and stdout == ""
     assert _one_line_error(err)
-    assert f"got r = {r}, t_i = {ti}, delta = {delta}" in err
+    assert re.search(f"^error: (r must be >= 1, got {r}|t_i must be >= 1, "
+                     f"got {ti}|delta must be >= 2, got {delta})$", err)
 
 
 @pytest.mark.parametrize("ti,delta,t", [("4000", "3", 8000),

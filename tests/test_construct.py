@@ -248,10 +248,19 @@ def test_w_star_wider_than_parity_block_errors():
 
 
 @pytest.mark.parametrize("change, match", [
-    ({"r": 0}, "positive integers"), ({"b": -1}, "positive integers"),
-    ({"t_i": True}, "positive integers"), ({"k": 6.0}, "positive integers"),
-    ({"delta": "3"}, "positive integers"),
-    ({"delta": 1}, "delta >= 2, got delta = 1"),
+    # the ids of the count cases keep their names
+    pytest.param({"r": 0}, "r must be >= 1, got 0",
+                 id="change0-positive integers"),
+    pytest.param({"b": -1}, "b must be >= 1, got -1",
+                 id="change1-positive integers"),
+    pytest.param({"t_i": True}, "t_i must be an integer, got True",
+                 id="change2-positive integers"),
+    pytest.param({"k": 6.0}, "k must be an integer, got 6.0",
+                 id="change3-positive integers"),
+    pytest.param({"delta": "3"}, "delta must be an integer, got '3'",
+                 id="change4-positive integers"),
+    pytest.param({"delta": 1}, "delta must be >= 2, got 1",
+                 id="change5-delta >= 2, got delta = 1"),
     # ceil(ceil(20/3)/3) = 3 copies of Q need 9 of the 8 line parities
     ({"k": 20}, "W\\* width 9 exceeds the 8 line-parity columns"),
     ({"b": 1}, "W\\* width 3 exceeds the 2 line-parity columns"),

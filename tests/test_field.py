@@ -206,7 +206,12 @@ def test_equality_and_hash_read_the_spec():
 
 @pytest.mark.parametrize("spec", [
     dict(q=6), dict(q=4, prim_poly=[0, 0, 1]), dict(q=4, prim_poly=[1, 0, 1]),
-    dict(q=4, generator=1), dict(q=4, generator=4)])
+    dict(q=4, generator=1), dict(q=4, generator=4),
+    # a spec that is not integers is refused: neither truncated (1.5 to 1)
+    # nor a bare ValueError ("ab")
+    dict(q=4, prim_poly=[1, 1, 1.5]), dict(q=4, prim_poly="ab"),
+    dict(q=4, prim_poly=5), dict(q=4, generator=2.5),
+    dict(q=4, generator="2"), dict(q=4, generator=True)])
 def test_invalid_spec_raises_every_time_and_caches_nothing(spec):
     import slrc.field as field
     GF(4)
@@ -216,6 +221,13 @@ def test_invalid_spec_raises_every_time_and_caches_nothing(spec):
         with pytest.raises(FieldError):
             GF(**spec)
     assert field._tables.cache_info().currsize == before
+
+
+def test_spec_reads_integer_coefficients_mod_p():
+    # numpy integers too; the field keeps Python ints
+    fld = GF(4, prim_poly=[3, np.int64(-1), np.uint8(5)],
+             generator=np.int64(2))
+    assert fld == GF(4) and type(fld.generator) is int
 
 
 @pytest.mark.parametrize("p, m, match", [

@@ -2,6 +2,7 @@
 against the row-space oracles of `dual_oracle`, on random codes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ def test_counts_must_be_integers(name, value):
              "trials": [lambda: trial_campaign(ref, 3, 2, value, 0)]}
     for call in calls[name]:
         with pytest.raises(ParameterError, match="must be an integer, got"):
+            call()
+
+
+@pytest.mark.parametrize("value", [[3], {}, True])
+def test_verify_reads_r_before_the_memo_key(value):
+    # read before peel_table's memo key, which an unhashable r would end
+    # in a bare TypeError
+    ref = reference_code()
+    peel_table(ref, 1)
+    for call in (lambda: check_sequential(ref, value, 2),
+                 lambda: max_sequential_t(ref, value, 4)):
+        with pytest.raises(ParameterError,
+                           match=f"r must be an integer, got "
+                                 f"{re.escape(repr(value))}$"):
             call()
 
 
