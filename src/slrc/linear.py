@@ -555,9 +555,7 @@ def _recovery_entries(code: LinearCode, r):
     """Every recovery set of size <= r as arrays, one entry per (dual
     word, coordinate i of its support), sorted by (i, helpers, coeffs):
     i, the helpers padded with -1 after the last, and the coefficients
-    -v_j / v_i of the helpers j, padded with 0.  Raises ParameterError
-    unless r is an integer >= 1: no check at another r means anything."""
-    check_count("locality r", r)
+    -v_j / v_i of the helpers j, padded with 0; r is an int >= 1."""
     field, words = code.field, _dual_words(code, r + 1)
     word, coord = np.nonzero(words)     # each word's support, in order
     weight = np.bincount(word, minlength=len(words))
@@ -584,7 +582,22 @@ def _by_coordinate(n, coord, entries):
     return tuple(tuple(entries[a:b]) for a, b in zip([0] + ends, ends))
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+def _memo_by_r(build):
+    """build(code, r) memoized for the last (code, r) asked for, by code
+    identity, with r read by `check_count` before it keys the memo, so an
+    unhashable r or a bool is a ParameterError, and numpy integers share
+    the int's entry.  The memo's `cache_info` and `cache_clear` are the
+    table's own."""
+    memo = functools.lru_cache(maxsize=1)(build)
+
+    @functools.wraps(build)
+    def table(code, r):
+        return memo(code, check_count("locality r", r))
+    table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
+    return table
+
+
+@_memo_by_r
 def peel_table(code: LinearCode, r):
     """Per coordinate i, the helper bitmasks of its recovery sets of size
     <= r, ordered by helpers: the rest of the support of each dual word
@@ -593,9 +606,9 @@ def peel_table(code: LinearCode, r):
 
     The last (code, r) asked for is memoized, by code identity, so the
     checks of one command or campaign share one build; a single entry
-    keeps memory flat while callers hold many codes; r is keyed with its
-    type, so True is refused, not served the r = 1 table.  The rows are
-    tuples, so no caller can change the shared table.
+    keeps memory flat while callers hold many codes; r is read before
+    it keys the memo, so True is refused, not served the r = 1 table.
+    The rows are tuples, so no caller can change the shared table.
     Raises ParameterError unless r is an integer >= 1."""
     coord, helpers, _ = _recovery_entries(code, r)
     # Python ints for any n; the -1 padding reads the trailing 0
@@ -603,7 +616,7 @@ def peel_table(code: LinearCode, r):
     return _by_coordinate(code.n, coord, bit[helpers].sum(axis=1).tolist())
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@_memo_by_r
 def repair_steps(code: LinearCode, r):
     """Per coordinate i, its recovery sets of size <= r as `RepairStep`
     records, ordered by (helpers, coeffs), so that entry j of a row is

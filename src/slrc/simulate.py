@@ -15,13 +15,15 @@ one reader, `_erased`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
 on the seeded `Generator`, made from its raw 32-bit stream without a
-numpy call per trial (`_Draws`).
+numpy call per trial (`_Draws`): a block pass decides up to _TRIALS
+trials at once with a few numpy calls, and a trial it cannot decide
+exactly (a rejected word, size = n, numpy's tail-shuffle branch) is
+drawn by the scalar readers on the same words.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -41,7 +43,9 @@ class RepairSchedule:
 
 
 _MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
-_BLOCK = 4096           # raw words per numpy call of _Draws
+_TRIALS = 256           # trials per block pass of _Draws.trials
+_WINDOW = 1 << 13       # raw words a block pass reads at most
+_BUFFER = 2 * _WINDOW   # raw words _Draws holds
 
 
 def _erased(code, erased):
@@ -166,25 +170,47 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
 
 class _Draws:
     """The draws of a seeded `np.random.default_rng(seed)`, made from its
-    raw 32-bit stream, which is read in blocks of _BLOCK words with one
-    numpy call each (every word one `next_uint32`, the stream numpy's
-    bounded draws read).  Each method returns exactly what its numpy call
-    returns and consumes exactly the words that call consumes, so a
-    campaign's draws match those of `integers` and `choice` call for
-    call, with no numpy call per trial.
+    raw 32-bit stream (every word one `next_uint32`, the stream numpy's
+    bounded draws read), which one buffer of _BUFFER words holds: a
+    refill keeps the unread words and draws the rest with one numpy call.
+    Each method returns exactly what its numpy calls return and consumes
+    exactly the words they consume.
 
-    `below` is numpy's 32-bit Lemire draw (Lemire, ACM TOMACS 2019);
+    `below` is numpy's 32-bit Lemire draw (Lemire, ACM TOMACS 2019):
+    a word w gives (w span) >> 32 unless (w span) mod 2**32 is below
+    2**32 mod span, when it is rejected and the next word read.
     `sample` is `choice(replace=False)`, Floyd's algorithm (Bentley &
     Floyd, CACM 1987) and then a shuffle, or a partial shuffle of
-    arange(n) when n > 10000 and the sample is over n // 50."""
+    arange(n) when n > 10000 and the sample is over n // 50.  These
+    scalar readers are exact for every draw.
+
+    `trials` makes a campaign's draws for up to _TRIALS trials per pass
+    (`_block`) with a few numpy calls on the buffer: a trial none of
+    whose words is rejected reads a known run of words, so its draws are
+    a fixed function of them.  A trial the pass cannot decide that way,
+    one with a rejected word, a span-1 Floyd draw (size = n, which reads
+    no word) or on the tail-shuffle branch, is drawn by the scalar
+    readers on the same buffer, and the next pass starts after it."""
 
     def __init__(self, seed):
-        rng = np.random.default_rng(seed)
-        # the lambda holds rng and not self: no cycle keeps a block alive
-        blocks = iter(lambda: rng.integers(0, 1 << 32, size=_BLOCK,
-                                           dtype=np.uint32).tolist(), None)
-        self._words = itertools.chain.from_iterable(blocks)
-        self._next = self._words.__next__
+        self._rng = np.random.default_rng(seed)
+        self._words = np.empty(_BUFFER, np.uint32)
+        self._view = memoryview(self._words)
+        self._pos = _BUFFER     # the next unread word
+
+    def _refill(self):
+        """Move the unread words to the front and draw the rest anew."""
+        unread = _BUFFER - self._pos
+        self._words[:unread] = self._words[self._pos:]
+        self._words[unread:] = self._rng.integers(0, 1 << 32, size=self._pos,
+                                                  dtype=np.uint32)
+        self._pos = 0
+
+    def _next(self):
+        if self._pos == _BUFFER:
+            self._refill()
+        self._pos += 1
+        return self._view[self._pos - 1]
 
     def below(self, span):
         """`integers(0, span)`, 1 <= span <= 2**32, as a Python int."""
@@ -199,10 +225,7 @@ class _Draws:
 
     def integers(self, span, size):
         """`integers(0, span, size=size)` as a list of Python ints."""
-        if (1 << 32) % span:
-            return [self.below(span) for _ in range(size)]
-        # span divides 2**32: no word is rejected
-        return [u * span >> 32 for u in itertools.islice(self._words, size)]
+        return [self.below(span) for _ in range(size)]
 
     def sample(self, n, size):
         """The sorted tuple of `choice(n, size, replace=False)`."""
@@ -221,6 +244,101 @@ class _Draws:
             below(i + 1)        # numpy shuffles the sample; it is sorted here
         return tuple(sorted(chosen))
 
+    def trials(self, n, t, q, k, count):
+        """The (erased, message) pairs of `count` trials: the draws of
+        numpy's integers(1, min(t, n) + 1), choice(n, size, replace=False)
+        and integers(0, q, size=k), in that order, per trial; n >= 1 and
+        2 <= q <= 2**32, as every message symbol reads a word."""
+        s = min(t, n)
+        while count:
+            if _BUFFER - self._pos < _WINDOW:
+                self._refill()
+            sizes, erased, messages, stuck = self._block(
+                n, s, q, k, min(count, _TRIALS))
+            count -= len(sizes) + stuck
+            start = 0
+            for i, size in enumerate(sizes):
+                yield (tuple(erased[start:start + size]),
+                       messages[i * k:i * k + k])
+                start += size
+            if stuck:
+                size = 1 + self.below(s)
+                yield self.sample(n, size), self.integers(q, k)
+
+    def _block(self, n, s, q, k, most):
+        """The next trials, at most `most`, that one pass decides exactly
+        from at most _WINDOW words, and whether the trial after them is
+        one it cannot decide."""
+        view, pos = self._view, self._pos
+        sized = s > 1           # integers(1, 2) reads no word
+        stop = pos + _WINDOW
+        # each trial's start and size, as if no word were rejected: a
+        # size word, size Floyd words, size - 1 shuffle words, k message
+        starts, sizes = [], []
+        end, stuck = pos, False
+        while len(sizes) < most and end < stop:
+            size = 1 + (view[end] * s >> 32) if sized else 1
+            after = end + sized + 2 * size - 1 + k
+            if after > stop and sizes:
+                break           # the next pass reads it
+            if size == n or n > 10000 and size > n // 50 or after > stop:
+                stuck = True
+                break
+            starts.append(end)
+            sizes.append(size)
+            end = after
+        if not sizes:
+            return [], [], [], stuck
+        # every word's span, trial by trial: s, then j + 1 for Floyd's j
+        # in n - size..n - 1, then size..2 for the shuffle, then q; built
+        # in place, as these arrays are the pass's largest
+        size = np.array(sizes)
+        first = np.array(starts) - pos
+        lengths = sized + 2 * size - 1 + k
+        size_at = np.repeat(size, lengths)
+        past = np.arange(end - pos)     # words past the trial's Floyd draws
+        past -= np.repeat(first + sized, lengths)
+        past -= size_at
+        span = size_at - past           # the shuffle's; 1 or less after it
+        np.add(past, n + 1, out=span, where=past < 0)
+        del past, size_at
+        span[span < 2] = q              # Floyd's spans are 2 or more
+        if sized:
+            span[first] = s
+        span = span.view(np.uint64)
+        product = self._words[pos:end] * span
+        # Lemire's rejection, (w span) mod 2**32 < 2**32 mod span, can
+        # hold only below span: the exact test reads those words alone
+        low = product & 0xFFFFFFFF
+        suspect = np.flatnonzero(low < span)
+        rejected = suspect[low[suspect] < (1 << 32) % span[suspect]]
+        del low, span
+        if len(rejected):       # the trials before the first rejection
+            cut = np.searchsorted(first, rejected[0], side="right") - 1
+            if not cut:
+                return [], [], [], True
+            size, first, stuck = size[:cut], first[:cut], True
+            end = starts[cut]
+        product >>= 32
+        value = product.view(np.int64)
+        # Floyd's draws, one column per draw: a value drawn before is
+        # replaced by j, which no earlier draw can be
+        column = np.arange(size.max())
+        j = n - size[:, None] + column
+        chosen = value[np.minimum(first[:, None] + sized + column,
+                                  end - pos - 1)]
+        for c in range(1, len(column)):
+            repeat = (chosen[:, :c] == chosen[:, c, None]).any(axis=1)
+            chosen[:, c] = np.where(repeat, j[:, c], chosen[:, c])
+        chosen[j >= n] = n      # past the sample: sorts last
+        chosen.sort(axis=1)
+        message = value[first[:, None] + sized + 2 * size[:, None] - 1
+                        + np.arange(k)]
+        self._pos = end
+        # flat lists, so that a trial's objects exist only while it runs
+        return (size.tolist(), chosen[chosen < n].tolist(), message.ravel()
+                .tolist(), stuck)
+
 
 def trial_campaign(code, r, t, trials, seed, trace=None):
     """Seeded random erasure trials; returns summary statistics.
@@ -237,19 +355,15 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     # as ints: a numpy integer would overflow in the draws
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)
-    q, n, k = code.field.q, code.n, code.dimension
-    draws = _Draws(seed)
+    draws = _Draws(seed).trials(code.n, t, code.field.q, code.dimension,
+                                trials)
     successes = 0
     total_steps = 0
     total_helpers = 0
     failures = []
     failure_count = 0
-    for trial in range(trials):
-        # the draws of numpy's integers(1, min(t, n) + 1), choice(n, size,
-        # replace=False) and integers(0, q, size=k), in that order
-        size = 1 + draws.below(min(t, n))
-        erased = draws.sample(n, size)
-        word = code.encode(draws.integers(q, k))
+    for trial, (erased, message) in enumerate(draws):
+        word = code.encode(message)
         schedule = plan_repair(code, erased, r)
         if schedule.complete:
             if trace is not None:

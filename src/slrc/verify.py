@@ -107,8 +107,7 @@ def _first_stopping_set(masks, size, nodes):
 def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
     out of MAX_NODES, a partial search reports the sizes done in full."""
-    # before the memo key, which an unhashable r would end in TypeError
-    masks = peel_table(code, check_count("locality r", r))
+    masks = peel_table(code, r)
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:

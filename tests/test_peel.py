@@ -302,11 +302,13 @@ def test_counts_must_be_integers(name, value):
 
 @pytest.mark.parametrize("value", [[3], {}, True])
 def test_verify_reads_r_before_the_memo_key(value):
-    # read before peel_table's memo key, which an unhashable r would end
-    # in a bare TypeError
+    # read before the memo key of peel_table and repair_steps, which an
+    # unhashable r would end in a bare TypeError
     ref = reference_code()
     peel_table(ref, 1)
-    for call in (lambda: check_sequential(ref, value, 2),
+    for call in (lambda: peel_table(ref, value),
+                 lambda: repair_steps(ref, value),
+                 lambda: check_sequential(ref, value, 2),
                  lambda: max_sequential_t(ref, value, 4)):
         with pytest.raises(ParameterError,
                            match=f"r must be an integer, got "

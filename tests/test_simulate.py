@@ -350,25 +350,56 @@ def _numpy_trials(seed, n, t, q, k, trials):
 
 
 def _reader_trials(seed, n, t, q, k, trials):
-    draws = _Draws(seed)
-    for _ in range(trials):
-        size = 1 + draws.below(min(t, n))
-        yield size, draws.sample(n, size), draws.integers(q, k)
+    for erased, message in _Draws(seed).trials(n, t, q, k, trials):
+        yield len(erased), erased, message
 
 
-# (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n, the
-# spans 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their
-# words, and k = 0 draws no message
+# (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n (a
+# Floyd draw of span 1, which reads no word), the spans 2**31 + 1 and
+# 3 * 2**30 reject about half and a quarter of their words, q = 3, 7 and
+# 1021 divide no power of 2, k = 0 draws no message, the two benchmark
+# shapes (the reference code at t = 4, affine n = 25 at t = 5), and
+# n = 10001 draws sizes above n // 50 on numpy's tail-shuffle branch
 DRAW_SHAPES = [(16, 1, 4, 6), (16, 16, 4, 6), (9, 9, 2, 3), (25, 5, 3, 10),
                (30, 30, 7, 5), (12, 4, 1021, 8), (20, 20, 2 ** 31 + 1, 4),
-               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0)]
+               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0), (16, 4, 4, 6),
+               (25, 5, 4, 16), (10001, 300, 4, 3)]
 
 
 @pytest.mark.parametrize("shape", DRAW_SHAPES, ids=str)
 def test_draws_match_numpy_calls(shape):
-    for seed in range(30):
-        assert (list(_reader_trials(seed, *shape, 150))
-                == list(_numpy_trials(seed, *shape, 150)))
+    # 1,500 trials read more words than one refill leaves unread, so each
+    # seed runs many block passes and some trial reads words of two
+    # numpy calls
+    for seed in range(5):
+        assert (list(_reader_trials(seed, *shape, 1500))
+                == list(_numpy_trials(seed, *shape, 1500)))
+
+
+def test_draws_match_numpy_calls_on_a_small_buffer(monkeypatch):
+    # a 64-word window: trials longer than it go to the scalar readers,
+    # and scalar trials read across refills
+    monkeypatch.setattr(simulate, "_WINDOW", 64)
+    monkeypatch.setattr(simulate, "_BUFFER", 128)
+    for shape in DRAW_SHAPES:
+        for seed in range(2):
+            assert (list(_reader_trials(seed, *shape, 300))
+                    == list(_numpy_trials(seed, *shape, 300)))
+
+
+@pytest.mark.parametrize("shape", [(16, 4, 4, 6), (25, 5, 4, 16)], ids=str)
+def test_block_reader_memory_does_not_grow_with_trials(shape):
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            for _ in _Draws(1).trials(*shape, trials):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2000), peak(20000)
+    assert abs(large - small) < 4096, (small, large)
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 4, 7, 1021, 2 ** 31 + 1,
