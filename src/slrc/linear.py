@@ -171,7 +171,8 @@ class LinearCode:
 def encoder_bytes(q, k, size):
     """Bytes of an encoder table of k rows, each a tuple of q ints of
     `size` bytes, every int counted at its full width."""
-    return k * (sys.getsizeof((0,) * q) + q * sys.getsizeof(1 << 8 * size - 1))
+    return k * (sys.getsizeof((0,) * q)
+                + q * sys.getsizeof((1 << 8 * size) - 1))
 
 
 @functools.lru_cache(maxsize=1, typed=True)

@@ -14,11 +14,8 @@ structured result.  Planning and repair read erased coordinates with
 one reader, `_erased`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
-on the seeded `Generator`, made from its raw 32-bit stream without a
-numpy call per trial (`_Draws`): a block pass decides up to _TRIALS
-trials at once with a few numpy calls, and a trial it cannot decide
-exactly (a rejected word, size = n, numpy's tail-shuffle branch) is
-drawn by the scalar readers on the same words.
+on the seeded `Generator`, made in block passes from its raw stream
+(`_draws`), with no numpy call per trial.
 """
 
 from __future__ import annotations
@@ -43,9 +40,8 @@ class RepairSchedule:
 
 
 _MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
-_TRIALS = 256           # trials per block pass of _Draws.trials
-_WINDOW = 1 << 13       # raw words a block pass reads at most
-_BUFFER = 2 * _WINDOW   # raw words _Draws holds
+_TRIALS = 256           # trials per block pass of _draws
+_WINDOW = 1 << 12       # raw words a block pass reads at most
 
 
 def _erased(code, erased):
@@ -168,176 +164,128 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     return tuple(values)
 
 
-class _Draws:
-    """The draws of a seeded `np.random.default_rng(seed)`, made from its
-    raw 32-bit stream (every word one `next_uint32`, the stream numpy's
-    bounded draws read), which one buffer of _BUFFER words holds: a
-    refill keeps the unread words and draws the rest with one numpy call.
-    Each method returns exactly what its numpy calls return and consumes
-    exactly the words they consume.
+def _draws(seed, n, t, q, k, count):
+    """The (erased, message) pairs of `count` trials: the draws of
+    numpy's integers(1, min(t, n) + 1), choice(n, size, replace=False)
+    and integers(0, q, size=k), in that order, per trial, on
+    `np.random.default_rng(seed)`; n >= 1 and 2 <= q <= 2**32.  They are
+    computed from the generator's raw 32-bit stream (`next_uint32`,
+    which numpy's bounded draws read), each pass (`_block`) deciding up
+    to _TRIALS trials with a few numpy calls.  A draw at span m is
+    Lemire's (ACM TOMACS 2019): word w gives (w m) >> 32 unless
+    (w m) mod 2**32 is below 2**32 mod m, when the next word is read at
+    span m; m = 1 reads none.  `choice(n, size, replace=False)` is
+    Floyd's algorithm (Bentley & Floyd, CACM 1987) at spans
+    n - size + 1..n, then a shuffle at spans size..2, or a partial
+    shuffle of arange(n) at spans n down to n - size + 1 when n > 10000
+    and size > n // 50 (the tail branch)."""
+    rng = np.random.default_rng(seed)
+    s = min(t, n)
+    runs = _runs(n, s, q, k)
+    lengths = runs[2].sum(axis=1).tolist()  # a trial's words, by size
+    window = max(_WINDOW, max(lengths))     # every trial fits a pass
+    words = np.empty(2 * window, np.uint32)
+    pos, most = len(words), min(count, _TRIALS)     # the next unread
+    while count:
+        if pos > window:    # keep the unread words, draw the rest anew
+            words[:-pos] = words[pos:]
+            words[-pos:] = rng.integers(0, 1 << 32, pos, np.uint32)
+            pos = 0
+        sizes, erased, messages, read, cut = _block(
+            words[pos:pos + window], n, s, runs, lengths, k, most)
+        pos, count = pos + read, count - len(sizes)
+        # a cut trial is read again alone; after it, passes grow again
+        most = 1 if cut else min(2 * most, _TRIALS, count)
+        start = 0
+        for i, size in enumerate(sizes):
+            yield (tuple(erased[start:start + size]),
+                   messages[i * k:i * k + k])
+            start += size
+        del erased, messages    # before the next pass builds its own
 
-    `below` is numpy's 32-bit Lemire draw (Lemire, ACM TOMACS 2019):
-    a word w gives (w span) >> 32 unless (w span) mod 2**32 is below
-    2**32 mod span, when it is rejected and the next word read.
-    `sample` is `choice(replace=False)`, Floyd's algorithm (Bentley &
-    Floyd, CACM 1987) and then a shuffle, or a partial shuffle of
-    arange(n) when n > 10000 and the sample is over n // 50.  These
-    scalar readers are exact for every draw.
 
-    `trials` makes a campaign's draws for up to _TRIALS trials per pass
-    (`_block`) with a few numpy calls on the buffer: a trial none of
-    whose words is rejected reads a known run of words, so its draws are
-    a fixed function of them.  A trial the pass cannot decide that way,
-    one with a rejected word, a span-1 Floyd draw (size = n, which reads
-    no word) or on the tail-shuffle branch, is drawn by the scalar
-    readers on the same buffer, and the next pass starts after it."""
+def _block(words, n, s, runs, lengths, k, most):
+    """The sizes, erased coordinates and messages, as flat lists, of the
+    next trials in `words`, at most `most`, up to the first rejected word,
+    which is cut; the words read; and whether one was cut."""
+    view = memoryview(words)
+    # each trial's size - 1, its row of runs, and end, if none is rejected
+    rows, ends, end, stop = [], [0], 0, len(view)
+    while len(rows) < most and end < stop:
+        row = view[end] * s >> 32       # s = 1: integers(1, 2) reads none
+        end += lengths[row]
+        if end > stop:
+            break               # the next pass reads it
+        rows.append(row)
+        ends.append(end)
+    row, bound = np.array(rows), np.array(ends)
+    # every word's span, first + step * (its place in its run), built
+    # in place, as these arrays are the pass's largest
+    first, step, length = runs.take(row, axis=1).reshape(3, -1)
+    span = np.repeat(step, length)
+    span *= np.arange(bound[-1])
+    first -= step * (np.cumsum(length) - length)
+    span += np.repeat(first, length)
+    del first, step, length
+    span = span.view(np.uint64)
+    product = words[:bound[-1]] * span
+    # Lemire's rejection, (w span) mod 2**32 < 2**32 mod span, can
+    # hold only below span: the exact test reads those words alone
+    low = product & 0xFFFFFFFF
+    suspect = np.flatnonzero(low < span)
+    rejected = suspect[low[suspect] < (1 << 32) % span[suspect]]
+    del low, span
+    cut = len(rejected) > 0
+    if cut:     # numpy reads the next word at the same span
+        c = np.searchsorted(bound, rejected[0], "right") - 1
+        words[bound[c] + 1:rejected[0] + 1] = words[bound[c]:rejected[0]]
+        row, bound = row[:c], bound[:c + 1]
+    read = int(bound[-1]) + cut
+    if not len(row):
+        return [], [], [], read, cut
+    product >>= 32
+    value = product.view(np.int64)
+    size = row + 1
+    first = bound[:-1] + (s > 1)    # each trial's first sample word
+    tail = runs[1, :, 1].take(row) < 0      # numpy's tail branch
+    # Floyd's draws, a row per draw and a column per trial: a value drawn
+    # before is replaced by j, which no earlier draw can be
+    column = np.arange(size.max())[:, None]
+    chosen = column + first
+    if len(value):          # else n = 1 and k = 0: no trial reads a word
+        value.take(chosen, out=chosen, mode="clip")     # in place
+    for c in range(1, size[~tail].max(initial=0)):
+        repeat = (chosen[:c] == chosen[c]).any(axis=0)
+        np.copyto(chosen[c], n - size + c, where=repeat)
+    chosen[column >= size] = n      # past the sample: sorts last
+    chosen[:, size == n] = column   # a sample of size n is every one
+    for i, m in zip(np.flatnonzero(tail).tolist(), size[tail].tolist()):
+        moved = {}          # the entries of arange(n) the shuffle moved
+        for a, b in zip(range(n - 1, 0, -1),
+                        value[first[i]:first[i] + m].tolist()):
+            moved[a], moved[b] = moved.get(b, b), moved.get(a, a)
+        chosen[:m, i] = [moved.get(a, a) for a in range(n - m, n)]
+    chosen.sort(axis=0)
+    message = value[bound[1:, None] - k + np.arange(k)]
+    # flat lists, so that a trial's objects exist only while it runs
+    return (size.tolist(), chosen.T[chosen.T < n].tolist(),
+            message.ravel().tolist(), read, cut)
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self._words = np.empty(_BUFFER, np.uint32)
-        self._view = memoryview(self._words)
-        self._pos = _BUFFER     # the next unread word
 
-    def _refill(self):
-        """Move the unread words to the front and draw the rest anew."""
-        unread = _BUFFER - self._pos
-        self._words[:unread] = self._words[self._pos:]
-        self._words[unread:] = self._rng.integers(0, 1 << 32, size=self._pos,
-                                                  dtype=np.uint32)
-        self._pos = 0
-
-    def _next(self):
-        if self._pos == _BUFFER:
-            self._refill()
-        self._pos += 1
-        return self._view[self._pos - 1]
-
-    def below(self, span):
-        """`integers(0, span)`, 1 <= span <= 2**32, as a Python int."""
-        if span == 1:
-            return 0
-        m = self._next() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (1 << 32) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next() * span
-        return m >> 32
-
-    def integers(self, span, size):
-        """`integers(0, span, size=size)` as a list of Python ints."""
-        return [self.below(span) for _ in range(size)]
-
-    def sample(self, n, size):
-        """The sorted tuple of `choice(n, size, replace=False)`."""
-        below = self.below
-        if n > 10000 and size > n // 50:
-            moved = {}          # the entries of arange(n) the shuffle moved
-            for i in range(n - 1, max(n - size, 1) - 1, -1):
-                j = below(i + 1)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            return tuple(sorted(moved.get(i, i) for i in range(n - size, n)))
-        chosen = set()
-        for j in range(n - size, n):
-            v = below(j + 1)
-            chosen.add(j if v in chosen else v)
-        for i in range(size - 1, 0, -1):
-            below(i + 1)        # numpy shuffles the sample; it is sorted here
-        return tuple(sorted(chosen))
-
-    def trials(self, n, t, q, k, count):
-        """The (erased, message) pairs of `count` trials: the draws of
-        numpy's integers(1, min(t, n) + 1), choice(n, size, replace=False)
-        and integers(0, q, size=k), in that order, per trial; n >= 1 and
-        2 <= q <= 2**32, as every message symbol reads a word."""
-        s = min(t, n)
-        while count:
-            if _BUFFER - self._pos < _WINDOW:
-                self._refill()
-            sizes, erased, messages, stuck = self._block(
-                n, s, q, k, min(count, _TRIALS))
-            count -= len(sizes) + stuck
-            start = 0
-            for i, size in enumerate(sizes):
-                yield (tuple(erased[start:start + size]),
-                       messages[i * k:i * k + k])
-                start += size
-            if stuck:
-                size = 1 + self.below(s)
-                yield self.sample(n, size), self.integers(q, k)
-
-    def _block(self, n, s, q, k, most):
-        """The next trials, at most `most`, that one pass decides exactly
-        from at most _WINDOW words, and whether the trial after them is
-        one it cannot decide."""
-        view, pos = self._view, self._pos
-        sized = s > 1           # integers(1, 2) reads no word
-        stop = pos + _WINDOW
-        # each trial's start and size, as if no word were rejected: a
-        # size word, size Floyd words, size - 1 shuffle words, k message
-        starts, sizes = [], []
-        end, stuck = pos, False
-        while len(sizes) < most and end < stop:
-            size = 1 + (view[end] * s >> 32) if sized else 1
-            after = end + sized + 2 * size - 1 + k
-            if after > stop and sizes:
-                break           # the next pass reads it
-            if size == n or n > 10000 and size > n // 50 or after > stop:
-                stuck = True
-                break
-            starts.append(end)
-            sizes.append(size)
-            end = after
-        if not sizes:
-            return [], [], [], stuck
-        # every word's span, trial by trial: s, then j + 1 for Floyd's j
-        # in n - size..n - 1, then size..2 for the shuffle, then q; built
-        # in place, as these arrays are the pass's largest
-        size = np.array(sizes)
-        first = np.array(starts) - pos
-        lengths = sized + 2 * size - 1 + k
-        size_at = np.repeat(size, lengths)
-        past = np.arange(end - pos)     # words past the trial's Floyd draws
-        past -= np.repeat(first + sized, lengths)
-        past -= size_at
-        span = size_at - past           # the shuffle's; 1 or less after it
-        np.add(past, n + 1, out=span, where=past < 0)
-        del past, size_at
-        span[span < 2] = q              # Floyd's spans are 2 or more
-        if sized:
-            span[first] = s
-        span = span.view(np.uint64)
-        product = self._words[pos:end] * span
-        # Lemire's rejection, (w span) mod 2**32 < 2**32 mod span, can
-        # hold only below span: the exact test reads those words alone
-        low = product & 0xFFFFFFFF
-        suspect = np.flatnonzero(low < span)
-        rejected = suspect[low[suspect] < (1 << 32) % span[suspect]]
-        del low, span
-        if len(rejected):       # the trials before the first rejection
-            cut = np.searchsorted(first, rejected[0], side="right") - 1
-            if not cut:
-                return [], [], [], True
-            size, first, stuck = size[:cut], first[:cut], True
-            end = starts[cut]
-        product >>= 32
-        value = product.view(np.int64)
-        # Floyd's draws, one column per draw: a value drawn before is
-        # replaced by j, which no earlier draw can be
-        column = np.arange(size.max())
-        j = n - size[:, None] + column
-        chosen = value[np.minimum(first[:, None] + sized + column,
-                                  end - pos - 1)]
-        for c in range(1, len(column)):
-            repeat = (chosen[:, :c] == chosen[:, c, None]).any(axis=1)
-            chosen[:, c] = np.where(repeat, j[:, c], chosen[:, c])
-        chosen[j >= n] = n      # past the sample: sorts last
-        chosen.sort(axis=1)
-        message = value[first[:, None] + sized + 2 * size[:, None] - 1
-                        + np.arange(k)]
-        self._pos = end
-        # flat lists, so that a trial's objects exist only while it runs
-        return (size.tolist(), chosen[chosen < n].tolist(), message.ravel()
-                .tolist(), stuck)
+def _runs(n, s, q, k):
+    """The (3, s, 4) int64 table of a trial's span runs (first, step,
+    length) by size - 1: its size word, sample, shuffle and message."""
+    size = np.arange(1, s + 1)
+    draws = np.minimum(size, n - 1)     # a span-1 draw reads no word
+    tail = (size > n // 50) & (n > 10000)
+    first, step, length = runs = np.zeros((3, s, 4), np.int64)
+    first[:, 0], length[:, 0] = s, s > 1
+    first[:, 1] = np.where(tail, n, n - draws + 1)
+    step[:, 1], length[:, 1] = np.where(tail, -1, 1), draws
+    first[:, 2], step[:, 2] = size, -1
+    length[:, 2] = np.where(tail, 0, size - 1)
+    first[:, 3], length[:, 3] = q, k
+    return runs
 
 
 def trial_campaign(code, r, t, trials, seed, trace=None):
@@ -350,13 +298,14 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     which raises ParameterError in the first trial for an H off its layout.
     The summary lists the first ten failed trials and counts them all.
     Raises ParameterError unless trials and t are integers >= 1 and the
-    seed a non-negative integer; a bool is not one.
+    seed a non-negative integer (a bool is not one), and for a code of
+    length 0, as every trial erases a coordinate.
     """
     # as ints: a numpy integer would overflow in the draws
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)
-    draws = _Draws(seed).trials(code.n, t, code.field.q, code.dimension,
-                                trials)
+    check_count("code length n", code.n)
+    draws = _draws(seed, code.n, t, code.field.q, code.dimension, trials)
     successes = 0
     total_steps = 0
     total_helpers = 0

@@ -11,7 +11,10 @@ returns or raises an `SlrcError`: never a bare TypeError, IndexError or
 ValueError.  What a call returns is checked too: symbols come back as
 Python ints of the field, whatever integers went in, and so do counts.
 Fixed cases pin the non-count inputs the same search found: a ragged or
-3-D matrix, and an incidence matrix that is not 0s and 1s.
+3-D matrix, and an incidence matrix that is not 0s and 1s.  Whole matrix
+and design documents, every key of which may be dropped, spoiled or
+given a JSON-like value at once, go into `matrixio.dict_to_matrix` and
+`Design.from_dict` (and what the latter returns into `validate_design`).
 
 Valid counts that would make a call long (a locality r above 4, which
 enumerates most of the dual code, a complete-graph design past r = 6,
@@ -30,10 +33,12 @@ import strategies
 from dual_oracle import syndrome
 from slrc.bounds import rate_availability_bound, rate_report, rate_seq_bound
 from slrc.construct import CodeShape, ConstructionParams, build_w_star
-from slrc.designs import affine_design, complete_graph_design, load_design
+from slrc.designs import (Design, affine_design, complete_graph_design,
+                          load_design, validate_design)
 from slrc.errors import DesignError, ParameterError, SlrcError
 from slrc.field import GF
 from slrc.linear import LinearCode
+from slrc.matrixio import dict_to_matrix, matrix_to_dict
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
 from slrc.simulate import execute_repair, plan_repair, trial_campaign
@@ -239,6 +244,77 @@ def test_bounds_return_a_rate_or_raise(data):
 def test_sequential_checks_report_or_raise(data):
     report = _call(data, VERIFY)
     assert report is None or type(report.checked_t) is int
+
+
+@st.composite
+def spoiled_document(draw, valid):
+    """The document `valid` with every key, those of nested objects too,
+    kept, dropped, spoiled or given a JSON-like value, each key on its
+    own draw; or a JSON-like value.  A list of integers is spoiled as
+    `spoiled` spoils it, and another list (of role names, or of lines)
+    in one entry, which is spoiled in turn or given a JSON-like value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_LIKE)
+    doc = {}
+    for key, value in valid.items():
+        how = draw(st.sampled_from(["keep", "drop", "spoil", "value"]))
+        if how == "keep":
+            doc[key] = value
+        elif how == "value" or not isinstance(value, (dict, list)):
+            doc[key] = draw(JSON_LIKE)
+        elif how == "spoil":
+            doc[key] = draw(_spoiled_value(value))
+    return doc
+
+
+def _spoiled_value(valid):
+    if isinstance(valid, dict):
+        return spoiled_document(valid)
+    if all(type(v) is int for v in valid):
+        return spoiled(valid)
+    return st.integers(0, len(valid) - 1).flatmap(lambda i: st.one_of(
+        _spoiled_value(valid[i]) if isinstance(valid[i], list) else JSON_LIKE,
+        JSON_LIKE).map(lambda v: valid[:i] + [v] + valid[i + 1:]))
+
+
+# a document with params and coordinate roles, one without, and one of
+# an odd-characteristic field
+MATRIX_DOCUMENTS = st.sampled_from([
+    matrix_to_dict(REF), matrix_to_dict(LinearCode(REF.field, REF.H)),
+    matrix_to_dict(strategies.build(2, 2, 2, 3, "complete-graph",
+                                    "vandermonde"))])
+DESIGN_DOCUMENTS = st.sampled_from([complete_graph_design(3).to_dict(),
+                                    affine_design(3, 2).to_dict()])
+
+
+# a document draws many values: fewer examples keep the two tests near 1 s
+DOCUMENT_SETTINGS = settings(SETTINGS, max_examples=50)
+
+
+@DOCUMENT_SETTINGS
+@given(st.data())
+def test_matrix_documents_load_or_raise(data):
+    doc = data.draw(spoiled_document(data.draw(MATRIX_DOCUMENTS)))
+    try:
+        matrix = dict_to_matrix(doc)
+    except SlrcError:
+        return
+    H, q = matrix.H, matrix.field.q
+    assert H.ndim == 2 and H.shape[1] >= 1 and H.dtype == np.int64
+    assert ((0 <= H) & (H < q)).all()
+
+
+@DOCUMENT_SETTINGS
+@given(st.data())
+def test_design_documents_load_or_raise(data):
+    doc = data.draw(spoiled_document(data.draw(DESIGN_DOCUMENTS)))
+    try:
+        design = Design.from_dict(doc)
+    except SlrcError:
+        return
+    assert all(type(getattr(design, key)) is int for key in ("k", "r", "t_i"))
+    violation = validate_design(design)
+    assert violation is None or isinstance(violation, str)
 
 
 @pytest.mark.parametrize("H", [[[1, 0], [1]], [[[1, 0]], [[0, 1]]]])

@@ -275,6 +275,9 @@ def test_encode_accepts_an_empty_message():
     zero = LinearCode(GF(4), np.eye(3, dtype=np.int64))
     assert zero.dimension == 0
     assert zero.encode([]) == zero.encode(np.zeros(0, np.int64)) == (0, 0, 0)
+    # no columns either: an encoder table entry of 0 bytes
+    for q in (4, 3):
+        assert LinearCode(GF(q), np.zeros((0, 0), np.int64)).encode([]) == ()
     with pytest.raises(FieldError, match="must be integers"):
         LinearCode(GF(4), [[1, 1]]).encode([1.5])
 

@@ -19,11 +19,12 @@ import strategies
 from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import FieldError, ParameterError
+from slrc.field import GF
 from slrc.linear import LinearCode, peel_table, repair_steps
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc import simulate
-from slrc.simulate import _Draws, execute_repair, plan_repair, trial_campaign
+from slrc.simulate import _draws, execute_repair, plan_repair, trial_campaign
 from slrc.verify import max_sequential_t
 
 
@@ -350,37 +351,46 @@ def _numpy_trials(seed, n, t, q, k, trials):
 
 
 def _reader_trials(seed, n, t, q, k, trials):
-    for erased, message in _Draws(seed).trials(n, t, q, k, trials):
+    for erased, message in _draws(seed, n, t, q, k, trials):
         yield len(erased), erased, message
 
 
 # (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n (a
 # Floyd draw of span 1, which reads no word), the spans 2**31 + 1 and
 # 3 * 2**30 reject about half and a quarter of their words, q = 3, 7 and
-# 1021 divide no power of 2, k = 0 draws no message, the two benchmark
-# shapes (the reference code at t = 4, affine n = 25 at t = 5), and
-# n = 10001 draws sizes above n // 50 on numpy's tail-shuffle branch
+# 1021 divide no power of 2, k = 0 draws no message, n = 1 with k = 0
+# reads no word at all, the two benchmark shapes (the reference code at
+# t = 4, affine n = 25 at t = 5), and n = 10001 draws sizes above n // 50
+# on numpy's tail-shuffle branch
 DRAW_SHAPES = [(16, 1, 4, 6), (16, 16, 4, 6), (9, 9, 2, 3), (25, 5, 3, 10),
                (30, 30, 7, 5), (12, 4, 1021, 8), (20, 20, 2 ** 31 + 1, 4),
-               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0), (16, 4, 4, 6),
-               (25, 5, 4, 16), (10001, 300, 4, 3)]
+               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0), (1, 1, 4, 0),
+               (16, 4, 4, 6), (25, 5, 4, 16), (10001, 300, 4, 3)]
+
+
+def _draws_match(shape, trials, seeds=range(5)):
+    """The sizes drawn, once the reader matched numpy for every seed."""
+    sizes = set()
+    for seed in seeds:
+        got = list(_reader_trials(seed, *shape, trials))
+        assert got == list(_numpy_trials(seed, *shape, trials))
+        sizes.update(size for size, _, _ in got)
+    return sizes
 
 
 @pytest.mark.parametrize("shape", DRAW_SHAPES, ids=str)
 def test_draws_match_numpy_calls(shape):
     # 1,500 trials read more words than one refill leaves unread, so each
     # seed runs many block passes and some trial reads words of two
-    # numpy calls
-    for seed in range(5):
-        assert (list(_reader_trials(seed, *shape, 1500))
-                == list(_numpy_trials(seed, *shape, 1500)))
+    # numpy calls; the largest size is drawn, which is n where t >= n
+    assert min(shape[:2]) in _draws_match(shape, 1500)
 
 
 def test_draws_match_numpy_calls_on_a_small_buffer(monkeypatch):
-    # a 64-word window: trials longer than it go to the scalar readers,
-    # and scalar trials read across refills
+    # a 64-word window: a pass reads few trials, every refill keeps words
+    # that a trial reads across two numpy calls, and a shape whose
+    # longest trial is over 64 words widens the window to it
     monkeypatch.setattr(simulate, "_WINDOW", 64)
-    monkeypatch.setattr(simulate, "_BUFFER", 128)
     for shape in DRAW_SHAPES:
         for seed in range(2):
             assert (list(_reader_trials(seed, *shape, 300))
@@ -392,40 +402,45 @@ def test_block_reader_memory_does_not_grow_with_trials(shape):
     def peak(trials):
         tracemalloc.start()
         try:
-            for _ in _Draws(1).trials(*shape, trials):
+            for _ in _draws(1, *shape, trials):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    peak(200)           # numpy's one-time allocations
     small, large = peak(2000), peak(20000)
     assert abs(large - small) < 4096, (small, large)
 
 
+# numpy's integers(0, span) as a campaign draws it: five message symbols
+# of q = span in each of 1,000 trials (at span 1, the size of t = 1)
 @pytest.mark.parametrize("span", [1, 2, 3, 4, 7, 1021, 2 ** 31 + 1,
                                   3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32])
 def test_below_and_integers_match_numpy_integers(span):
-    for seed in range(10):
-        rng, draws = np.random.default_rng(seed), _Draws(seed)
-        for _ in range(20):
-            assert draws.below(span) == rng.integers(0, span)
-            assert draws.integers(span, 25) == rng.integers(
-                0, span, size=25).tolist()
+    _draws_match((12, 1, 4, 5) if span == 1 else (12, 4, span, 5), 200)
 
 
-# numpy draws n > 10000 samples larger than n // 50 by shuffling the tail
-# of arange(n), and all others by Floyd's algorithm and a shuffle
+# seeds whose first trial draws size = t, where a sample reads thousands
+# of words, so a few trials a seed reach it for certain
+_LONG_SEEDS = {(10000, 5000): (757, 6636), (10001, 10001): (757, 7431)}
+
+
+# numpy's choice(n, size, replace=False) as a campaign draws it at
+# t = size, for sizes 1..size: Floyd's algorithm and a shuffle, or, when
+# n > 10000, a partial shuffle of arange(n) for sizes above n // 50; the
+# two largest sizes are drawn where a sample is short, at (10001, 201)
+# and (20000, 401) one on either side of that branch, and (10001, 10001)
+# draws a sample of size n on the tail branch (n - 1 shuffle words)
 @pytest.mark.parametrize("n,size", [(1, 1), (16, 16), (10000, 5000),
                                     (10001, 200), (10001, 201),
                                     (10001, 10001), (20000, 401)])
 def test_sample_matches_numpy_choice(n, size):
-    for seed in range(5):
-        rng, draws = np.random.default_rng(seed), _Draws(seed)
-        for _ in range(3):
-            assert draws.sample(n, size) == tuple(sorted(
-                rng.choice(n, size=size, replace=False).tolist()))
-        # and both have read the same words
-        assert draws.below(1 << 20) == rng.integers(0, 1 << 20)
+    seeds = _LONG_SEEDS.get((n, size))
+    if seeds:
+        assert size in _draws_match((n, size, 4, 3), 3, seeds)
+    else:
+        assert {size - 1, size} - {0} <= _draws_match((n, size, 4, 3), 300)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2], True, False])
@@ -434,6 +449,13 @@ def test_campaign_rejects_a_seed_that_is_not_a_non_negative_integer(
     with pytest.raises(ParameterError, match="seed must be (>= 0|an integer), "
                        f"got {re.escape(repr(seed))}$"):
         trial_campaign(ref, 3, 4, 10, seed)
+
+
+def test_campaign_refuses_a_code_with_no_coordinates():
+    # a trial erases at least one coordinate
+    code = LinearCode(GF(4), np.zeros((0, 0), np.int64))
+    with pytest.raises(ParameterError, match="code length n must be >= 1"):
+        trial_campaign(code, 2, 2, 5, 0)
 
 
 def test_campaign_takes_a_numpy_integer_seed(ref):
