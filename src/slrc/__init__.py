@@ -12,8 +12,8 @@ from .linear import (LinearCode, RepairStep, dual_low_weight, min_distance,
                      puncture, recovery_sets_for)
 from .verify import (check_code_structure, check_information_locality,
                      check_sequential, max_sequential_t, rank_report)
-from .simulate import (RepairSchedule, execute_repair, plan_repair,
-                       trial_campaign)
+from .simulate import (RepairSchedule, campaign, execute_repair,
+                       plan_repair, trial_campaign)
 from .bounds import (rate_availability_bound, rate_formula, rate_report,
                      rate_resolvable, rate_seq_bound)
 from .errors import (ConstructionError, DesignError, FieldError,

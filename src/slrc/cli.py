@@ -2,8 +2,8 @@
 
 Subcommands: construct, verify, simulate, bounds, export, demo-paper.
 Exit codes: 0 success, 1 verification failure, 2 bad input (parameters,
-field, design or matrix file), 3 I/O error, 4 a search, a generator, an
-encoder table or a printed rate over its budget,
+field, design or matrix file), 3 I/O error, 4 a search, a generator,
+the recovery sets or a printed rate over its budget,
 141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
 when the reader of standard output closes it early, as `| head -1` does;
 that case prints no error line.  Human-facing coordinates are 1-based.
@@ -29,7 +29,7 @@ from .linear import LinearCode
 from .matrixio import (load_matrix, load_matrix_csv, params_block, read_json,
                        save_matrix, save_matrix_csv)
 from .mds import build_mds_parity
-from .simulate import trial_campaign
+from .simulate import campaign
 from .verify import (check_code_structure, check_information_locality,
                      check_sequential, max_sequential_t, rank_report)
 
@@ -143,8 +143,7 @@ def cmd_simulate(args):
             helpers = "{" + ",".join(str(h + 1) for h in step.helpers) + "}"
             print(f"repair c{step.repaired + 1} <- {helpers} "
                   f"coeffs={list(step.coeffs)}")
-    stats = trial_campaign(code, r, args.t, args.trials, args.seed,
-                           trace=trace)
+    stats = campaign(code, r, args.t, args.trials, args.seed, trace=trace)
     _print_json(stats)
     return EXIT_OK
 

@@ -181,14 +181,19 @@ class ConstructedCode(LinearCode):
         block = self.H[j * d1:(j + 1) * d1]
         return tuple(int(c) for c in np.flatnonzero(block.any(axis=0)))
 
-    def encode(self, message):
-        """[m | m P] by `LinearCode.encode`; raises ParameterError when
-        0..k-1 is not an information set, as off the layout."""
+    def check_encodable(self):
+        """Raises ParameterError when 0..k-1 is not an information set, as
+        off the layout: no message can be encoded."""
         if not self._systematic:
             raise ParameterError(
                 f"coordinates 1..{self.k} are not an information set, so "
                 f"no message can be encoded: H does not have the "
                 f"[M* I 0; 0 W* I] layout of its params")
+
+    def encode(self, message):
+        """[m | m P] by `LinearCode.encode`; raises as `check_encodable`
+        does."""
+        self.check_encodable()
         return super().encode(message)
 
 

@@ -5,8 +5,8 @@ encodings.  Every job runs on whole arrays through the field's array
 operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
 pivot column at a time across all rows (`LinearCode` takes H's pivots
 from the right, so its generator is the identity on the first
-information set), the minimum distance
-multiplies blocks of messages by the generator, and the hot spot,
+information set), the minimum distance and the repair campaign
+multiply blocks of messages by the generator (`_codewords`), and the hot spot,
 listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
 compact dtype, whose last level is a join (`_low_weight_dual_words`).
@@ -39,8 +39,8 @@ from .field import GF
 # codewords than this.
 ENUM_LIMIT = 1 << 22
 # Bound, in bytes, on the generator `LinearCode` builds, on the estimated
-# working set of `dual_low_weight` and on one block of codewords in
-# `_min_weight`.
+# working sets of `dual_low_weight` and of the recovery-set arrays
+# (`entry_bytes`), and on one block of `_codewords`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -142,6 +142,11 @@ class LinearCode:
         """Generator matrix (dimension x n), rows span the code."""
         return self._generator
 
+    def check_encodable(self):
+        """Raises, before any message is given, what `encode` raises for
+        every message because of the code's layout: nothing, as a
+        LinearCode has no layout."""
+
     def encode(self, message):
         """m G as a tuple of ints, m on the first information set, summed
         from the rows of `encoder_table`.  Raises FieldError for symbols
@@ -230,17 +235,29 @@ def _min_weight(field, G):
     q, (k, n) = field.q, G.shape
     if q ** k > ENUM_LIMIT:
         raise InfeasibleError(f"q^dim = {q}^{k} codewords is too many to list")
-    # a message's (k, n) products and the sum's temporaries, 8 bytes each
-    block = max(1, DUAL_BYTE_BUDGET // (4 * k * n * 8))
+    block = _codeword_rows(k, n)
     best = n
     for lo in range(1, q ** k, block):
         msgs = np.arange(lo, min(lo + block, q ** k))[:, None] \
             // q ** np.arange(k) % q
-        words = field.vsum(field.vmul(msgs[:, :, None], G), axis=1)
+        words = _codewords(field, msgs, G)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
         if best == 1:
             break
     return best
+
+
+def _codeword_rows(k, n):
+    """Messages per block of `_codewords` for a k x n generator: a
+    message's k x n products and the field sum's temporaries, 8 bytes
+    each, keep a block within DUAL_BYTE_BUDGET."""
+    return max(1, DUAL_BYTE_BUDGET // (4 * 8 * max(1, k * n)))
+
+
+def _codewords(field, msgs, G):
+    """The words m G of the rows m of msgs, a (messages, k) integer array,
+    as one block product; callers pass at most `_codeword_rows` rows."""
+    return field.vsum(field.vmul(msgs[:, :, None], G), axis=1)
 
 
 def puncture(code: LinearCode, keep):
@@ -382,9 +399,12 @@ def _low_weight_dual_words(field, G, wmax):
 
 
 def _pass_limit(cap, per_pair):
-    """Pairs a pass may hold at each level: cap, the largest level of first
-    column 0, whose bytes the budget check has passed, or as many as fill
-    a sixteenth of the budget when that is more."""
+    """Items of `per_pair` bytes a pass may hold at once: cap, the most
+    that one unit of the work needs, whose bytes a budget check has
+    passed, or as many as fill a sixteenth of the budget when that is
+    more.  The dual search's items are (set, column) pairs and its unit
+    the largest level of first column 0; `simulate._plan`'s are trials,
+    one a unit."""
     return max(cap, DUAL_BYTE_BUDGET // 16 // per_pair)
 
 
@@ -552,17 +572,35 @@ def dual_low_weight(code: LinearCode, wmax):
             for v in _dual_words(code, wmax).tolist()]
 
 
+def entry_bytes(entries, width, itemsize):
+    """Peak bytes of `_recovery_entries` for `entries` entries of words of
+    at most `width` nonzero symbols of `itemsize` bytes: their index
+    arrays, the helpers before and after the sort, and the coefficients
+    and their sorted copy (33-34 + 18·width bytes an entry over GF(4)
+    at widths 6-10, as measured)."""
+    return entries * (40 + (16 + 2 * itemsize) * width)
+
+
 def _recovery_entries(code: LinearCode, r):
     """Every recovery set of size <= r as arrays, one entry per (dual
     word, coordinate i of its support), sorted by (i, helpers, coeffs):
     i, the helpers padded with -1 after the last, and the coefficients
-    -v_j / v_i of the helpers j, padded with 0; r is an int >= 1."""
+    -v_j / v_i of the helpers j, padded with 0; r is an int >= 1.
+
+    Raises InfeasibleError when `entry_bytes` of the words exceeds
+    DUAL_BYTE_BUDGET; the entries are counted before any array of them
+    exists."""
     field, words = code.field, _dual_words(code, r + 1)
+    weight = np.count_nonzero(words, axis=1)
+    width = int(weight.max(initial=1))
+    entries = int(weight.sum())
+    if entry_bytes(entries, width, field.dtype.itemsize) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"{entries} recovery sets of size <= {r} exceed the "
+            f"{DUAL_BYTE_BUDGET}-byte budget")
     word, coord = np.nonzero(words)     # each word's support, in order
-    weight = np.bincount(word, minlength=len(words))
     # slot of each entry within its word's support
     slot = np.arange(len(word)) - (np.cumsum(weight) - weight)[word]
-    width = int(weight.max(initial=1))
     support = np.full((len(words), width), -1)
     support[word, slot] = coord
     # an entry's helpers: its word's support less its own slot
@@ -610,7 +648,8 @@ def peel_table(code: LinearCode, r):
     keeps memory flat while callers hold many codes; r is read before
     it keys the memo, so True is refused, not served the r = 1 table.
     The rows are tuples, so no caller can change the shared table.
-    Raises ParameterError unless r is an integer >= 1."""
+    Raises ParameterError unless r is an integer >= 1, and
+    InfeasibleError as `_recovery_entries` does."""
     coord, helpers, _ = _recovery_entries(code, r)
     # Python ints for any n; the -1 padding reads the trailing 0
     bit = np.array([1 << j for j in range(code.n)] + [0], dtype=object)
@@ -623,7 +662,7 @@ def repair_steps(code: LinearCode, r):
     records, ordered by (helpers, coeffs), so that entry j of a row is
     the set whose helper bitmask is entry j of `peel_table`'s row.
     Distinct normalized words give distinct sets, so none repeats.
-    Memoized as `peel_table` is; raises ParameterError as it does."""
+    Memoized as `peel_table` is; raises as it does."""
     coord, helpers, coeffs = _recovery_entries(code, r)
     size = np.count_nonzero(helpers >= 0, axis=1).tolist()
     steps = [RepairStep(repaired=i, helpers=tuple(h[:s]),

@@ -15,7 +15,14 @@ one reader, `_erased`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
 on the seeded `Generator`, made in block passes from its raw stream
-(`_draws`), with no numpy call per trial.
+(`_draws`), with no numpy call per trial.  Two routes run a campaign on
+those passes and return the same summary through one builder
+(`_summary`): `trial_campaign`, one `code.encode`, `plan_repair` and
+`execute_repair` per trial, which is the oracle, and `campaign`, which
+`slrc simulate` runs: it encodes a pass in one block product, plans all
+its trials at once by the same greedy rule on a (coordinate, trial)
+bool matrix and the arrays of `linear._recovery_entries` (`_plan`), and
+applies step s of every schedule as one gather (`_repair`).
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, check_count
 from .field import GF
-from .linear import peel_table, repair_steps
+from .linear import (_codeword_rows, _codewords, _pass_limit,
+                     _recovery_entries, peel_table, repair_steps)
 
 
 @dataclass(frozen=True, slots=True)    # plan_repair's memo holds thousands
@@ -165,7 +174,10 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
 
 
 def _draws(seed, n, t, q, k, count):
-    """The (erased, message) pairs of `count` trials: the draws of
+    """The draws of `count` trials, one (sizes, erased, messages) triple
+    of int64 arrays per pass: each trial's pattern size, its erased
+    coordinates as a sorted row padded with n on the right, and its
+    message as a row of k symbols.  They are the draws of
     numpy's integers(1, min(t, n) + 1), choice(n, size, replace=False)
     and integers(0, q, size=k), in that order, per trial, on
     `np.random.default_rng(seed)`; n >= 1 and 2 <= q <= 2**32.  They are
@@ -191,23 +203,22 @@ def _draws(seed, n, t, q, k, count):
             words[:-pos] = words[pos:]
             words[-pos:] = rng.integers(0, 1 << 32, pos, np.uint32)
             pos = 0
-        sizes, erased, messages, read, cut = _block(
-            words[pos:pos + window], n, s, runs, lengths, k, most)
-        pos, count = pos + read, count - len(sizes)
+        trials, read, cut = _block(words[pos:pos + window], n, s, runs,
+                                   lengths, k, most)
+        pos += read
+        if trials is not None:
+            yield trials
+            count -= len(trials[0])
         # a cut trial is read again alone; after it, passes grow again
         most = 1 if cut else min(2 * most, _TRIALS, count)
-        start = 0
-        for i, size in enumerate(sizes):
-            yield (tuple(erased[start:start + size]),
-                   messages[i * k:i * k + k])
-            start += size
-        del erased, messages    # before the next pass builds its own
+        del trials      # before the next pass builds its own
 
 
 def _block(words, n, s, runs, lengths, k, most):
-    """The sizes, erased coordinates and messages, as flat lists, of the
-    next trials in `words`, at most `most`, up to the first rejected word,
-    which is cut; the words read; and whether one was cut."""
+    """The (sizes, erased, messages) arrays of `_draws` of the next trials
+    in `words`, at most `most`, up to the first rejected word, which is
+    cut, or None where no trial comes before it; the words read; and
+    whether one was cut."""
     view = memoryview(words)
     # each trial's size - 1, its row of runs, and end, if none is rejected
     rows, ends, end, stop = [], [0], 0, len(view)
@@ -242,7 +253,7 @@ def _block(words, n, s, runs, lengths, k, most):
         row, bound = row[:c], bound[:c + 1]
     read = int(bound[-1]) + cut
     if not len(row):
-        return [], [], [], read, cut
+        return None, read, cut
     product >>= 32
     value = product.view(np.int64)
     size = row + 1
@@ -267,9 +278,7 @@ def _block(words, n, s, runs, lengths, k, most):
         chosen[:m, i] = [moved.get(a, a) for a in range(n - m, n)]
     chosen.sort(axis=0)
     message = value[bound[1:, None] - k + np.arange(k)]
-    # flat lists, so that a trial's objects exist only while it runs
-    return (size.tolist(), chosen.T[chosen.T < n].tolist(),
-            message.ravel().tolist(), read, cut)
+    return (size, chosen.T, message), read, cut
 
 
 def _runs(n, s, q, k):
@@ -300,12 +309,18 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     Raises ParameterError unless trials and t are integers >= 1 and the
     seed a non-negative integer (a bool is not one), and for a code of
     length 0, as every trial erases a coordinate.
+
+    This is the per-trial route: one `code.encode`, one `plan_repair`
+    and, for a complete schedule, one `execute_repair` per trial, each
+    trial split from `_draws`' passes.  `campaign` gives the same summary
+    and trace on whole arrays, and this route is its oracle.
     """
     # as ints: a numpy integer would overflow in the draws
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)
     check_count("code length n", code.n)
-    draws = _draws(seed, code.n, t, code.field.q, code.dimension, trials)
+    draws = _split(_draws(seed, code.n, t, code.field.q, code.dimension,
+                          trials), code.n)
     successes = 0
     total_steps = 0
     total_helpers = 0
@@ -323,21 +338,182 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
                 total_steps += len(schedule.steps)
                 total_helpers += sum(len(s.helpers) for s in schedule.steps)
                 continue
-            failure = {"reason": "mismatch after repair"}
+            residual = None
         else:
-            failure = {"residual": [i + 1 for i in schedule.residual]}
+            residual = schedule.residual
         failure_count += 1
         if len(failures) < 10:
-            failures.append({"trial": trial,
-                             "erased": [i + 1 for i in erased], **failure})
+            failures.append(_failure(trial, erased, residual))
+    return _summary(trials, t, seed, successes, total_steps, total_helpers,
+                    failures, failure_count)
+
+
+def _split(passes, n):
+    """The (erased, message) pairs of the passes' trials, one at a time;
+    each pass is read into two flat lists, so that a trial's objects
+    exist only while it runs."""
+    for sizes, erased, messages in passes:
+        k = messages.shape[1]
+        sizes, coords, symbols = (sizes.tolist(), erased[erased < n].tolist(),
+                                  messages.ravel().tolist())
+        del erased, messages
+        start = 0
+        for i, size in enumerate(sizes):
+            yield tuple(coords[start:start + size]), symbols[i * k:i * k + k]
+            start += size
+        del coords, symbols     # before the next pass is drawn
+
+
+def _failure(trial, erased, residual):
+    """A failed trial's entry in a summary, coordinates 1-based: the
+    coordinates left when its plan got stuck, or, where residual is None,
+    a repair that did not restore the word."""
+    return {"trial": trial, "erased": [i + 1 for i in erased],
+            **({"reason": "mismatch after repair"} if residual is None
+               else {"residual": [i + 1 for i in residual]})}
+
+
+def _summary(trials, t, seed, successes, steps, helpers, failures,
+             failure_count):
+    """The summary both campaign routes return, from their counts: steps
+    and helpers over the successful trials, and the first failures."""
     return {
         "trials": trials,
         "t": t,
         "seed": seed,
         "success_rate": successes / trials,
-        "mean_schedule_length": total_steps / successes if successes else None,
-        "mean_helpers_per_repair": (total_helpers / total_steps
-                                    if total_steps else None),
+        "mean_schedule_length": steps / successes if successes else None,
+        "mean_helpers_per_repair": helpers / steps if steps else None,
         "failures": failures,
         "failure_count": failure_count,
     }
+
+
+def campaign(code, r, t, trials, seed, trace=None):
+    """`trial_campaign`'s summary, with the same `trace` calls in the same
+    order, computed on whole arrays a pass of `_draws` at a time: the
+    pass's messages are encoded in one block product (`_codewords`, as
+    `min_distance` multiplies), its trials planned together (`_plan`) on
+    the arrays of `_recovery_entries`, and each step of every schedule
+    applied as one gather and one table lookup (`_repair`).  No call is
+    made per trial: neither `code.encode`, `plan_repair` nor
+    `execute_repair` runs, and `trace` gets the records of `repair_steps`.
+
+    Raises as `trial_campaign` does, before any trace call, with one
+    difference: no encoder table is built, so none is refused for its
+    size; a block of the product is held within DUAL_BYTE_BUDGET instead.
+    """
+    trials, t = check_count("trials", trials), check_count("t", t)
+    seed = check_count("seed", seed, 0)
+    n = check_count("code length n", code.n)
+    code.check_encodable()
+    r = check_count("locality r", r)
+    field, G = code.field, code.generator
+    table = _table(code, r)
+    records = (None if trace is None else
+               [step for row in repair_steps(code, r) for step in row])
+    rows = _codeword_rows(*G.shape)
+    successes = total_steps = total_helpers = failure_count = 0
+    failures = []
+    done = 0        # trials of the passes before
+    for sizes, erased, messages in _draws(seed, n, t, field.q,
+                                          code.dimension, trials):
+        count = len(sizes)
+        words = np.concatenate([_codewords(field, messages[lo:lo + rows], G)
+                                for lo in range(0, count, rows)]).T
+        # a column per trial; row n is never missing and reads as 0: the
+        # helpers' pad
+        missing = np.zeros((n + 1, count), bool)
+        missing[erased, np.arange(count)[:, None]] = True
+        missing[n] = False
+        values = np.zeros((n + 1, count), field.dtype)
+        values[:n] = np.where(missing[:n], 0, words)     # as erased
+        picks, stuck = _plan(missing, table)
+        _repair(field, values, picks, table)
+        success = ~stuck & (values[:n] == words).all(axis=0)
+        good = np.flatnonzero(success)
+        successes += len(good)
+        total_steps += int(sizes[good].sum())
+        total_helpers += int(table.size[picks[:, good]].sum())
+        if trace is not None:
+            for e in picks[:, ~stuck].T.ravel().tolist():
+                if e >= 0:
+                    trace(records[e])
+        bad = np.flatnonzero(~success)
+        failure_count += len(bad)
+        for i in bad[:10 - len(failures)].tolist():
+            failures.append(_failure(
+                done + i, erased[i, :sizes[i]].tolist(),
+                np.flatnonzero(missing[:, i]).tolist() if stuck[i] else None))
+        done += count
+    return _summary(trials, t, seed, successes, total_steps, total_helpers,
+                    failures, failure_count)
+
+
+class _Table(NamedTuple):
+    """The recovery sets of `_recovery_entries` as `campaign` plans and
+    repairs on them, index for index."""
+    coord: np.ndarray       # the coordinate each entry repairs, sorted
+    helpers: np.ndarray     # (width, entries): pad -1 read as n
+    coeffs: np.ndarray      # (width, entries)
+    size: np.ndarray        # helpers per entry, and a 0 that pick -1 reads
+    rows: int               # trials a plan step decides at once, so that
+    #                         it holds about DUAL_BYTE_BUDGET / 16 at most
+
+
+def _table(code, r):
+    """The `_Table` of (code, r); raises as `_recovery_entries` does."""
+    n = code.n
+    coord, helpers, coeffs = _recovery_entries(code, r)
+    # a plan step holds, per trial, two bools an entry and its column
+    return _Table(coord, np.where(helpers < 0, n, helpers).T.copy(),
+                  coeffs.T.copy(),
+                  np.append(np.count_nonzero(helpers >= 0, axis=1), 0),
+                  _pass_limit(1, n + 1 + 2 * len(coord) + 16))
+
+
+def _plan(missing, table):
+    """The greedy schedules of a pass's trials, planned together.  At each
+    step every trial with coordinates left takes the first entry of the
+    table, in its order, whose coordinate it misses and whose helpers it
+    does not: `_greedy`'s pick, smallest coordinate, then helpers.
+
+    `missing` is an (n + 1, trials) bool array, a column per trial and
+    row n False, and is left with each stuck trial's residual.  Returns
+    (picks, stuck): picks[s, i] is the entry trial i repairs at step s,
+    -1 after its last, and stuck marks the trials whose plan got stuck.
+    A step decides `table.rows` trials at a time."""
+    trials = missing.shape[1]
+    picks = np.full((int(missing.sum(axis=0).max(initial=0)), trials), -1)
+    if not len(table.coord):        # every trial is stuck at once
+        return picks[:0], missing.any(axis=0)
+    stuck = np.zeros(trials, bool)
+    for step in picks:
+        for lo in range(0, trials, table.rows):
+            part = missing[:, lo:lo + table.rows]
+            usable = part[table.coord]          # (entries, trials)
+            for helper in table.helpers:        # and not missing
+                np.greater(usable, part[helper], out=usable)
+            pick = usable.argmax(axis=0)
+            found = usable[pick, np.arange(len(pick))]
+            # a trial with coordinates left and none usable is stuck
+            stuck[lo:lo + table.rows] |= part.any(axis=0) > found
+            live = np.flatnonzero(found)
+            step[lo + live] = pick = pick[live]
+            part[table.coord[pick], live] = False
+        if (step < 0).all():
+            break
+    return picks, stuck
+
+
+def _repair(field, values, picks, table):
+    """Apply a pass's schedules to `values`, an (n + 1, trials) array of
+    the field's dtype whose row n is 0: step s of every schedule is one
+    gather of its helpers' symbols and one `mul` table lookup, summed by
+    `GF.vsum`."""
+    for step in picks:
+        live = np.flatnonzero(step >= 0)
+        entry = step[live]
+        symbols = values[table.helpers[:, entry], live]
+        values[table.coord[entry], live] = field.vsum(
+            field.vmul(table.coeffs[:, entry], symbols), axis=0)

@@ -4,9 +4,10 @@ Hypothesis draws JSON-like values -- huge and negative integers, bools,
 floats, strings, None, nested lists and objects -- and numpy scalars,
 and puts them into the messages of `LinearCode.encode`, the words and
 erased sets of `execute_repair` and `plan_repair`, the locality r of
-`plan_repair`, the counts and seed of `trial_campaign`, and the counts
-(r, delta, t_i, q, k, b, block counts, t and caps) of the field, design,
-MDS, layout, bound and verification entry points.  Each call either
+`plan_repair`, the r, counts and seed of `trial_campaign` and
+`campaign`, and the counts (r, delta, t_i, q, k, b, block counts, t and
+caps) of the field, design, MDS, layout, bound and verification entry
+points.  Each call either
 returns or raises an `SlrcError`: never a bare TypeError, IndexError or
 ValueError.  What a call returns is checked too: symbols come back as
 Python ints of the field, whatever integers went in, and so do counts.
@@ -41,7 +42,8 @@ from slrc.linear import LinearCode
 from slrc.matrixio import dict_to_matrix, matrix_to_dict
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
-from slrc.simulate import execute_repair, plan_repair, trial_campaign
+from slrc.simulate import (campaign, execute_repair, plan_repair,
+                           trial_campaign)
 from slrc.verify import check_sequential, max_sequential_t
 
 BIG = 2 ** 70
@@ -161,15 +163,23 @@ def test_execute_repair_restores_or_raises(data):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_trial_campaign_runs_or_raises(data):
+    # and `campaign`, the array route, returns the same summary or raises
+    # the same error
     code = data.draw(CODES)
+    r = data.draw(st.one_of(st.just(code.params.r), _small_or_bad(4)))
     t = data.draw(st.one_of(st.integers(1, BIG), _small_or_bad(4)))
     trials = data.draw(_small_or_bad(6))
     seed = data.draw(st.one_of(st.integers(0, BIG), JSON_LIKE))
-    try:
-        stats = trial_campaign(code, code.params.r, t, trials, seed)
-    except SlrcError:
-        return
-    assert stats["trials"] == trials and 0 <= stats["success_rate"] <= 1
+    outcomes = []
+    for route in (trial_campaign, campaign):
+        try:
+            outcomes.append(route(code, r, t, trials, seed))
+        except SlrcError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    stats = outcomes[0]
+    if isinstance(stats, dict):
+        assert stats["trials"] == trials and 0 <= stats["success_rate"] <= 1
 
 
 MDS = build_mds_parity(3, 3, GF(4))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from slrc.designs import complete_graph_design
 from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, dual_low_weight, encoder_bytes,
-                         encoder_table, min_distance, nullspace, puncture,
-                         recovery_sets_for, rref)
+                         encoder_table, min_distance, nullspace, peel_table,
+                         puncture, recovery_sets_for, repair_steps, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -642,6 +643,54 @@ def test_dual_low_weight_refuses_70_columns_at_weight_26():
     lc = LinearCode(GF(2), H)
     with pytest.raises(InfeasibleError, match="byte budget"):
         dual_low_weight(lc, 26)
+
+
+def _entry_estimate(code, r):
+    weight = np.count_nonzero(linear._dual_words(code, r + 1), axis=1)
+    return linear.entry_bytes(int(weight.sum()), int(weight.max()),
+                              code.field.dtype.itemsize)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_recovery_entry_estimate_bounds_their_peak(r):
+    # 132, 3,213 and 73,152 entries; the fixed cost of a few small arrays
+    # is the slack at r = 3
+    code = reference_code()
+    need = _entry_estimate(code, r)
+    tracemalloc.start()
+    try:
+        linear._recovery_entries(code, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 32_768, (peak, need)
+
+
+def test_recovery_sets_over_the_budget_are_refused_before_their_arrays(
+        monkeypatch):
+    # r = 9 gives 622,650 entries of words of weight <= 10 on the reference
+    # code, about 125 MB by the estimate; r = 8's 237,330 fit
+    code = reference_code()
+    assert _entry_estimate(code, 8) <= linear.DUAL_BYTE_BUDGET
+    assert _entry_estimate(code, 9) > linear.DUAL_BYTE_BUDGET
+    sort = np.lexsort
+
+    def no_sort(keys):
+        raise AssertionError("entries sorted past the budget")
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    for table in (peel_table, repair_steps):
+        with pytest.raises(InfeasibleError,
+                           match="622650 recovery sets of size <= 9 exceed"):
+            table(code, 9)
+    monkeypatch.setattr(np, "lexsort", sort)
+    # a smaller budget refuses a table that fits the default one
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET",
+                        _entry_estimate(code, 3) - 1)
+    with pytest.raises(InfeasibleError, match="132 recovery sets"):
+        peel_table(code, 3)
+    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET",
+                        _entry_estimate(code, 3))
+    assert sum(map(len, peel_table(code, 3))) == 132
 
 
 def test_recovery_sets_for_first_coordinate(ref_lc):

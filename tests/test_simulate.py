@@ -1,13 +1,18 @@
 import ast
+import contextlib
 import functools
 import hashlib
 import inspect
+import io
 import itertools
 import json
+import os
 import re
+import tempfile
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import dual_oracle
 import slrc
 import strategies
+from slrc import cli, linear
 from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import FieldError, ParameterError
@@ -24,7 +30,8 @@ from slrc.linear import LinearCode, peel_table, repair_steps
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc import simulate
-from slrc.simulate import _draws, execute_repair, plan_repair, trial_campaign
+from slrc.simulate import (_draws, campaign, execute_repair, plan_repair,
+                           trial_campaign)
 from slrc.verify import max_sequential_t
 
 
@@ -351,8 +358,17 @@ def _numpy_trials(seed, n, t, q, k, trials):
 
 
 def _reader_trials(seed, n, t, q, k, trials):
-    for erased, message in _draws(seed, n, t, q, k, trials):
-        yield len(erased), erased, message
+    # the passes' trials, once each pass's arrays have their shapes: a
+    # row of erased coordinates per trial, padded with n, as wide as the
+    # pass's largest size, and a row of k message symbols
+    for sizes, erased, messages in _draws(seed, n, t, q, k, trials):
+        assert len(sizes) <= simulate._TRIALS
+        assert erased.shape == (len(sizes), sizes.max())
+        assert messages.shape == (len(sizes), k)
+        for size, row, message in zip(sizes.tolist(), erased.tolist(),
+                                      messages.tolist()):
+            assert row[size:] == [n] * (len(row) - size)
+            yield size, tuple(row[:size]), message
 
 
 # (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n (a
@@ -592,3 +608,168 @@ def test_plan_memo_holds_when_threads_interleave(ref, monkeypatch):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# -- the array route: `campaign`, which `slrc simulate` runs, against the
+# per-trial route `trial_campaign` as its oracle ---------------------------
+
+def _simulate_stdout(code, r, t, trials, seed, route):
+    """`slrc simulate --trace` stdout on the code's matrix file, with
+    `route` in place of the CLI's campaign."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        save_matrix(code, path)
+        argv = ["simulate", "--in", path, "--r", str(r), "--t", str(t),
+                "--trials", str(trials), "--seed", str(seed)]
+        with mock.patch.object(cli, "campaign", route), \
+                contextlib.redirect_stdout(out):
+            assert main(argv + ["--trace"]) == 0
+    return out.getvalue()
+
+
+# codes beside the constructed ones: dimension 0 (every coordinate has a
+# recovery set with no helper), and n = 1 of dimension 0 and of dimension
+# 1 (no recovery set, so every trial is stuck)
+_EDGE_CODES = [LinearCode(GF(3), np.eye(3, dtype=np.int64)),
+               LinearCode(GF(2), [[1]]),
+               LinearCode(GF(5), np.zeros((0, 1), np.int64))]
+
+
+def _codes_over(q):
+    return st.sampled_from([point for point in strategies.ADMISSIBLE
+                            if point[3] == q]).map(
+        lambda point: strategies.build(*point))
+
+
+def _routes_agree(code, r, data):
+    # t up to n + 2, so t > n and stuck trials; up to 700 trials, so
+    # passes of 256 with a partial last one
+    t = data.draw(st.integers(1, code.n + 2), label="t")
+    trials = data.draw(st.integers(1, 700), label="trials")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    got, want = [], []
+    summary = campaign(code, r, t, trials, seed, trace=got.append)
+    assert summary == trial_campaign(code, r, t, trials, seed,
+                                     trace=want.append)
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    if data.draw(st.booleans(), label="through the CLI"):
+        assert (_simulate_stdout(code, r, t, trials, seed, campaign)
+                == _simulate_stdout(code, r, t, trials, seed, trial_campaign))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_campaign_equals_the_per_trial_route(q, data):
+    code = data.draw(_codes_over(q), label="code")
+    _routes_agree(code, code.params.r, data)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(code=st.sampled_from(_EDGE_CODES), r=st.integers(1, 3),
+       data=st.data())
+def test_campaign_equals_the_per_trial_route_on_edge_codes(code, r, data):
+    _routes_agree(code, r, data)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(strategies.codes, st.integers(1, 4), st.data())
+def test_array_planner_picks_the_greedy_steps(code, rows, data):
+    # the planner's entries for a batch of erased sets are the records
+    # plan_repair takes, stuck or not; `rows` trials per chunk of a step
+    r = code.params.r
+    sets = data.draw(st.lists(st.sets(st.integers(0, code.n - 1),
+                                      min_size=1, max_size=code.n),
+                              min_size=1, max_size=12))
+    missing = np.zeros((code.n + 1, len(sets)), bool)
+    for i, erased in enumerate(sets):
+        missing[list(erased), i] = True
+    table = simulate._table(code, r)._replace(rows=rows)
+    picks, stuck = simulate._plan(missing, table)
+    records = [step for row in repair_steps(code, r) for step in row]
+    for i, erased in enumerate(sets):
+        schedule = plan_repair(code, erased, r)
+        steps = [records[e] for e in picks[:, i].tolist() if e >= 0]
+        assert len(steps) == len(schedule.steps)
+        assert all(a is b for a, b in zip(steps, schedule.steps))
+        assert stuck[i] == (not schedule.complete)
+        assert (tuple(np.flatnonzero(missing[:, i]).tolist())
+                == schedule.residual)
+
+
+@pytest.mark.parametrize("case", CAMPAIGN_PINS)
+def test_simulate_prints_the_pins_without_per_trial_calls(
+        tmp_path, capsys, monkeypatch, case):
+    make, r, t, seed, _, _, summary_sha, trace_sha = CAMPAIGN_PINS[case]
+    code = make()
+    path = tmp_path / "code.json"
+    save_matrix(code, path)
+
+    def refuse(*args):
+        raise AssertionError("a per-trial call")
+    for name in ("plan_repair", "execute_repair"):
+        monkeypatch.setattr(simulate, name, refuse)
+    for cls in (LinearCode, ConstructedCode):
+        monkeypatch.setattr(cls, "encode", refuse)
+    argv = ["simulate", "--in", str(path), "--r", str(r), "--t", str(t),
+            "--trials", "200", "--seed", str(seed)]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert _sha(json.dumps(summary, sort_keys=True)) == summary_sha
+    assert main(argv + ["--trace"]) == 0
+    assert _sha(capsys.readouterr().out) == trace_sha
+
+
+def test_campaign_refuses_an_h_off_its_layout_as_encode_does():
+    # the reference code with column 13 zeroed: coordinates 1..6 are no
+    # information set, refused before any trace call
+    ref = reference_code()
+    H = np.array(ref.H)
+    H[:, 12] = 0
+    code = ConstructedCode(ref.params, H)
+    with pytest.raises(ParameterError, match="not an information set") as by:
+        code.encode([0] * code.dimension)
+    for route in (trial_campaign, campaign):
+        calls = []
+        with pytest.raises(ParameterError) as got:
+            route(code, 3, 4, 10, 0, trace=calls.append)
+        assert str(got.value) == str(by.value) and calls == []
+
+
+def test_array_campaign_memory_does_not_grow_with_trials(ref):
+    # at t = 16 about 40% of trials fail and the summary lists ten
+    def peak(trials):
+        campaign(ref, 3, 16, 10, 0)         # the code's dual words
+        tracemalloc.start()
+        try:
+            stats = campaign(ref, 3, 16, trials, 1)
+            return tracemalloc.get_traced_memory()[1], stats
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(2000)
+    large, stats = peak(20000)
+    assert stats["failure_count"] > 5000 and len(stats["failures"]) == 10
+    assert large - small < 4096, (small, large)
+
+
+def test_array_plan_working_set_is_bounded_in_bytes():
+    # r = 7 gives the reference code 73,152 recovery sets, 4,572 a
+    # coordinate: one pass's step over all of them at once would hold
+    # two bools per (set, trial), about 37 MB for 256 trials
+    code = reference_code()
+    table = simulate._table(code, 7)
+    assert len(table.coord) == 73152 and table.rows < 64
+    sizes, erased, _ = next(simulate._draws(5, code.n, 4, 4, 6, 256))
+    missing = np.zeros((code.n + 1, len(sizes)), bool)
+    missing[erased, np.arange(len(sizes))[:, None]] = True
+    missing[code.n] = False
+    tracemalloc.start()
+    try:
+        simulate._plan(missing, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 256
+    assert peak <= linear.DUAL_BYTE_BUDGET // 16 + 65_536, peak
