@@ -15,9 +15,7 @@ caches that one array; the recovery sets come from it in two tables:
 `peel_table` holds their helper bitmasks, all that verification reads,
 and `repair_steps` the `RepairStep` records with their coefficients,
 index for index, which `simulate.plan_repair` returns as its steps.
-`encode` alone works on Python ints: m G is one integer sum of packed
-rows of `encoder_table`, a per-call cost of a few table reads where an
-array product would be mostly numpy call overhead.
+`encode` is one row of that block product.
 """
 
 from __future__ import annotations
@@ -25,9 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +34,9 @@ from .field import GF
 # codewords than this.
 ENUM_LIMIT = 1 << 22
 # Bound, in bytes, on the generator `LinearCode` builds, on the estimated
-# working sets of `dual_low_weight` and of the recovery-set arrays
-# (`entry_bytes`), and on one block of `_codewords`.
+# working sets of `dual_low_weight`, of the recovery-set arrays
+# (`entry_bytes`) and of their records (`record_bytes`), and on one block
+# of `_codewords`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -148,75 +144,15 @@ class LinearCode:
         LinearCode has no layout."""
 
     def encode(self, message):
-        """m G as a tuple of ints, m on the first information set, summed
-        from the rows of `encoder_table`.  Raises FieldError for symbols
-        that `GF.check` refuses, ParameterError for a length other than
-        `dimension` and InfeasibleError for a table over the budget."""
-        fld = self.field
-        message = fld.check(message)
+        """m G as a tuple of ints, m on the first information set: one row
+        of `_codewords`.  Raises FieldError for symbols that `GF.check`
+        refuses and ParameterError for a length other than `dimension`."""
+        message = self.field.check(message)
         if len(message) != self.dimension:
             raise ParameterError(f"message length {len(message)} != "
                                  f"dimension {self.dimension}")
-        rows, size, unpack = encoder_table(self)
-        p, m, n = fld.p, fld.m, self.n
-        if p == 2:      # one slot per symbol; a sum of them is their XOR
-            return unpack(functools.reduce(
-                operator.xor, map(operator.getitem, rows, message),
-                0).to_bytes(size, sys.byteorder))
-        # one slot per base-p digit, digit-major: digit d of symbol j is
-        # slot d·n + j, which holds the digit's sum over the message
-        slots = unpack(sum(map(operator.getitem, rows, message)).to_bytes(
-            size, sys.byteorder))
-        word = [a % p for a in slots[(m - 1) * n:]]
-        for d in range(m - 2, -1, -1):
-            word = [w * p + a % p for w, a in zip(word, slots[d * n:])]
-        return tuple(word)
-
-
-def encoder_bytes(q, k, size):
-    """Bytes of an encoder table of k rows, each a tuple of q ints of
-    `size` bytes, every int counted at its full width."""
-    return k * (sys.getsizeof((0,) * q)
-                + q * sys.getsizeof((1 << 8 * size) - 1))
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def encoder_table(code: LinearCode):
-    """The encoder's rows: entry rows[j][a] is the word a G[j] packed into
-    one Python int, so that m G is one integer sum over the message.
-
-    In characteristic 2 each symbol is one slot of the field's dtype and
-    the sum is XOR.  Otherwise each base-p digit of each symbol is one
-    slot, digit-major, of the smallest unsigned dtype that holds
-    k(p - 1): an integer sum of k entries adds the digits slot by slot
-    with no carry, and each slot mod p is the digit of the sum.  Returns
-    (rows, bytes per entry, the `struct` unpack of an entry's bytes into
-    its slots).
-
-    Memoized for the last code asked for, by identity, as `peel_table`
-    is.  Raises InfeasibleError when `encoder_bytes` exceeds
-    DUAL_BYTE_BUDGET; the size is checked before any entry exists."""
-    fld, G = code.field, code.generator
-    p, m, q = fld.p, fld.m, fld.q
-    k, n = G.shape
-    digits, top = (1, q - 1) if p == 2 else (m, k * (p - 1))
-    dtype = np.min_scalar_type(top)
-    size = n * digits * dtype.itemsize
-    if encoder_bytes(q, k, size) > DUAL_BYTE_BUDGET:
-        raise InfeasibleError(
-            f"an encoder table of {k} x {q} words of {size} bytes exceeds "
-            f"the {DUAL_BYTE_BUDGET}-byte budget")
-    rows = []
-    for g in G:
-        words = fld.mul_table[:, g]                 # a g for every a
-        if p != 2:                                  # digit d at [a, d]
-            words = words[:, None, :] // p ** np.arange(m)[:, None] % p
-        raw = words.astype(dtype).tobytes()
-        rows.append(tuple(int.from_bytes(raw[i:i + size], sys.byteorder)
-                          for i in range(0, q * size, size)))
-    # numpy's type codes are C's, which struct reads in native order
-    unpack = struct.Struct(f"{n * digits}{dtype.char}").unpack
-    return tuple(rows), size, unpack
+        return tuple(_codewords(self.field, np.array([message], np.int64),
+                                self._generator)[0].tolist())
 
 
 def min_distance(code: LinearCode):
@@ -581,6 +517,17 @@ def entry_bytes(entries, width, itemsize):
     return entries * (40 + (16 + 2 * itemsize) * width)
 
 
+def record_bytes(entries, width, n, q):
+    """Peak bytes of `repair_steps` for `entries` records of at most
+    `width` helpers on a code of length n over GF(q): the records, their
+    tuples, the lists they are read from and the arrays of
+    `_recovery_entries`, 330 + 48·width bytes a record (448-619 at
+    widths 3-7 on the reference code, as measured), and 28 more a helper
+    for each of its index and coefficient that can lie above CPython's
+    cached small ints (0..256), which `tolist` makes anew."""
+    return entries * (330 + (48 + 28 * ((n > 257) + (q > 257))) * width)
+
+
 def _recovery_entries(code: LinearCode, r):
     """Every recovery set of size <= r as arrays, one entry per (dual
     word, coordinate i of its support), sorted by (i, helpers, coeffs):
@@ -662,8 +609,15 @@ def repair_steps(code: LinearCode, r):
     records, ordered by (helpers, coeffs), so that entry j of a row is
     the set whose helper bitmask is entry j of `peel_table`'s row.
     Distinct normalized words give distinct sets, so none repeats.
-    Memoized as `peel_table` is; raises as it does."""
+    Memoized as `peel_table` is; raises as it does, and InfeasibleError
+    when `record_bytes` of the sets exceeds DUAL_BYTE_BUDGET, checked
+    before any record exists."""
     coord, helpers, coeffs = _recovery_entries(code, r)
+    if record_bytes(len(coord), helpers.shape[1], code.n,
+                    code.field.q) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"{len(coord)} repair records of size <= {r} exceed the "
+            f"{DUAL_BYTE_BUDGET}-byte budget")
     size = np.count_nonzero(helpers >= 0, axis=1).tolist()
     steps = [RepairStep(repaired=i, helpers=tuple(h[:s]),
                         coeffs=tuple(c[:s]))

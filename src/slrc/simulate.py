@@ -6,11 +6,11 @@ schedules deterministic.  The planner picks each step's recovery set
 by the helper bitmasks of `linear.peel_table`, the table `verify`'s
 stopping-set search reads, and takes the step itself, not a copy, from
 the `linear.RepairStep` records of `linear.repair_steps` at the same
-index.  `_plans` memoizes both tables and their plans by erased set
-for the last (code, r), so a campaign plans on one pair.  Within the
-certified tolerance the peeling condition guarantees greedy never gets
-stuck, so no backtracking is needed; outside it, a stuck state is a
-structured result.  Planning and repair read erased coordinates with
+index.  Each call plans anew; the two tables keep their own one-entry
+memos, so a campaign builds each once.  Within the certified tolerance
+the peeling condition guarantees greedy never gets stuck, so no
+backtracking is needed; outside it, a stuck state is a structured
+result.  Planning and repair read erased coordinates with
 one reader, `_erased`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
@@ -27,7 +27,6 @@ applies step s of every schedule as one gather (`_repair`).
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,12 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, check_count
-from .field import GF
 from .linear import (_codeword_rows, _codewords, _pass_limit,
                      _recovery_entries, peel_table, repair_steps)
 
 
-@dataclass(frozen=True, slots=True)    # plan_repair's memo holds thousands
+@dataclass(frozen=True, slots=True)
 class RepairSchedule:
     erased: tuple
     steps: tuple
@@ -48,7 +46,6 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-_MEMO_SIZE = 1 << 12    # schedules per table before the dict empties
 _TRIALS = 256           # trials per block pass of _draws
 _WINDOW = 1 << 12       # raw words a block pass reads at most
 
@@ -79,35 +76,18 @@ def plan_repair(code, erased, r):
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
     Raises ParameterError as `_erased` does, and unless r is an integer
-    >= 1.  Schedules are memoized by erased set for the last (code, r),
-    so one set planned twice gives the same object.
+    >= 1, and InfeasibleError as `linear.repair_steps` does.
     """
-    if type(r) is not int:      # an unhashable r cannot key the memo
-        r = check_count("locality r", r)
-    peel, records, schedules = _plans(code, r)
-    erased = _erased(code, erased)
+    return _greedy(peel_table(code, r), repair_steps(code, r),
+                   _erased(code, erased))
+
+
+def _greedy(peel, records, erased):
+    """The greedy schedule for the sorted erased tuple on the peel table
+    and its records."""
     mask = 0
     for i in erased:
         mask |= 1 << i
-    schedule = schedules.get(mask)
-    if schedule is None:
-        if len(schedules) >= _MEMO_SIZE:
-            schedules.clear()
-        schedule = schedules[mask] = _greedy(peel, records, erased, mask)
-    return schedule
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _plans(code, r):
-    """The peel table, its RepairStep records and their schedules by erased
-    bitmask, for the last (code, r) asked for, keyed as the tables' own
-    one-entry memos; each plan reads the triple its call got."""
-    return peel_table(code, r), repair_steps(code, r), {}
-
-
-def _greedy(peel, records, erased, mask):
-    """The greedy schedule for the sorted erased tuple, whose bitmask is
-    `mask`, on the peel table and its records."""
     remaining = list(erased)
     steps = []
     while remaining:
@@ -125,17 +105,6 @@ def _greedy(peel, records, erased, mask):
     return RepairSchedule(erased, tuple(steps), True)
 
 
-@functools.lru_cache(maxsize=None)
-def _scalar_tables(q, prim_poly):
-    """GF(q)'s add and mul tables modulo prim_poly as tuples of row tuples
-    of q shared ints, keyed by the spec: a `GF` hashes slower."""
-    ints = list(range(q))
-    fld = GF(q, prim_poly)
-    return tuple(tuple(tuple(map(ints.__getitem__, row.tolist()))
-                       for row in table)
-                 for table in (fld.add_table, fld.mul_table))
-
-
 def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word
     as a tuple of Python ints.  Raises FieldError for a word that
@@ -151,7 +120,6 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     if erased != schedule.erased:
         raise ParameterError(f"erased {list(erased)} differs from the "
                              f"schedule's {list(schedule.erased)}")
-    add, mul = _scalar_tables(fld.q, fld.prim_poly)
     for i in erased:
         values[i] = None
     left = len(erased)          # erased coordinates not yet repaired
@@ -163,7 +131,7 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
                 raise RuntimeError(
                     f"schedule reads coordinate {h + 1} before it is repaired")
             if a and v:
-                acc = add[acc][mul[a][v]]
+                acc = fld.add(acc, fld.mul(a, v))
         left -= values[step.repaired] is None
         values[step.repaired] = acc
     if left:
@@ -308,7 +276,8 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
     The summary lists the first ten failed trials and counts them all.
     Raises ParameterError unless trials and t are integers >= 1 and the
     seed a non-negative integer (a bool is not one), and for a code of
-    length 0, as every trial erases a coordinate.
+    length 0, as every trial erases a coordinate; r is read, and its
+    tables refused, as `plan_repair` does.
 
     This is the per-trial route: one `code.encode`, one `plan_repair`
     and, for a complete schedule, one `execute_repair` per trial, each
@@ -400,8 +369,8 @@ def campaign(code, r, t, trials, seed, trace=None):
     `execute_repair` runs, and `trace` gets the records of `repair_steps`.
 
     Raises as `trial_campaign` does, before any trace call, with one
-    difference: no encoder table is built, so none is refused for its
-    size; a block of the product is held within DUAL_BYTE_BUDGET instead.
+    difference: without `trace` no record of `repair_steps` is built, so
+    none is refused by its `linear.record_bytes` bound.
     """
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)

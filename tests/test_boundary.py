@@ -50,8 +50,8 @@ BIG = 2 ** 70
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
-# the reference code over GF(4), and a code over GF(3), whose encoder
-# sums base-p digit slots instead of XOR-ing symbols
+# the reference code over GF(4), and a code over GF(3), whose field sum
+# adds base-p digits instead of XOR-ing symbols
 CODES = st.sampled_from([
     reference_code(),
     strategies.build(2, 2, 2, 3, "complete-graph", "vandermonde")])

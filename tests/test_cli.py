@@ -18,18 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import slrc
 import strategies
-from slrc import linear
 from slrc.cli import EXIT_PIPE, main
 from slrc.construct import build_parity_check, constructed_from_matrix
 from slrc.designs import complete_graph_design
-from slrc.errors import InfeasibleError, ParameterError
+from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import peel_table
 from slrc.matrixio import (SHAPE_KEYS, MatrixFile, dict_to_matrix,
                            load_matrix, load_matrix_csv, matrix_to_dict,
                            save_matrix, save_matrix_csv)
 from slrc.reference import golden, reference_code
-from slrc.simulate import trial_campaign
 
 
 def run(capsys, *argv):
@@ -652,22 +650,6 @@ def test_verify_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert _one_line_error(err) and "exceeds the budget" in err
 
 
-def test_simulate_builds_no_encoder_table(tmp_path, capsys, monkeypatch):
-    # `slrc simulate` multiplies each pass's messages by G in blocks, so
-    # an encoder table over the budget, which `encode` and the per-trial
-    # route refuse, no longer stops a campaign (it exited 4)
-    path = tmp_path / "ref.json"
-    save_matrix(reference_code(), path)
-    monkeypatch.setattr("slrc.linear.encoder_bytes",
-                        lambda q, k, size: linear.DUAL_BYTE_BUDGET + 1)
-    with pytest.raises(InfeasibleError, match="encoder table"):
-        trial_campaign(reference_code(), 3, 2, 5, 0)
-    rc, stdout, err = run(capsys, "simulate", "--in", str(path), "--t", "2",
-                          "--trials", "5")
-    assert rc == 0 and err == ""
-    assert json.loads(stdout)["success_rate"] == 1.0
-
-
 def test_simulate_refuses_recovery_sets_over_the_budget_at_once(tmp_path,
                                                                capsys):
     # r = 11 gives the reference code 2,258,820 recovery sets, about
@@ -682,6 +664,23 @@ def test_simulate_refuses_recovery_sets_over_the_budget_at_once(tmp_path,
     assert rc == 4 and stdout == ""
     assert _one_line_error(err)
     assert "2258820 recovery sets of size <= 11 exceed" in err
+
+
+def test_simulate_trace_refuses_records_over_the_budget(tmp_path, capsys):
+    # r = 8 gives the reference code 237,330 recovery sets: their arrays
+    # fit the budget, so a campaign runs, but `--trace` prints records,
+    # and those are refused before any exists or any line is printed
+    path = tmp_path / "ref.json"
+    save_matrix(reference_code(), path)
+    argv = ["simulate", "--in", str(path), "--t", "4", "--r", "8",
+            "--trials", "20"]
+    rc, stdout, err = run(capsys, *argv, "--trace")
+    assert rc == 4 and stdout == ""
+    assert _one_line_error(err)
+    assert "237330 repair records of size <= 8 exceed" in err
+    rc, stdout, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert json.loads(stdout)["success_rate"] == 1.0
 
 
 def test_construct_checks_the_field_before_the_design(capsys, monkeypatch):

@@ -387,20 +387,6 @@ def test_encode_matches_layout_oracle(data):
         assert word == layout_word
 
 
-def test_encode_makes_no_field_product_per_word(monkeypatch):
-    code = reference_code()
-    code.encode([1, 0, 0, 0, 0, 0])
-
-    def refuse(*args):
-        raise AssertionError("encode computed a field product per word")
-
-    monkeypatch.setattr(GF, "vmul", refuse)
-    rng = np.random.default_rng(37)
-    for _ in range(100):
-        message = rng.integers(0, 4, size=6)
-        assert code.encode(message) == layout_encode(code, message.tolist())
-
-
 def test_encode_prime_field_membership():
     fld = GF(5)
     params = ConstructionParams(r=4, delta=3, t_i=2, field=fld,

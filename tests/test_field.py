@@ -175,24 +175,6 @@ def test_fields_of_one_spec_share_read_only_tables():
     assert a.add(2, 3) == 1 and a.mul(2, 3) == 1
 
 
-@pytest.mark.parametrize("q", [2, 4, 9, 1024])
-def test_nested_tables_are_the_shared_tables_as_tuples(q):
-    # repair's scalar loop reads the tables as tuples, keyed by the spec
-    from slrc.simulate import _scalar_tables
-    fld = GF(q)
-    add, mul = _scalar_tables(fld.q, fld.prim_poly)
-    assert _scalar_tables(q, GF(q).prim_poly) is _scalar_tables(
-        fld.q, fld.prim_poly)
-    spec = GF.from_spec_dict(fld.spec_dict())
-    assert _scalar_tables(spec.q, spec.prim_poly)[0] is add
-    for nested, table in ((add, fld.add_table), (mul, fld.mul_table)):
-        assert type(nested) is tuple and all(type(row) is tuple
-                                             for row in nested)
-        assert nested == tuple(map(tuple, table.tolist()))
-    # every entry is one of q shared ints, also above the small-int cache
-    assert len({id(x) for row in add + mul for x in row}) == q
-
-
 def test_equality_and_hash_read_the_spec():
     assert GF(4) == GF(4) == GF.from_spec_dict(GF(4).spec_dict())
     assert hash(GF(4)) == hash(GF(4, prim_poly=[1, 1, 1], generator=2))

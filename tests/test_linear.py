@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -14,9 +13,9 @@ from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
 from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
-from slrc.linear import (LinearCode, dual_low_weight, encoder_bytes,
-                         encoder_table, min_distance, nullspace, peel_table,
-                         puncture, recovery_sets_for, repair_steps, rref)
+from slrc.linear import (LinearCode, dual_low_weight, min_distance,
+                         nullspace, peel_table, puncture, recovery_sets_for,
+                         repair_steps, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -276,7 +275,7 @@ def test_encode_accepts_an_empty_message():
     zero = LinearCode(GF(4), np.eye(3, dtype=np.int64))
     assert zero.dimension == 0
     assert zero.encode([]) == zero.encode(np.zeros(0, np.int64)) == (0, 0, 0)
-    # no columns either: an encoder table entry of 0 bytes
+    # no columns either: a 0 x 0 generator
     for q in (4, 3):
         assert LinearCode(GF(q), np.zeros((0, 0), np.int64)).encode([]) == ()
     with pytest.raises(FieldError, match="must be integers"):
@@ -309,22 +308,6 @@ def test_encode_is_the_scalar_product_m_g(q, k, checks, seed, bent):
         word = dual_oracle.syndrome(field, code.generator.T, message)
         assert code.encode(message) == word
         assert code.encode(np.array(message, dtype=np.uint16)) == word
-
-
-def test_encoder_table_bytes_are_checked_before_it_is_built(ref,
-                                                            monkeypatch):
-    # 6 rows of 4 words of 16 one-byte slots; the estimate bounds the
-    # rows and ints the table holds
-    need = encoder_bytes(4, 6, 16)
-    rows = encoder_table(ref)[0]
-    assert sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
-               for row in rows) <= need
-    code = LinearCode(ref.field, ref.H)     # a code with no table yet
-    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", need - 1)
-    with pytest.raises(InfeasibleError, match="encoder table of 6 x 4"):
-        code.encode([1, 0, 0, 0, 0, 0])
-    monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", need)
-    assert code.encode([1, 0, 0, 0, 0, 0]) == tuple(ref.generator[0].tolist())
 
 
 def test_parity_check_and_generator_are_read_only(ref_lc):
@@ -691,6 +674,46 @@ def test_recovery_sets_over_the_budget_are_refused_before_their_arrays(
     monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET",
                         _entry_estimate(code, 3))
     assert sum(map(len, peel_table(code, 3))) == 132
+
+
+def _record_estimate(code, r):
+    coord, helpers, _ = linear._recovery_entries(code, r)
+    return linear.record_bytes(len(coord), helpers.shape[1], code.n,
+                               code.field.q)
+
+
+@pytest.mark.parametrize("r", [3, 5, 6])
+def test_repair_record_estimate_bounds_their_peak(r):
+    # 132, 3,213 and 17,192 records, built after the dual words are cached
+    code = reference_code()
+    need = _record_estimate(code, r)
+    repair_steps.cache_clear()
+    tracemalloc.start()
+    try:
+        repair_steps(code, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        repair_steps.cache_clear()
+    assert peak <= need, (peak, need)
+
+
+def test_repair_records_over_the_budget_are_refused_before_they_exist(
+        monkeypatch):
+    # r = 8 gives the reference code 237,330 recovery sets, whose arrays
+    # fit the budget but whose records, about 170 MB by the estimate, do
+    # not (they took 5.1 s and a 149 MB peak); r = 7's 73,152 fit
+    code = reference_code()
+    assert _record_estimate(code, 7) <= linear.DUAL_BYTE_BUDGET
+    assert _record_estimate(code, 8) > linear.DUAL_BYTE_BUDGET
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record was built past the budget")
+    monkeypatch.setattr(linear, "RepairStep", no_record)
+    with pytest.raises(InfeasibleError,
+                       match="237330 repair records of size <= 8 exceed"):
+        repair_steps(code, 8)
+    assert sum(map(len, peel_table(code, 8))) == 237330
 
 
 def test_recovery_sets_for_first_coordinate(ref_lc):
