@@ -11,11 +11,12 @@ listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
 compact dtype, whose last level is a join (`_low_weight_dual_words`).
 The search returns its words sorted by (weight, vector), and the code
-caches that one array; the recovery sets come from it in two tables:
-`peel_table` holds their helper bitmasks, all that verification reads,
-and `repair_steps` the `RepairStep` records with their coefficients,
-index for index, which `simulate.plan_repair` returns as its steps.
-`encode` is one row of that block product.
+caches that one array; the recovery sets come from it in one table of
+arrays, `recovery_table`, the only code that knows its format:
+`simulate` plans and repairs on its arrays, `peel_table` holds their
+helper bitmasks, index for index, all that verification reads, and a
+`RepairStep` record of one entry (`RecoveryTable.step`) is made only
+where a caller uses it.  `encode` is one row of that block product.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -509,63 +511,23 @@ def dual_low_weight(code: LinearCode, wmax):
 
 
 def entry_bytes(entries, width, itemsize):
-    """Peak bytes of `_recovery_entries` for `entries` entries of words of
+    """Peak bytes of `recovery_table` for `entries` entries of words of
     at most `width` nonzero symbols of `itemsize` bytes: their index
     arrays, the helpers before and after the sort, and the coefficients
-    and their sorted copy (33-34 + 18·width bytes an entry over GF(4)
-    at widths 6-10, as measured)."""
+    and their sorted copy (8-11 + 18·width bytes an entry over GF(4)
+    at widths 6-9 on the reference code, as measured)."""
     return entries * (40 + (16 + 2 * itemsize) * width)
 
 
 def record_bytes(entries, width, n, q):
-    """Peak bytes of `repair_steps` for `entries` records of at most
+    """Peak bytes of `all_recovery_sets` for `entries` records of at most
     `width` helpers on a code of length n over GF(q): the records, their
-    tuples, the lists they are read from and the arrays of
-    `_recovery_entries`, 330 + 48·width bytes a record (448-619 at
-    widths 3-7 on the reference code, as measured), and 28 more a helper
-    for each of its index and coefficient that can lie above CPython's
-    cached small ints (0..256), which `tolist` makes anew."""
+    tuples, the lists that hold them and the arrays of `recovery_table`,
+    330 + 48·width bytes a record (448-619 at widths 3-7 on the
+    reference code, as measured), and 28 more a helper for each of its
+    index and coefficient that can lie above CPython's cached small ints
+    (0..256), which `tolist` makes anew."""
     return entries * (330 + (48 + 28 * ((n > 257) + (q > 257))) * width)
-
-
-def _recovery_entries(code: LinearCode, r):
-    """Every recovery set of size <= r as arrays, one entry per (dual
-    word, coordinate i of its support), sorted by (i, helpers, coeffs):
-    i, the helpers padded with -1 after the last, and the coefficients
-    -v_j / v_i of the helpers j, padded with 0; r is an int >= 1.
-
-    Raises InfeasibleError when `entry_bytes` of the words exceeds
-    DUAL_BYTE_BUDGET; the entries are counted before any array of them
-    exists."""
-    field, words = code.field, _dual_words(code, r + 1)
-    weight = np.count_nonzero(words, axis=1)
-    width = int(weight.max(initial=1))
-    entries = int(weight.sum())
-    if entry_bytes(entries, width, field.dtype.itemsize) > DUAL_BYTE_BUDGET:
-        raise InfeasibleError(
-            f"{entries} recovery sets of size <= {r} exceed the "
-            f"{DUAL_BYTE_BUDGET}-byte budget")
-    word, coord = np.nonzero(words)     # each word's support, in order
-    # slot of each entry within its word's support
-    slot = np.arange(len(word)) - (np.cumsum(weight) - weight)[word]
-    support = np.full((len(words), width), -1)
-    support[word, slot] = coord
-    # an entry's helpers: its word's support less its own slot
-    helpers = support[word][np.arange(width) != slot[:, None]].reshape(
-        len(word), width - 1)
-    scale = field.vneg(field.vinv(words[word, coord]))
-    # a -1 pad reads the word's last entry, which the mask zeroes
-    coeffs = field.vmul(scale[:, None],
-                        words[word[:, None], helpers] * (helpers >= 0))
-    order = np.lexsort((*coeffs.T[::-1], *helpers.T[::-1], coord))
-    return coord[order], helpers[order], coeffs[order]
-
-
-def _by_coordinate(n, coord, entries):
-    """The entries, in order, as one tuple per coordinate 0..n-1; coord
-    is sorted."""
-    ends = np.cumsum(np.bincount(coord, minlength=n)).tolist()
-    return tuple(tuple(entries[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def _memo_by_r(build):
@@ -583,56 +545,118 @@ def _memo_by_r(build):
     return table
 
 
+class RecoveryTable(NamedTuple):
+    """Every recovery set of size <= r of a code as arrays, one entry per
+    (dual word, coordinate i of its support), sorted by (i, helpers,
+    coeffs): the helpers are the rest of the word's support and the
+    coefficients -v_j / v_i of the helpers j.  Distinct normalized words
+    give distinct sets, so none repeats.  `simulate.campaign` plans and
+    repairs on these arrays, `peel_table` holds their helper bitmasks
+    index for index, and `step` makes one entry's record."""
+    coord: np.ndarray       # the coordinate each entry repairs, sorted
+    first: np.ndarray       # coordinate i's entries are first[i]:first[i + 1]
+    helpers: np.ndarray     # (width, entries), ascending, padded with n
+    coeffs: np.ndarray      # (width, entries), padded with 0
+    size: np.ndarray        # helpers per entry, and a 0 that pick -1 reads
+    rows: int               # trials a plan step decides at once, so that
+    #                         it holds about DUAL_BYTE_BUDGET / 16 at most
+
+    def step(self, e):
+        """Entry e as a `RepairStep` of Python ints."""
+        s = self.size.item(e)
+        return RepairStep(self.coord.item(e),
+                          tuple(self.helpers[:s, e].tolist()),
+                          tuple(self.coeffs[:s, e].tolist()))
+
+
+@_memo_by_r
+def recovery_table(code: LinearCode, r):
+    """The `RecoveryTable` of the code's recovery sets of size <= r.
+
+    The last (code, r) asked for is memoized, by code identity, so the
+    checks and campaigns of one command share one build, and a single
+    entry keeps memory flat while callers hold many codes; the arrays
+    are read-only, so no caller can change the shared table.  Raises
+    ParameterError unless r is an integer >= 1, and InfeasibleError
+    when `entry_bytes` of the words exceeds DUAL_BYTE_BUDGET, checked
+    before any array of the entries exists."""
+    field, n, words = code.field, code.n, _dual_words(code, r + 1)
+    weight = np.count_nonzero(words, axis=1)
+    width = int(weight.max(initial=1))
+    entries = int(weight.sum())
+    if entry_bytes(entries, width, field.dtype.itemsize) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"{entries} recovery sets of size <= {r} exceed the "
+            f"{DUAL_BYTE_BUDGET}-byte budget")
+    word, coord = np.nonzero(words)     # each word's support, in order
+    # slot of each entry within its word's support
+    slot = np.arange(len(word)) - (np.cumsum(weight) - weight)[word]
+    support = np.full((width, len(words)), -1)
+    support[slot, word] = coord
+    # an entry's helpers, a column each: its word's support less its slot
+    support = support[:, word]
+    helpers = np.where(np.arange(width - 1)[:, None] < slot, support[:-1],
+                       support[1:])
+    del support, slot
+    scale = field.vneg(field.vinv(words[word, coord]))
+    # a -1 pad reads the word's last entry, which the mask zeroes
+    coeffs = field.vmul(scale, words[word, helpers] * (helpers >= 0))
+    order = np.lexsort((*coeffs[::-1], *helpers[::-1], coord))
+    helpers[helpers < 0] = n        # after the sort: a shorter set first
+    size = np.append(weight[word[order]] - 1, 0)
+    del word, scale
+    coord = coord[order]
+    table = RecoveryTable(
+        coord, np.searchsorted(coord, np.arange(n + 1)),
+        helpers.take(order, axis=1), coeffs.take(order, axis=1), size,
+        # a plan step holds, per trial, two bools an entry and its column
+        _pass_limit(1, n + 1 + 2 * entries + 16))
+    for array in table[:-1]:
+        array.flags.writeable = False
+    return table
+
+
 @_memo_by_r
 def peel_table(code: LinearCode, r):
     """Per coordinate i, the helper bitmasks of its recovery sets of size
-    <= r, ordered by helpers: the rest of the support of each dual word
-    through i.  `verify` reads nothing else; `repair_steps` holds the
-    sets themselves, index for index.
+    <= r, in `recovery_table`'s order, so that entry j of row i is the
+    mask of the table's entry first[i] + j.  `verify` reads nothing else.
 
-    The last (code, r) asked for is memoized, by code identity, so the
-    checks of one command or campaign share one build; a single entry
-    keeps memory flat while callers hold many codes; r is read before
-    it keys the memo, so True is refused, not served the r = 1 table.
-    The rows are tuples, so no caller can change the shared table.
-    Raises ParameterError unless r is an integer >= 1, and
-    InfeasibleError as `_recovery_entries` does."""
-    coord, helpers, _ = _recovery_entries(code, r)
-    # Python ints for any n; the -1 padding reads the trailing 0
+    Memoized as `recovery_table` is, apart from it, as only the checks
+    and `simulate.plan_repair` read the masks; the rows are tuples.
+    Raises as `recovery_table` does."""
+    table = recovery_table(code, r)
+    # Python ints for any n; the pad n reads the trailing 0
     bit = np.array([1 << j for j in range(code.n)] + [0], dtype=object)
-    return _by_coordinate(code.n, coord, bit[helpers].sum(axis=1).tolist())
+    masks = bit[table.helpers].sum(axis=0).tolist()
+    ends = table.first.tolist()
+    return tuple(tuple(masks[a:b]) for a, b in zip(ends, ends[1:]))
 
 
-@_memo_by_r
-def repair_steps(code: LinearCode, r):
-    """Per coordinate i, its recovery sets of size <= r as `RepairStep`
-    records, ordered by (helpers, coeffs), so that entry j of a row is
-    the set whose helper bitmask is entry j of `peel_table`'s row.
-    Distinct normalized words give distinct sets, so none repeats.
-    Memoized as `peel_table` is; raises as it does, and InfeasibleError
-    when `record_bytes` of the sets exceeds DUAL_BYTE_BUDGET, checked
-    before any record exists."""
-    coord, helpers, coeffs = _recovery_entries(code, r)
-    if record_bytes(len(coord), helpers.shape[1], code.n,
-                    code.field.q) > DUAL_BYTE_BUDGET:
-        raise InfeasibleError(
-            f"{len(coord)} repair records of size <= {r} exceed the "
-            f"{DUAL_BYTE_BUDGET}-byte budget")
-    size = np.count_nonzero(helpers >= 0, axis=1).tolist()
-    steps = [RepairStep(repaired=i, helpers=tuple(h[:s]),
-                        coeffs=tuple(c[:s]))
-             for i, h, c, s in zip(coord.tolist(), helpers.tolist(),
-                                   coeffs.tolist(), size)]
-    return _by_coordinate(code.n, coord, steps)
+def _by_size(table, i):
+    """Coordinate i's records of the table, stably sorted by size: ordered
+    by (size, helpers, coeffs)."""
+    return sorted(map(table.step, range(table.first.item(i),
+                                        table.first.item(i + 1))),
+                  key=lambda rs: len(rs.helpers))
 
 
 def all_recovery_sets(code: LinearCode, r):
-    """The recovery sets of `repair_steps` by coordinate, stably sorted by
-    size: ordered by (size, helpers, coeffs)."""
-    return [sorted(row, key=lambda rs: len(rs.helpers))
-            for row in repair_steps(code, r)]
+    """The recovery sets of size <= r as `RepairStep` records, a list per
+    coordinate ordered by (size, helpers, coeffs).  Raises as
+    `recovery_table` does, and InfeasibleError when `record_bytes` of
+    the sets exceeds DUAL_BYTE_BUDGET, checked before any record
+    exists."""
+    table = recovery_table(code, r)
+    if record_bytes(len(table.coord), len(table.helpers), code.n,
+                    code.field.q) > DUAL_BYTE_BUDGET:
+        raise InfeasibleError(
+            f"{len(table.coord)} repair records of size <= {r} exceed the "
+            f"{DUAL_BYTE_BUDGET}-byte budget")
+    return [_by_size(table, i) for i in range(code.n)]
 
 
 def recovery_sets_for(code: LinearCode, i, r):
-    """All recovery sets of size <= r for coordinate i."""
-    return all_recovery_sets(code, r)[i]
+    """All recovery sets of size <= r for coordinate i, as a row of
+    `all_recovery_sets`, with only that row's records made."""
+    return _by_size(recovery_table(code, r), range(code.n)[i])

@@ -4,12 +4,12 @@ Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
 schedules deterministic.  The planner picks each step's recovery set
 by the helper bitmasks of `linear.peel_table`, the table `verify`'s
-stopping-set search reads, and takes the step itself, not a copy, from
-the `linear.RepairStep` records of `linear.repair_steps` at the same
-index.  Each call plans anew; the two tables keep their own one-entry
-memos, so a campaign builds each once.  Within the certified tolerance
-the peeling condition guarantees greedy never gets stuck, so no
-backtracking is needed; outside it, a stuck state is a structured
+stopping-set search reads, and makes a `linear.RepairStep` record only
+for each step it takes, from the entry of `linear.recovery_table` at
+the same index.  Each call plans anew; the two tables keep their own
+one-entry memos, so a campaign builds each once.  Within the certified
+tolerance the peeling condition guarantees greedy never gets stuck, so
+no backtracking is needed; outside it, a stuck state is a structured
 result.  Planning and repair read erased coordinates with
 one reader, `_erased`, and repair reads a word with `GF.check`.
 
@@ -21,7 +21,7 @@ those passes and return the same summary through one builder
 `execute_repair` per trial, which is the oracle, and `campaign`, which
 `slrc simulate` runs: it encodes a pass in one block product, plans all
 its trials at once by the same greedy rule on a (coordinate, trial)
-bool matrix and the arrays of `linear._recovery_entries` (`_plan`), and
+bool matrix and the arrays of `linear.recovery_table` (`_plan`), and
 applies step s of every schedule as one gather (`_repair`).
 """
 
@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, check_count
-from .linear import (_codeword_rows, _codewords, _pass_limit,
-                     _recovery_entries, peel_table, repair_steps)
+from .linear import _codeword_rows, _codewords, peel_table, recovery_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,15 +74,15 @@ def plan_repair(code, erased, r):
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
     Raises ParameterError as `_erased` does, and unless r is an integer
-    >= 1, and InfeasibleError as `linear.repair_steps` does.
+    >= 1, and InfeasibleError as `linear.recovery_table` does.
     """
-    return _greedy(peel_table(code, r), repair_steps(code, r),
+    return _greedy(peel_table(code, r), recovery_table(code, r),
                    _erased(code, erased))
 
 
-def _greedy(peel, records, erased):
-    """The greedy schedule for the sorted erased tuple on the peel table
-    and its records."""
+def _greedy(peel, table, erased):
+    """The greedy schedule for the sorted erased tuple on the peel table,
+    with one record of the recovery table made for each step taken."""
     mask = 0
     for i in erased:
         mask |= 1 << i
@@ -93,15 +91,16 @@ def _greedy(peel, records, erased):
     while remaining:
         # the first recovery set, by coordinate and then by helpers, that
         # avoids every erased coordinate
-        step = next((records[i][j] for i in remaining
+        pick = next(((i, j) for i in remaining
                      for j, helper_mask in enumerate(peel[i])
                      if not helper_mask & mask), None)
-        if step is None:
+        if pick is None:
             return RepairSchedule(erased, tuple(steps), False,
                                   tuple(remaining))
-        steps.append(step)
-        remaining.remove(step.repaired)
-        mask ^= 1 << step.repaired
+        i, j = pick
+        steps.append(table.step(table.first.item(i) + j))
+        remaining.remove(i)
+        mask ^= 1 << i
     return RepairSchedule(erased, tuple(steps), True)
 
 
@@ -363,24 +362,20 @@ def campaign(code, r, t, trials, seed, trace=None):
     order, computed on whole arrays a pass of `_draws` at a time: the
     pass's messages are encoded in one block product (`_codewords`, as
     `min_distance` multiplies), its trials planned together (`_plan`) on
-    the arrays of `_recovery_entries`, and each step of every schedule
-    applied as one gather and one table lookup (`_repair`).  No call is
-    made per trial: neither `code.encode`, `plan_repair` nor
-    `execute_repair` runs, and `trace` gets the records of `repair_steps`.
+    the arrays of `linear.recovery_table`, and each step of every
+    schedule applied as one gather and one table lookup (`_repair`).  No
+    call is made per trial: neither `code.encode`, `plan_repair` nor
+    `execute_repair` runs, and `trace` gets a record made by the table's
+    `step` for each traced step alone.
 
-    Raises as `trial_campaign` does, before any trace call, with one
-    difference: without `trace` no record of `repair_steps` is built, so
-    none is refused by its `linear.record_bytes` bound.
+    Raises as `trial_campaign` does, before any trace call.
     """
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)
     n = check_count("code length n", code.n)
     code.check_encodable()
-    r = check_count("locality r", r)
     field, G = code.field, code.generator
-    table = _table(code, r)
-    records = (None if trace is None else
-               [step for row in repair_steps(code, r) for step in row])
+    table = recovery_table(code, r)
     rows = _codeword_rows(*G.shape)
     successes = total_steps = total_helpers = failure_count = 0
     failures = []
@@ -407,7 +402,7 @@ def campaign(code, r, t, trials, seed, trace=None):
         if trace is not None:
             for e in picks[:, ~stuck].T.ravel().tolist():
                 if e >= 0:
-                    trace(records[e])
+                    trace(table.step(e))
         bad = np.flatnonzero(~success)
         failure_count += len(bad)
         for i in bad[:10 - len(failures)].tolist():
@@ -417,28 +412,6 @@ def campaign(code, r, t, trials, seed, trace=None):
         done += count
     return _summary(trials, t, seed, successes, total_steps, total_helpers,
                     failures, failure_count)
-
-
-class _Table(NamedTuple):
-    """The recovery sets of `_recovery_entries` as `campaign` plans and
-    repairs on them, index for index."""
-    coord: np.ndarray       # the coordinate each entry repairs, sorted
-    helpers: np.ndarray     # (width, entries): pad -1 read as n
-    coeffs: np.ndarray      # (width, entries)
-    size: np.ndarray        # helpers per entry, and a 0 that pick -1 reads
-    rows: int               # trials a plan step decides at once, so that
-    #                         it holds about DUAL_BYTE_BUDGET / 16 at most
-
-
-def _table(code, r):
-    """The `_Table` of (code, r); raises as `_recovery_entries` does."""
-    n = code.n
-    coord, helpers, coeffs = _recovery_entries(code, r)
-    # a plan step holds, per trial, two bools an entry and its column
-    return _Table(coord, np.where(helpers < 0, n, helpers).T.copy(),
-                  coeffs.T.copy(),
-                  np.append(np.count_nonzero(helpers >= 0, axis=1), 0),
-                  _pass_limit(1, n + 1 + 2 * len(coord) + 16))
 
 
 def _plan(missing, table):

@@ -25,8 +25,7 @@ before it meets the set with x added.
 The checks take a code and r and nothing else: the search and the
 structure battery read the table through `peel_table`'s one-entry memo,
 so a command that runs both at one r builds it once.  They read helper
-bitmasks only; no check builds a `linear.RepairStep` record or a
-coefficient.
+bitmasks only; no check builds a `linear.RepairStep` record.
 """
 
 from __future__ import annotations

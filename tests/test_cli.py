@@ -23,11 +23,12 @@ from slrc.construct import build_parity_check, constructed_from_matrix
 from slrc.designs import complete_graph_design
 from slrc.errors import ParameterError
 from slrc.field import GF
-from slrc.linear import peel_table
+from slrc.linear import DUAL_BYTE_BUDGET
 from slrc.matrixio import (SHAPE_KEYS, MatrixFile, dict_to_matrix,
                            load_matrix, load_matrix_csv, matrix_to_dict,
                            save_matrix, save_matrix_csv)
 from slrc.reference import golden, reference_code
+from test_peel import _counted_tables
 
 
 def run(capsys, *argv):
@@ -666,21 +667,29 @@ def test_simulate_refuses_recovery_sets_over_the_budget_at_once(tmp_path,
     assert "2258820 recovery sets of size <= 11 exceed" in err
 
 
-def test_simulate_trace_refuses_records_over_the_budget(tmp_path, capsys):
-    # r = 8 gives the reference code 237,330 recovery sets: their arrays
-    # fit the budget, so a campaign runs, but `--trace` prints records,
-    # and those are refused before any exists or any line is printed
+def test_simulate_traces_a_campaign_at_r8(tmp_path, capsys, monkeypatch):
+    # r = 8 gives the reference code 237,330 recovery sets, whose records,
+    # about 170 MB by `record_bytes`, would not fit the budget: `--trace`
+    # makes a record for each traced step alone, and prints the lines of
+    # the per-trial route
     path = tmp_path / "ref.json"
     save_matrix(reference_code(), path)
     argv = ["simulate", "--in", str(path), "--t", "4", "--r", "8",
-            "--trials", "20"]
-    rc, stdout, err = run(capsys, *argv, "--trace")
-    assert rc == 4 and stdout == ""
-    assert _one_line_error(err)
-    assert "237330 repair records of size <= 8 exceed" in err
-    rc, stdout, err = run(capsys, *argv)
+            "--trials", "20", "--trace"]
+    tracemalloc.start()
+    try:
+        rc, stdout, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 0 and err == ""
-    assert json.loads(stdout)["success_rate"] == 1.0
+    assert peak < DUAL_BYTE_BUDGET, peak
+    traced = [line.startswith("repair c") for line in stdout.splitlines()]
+    assert sum(traced) > 20
+    assert json.loads("".join(line for line, step in zip(
+        stdout.splitlines(), traced) if not step))["success_rate"] == 1.0
+    monkeypatch.setattr("slrc.cli.campaign", slrc.simulate.trial_campaign)
+    assert run(capsys, *argv) == (0, stdout, "")
 
 
 def test_construct_checks_the_field_before_the_design(capsys, monkeypatch):
@@ -954,13 +963,6 @@ def test_verify_t_and_max_t_together_is_a_usage_error(tmp_path, capsys):
     assert "not allowed with argument --t" in err
 
 
-def _counted_peel_tables():
-    """Empties `peel_table`'s memo; returns a function giving its misses
-    since, the number of tables built."""
-    peel_table.cache_clear()
-    return lambda: peel_table.cache_info().misses
-
-
 @pytest.mark.parametrize("argv, sha", [
     (("verify", "--max-t", "9"), VERIFY_PINS["reference"][2]),
     (("demo-paper",),
@@ -969,20 +971,19 @@ def _counted_peel_tables():
 ])
 def test_one_recovery_set_table_per_command(tmp_path, capsys, monkeypatch,
                                             argv, sha):
-    # one table of helper bitmasks, and no RepairStep record: those are
-    # built for repair alone
+    # one recovery-set table and one of its helper bitmasks, and no
+    # RepairStep record: a record is made for repair alone
     path = tmp_path / "ref.json"
     save_matrix(reference_code(), path)
 
     def refuse(*args):
-        raise AssertionError(f"slrc {argv[0]} built RepairStep records")
-    monkeypatch.setattr(slrc.linear, "repair_steps", refuse)
-    monkeypatch.setattr(slrc.simulate, "repair_steps", refuse)
-    builds = _counted_peel_tables()
+        raise AssertionError(f"slrc {argv[0]} built a RepairStep record")
+    monkeypatch.setattr(slrc.linear, "RepairStep", refuse)
+    builds = _counted_tables()
     if argv[0] == "verify":
         argv = ("verify", "--in", str(path)) + argv[1:]
     rc, stdout, _ = run(capsys, *argv)
-    assert builds() == 1
+    assert builds() == (1, 1)
     assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == (0, sha)
 
 

@@ -13,9 +13,9 @@ from slrc.construct import ConstructionParams, build_parity_check
 from slrc.designs import complete_graph_design
 from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
-from slrc.linear import (LinearCode, dual_low_weight, min_distance,
-                         nullspace, peel_table, puncture, recovery_sets_for,
-                         repair_steps, rref)
+from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
+                         min_distance, nullspace, peel_table, puncture,
+                         recovery_sets_for, recovery_table, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 
@@ -640,12 +640,14 @@ def test_recovery_entry_estimate_bounds_their_peak(r):
     # is the slack at r = 3
     code = reference_code()
     need = _entry_estimate(code, r)
+    recovery_table.cache_clear()
     tracemalloc.start()
     try:
-        linear._recovery_entries(code, r)
+        recovery_table(code, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        recovery_table.cache_clear()
     assert peak <= need + 32_768, (peak, need)
 
 
@@ -661,7 +663,7 @@ def test_recovery_sets_over_the_budget_are_refused_before_their_arrays(
     def no_sort(keys):
         raise AssertionError("entries sorted past the budget")
     monkeypatch.setattr(np, "lexsort", no_sort)
-    for table in (peel_table, repair_steps):
+    for table in (peel_table, recovery_table):
         with pytest.raises(InfeasibleError,
                            match="622650 recovery sets of size <= 9 exceed"):
             table(code, 9)
@@ -677,24 +679,25 @@ def test_recovery_sets_over_the_budget_are_refused_before_their_arrays(
 
 
 def _record_estimate(code, r):
-    coord, helpers, _ = linear._recovery_entries(code, r)
-    return linear.record_bytes(len(coord), helpers.shape[1], code.n,
+    table = recovery_table(code, r)
+    return linear.record_bytes(len(table.coord), len(table.helpers), code.n,
                                code.field.q)
 
 
 @pytest.mark.parametrize("r", [3, 5, 6])
 def test_repair_record_estimate_bounds_their_peak(r):
-    # 132, 3,213 and 17,192 records, built after the dual words are cached
+    # 132, 3,213 and 17,192 records and their table, built after the dual
+    # words are cached
     code = reference_code()
     need = _record_estimate(code, r)
-    repair_steps.cache_clear()
+    recovery_table.cache_clear()
     tracemalloc.start()
     try:
-        repair_steps(code, r)
+        all_recovery_sets(code, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        repair_steps.cache_clear()
+        recovery_table.cache_clear()
     assert peak <= need, (peak, need)
 
 
@@ -702,7 +705,9 @@ def test_repair_records_over_the_budget_are_refused_before_they_exist(
         monkeypatch):
     # r = 8 gives the reference code 237,330 recovery sets, whose arrays
     # fit the budget but whose records, about 170 MB by the estimate, do
-    # not (they took 5.1 s and a 149 MB peak); r = 7's 73,152 fit
+    # not (they took 5.1 s and a 149 MB peak); r = 7's 73,152 fit.  Only
+    # all_recovery_sets makes every record: a row, a plan or a traced
+    # campaign makes those it returns
     code = reference_code()
     assert _record_estimate(code, 7) <= linear.DUAL_BYTE_BUDGET
     assert _record_estimate(code, 8) > linear.DUAL_BYTE_BUDGET
@@ -712,7 +717,7 @@ def test_repair_records_over_the_budget_are_refused_before_they_exist(
     monkeypatch.setattr(linear, "RepairStep", no_record)
     with pytest.raises(InfeasibleError,
                        match="237330 repair records of size <= 8 exceed"):
-        repair_steps(code, 8)
+        all_recovery_sets(code, 8)
     assert sum(map(len, peel_table(code, 8))) == 237330
 
 

@@ -15,7 +15,7 @@ from slrc.construct import ConstructionParams, build_parity_check
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
-                         peel_table, repair_steps)
+                         peel_table, recovery_table)
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
 from slrc.simulate import execute_repair, plan_repair, trial_campaign
@@ -75,8 +75,17 @@ def test_all_recovery_sets_matches_per_coordinate_oracle(case):
                      for i in range(H.shape[1])]
 
 
+def _records(code, r):
+    """The recovery table's records, a tuple per coordinate in the
+    table's order."""
+    table = recovery_table(code, r)
+    ends = table.first.tolist()
+    return [tuple(map(table.step, range(a, b)))
+            for a, b in zip(ends, ends[1:])]
+
+
 def _assert_masks_index_the_records(code, r):
-    peel, steps = peel_table(code, r), repair_steps(code, r)
+    peel, steps = peel_table(code, r), _records(code, r)
     assert [len(row) for row in peel] == [len(row) for row in steps]
     for i, (masks, row) in enumerate(zip(peel, steps)):
         assert row == tuple(sorted(row, key=lambda rs: (rs.helpers,
@@ -102,13 +111,13 @@ def test_peel_table_holds_the_masks_of_repair_steps_on_any_code(case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(strategies.codes, st.integers(1, 4))
 def test_all_recovery_sets_is_the_by_size_view_of_peel_table(code, r):
-    # of the records of repair_steps, the sets whose masks peel_table
+    # of the recovery table's records, the sets whose masks peel_table
     # holds at the same index; sorted() is stable, so equal sizes keep
     # the (helpers, coeffs) order
     r = min(r, code.params.r)
     assert all_recovery_sets(code, r) == [
         sorted(row, key=lambda rs: len(rs.helpers))
-        for row in repair_steps(code, r)]
+        for row in _records(code, r)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,39 +211,53 @@ def test_peel_table_memo_is_one_entry_per_code_and_r():
         table[0].append(table[1][0])
     with pytest.raises(TypeError):
         table[0][0] = table[1][0]
+    # nor the arrays of the recovery table the masks are read from
+    with pytest.raises(ValueError, match="read-only"):
+        recovery_table(b, 3).helpers[0, 0] = 0
 
 
-def test_one_table_per_sweep_point_and_campaign():
+def _counted_tables():
+    """Empties the memos of `recovery_table` and `peel_table`; returns a
+    function giving the misses of each since, the tables built."""
+    for table in (recovery_table, peel_table):
+        table.cache_clear()
+    return lambda: (recovery_table.cache_info().misses,
+                    peel_table.cache_info().misses)
+
+
+def _refuse_records(monkeypatch, what):
+    def refuse(*args):
+        raise AssertionError(f"{what} built a RepairStep record")
+    monkeypatch.setattr(linear, "RepairStep", refuse)
+
+
+def test_one_table_per_sweep_point_and_campaign(monkeypatch):
     code = strategies.build(3, 3, 2, 4, "complete-graph", "vandermonde")
     p = code.params
-    peel_table.cache_clear()
-    repair_steps.cache_clear()
-    check_sequential(code, p.r, p.t_claim)
-    check_information_locality(code)
-    check_code_structure(code)
-    assert peel_table.cache_info().misses == 1
-    assert repair_steps.cache_info().misses == 0
-    peel_table.cache_clear()
+    with monkeypatch.context() as patch:
+        _refuse_records(patch, "a sweep point")
+        builds = _counted_tables()
+        check_sequential(code, p.r, p.t_claim)
+        check_information_locality(code)
+        check_code_structure(code)
+        assert builds() == (1, 1)
+    builds = _counted_tables()
     trial_campaign(code, p.r, p.t_claim, 50, 0)
-    assert peel_table.cache_info().misses == 1
-    assert repair_steps.cache_info().misses == 1
+    assert builds() == (1, 1)
 
 
 def test_checks_build_no_repair_step(monkeypatch):
-    # verification reads the helper bitmasks only: the records and their
-    # coefficients are built for repair alone
+    # verification reads the helper bitmasks only: a record is made for
+    # repair alone
     code = reference_code()
     want = (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
             check_information_locality(code), check_code_structure(code))
-
-    def refuse(*args):
-        raise AssertionError("a verification check built RepairStep records")
-    monkeypatch.setattr(linear, "repair_steps", refuse)
-    peel_table.cache_clear()
+    _refuse_records(monkeypatch, "a verification check")
+    builds = _counted_tables()
     assert (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
             check_information_locality(code),
             check_code_structure(code)) == want
-    assert peel_table.cache_info().misses == 1
+    assert builds() == (1, 1)
 
 
 @st.composite
@@ -287,7 +310,7 @@ def test_counts_must_be_integers(name, value):
     peel_table(ref, 1)
     plan_repair(ref, {0}, 1)
     calls = {"r": [lambda: peel_table(ref, value),
-                   lambda: repair_steps(ref, value),
+                   lambda: recovery_table(ref, value),
                    lambda: check_sequential(ref, value, 2),
                    lambda: plan_repair(ref, {0}, value),
                    lambda: trial_campaign(ref, value, 2, 5, 0)],
@@ -302,12 +325,12 @@ def test_counts_must_be_integers(name, value):
 
 @pytest.mark.parametrize("value", [[3], {}, True])
 def test_verify_reads_r_before_the_memo_key(value):
-    # read before the memo key of peel_table and repair_steps, which an
+    # read before the memo key of peel_table and recovery_table, which an
     # unhashable r would end in a bare TypeError
     ref = reference_code()
     peel_table(ref, 1)
     for call in (lambda: peel_table(ref, value),
-                 lambda: repair_steps(ref, value),
+                 lambda: recovery_table(ref, value),
                  lambda: check_sequential(ref, value, 2),
                  lambda: max_sequential_t(ref, value, 4)):
         with pytest.raises(ParameterError,

@@ -26,7 +26,7 @@ from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import FieldError, ParameterError
 from slrc.field import GF
-from slrc.linear import LinearCode, peel_table, repair_steps
+from slrc.linear import LinearCode, peel_table, recovery_table
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc import simulate
@@ -155,18 +155,22 @@ def test_plan_holds_python_ints(ref):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(strategies.codes, st.data())
 def test_plan_steps_are_the_peel_tables_own_records(code, data):
-    # each step is the record of repair_steps at the index of the first
-    # helper bitmask of its coordinate's peel_table row that avoids the
-    # coordinates still erased
+    # each step is the record of the recovery table's entry first[i] + j,
+    # where entry j of coordinate i's peel_table row is the first helper
+    # bitmask that avoids the coordinates still erased, and that entry's
+    # helpers are the ones of that bitmask
     r = code.params.r
     erased = data.draw(st.sets(st.integers(0, code.n - 1), max_size=8))
     schedule = plan_repair(code, erased, r)
-    masks, records = peel_table(code, r), repair_steps(code, r)
+    masks, table = peel_table(code, r), recovery_table(code, r)
     left = sum(1 << i for i in erased)
     for step in schedule.steps:
         i = step.repaired
         j = next(j for j, m in enumerate(masks[i]) if not m & left)
-        assert records[i][j] is step
+        e = table.first[i] + j
+        assert step == table.step(e)
+        helpers = table.helpers[:, e].tolist()
+        assert masks[i][j] == sum(1 << h for h in helpers if h < code.n)
         left ^= 1 << i
 
 
@@ -520,13 +524,13 @@ def test_campaign_memory_does_not_grow_with_failed_trials(ref):
     assert large - small < 50_000, (small, large)
 
 
-def test_plan_memo_gives_one_schedule_per_erased_set(ref):
+def test_plan_gives_one_schedule_per_erased_set(ref):
     first = plan_repair(ref, [9, 2, 4, 2], 3)
     assert plan_repair(ref, (2, 4, 9), 3) == first
     assert plan_repair(ref, np.array([4, 9, 2]), 3) == first
 
 
-def test_plan_memo_is_read_only_after_validation(ref):
+def test_plan_validates_erasures_on_every_call(ref):
     plan_repair(ref, [1], 3)
     with pytest.raises(ParameterError, match="must be integers"):
         plan_repair(ref, [1.0], 3)      # hashes like (1,)
@@ -536,17 +540,18 @@ def test_plan_memo_is_read_only_after_validation(ref):
 
 
 def _own_records(schedule, records):
-    return all(any(rs is step for rs in records[step.repaired])
+    return all(any(rs == step for rs in records[step.repaired])
                for step in schedule.steps)
 
 
-def test_plan_memo_follows_the_current_peel_table():
+def test_plan_follows_the_current_code_and_r():
     code = reference_code()
     first = plan_repair(code, {0, 6}, 3)
     plan_repair(_affine25(), {0, 6}, 4)         # another code's table
     again = plan_repair(code, {0, 6}, 3)        # code's table, rebuilt
     assert again == first and again is not first
-    assert again.complete and _own_records(again, repair_steps(code, 3))
+    assert again.complete and _own_records(
+        again, linear.all_recovery_sets(code, 3))
     # the same set at another r is planned on that r's table
     assert not plan_repair(code, {0, 6}, 2).complete
     assert plan_repair(code, {0, 6}, 3).complete
@@ -560,11 +565,12 @@ def test_simulate_keeps_no_module_level_memo():
                    for node in ast.walk(tree))
 
 
-def test_plan_memo_holds_when_threads_interleave(ref, monkeypatch):
+def test_plan_holds_when_threads_interleave(ref, monkeypatch):
     # two threads plan at r = 2 and two at r = 3 on the same few sets, so
-    # the peel table and the memo pair change under each other, and each
-    # plan sleeps between reading the memo and writing it: a plan written
-    # into another table's memo would be read back at the wrong r
+    # the one-entry memos of the peel table and the recovery table change
+    # under each other, and each plan sleeps between reading the tables
+    # and picking on them: a pick read off another r's table would give
+    # a plan at the wrong r
     patterns = [(0, 6), (1, 2), (3, 9), (4, 5), (7, 8), (10, 11)]
     want = {(p, r): plan_repair(ref, p, r) for p in patterns for r in (2, 3)}
     assert all(want[p, 2] != want[p, 3] for p in patterns)
@@ -632,7 +638,7 @@ def _routes_agree(code, r, data):
     summary = campaign(code, r, t, trials, seed, trace=got.append)
     assert summary == trial_campaign(code, r, t, trials, seed,
                                      trace=want.append)
-    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    assert got == want
     if data.draw(st.booleans(), label="through the CLI"):
         assert (_simulate_stdout(code, r, t, trials, seed, campaign)
                 == _simulate_stdout(code, r, t, trials, seed, trial_campaign))
@@ -665,17 +671,37 @@ def test_array_planner_picks_the_greedy_steps(code, rows, data):
     missing = np.zeros((code.n + 1, len(sets)), bool)
     for i, erased in enumerate(sets):
         missing[list(erased), i] = True
-    table = simulate._table(code, r)._replace(rows=rows)
+    table = recovery_table(code, r)._replace(rows=rows)
     picks, stuck = simulate._plan(missing, table)
-    records = [step for row in repair_steps(code, r) for step in row]
     for i, erased in enumerate(sets):
         schedule = plan_repair(code, erased, r)
-        steps = [records[e] for e in picks[:, i].tolist() if e >= 0]
-        assert len(steps) == len(schedule.steps)
-        assert all(a is b for a, b in zip(steps, schedule.steps))
+        steps = [table.step(e) for e in picks[:, i].tolist() if e >= 0]
+        assert steps == list(schedule.steps)
         assert stuck[i] == (not schedule.complete)
         assert (tuple(np.flatnonzero(missing[:, i]).tolist())
                 == schedule.residual)
+
+
+def test_records_are_made_only_for_the_steps_taken(monkeypatch):
+    # a traced campaign makes one RepairStep per traced line and a plan
+    # one per step, stuck or not; the table's other entries stay arrays
+    made = []
+
+    class Counted(linear.RepairStep):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(linear, "RepairStep", Counted)
+    code = _plain_reference()
+    lines = _simulate_stdout(code, 3, 16, 200, 42, campaign).splitlines()
+    traced = sum(line.startswith("repair c") for line in lines)
+    assert len(made) == traced > 0
+    # complete, stuck after one step, and stuck at once
+    for erased in [(0, 1, 2, 6, 7), (0, 5, 10, 11, 12, 13), range(16)]:
+        made.clear()
+        schedule = plan_repair(code, erased, 3)
+        assert len(made) == len(schedule.steps)
+        assert all(type(step) is Counted for step in schedule.steps)
 
 
 @pytest.mark.parametrize("case", CAMPAIGN_PINS)
@@ -739,7 +765,7 @@ def test_array_plan_working_set_is_bounded_in_bytes():
     # coordinate: one pass's step over all of them at once would hold
     # two bools per (set, trial), about 37 MB for 256 trials
     code = reference_code()
-    table = simulate._table(code, 7)
+    table = recovery_table(code, 7)
     assert len(table.coord) == 73152 and table.rows < 64
     sizes, erased, _ = next(simulate._draws(5, code.n, 4, 4, 6, 256))
     missing = np.zeros((code.n + 1, len(sizes)), bool)
