@@ -5,8 +5,8 @@ encodings.  Every job runs on whole arrays through the field's array
 operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
 pivot column at a time across all rows (`LinearCode` takes H's pivots
 from the right, so its generator is the identity on the first
-information set), the minimum distance and the repair campaign
-multiply blocks of messages by the generator (`_codewords`), and the hot spot,
+information set), the minimum distance multiplies blocks of messages
+by the generator (`_codewords`), and the hot spot,
 listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
 compact dtype, whose last level is a join (`_low_weight_dual_words`).
@@ -37,8 +37,8 @@ from .field import GF
 ENUM_LIMIT = 1 << 22
 # Bound, in bytes, on the generator `LinearCode` builds, on the estimated
 # working sets of `dual_low_weight`, of the recovery-set arrays
-# (`entry_bytes`) and of their records (`record_bytes`), and on one block
-# of `_codewords`.
+# (`entry_bytes`) and of their records (`record_bytes`), and by default
+# on one block of `_codewords`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -185,11 +185,11 @@ def _min_weight(field, G):
     return best
 
 
-def _codeword_rows(k, n):
-    """Messages per block of `_codewords` for a k x n generator: a
-    message's k x n products and the field sum's temporaries, 8 bytes
-    each, keep a block within DUAL_BYTE_BUDGET."""
-    return max(1, DUAL_BYTE_BUDGET // (4 * 8 * max(1, k * n)))
+def _codeword_rows(k, n, budget=DUAL_BYTE_BUDGET):
+    """Messages per block product with a k x n generator: a message's
+    k x n products and the field sum's temporaries, 8 bytes each, keep a
+    block within `budget` bytes."""
+    return max(1, budget // (4 * 8 * max(1, k * n)))
 
 
 def _codewords(field, msgs, G):

@@ -19,10 +19,11 @@ on the seeded `Generator`, made in block passes from its raw stream
 those passes and return the same summary through one builder
 (`_summary`): `trial_campaign`, one `code.encode`, `plan_repair` and
 `execute_repair` per trial, which is the oracle, and `campaign`, which
-`slrc simulate` runs: it encodes a pass in one block product, plans all
-its trials at once by the same greedy rule on a (coordinate, trial)
-bool matrix and the arrays of `linear.recovery_table` (`_plan`), and
-applies step s of every schedule as one gather (`_repair`).
+`slrc simulate` runs: it encodes a pass in block products bounded in
+bytes (`_encoder`), plans all its trials at once by the same greedy
+rule on a (coordinate, trial) bool matrix and the arrays of
+`linear.recovery_table` (`_plan`), and applies step s of every schedule
+as one gather (`_repair`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_count
-from .linear import _codeword_rows, _codewords, peel_table, recovery_table
+from .linear import _codeword_rows, peel_table, recovery_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +45,9 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-_TRIALS = 256           # trials per block pass of _draws
-_WINDOW = 1 << 12       # raw words a block pass reads at most
+_TRIALS = 1024          # trials per block pass of _draws
+_WINDOW = 1 << 14       # raw words a block pass reads at most
+_PRODUCT_BYTES = 1 << 20    # bound on a block product of `campaign`
 
 
 def _erased(code, erased):
@@ -149,8 +151,9 @@ def _draws(seed, n, t, q, k, count):
     and integers(0, q, size=k), in that order, per trial, on
     `np.random.default_rng(seed)`; n >= 1 and 2 <= q <= 2**32.  They are
     computed from the generator's raw 32-bit stream (`next_uint32`,
-    which numpy's bounded draws read), each pass (`_block`) deciding up
-    to _TRIALS trials with a few numpy calls.  A draw at span m is
+    which numpy's bounded draws read), drawn a window of _WINDOW words at
+    a time, each pass (`_block`) deciding up to _TRIALS trials with a few
+    numpy calls.  A draw at span m is
     Lemire's (ACM TOMACS 2019): word w gives (w m) >> 32 unless
     (w m) mod 2**32 is below 2**32 mod m, when the next word is read at
     span m; m = 1 reads none.  `choice(n, size, replace=False)` is
@@ -161,42 +164,62 @@ def _draws(seed, n, t, q, k, count):
     rng = np.random.default_rng(seed)
     s = min(t, n)
     runs = _runs(n, s, q, k)
-    lengths = runs[2].sum(axis=1).tolist()  # a trial's words, by size
-    window = max(_WINDOW, max(lengths))     # every trial fits a pass
+    lengths = runs[2].sum(axis=1)       # a trial's words, by size - 1
+    longest = int(lengths.max())
+    window = max(_WINDOW, longest)      # every trial fits a pass
     words = np.empty(2 * window, np.uint32)
-    pos, most = len(words), min(count, _TRIALS)     # the next unread
+    pos = end = 0           # the next unread word and the end of those drawn
+    most = min(count, _TRIALS)
     while count:
-        if pos > window:    # keep the unread words, draw the rest anew
-            words[:-pos] = words[pos:]
-            words[-pos:] = rng.integers(0, 1 << 32, pos, np.uint32)
-            pos = 0
-        trials, read, cut = _block(words[pos:pos + window], n, s, runs,
+        if end - pos < window:  # keep the unread words, draw a window more
+            end -= pos
+            words[:end] = words[pos:pos + end]
+            words[end:end + window] = rng.integers(0, 1 << 32, window,
+                                                   np.uint32)
+            end, pos = end + window, 0
+        # the words `most` trials can read, at least one
+        scan = min(window, max(1, most * longest))
+        trials, read, cut = _block(words[pos:pos + scan], n, s, runs,
                                    lengths, k, most)
         pos += read
-        if trials is not None:
+        decided = 0 if trials is None else len(trials[0])
+        if decided:
             yield trials
-            count -= len(trials[0])
-        # a cut trial is read again alone; after it, passes grow again
-        most = 1 if cut else min(2 * most, _TRIALS, count)
+            count -= decided
         del trials      # before the next pass builds its own
+        # a cut pass is followed by one of twice its trials and two more,
+        # the cut trial and the next, and any other by a full one
+        most = min(2 * decided + 2 if cut else _TRIALS, count)
 
 
 def _block(words, n, s, runs, lengths, k, most):
     """The (sizes, erased, messages) arrays of `_draws` of the next trials
     in `words`, at most `most`, up to the first rejected word, which is
     cut, or None where no trial comes before it; the words read; and
-    whether one was cut."""
-    view = memoryview(words)
-    # each trial's size - 1, its row of runs, and end, if none is rejected
-    rows, ends, end, stop = [], [0], 0, len(view)
-    while len(rows) < most and end < stop:
-        row = view[end] * s >> 32       # s = 1: integers(1, 2) reads none
-        end += lengths[row]
-        if end > stop:
-            break               # the next pass reads it
-        rows.append(row)
-        ends.append(end)
-    row, bound = np.array(rows), np.array(ends)
+    whether one was cut.  The cut trial's words are moved in `words` so
+    that the next pass reads it without its rejected words."""
+    stop = len(words)
+    # each word's size - 1 and the start of the trial after, were a trial
+    # to start there, or stop + 1 where it runs past the words; the
+    # trials' starts follow by pointer doubling, in log2(most) gathers
+    jump = np.full(stop + 2, stop + 1)
+    size = words * np.uint64(s)     # s = 1: integers(1, 2) reads none
+    size >>= 32
+    lengths.take(size.view(np.int64), out=jump[:stop], mode="clip")
+    del size
+    jump[:stop] += np.arange(stop)
+    np.minimum(jump, stop + 1, out=jump)
+    start, after = np.zeros(1, np.int64), jump
+    while len(start) < most:
+        start = np.concatenate([start, after.take(start)])
+        if len(start) >= most or start[-1] > stop:
+            break
+        after = after.take(after)
+    ends = jump.take(start[:most])
+    del jump, after
+    c = np.searchsorted(ends, stop, "right")    # the trials in the words
+    row = (words.take(start[:c]) * np.uint64(s) >> 32).view(np.int64)
+    bound = np.concatenate([[0], ends[:c]])
     # every word's span, first + step * (its place in its run), built
     # in place, as these arrays are the pass's largest
     first, step, length = runs.take(row, axis=1).reshape(3, -1)
@@ -214,11 +237,27 @@ def _block(words, n, s, runs, lengths, k, most):
     rejected = suspect[low[suspect] < (1 << 32) % span[suspect]]
     del low, span
     cut = len(rejected) > 0
+    read = int(bound[-1])
     if cut:     # numpy reads the next word at the same span
         c = np.searchsorted(bound, rejected[0], "right") - 1
-        words[bound[c] + 1:rejected[0] + 1] = words[bound[c]:rejected[0]]
+        read, x, end = bound[c], rejected[0], bound[c + 1]
+        # the words after x that the cut trial's draws from x on read: the
+        # next ones, or where x is a message word, whose span q is that of
+        # each later word of the trial, the first ones numpy accepts
+        drawn = np.arange(1, end - x + 1)
+        if x >= end - k:
+            q = runs[0, 0, 3]
+            low = words[x:] * np.uint64(q) & 0xFFFFFFFF
+            accepted = np.flatnonzero(low >= (1 << 32) % q)[:end - x]
+            if len(accepted) == end - x:
+                drawn = accepted
+        # the trial is read again, its rejected words dropped: its words
+        # move up to its last one
+        last = x + drawn[-1]
+        moved = np.concatenate([words[read:x], words[x + drawn[:-1]]])
+        read = int(last) - len(moved)
+        words[read:last] = moved
         row, bound = row[:c], bound[:c + 1]
-    read = int(bound[-1]) + cut
     if not len(row):
         return None, read, cut
     product >>= 32
@@ -360,8 +399,8 @@ def _summary(trials, t, seed, successes, steps, helpers, failures,
 def campaign(code, r, t, trials, seed, trace=None):
     """`trial_campaign`'s summary, with the same `trace` calls in the same
     order, computed on whole arrays a pass of `_draws` at a time: the
-    pass's messages are encoded in one block product (`_codewords`, as
-    `min_distance` multiplies), its trials planned together (`_plan`) on
+    pass's messages are encoded in block products bounded in bytes
+    (`_encoder`), its trials planned together (`_plan`) on
     the arrays of `linear.recovery_table`, and each step of every
     schedule applied as one gather and one table lookup (`_repair`).  No
     call is made per trial: neither `code.encode`, `plan_repair` nor
@@ -374,17 +413,16 @@ def campaign(code, r, t, trials, seed, trace=None):
     seed = check_count("seed", seed, 0)
     n = check_count("code length n", code.n)
     code.check_encodable()
-    field, G = code.field, code.generator
+    field = code.field
     table = recovery_table(code, r)
-    rows = _codeword_rows(*G.shape)
+    encode = _encoder(field, code.generator)
     successes = total_steps = total_helpers = failure_count = 0
     failures = []
     done = 0        # trials of the passes before
     for sizes, erased, messages in _draws(seed, n, t, field.q,
                                           code.dimension, trials):
         count = len(sizes)
-        words = np.concatenate([_codewords(field, messages[lo:lo + rows], G)
-                                for lo in range(0, count, rows)]).T
+        words = encode(messages)
         # a column per trial; row n is never missing and reads as 0: the
         # helpers' pad
         missing = np.zeros((n + 1, count), bool)
@@ -412,6 +450,32 @@ def campaign(code, r, t, trials, seed, trace=None):
         done += count
     return _summary(trials, t, seed, successes, total_steps, total_helpers,
                     failures, failure_count)
+
+
+def _encoder(field, G):
+    """The words m G of a pass's messages, a (trials, k) array, as an
+    (n, trials) array of the field's dtype.  A column of G that is a unit
+    vector copies its message symbol; the others are block products of
+    shape (k, columns, trials), each summed over its outer axis by
+    `GF.vsum` and of at most `_codeword_rows(k, columns, _PRODUCT_BYTES)`
+    trials, so a pass's product is bounded in bytes."""
+    k, n = G.shape
+    copy = (np.count_nonzero(G, axis=0) == 1) & (G.max(axis=0, initial=0)
+                                                 == 1)
+    source = np.nonzero(G[:, copy].T)[1]    # the symbol each one copies
+    other = ~copy
+    product = G[:, other, None]
+    rows = _codeword_rows(k, int(other.sum()), _PRODUCT_BYTES)
+
+    def encode(messages):
+        symbols = messages.T
+        words = np.empty((n, len(messages)), field.dtype)
+        words[copy] = symbols[source]
+        for lo in range(0, len(messages), rows):
+            words[other, lo:lo + rows] = field.vsum(field.vmul(
+                symbols[:, None, lo:lo + rows], product), axis=0)
+        return words
+    return encode
 
 
 def _plan(missing, table):

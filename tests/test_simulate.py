@@ -401,7 +401,7 @@ def _draws_match(shape, trials, seeds=range(5)):
 @pytest.mark.parametrize("shape", DRAW_SHAPES, ids=str)
 def test_draws_match_numpy_calls(shape):
     # 1,500 trials read more words than one refill leaves unread, so each
-    # seed runs many block passes and some trial reads words of two
+    # seed runs more than one block pass and some trial reads words of two
     # numpy calls; the largest size is drawn, which is n where t >= n
     assert min(shape[:2]) in _draws_match(shape, 1500)
 
@@ -409,12 +409,45 @@ def test_draws_match_numpy_calls(shape):
 def test_draws_match_numpy_calls_on_a_small_buffer(monkeypatch):
     # a 64-word window: a pass reads few trials, every refill keeps words
     # that a trial reads across two numpy calls, and a shape whose
-    # longest trial is over 64 words widens the window to it
+    # longest trial is over 64 words widens the window to it; among the
+    # passes, a trial ends on the last word a pass may read, and one
+    # would run past it, so the pass leaves it to the next
     monkeypatch.setattr(simulate, "_WINDOW", 64)
+    block, edges = simulate._block, set()
+
+    def spy(words, n, s, runs, lengths, k, most):
+        trials, read, cut = block(words, n, s, runs, lengths, k, most)
+        decided = 0 if trials is None else len(trials[0])
+        if not cut:
+            edges.add("ends at the end" if read == len(words)
+                      else "runs past" if decided < most else "full")
+        return trials, read, cut
+
+    monkeypatch.setattr(simulate, "_block", spy)
     for shape in DRAW_SHAPES:
         for seed in range(2):
             assert (list(_reader_trials(seed, *shape, 300))
                     == list(_numpy_trials(seed, *shape, 300)))
+    assert {"ends at the end", "runs past"} <= edges
+
+
+# (16, 4, 4, 6) on words that are all 0: each trial is size 1 (one size
+# word), erases coordinate 0 (one sample word) and sends six 0 symbols,
+# eight words that no span rejects
+@pytest.mark.parametrize("words,trials", [(16, 2), (15, 1), (8, 1), (7, 0)])
+def test_a_pass_decides_the_trials_its_words_hold(words, trials):
+    # 16 and 8 words: the last trial ends on the last word; 15 and 7: it
+    # would run past them, so the pass leaves it, or returns None
+    runs = simulate._runs(16, 4, 4, 6)
+    got, read, cut = simulate._block(np.zeros(words, np.uint32), 16, 4, runs,
+                                     runs[2].sum(axis=1), 6, 4)
+    assert (read, cut) == (8 * trials, False)
+    if not trials:
+        assert got is None
+        return
+    sizes, erased, messages = got
+    assert sizes.tolist() == [1] * trials and erased.tolist() == [[0]] * trials
+    assert messages.tolist() == [[0] * 6] * trials
 
 
 @pytest.mark.parametrize("shape", [(16, 4, 4, 6), (25, 5, 4, 16)], ids=str)
@@ -429,7 +462,8 @@ def test_block_reader_memory_does_not_grow_with_trials(shape):
             tracemalloc.stop()
 
     peak(200)           # numpy's one-time allocations
-    small, large = peak(2000), peak(20000)
+    # 8,000 trials run passes of the full _TRIALS after a first one
+    small, large = peak(8000), peak(80000)
     assert abs(large - small) < 4096, (small, large)
 
 
@@ -518,9 +552,9 @@ def test_campaign_memory_does_not_grow_with_failed_trials(ref):
         finally:
             tracemalloc.stop()
 
-    small, _ = peak(200)
-    large, stats = peak(2000)
-    assert stats["failure_count"] > 500 and len(stats["failures"]) == 10
+    small, _ = peak(800)
+    large, stats = peak(8000)
+    assert stats["failure_count"] > 2000 and len(stats["failures"]) == 10
     assert large - small < 50_000, (small, large)
 
 
@@ -629,19 +663,22 @@ def _codes_over(q):
 
 
 def _routes_agree(code, r, data):
-    # t up to n + 2, so t > n and stuck trials; up to 700 trials, so
-    # passes of 256 with a partial last one
+    # t up to n + 2, so t > n and stuck trials; up to 700 trials, in
+    # one pass of _TRIALS or in passes of 256 with a partial last one
     t = data.draw(st.integers(1, code.n + 2), label="t")
     trials = data.draw(st.integers(1, 700), label="trials")
     seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    most = data.draw(st.sampled_from([simulate._TRIALS, 256]), label="pass")
     got, want = [], []
-    summary = campaign(code, r, t, trials, seed, trace=got.append)
-    assert summary == trial_campaign(code, r, t, trials, seed,
-                                     trace=want.append)
-    assert got == want
-    if data.draw(st.booleans(), label="through the CLI"):
-        assert (_simulate_stdout(code, r, t, trials, seed, campaign)
-                == _simulate_stdout(code, r, t, trials, seed, trial_campaign))
+    with mock.patch.object(simulate, "_TRIALS", most):
+        summary = campaign(code, r, t, trials, seed, trace=got.append)
+        assert summary == trial_campaign(code, r, t, trials, seed,
+                                         trace=want.append)
+        assert got == want
+        if data.draw(st.booleans(), label="through the CLI"):
+            assert (_simulate_stdout(code, r, t, trials, seed, campaign)
+                    == _simulate_stdout(code, r, t, trials, seed,
+                                        trial_campaign))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -754,9 +791,9 @@ def test_array_campaign_memory_does_not_grow_with_trials(ref):
         finally:
             tracemalloc.stop()
 
-    small, _ = peak(2000)
-    large, stats = peak(20000)
-    assert stats["failure_count"] > 5000 and len(stats["failures"]) == 10
+    small, _ = peak(8000)
+    large, stats = peak(80000)
+    assert stats["failure_count"] > 20000 and len(stats["failures"]) == 10
     assert large - small < 4096, (small, large)
 
 
@@ -779,3 +816,28 @@ def test_array_plan_working_set_is_bounded_in_bytes():
         tracemalloc.stop()
     assert len(sizes) == 256
     assert peak <= linear.DUAL_BYTE_BUDGET // 16 + 65_536, peak
+
+
+@pytest.mark.parametrize("grow", [1, 4])
+def test_campaign_pass_is_bounded_in_bytes(monkeypatch, grow):
+    # affine n = 25 at t = 5, with the pass constants and with passes four
+    # times as large: per window word, the raw-word buffer (8 bytes), the
+    # start scan's three int64 arrays (24) and the pass's trial arrays (a
+    # trial reads 22 words on average), and one block product within
+    # 512 KiB: _PRODUCT_BYTES is 1 MiB at the 32 bytes an entry that
+    # `_codeword_rows` counts, where an index, `take`'s intp copy of it and
+    # the product take 10; an unbounded product, 1,440 bytes a trial,
+    # passes neither limit
+    code = _affine25()
+    campaign(code, 4, 5, 10, 0)         # the code's tables
+    monkeypatch.setattr(simulate, "_TRIALS", grow * simulate._TRIALS)
+    monkeypatch.setattr(simulate, "_WINDOW", grow * simulate._WINDOW)
+    tracemalloc.start()
+    try:
+        stats = campaign(code, 4, 5, 6000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["failure_count"] > 0
+    limit = 48 * simulate._WINDOW + (1 << 19)
+    assert peak <= limit, (peak, limit)
