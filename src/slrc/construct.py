@@ -156,12 +156,9 @@ class ConstructedCode(LinearCode):
     def __init__(self, params: CodeShape, H):
         super().__init__(params.field, H)
         self.params = params
-        # G[:, :k] = I_k, read without building I_k: a k x k matrix with
-        # k nonzero entries, all of them ones on the diagonal
-        first = self.generator[:, :params.k]
-        self._systematic = (first.shape == (params.k, params.k)
-                            and np.count_nonzero(first) == params.k
-                            and bool((first.diagonal() == 1).all()))
+        # G[:, :k] = I_k: 0..k-1 is the information set
+        self._systematic = (self.dimension == params.k
+                            and bool(self.information_set[:params.k].all()))
 
     @property
     def k(self):

@@ -5,8 +5,9 @@ encodings.  Every job runs on whole arrays through the field's array
 operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
 pivot column at a time across all rows (`LinearCode` takes H's pivots
 from the right, so its generator is the identity on the first
-information set), the minimum distance multiplies blocks of messages
-by the generator (`_codewords`), and the hot spot,
+information set, which it records), one block product multiplies
+messages by a generator for `encode`, the minimum distance and
+`simulate.campaign` (`_codewords`), and the hot spot,
 listing the low-weight dual codewords that recovery sets come from, is
 a search over column sets of the generator on arrays of the field's
 compact dtype, whose last level is a join (`_low_weight_dual_words`).
@@ -16,7 +17,7 @@ arrays, `recovery_table`, the only code that knows its format:
 `simulate` plans and repairs on its arrays, `peel_table` holds their
 helper bitmasks, index for index, all that verification reads, and a
 `RepairStep` record of one entry (`RecoveryTable.step`) is made only
-where a caller uses it.  `encode` is one row of that block product.
+where a caller uses it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .field import GF
 ENUM_LIMIT = 1 << 22
 # Bound, in bytes, on the generator `LinearCode` builds, on the estimated
 # working sets of `dual_low_weight`, of the recovery-set arrays
-# (`entry_bytes`) and of their records (`record_bytes`), and by default
-# on one block of `_codewords`.
+# (`entry_bytes`) and of their records (`record_bytes`), and on one block
+# of `_codewords` in `encode` and `_min_weight`.
 DUAL_BYTE_BUDGET = 64 << 20
 
 
@@ -131,8 +132,12 @@ class LinearCode:
                 f"a {self.dimension} x {self.n} generator exceeds the "
                 f"{DUAL_BYTE_BUDGET}-byte budget")
         self._generator = _kernel(field, R, pivots)[::-1, ::-1].copy()
+        # G = I on the free columns of the flipped H, read from the right
+        self.information_set = info = np.ones(self.n, bool)
+        info[self.n - 1 - np.array(pivots, dtype=np.intp)] = False
         # read-only, as the field's tables: the memoized facts derive from them
         self.H.flags.writeable = self._generator.flags.writeable = False
+        info.flags.writeable = False
         self._dual_cache = {}
 
     @property
@@ -140,21 +145,30 @@ class LinearCode:
         """Generator matrix (dimension x n), rows span the code."""
         return self._generator
 
+    @functools.cached_property
+    def _columns(self):
+        """`information_set` and the rest as index arrays, which `_codewords`
+        reads faster than the mask; made on first use, as sweeps keep many
+        codes that never encode."""
+        return (np.flatnonzero(self.information_set),
+                np.flatnonzero(~self.information_set))
+
     def check_encodable(self):
         """Raises, before any message is given, what `encode` raises for
         every message because of the code's layout: nothing, as a
         LinearCode has no layout."""
 
     def encode(self, message):
-        """m G as a tuple of ints, m on the first information set: one row
-        of `_codewords`.  Raises FieldError for symbols that `GF.check`
+        """m G as a tuple of ints, m on `information_set`: one column of
+        `_codewords`.  Raises FieldError for symbols that `GF.check`
         refuses and ParameterError for a length other than `dimension`."""
         message = self.field.check(message)
         if len(message) != self.dimension:
             raise ParameterError(f"message length {len(message)} != "
                                  f"dimension {self.dimension}")
-        return tuple(_codewords(self.field, np.array([message], np.int64),
-                                self._generator)[0].tolist())
+        words = _codewords(self.field, self._generator, self._columns,
+                           np.array([message], np.int64), DUAL_BYTE_BUDGET)
+        return tuple(words[:, 0].tolist())
 
 
 def min_distance(code: LinearCode):
@@ -162,40 +176,53 @@ def min_distance(code: LinearCode):
     generator.  Raises InfeasibleError above ENUM_LIMIT codewords."""
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    return _min_weight(code.field, code.generator)
+    return _min_weight(code.field, code.generator, code._columns)
 
 
-def _min_weight(field, G):
-    """Least weight of m G over the nonzero messages m, for G of full row
-    rank: every such message is multiplied by G, in blocks whose working
-    set stays within DUAL_BYTE_BUDGET.  Raises InfeasibleError above
-    ENUM_LIMIT codewords."""
+def _min_weight(field, G, columns):
+    """Least weight of m G over the nonzero messages m, for G the identity
+    on the first of the two index arrays `columns` (see `_codewords`):
+    every such message is multiplied by G, in blocks within
+    DUAL_BYTE_BUDGET.  Raises InfeasibleError above ENUM_LIMIT codewords."""
     q, (k, n) = field.q, G.shape
     if q ** k > ENUM_LIMIT:
         raise InfeasibleError(f"q^dim = {q}^{k} codewords is too many to list")
-    block = _codeword_rows(k, n)
+    block = _codeword_rows(k, n, DUAL_BYTE_BUDGET)
     best = n
     for lo in range(1, q ** k, block):
         msgs = np.arange(lo, min(lo + block, q ** k))[:, None] \
             // q ** np.arange(k) % q
-        words = _codewords(field, msgs, G)
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        words = _codewords(field, G, columns, msgs, DUAL_BYTE_BUDGET)
+        best = min(best, int(np.count_nonzero(words, axis=0).min()))
         if best == 1:
             break
     return best
 
 
-def _codeword_rows(k, n, budget=DUAL_BYTE_BUDGET):
+def _codeword_rows(k, n, budget):
     """Messages per block product with a k x n generator: a message's
     k x n products and the field sum's temporaries, 8 bytes each, keep a
     block within `budget` bytes."""
     return max(1, budget // (4 * 8 * max(1, k * n)))
 
 
-def _codewords(field, msgs, G):
+def _codewords(field, G, columns, msgs, budget):
     """The words m G of the rows m of msgs, a (messages, k) integer array,
-    as one block product; callers pass at most `_codeword_rows` rows."""
-    return field.vsum(field.vmul(msgs[:, :, None], G), axis=1)
+    as an (n, messages) array, for `columns` = (copy, other), the index
+    arrays of G's identity columns, in order, and of the rest: the copy
+    columns take the message, and the others are block products of shape
+    (k, len(other), messages), summed over axis 0 by `GF.vsum`, of at
+    most `_codeword_rows(k, len(other), budget)` messages."""
+    k, n = G.shape
+    copy, other = columns
+    words = np.empty((n, len(msgs)), field.dtype)
+    words[copy] = symbols = msgs.T
+    product = G.take(other, axis=1)[:, :, None]
+    rows = _codeword_rows(k, len(other), budget)
+    for lo in range(0, len(msgs), rows):
+        words[other, lo:lo + rows] = field.vsum(field.vmul(
+            symbols[:, None, lo:lo + rows], product), axis=0)
+    return words
 
 
 def puncture(code: LinearCode, keep):
@@ -223,7 +250,8 @@ def punctured_distances(code: LinearCode, supports):
         key = (sub.shape, sub.tobytes())
         if key not in found:
             R, pivots = rref(code.field, sub)
-            found[key] = (_min_weight(code.field, R[:len(pivots)])
+            columns = pivots, np.delete(np.arange(sub.shape[1]), pivots)
+            found[key] = (_min_weight(code.field, R[:len(pivots)], columns)
                           if pivots else None)
         out.append(found[key])
     return out

@@ -19,9 +19,9 @@ on the seeded `Generator`, made in block passes from its raw stream
 those passes and return the same summary through one builder
 (`_summary`): `trial_campaign`, one `code.encode`, `plan_repair` and
 `execute_repair` per trial, which is the oracle, and `campaign`, which
-`slrc simulate` runs: it encodes a pass in block products bounded in
-bytes (`_encoder`), plans all its trials at once by the same greedy
-rule on a (coordinate, trial) bool matrix and the arrays of
+`slrc simulate` runs: it encodes a pass by `code.encode`'s block
+product (`linear._codewords`), plans all its trials at once by the
+same greedy rule on a (coordinate, trial) bool matrix and the arrays of
 `linear.recovery_table` (`_plan`), and applies step s of every schedule
 as one gather (`_repair`).
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_count
-from .linear import _codeword_rows, peel_table, recovery_table
+from .linear import _codewords, peel_table, recovery_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,8 +399,8 @@ def _summary(trials, t, seed, successes, steps, helpers, failures,
 def campaign(code, r, t, trials, seed, trace=None):
     """`trial_campaign`'s summary, with the same `trace` calls in the same
     order, computed on whole arrays a pass of `_draws` at a time: the
-    pass's messages are encoded in block products bounded in bytes
-    (`_encoder`), its trials planned together (`_plan`) on
+    pass's messages are encoded by `linear._codewords`, in block products
+    of at most _PRODUCT_BYTES, its trials planned together (`_plan`) on
     the arrays of `linear.recovery_table`, and each step of every
     schedule applied as one gather and one table lookup (`_repair`).  No
     call is made per trial: neither `code.encode`, `plan_repair` nor
@@ -415,14 +415,14 @@ def campaign(code, r, t, trials, seed, trace=None):
     code.check_encodable()
     field = code.field
     table = recovery_table(code, r)
-    encode = _encoder(field, code.generator)
     successes = total_steps = total_helpers = failure_count = 0
     failures = []
     done = 0        # trials of the passes before
     for sizes, erased, messages in _draws(seed, n, t, field.q,
                                           code.dimension, trials):
         count = len(sizes)
-        words = encode(messages)
+        words = _codewords(field, code.generator, code._columns, messages,
+                           _PRODUCT_BYTES)
         # a column per trial; row n is never missing and reads as 0: the
         # helpers' pad
         missing = np.zeros((n + 1, count), bool)
@@ -450,32 +450,6 @@ def campaign(code, r, t, trials, seed, trace=None):
         done += count
     return _summary(trials, t, seed, successes, total_steps, total_helpers,
                     failures, failure_count)
-
-
-def _encoder(field, G):
-    """The words m G of a pass's messages, a (trials, k) array, as an
-    (n, trials) array of the field's dtype.  A column of G that is a unit
-    vector copies its message symbol; the others are block products of
-    shape (k, columns, trials), each summed over its outer axis by
-    `GF.vsum` and of at most `_codeword_rows(k, columns, _PRODUCT_BYTES)`
-    trials, so a pass's product is bounded in bytes."""
-    k, n = G.shape
-    copy = (np.count_nonzero(G, axis=0) == 1) & (G.max(axis=0, initial=0)
-                                                 == 1)
-    source = np.nonzero(G[:, copy].T)[1]    # the symbol each one copies
-    other = ~copy
-    product = G[:, other, None]
-    rows = _codeword_rows(k, int(other.sum()), _PRODUCT_BYTES)
-
-    def encode(messages):
-        symbols = messages.T
-        words = np.empty((n, len(messages)), field.dtype)
-        words[copy] = symbols[source]
-        for lo in range(0, len(messages), rows):
-            words[other, lo:lo + rows] = field.vsum(field.vmul(
-                symbols[:, None, lo:lo + rows], product), axis=0)
-        return words
-    return encode
 
 
 def _plan(missing, table):

@@ -160,9 +160,14 @@ def test_linear_algebra_matches_scalar_oracles_gf1024():
 def test_min_distance_blocks_and_limits(ref_lc, monkeypatch):
     import slrc.linear as linear
     sub = puncture(ref_lc, [0, 1, 2, 6, 7])          # [5, 3, 3], 64 words
-    # blocks of a few messages each give the same answer
+    # blocks of a few messages each give the same answer: the budget is
+    # read at call time, so the 63 messages take several products
     monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET", 4 * 3 * 5 * 8 * 5)
+    products, codewords = [], linear._codewords
+    monkeypatch.setattr(linear, "_codewords",
+                        lambda *args: products.append(1) or codewords(*args))
     assert min_distance(sub) == 3
+    assert len(products) > 1
     monkeypatch.setattr(linear, "ENUM_LIMIT", 4 ** 3)
     assert min_distance(sub) == 3
     monkeypatch.setattr(linear, "ENUM_LIMIT", 4 ** 3 - 1)
@@ -260,6 +265,7 @@ def test_encode_carries_the_message_on_the_first_information_set(
     field, H = field_and_h
     code = LinearCode(field, H)
     info = _first_information_set(field, H)
+    assert np.flatnonzero(code.information_set).tolist() == info
     G = code.generator
     assert G.shape == (len(info), H.shape[1]) and G.dtype == field.dtype
     assert (G[:, info] == np.eye(len(info))).all()

@@ -328,6 +328,24 @@ def test_seeded_campaign_bytes_are_pinned(tmp_path, capsys, case):
     assert _sha(capsys.readouterr().out) == trace_sha
 
 
+@pytest.mark.parametrize("q", [4, 5, 9, 256])
+def test_the_shared_product_is_the_scalar_m_g(q):
+    # campaign-shaped blocks of 1,024 messages, in the products that
+    # _PRODUCT_BYTES allows (several) and in products of one message: each
+    # column is m G by scalar dot products, and a codeword
+    code = _complete_graph(q)()
+    field, G = code.field, code.generator
+    k, n = G.shape
+    assert linear._codeword_rows(k, n - k, simulate._PRODUCT_BYTES) < 1024
+    msgs = np.random.default_rng(q).integers(0, q, (1024, k))
+    want = [dual_oracle.syndrome(field, G.T, m) for m in msgs.tolist()]
+    for budget in (simulate._PRODUCT_BYTES, 1):
+        words = linear._codewords(field, G, code._columns, msgs, budget)
+        assert words.shape == (n, 1024) and words.dtype == field.dtype
+        assert list(map(tuple, words.T.tolist())) == want
+    assert not any(any(dual_oracle.syndrome(field, code.H, w)) for w in want)
+
+
 @functools.lru_cache(maxsize=None)
 def _certified(code):
     """The stopping-set search's verdict at the certified tolerance."""
