@@ -50,19 +50,27 @@ def rate_seq_bound(r, t):
 def rate_resolvable(r, t):
     """Rate of the resolvable-configuration family:
     (1 + (t-1)/r + 1/r^2)^-1.  Stated for odd t >= 3; callers flag
-    other t rather than failing."""
+    other t rather than failing.  Raises ParameterError, by
+    `check_count`, unless r and t are integers >= 1."""
+    r, t = check_count("r", r), check_count("t", t)
     return 1 / (1 + Fraction(t - 1, r) + Fraction(1, r * r))
 
 
 def rate_formula(r, t_i, delta):
     """Literal evaluation of the quoted closed-form rate
-    (1 + ceil(t/r) + ceil(1/r^2)(delta-1))^-1 with t = t_i(delta-1).
+    (1 + ceil(t/r) + ceil(1/r^2)(delta-1))^-1 with t = t_i(delta-1),
+    in exact rationals for any t.
 
     On the worked instance this diverges from the true k/n; reports
-    juxtapose both rather than asserting equality.
+    juxtapose both rather than asserting equality.  Raises
+    ParameterError, by `check_count`, unless r and t_i are integers >= 1
+    and delta one >= 2.
     """
+    r, t_i = check_count("r", r), check_count("t_i", t_i)
+    delta = check_count("delta", delta, 2)
     t = t_i * (delta - 1)
-    denom = 1 + math.ceil(t / r) + math.ceil(Fraction(1, r * r)) * (delta - 1)
+    denom = (1 + math.ceil(Fraction(t, r))
+             + math.ceil(Fraction(1, r * r)) * (delta - 1))
     return Fraction(1, denom)
 
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and `check_count`, the one
+"""Exception types shared across the package, `check_count`, the one
 reader of a count: every r, delta, t_i, q, k, b, block count, tolerance,
-trial count and seed a public entry point takes.  Upper bounds and rules
-that relate two parameters stay with the code that needs them."""
+trial count and seed a public entry point takes, and `check_coordinates`,
+the one reader of coordinates: the erased sets of planning and repair, a
+recovery set's coordinate and a puncture's kept set.  Upper bounds and
+rules that relate two parameters stay with the code that needs them."""
 
 import numbers
+import operator
 
 
 class SlrcError(Exception):
@@ -38,3 +41,23 @@ def check_count(name, value, least=1):
     if value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def check_coordinates(name, coords, n):
+    """coords as a sorted tuple of distinct ints; ParameterError for a
+    coordinate that is not an integer (a bool is none) or lies outside
+    0..n-1."""
+    try:
+        given = tuple(coords)
+        if operator.countOf(map(type, given), int) != len(given):
+            if bool in map(type, given):    # operator.index(True) is 1
+                raise TypeError
+            given = map(operator.index, given)      # numpy integers
+        out = tuple(sorted({*given}))
+    except TypeError:
+        raise ParameterError(f"{name} must be integers, "
+                             f"got {coords!r}") from None
+    if out and (out[0] < 0 or out[-1] >= n):
+        raise ParameterError(f"{name} must lie in 0..{n - 1}, "
+                             f"got {list(out)}")
+    return out

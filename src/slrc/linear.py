@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleError, ParameterError, check_count
+from .errors import (FieldError, InfeasibleError, ParameterError,
+                     check_coordinates, check_count)
 from .field import GF
 
 # `min_distance` and `punctured_distances` refuse codes with more
@@ -226,10 +227,12 @@ def _codewords(field, G, columns, msgs, budget):
 
 
 def puncture(code: LinearCode, keep):
-    """Project the code onto the coordinate subset `keep`."""
-    keep = sorted(keep)
+    """Project the code onto the coordinate subset `keep`, read by
+    `errors.check_coordinates`: repeated coordinates count once.  Raises
+    ParameterError as it does, and for an empty `keep`."""
+    keep = check_coordinates("keep", keep, code.n)
     if not keep:
-        raise ValueError("keep must be nonempty")
+        raise ParameterError("keep must be nonempty")
     return LinearCode(code.field, nullspace(code.field,
                                             code.generator[:, keep]))
 
@@ -686,5 +689,8 @@ def all_recovery_sets(code: LinearCode, r):
 
 def recovery_sets_for(code: LinearCode, i, r):
     """All recovery sets of size <= r for coordinate i, as a row of
-    `all_recovery_sets`, with only that row's records made."""
-    return _by_size(recovery_table(code, r), range(code.n)[i])
+    `all_recovery_sets`, with only that row's records made.  Raises
+    ParameterError unless i is an integer in 0..n-1, as
+    `errors.check_coordinates` reads it, and as `recovery_table` does."""
+    (i,) = check_coordinates("coordinate i", [i], code.n)
+    return _by_size(recovery_table(code, r), i)

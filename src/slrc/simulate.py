@@ -11,7 +11,7 @@ one-entry memos, so a campaign builds each once.  Within the certified
 tolerance the peeling condition guarantees greedy never gets stuck, so
 no backtracking is needed; outside it, a stuck state is a structured
 result.  Planning and repair read erased coordinates with
-one reader, `_erased`, and repair reads a word with `GF.check`.
+`errors.check_coordinates`, and repair reads a word with `GF.check`.
 
 A campaign's random draws are those of numpy's `integers` and `choice`
 on the seeded `Generator`, made in block passes from its raw stream
@@ -28,12 +28,11 @@ as one gather (`_repair`).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ParameterError, check_coordinates, check_count
 from .linear import _codewords, peel_table, recovery_table
 
 
@@ -50,36 +49,17 @@ _WINDOW = 1 << 14       # raw words a block pass reads at most
 _PRODUCT_BYTES = 1 << 20    # bound on a block product of `campaign`
 
 
-def _erased(code, erased):
-    """The erased coordinates as a sorted tuple of distinct ints; raises
-    ParameterError for a coordinate that is not an integer (a bool is
-    none) or lies outside 0..n-1."""
-    try:
-        given = tuple(erased)
-        if operator.countOf(map(type, given), int) != len(given):
-            if bool in map(type, given):    # operator.index(True) is 1
-                raise TypeError
-            given = map(operator.index, given)      # numpy integers
-        coords = tuple(sorted({*given}))
-    except TypeError:
-        raise ParameterError(f"erased coordinates must be integers, "
-                             f"got {erased!r}") from None
-    if coords and (coords[0] < 0 or coords[-1] >= code.n):
-        raise ParameterError(f"erased coordinates must lie in "
-                             f"0..{code.n - 1}, got {list(coords)}")
-    return coords
-
-
 def plan_repair(code, erased, r):
     """Greedy peeling plan for the erased coordinate set.
 
     Returns a RepairSchedule of Python ints; `complete` is False when
     peeling gets stuck, with the unrepairable residue recorded.
-    Raises ParameterError as `_erased` does, and unless r is an integer
-    >= 1, and InfeasibleError as `linear.recovery_table` does.
+    Raises ParameterError as `errors.check_coordinates` does, and unless
+    r is an integer >= 1, and InfeasibleError as `linear.recovery_table`
+    does.
     """
     return _greedy(peel_table(code, r), recovery_table(code, r),
-                   _erased(code, erased))
+                   check_coordinates("erased coordinates", erased, code.n))
 
 
 def _greedy(peel, table, erased):
@@ -110,14 +90,15 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
     """Apply a schedule's linear combinations; returns the restored word
     as a tuple of Python ints.  Raises FieldError for a word that
     `GF.check` refuses, ParameterError for one whose length is not n or
-    erased coordinates that `_erased` refuses or the schedule does not
-    have, and RuntimeError if a step reads a symbol still erased or the
-    steps leave one unrepaired (a planner bug, not a data property)."""
+    erased coordinates that `errors.check_coordinates` refuses or the
+    schedule does not have, and RuntimeError if a step reads a symbol
+    still erased or the steps leave one unrepaired (a planner bug, not a
+    data property)."""
     fld = code.field
     values = fld.check(codeword)
     if len(values) != code.n:
         raise ParameterError(f"word length {len(values)} != n = {code.n}")
-    erased = _erased(code, erased)
+    erased = check_coordinates("erased coordinates", erased, code.n)
     if erased != schedule.erased:
         raise ParameterError(f"erased {list(erased)} differs from the "
                              f"schedule's {list(schedule.erased)}")
@@ -151,12 +132,14 @@ def _draws(seed, n, t, q, k, count):
     and integers(0, q, size=k), in that order, per trial, on
     `np.random.default_rng(seed)`; n >= 1 and 2 <= q <= 2**32.  They are
     computed from the generator's raw 32-bit stream (`next_uint32`,
-    which numpy's bounded draws read), drawn a window of _WINDOW words at
+    which numpy's bounded draws read), read a window of _WINDOW words at
     a time, each pass (`_block`) deciding up to _TRIALS trials with a few
-    numpy calls.  A draw at span m is
-    Lemire's (ACM TOMACS 2019): word w gives (w m) >> 32 unless
-    (w m) mod 2**32 is below 2**32 mod m, when the next word is read at
-    span m; m = 1 reads none.  `choice(n, size, replace=False)` is
+    numpy calls.  A draw at span m is Lemire's (ACM TOMACS 2019): word w
+    gives (w m) >> 32 unless (w m) mod 2**32 is below 2**32 mod m, when
+    the next word is read at span m; m = 1 reads none.  A pass ends at
+    the first rejected word, whatever it draws: `_block` deletes it, and
+    the next pass, of at most twice the trials decided and two more,
+    reads its trial again.  `choice(n, size, replace=False)` is
     Floyd's algorithm (Bentley & Floyd, CACM 1987) at spans
     n - size + 1..n, then a shuffle at spans size..2, or a partial
     shuffle of arange(n) at spans n down to n - size + 1 when n > 10000
@@ -168,7 +151,7 @@ def _draws(seed, n, t, q, k, count):
     longest = int(lengths.max())
     window = max(_WINDOW, longest)      # every trial fits a pass
     words = np.empty(2 * window, np.uint32)
-    pos = end = 0           # the next unread word and the end of those drawn
+    pos = end = 0           # the next unread word and the end of the words
     most = min(count, _TRIALS)
     while count:
         if end - pos < window:  # keep the unread words, draw a window more
@@ -194,10 +177,12 @@ def _draws(seed, n, t, q, k, count):
 
 def _block(words, n, s, runs, lengths, k, most):
     """The (sizes, erased, messages) arrays of `_draws` of the next trials
-    in `words`, at most `most`, up to the first rejected word, which is
-    cut, or None where no trial comes before it; the words read; and
-    whether one was cut.  The cut trial's words are moved in `words` so
-    that the next pass reads it without its rejected words."""
+    in `words`, at most `most`, or None where none is decided; the words
+    read; and whether the pass was cut.  A rejected word, whether a size,
+    sample, shuffle or message word, is one rule: the pass keeps the
+    trials before its trial, deletes it by moving that trial's earlier
+    words up one place in `words`, and counts as read the words before
+    them, so that the next pass reads the trial again."""
     stop = len(words)
     # each word's size - 1 and the start of the trial after, were a trial
     # to start there, or stop + 1 where it runs past the words; the
@@ -238,25 +223,11 @@ def _block(words, n, s, runs, lengths, k, most):
     del low, span
     cut = len(rejected) > 0
     read = int(bound[-1])
-    if cut:     # numpy reads the next word at the same span
+    if cut:     # numpy reads the next word at the same span: the cut
+        # trial's words before the rejected one move up over it
         c = np.searchsorted(bound, rejected[0], "right") - 1
-        read, x, end = bound[c], rejected[0], bound[c + 1]
-        # the words after x that the cut trial's draws from x on read: the
-        # next ones, or where x is a message word, whose span q is that of
-        # each later word of the trial, the first ones numpy accepts
-        drawn = np.arange(1, end - x + 1)
-        if x >= end - k:
-            q = runs[0, 0, 3]
-            low = words[x:] * np.uint64(q) & 0xFFFFFFFF
-            accepted = np.flatnonzero(low >= (1 << 32) % q)[:end - x]
-            if len(accepted) == end - x:
-                drawn = accepted
-        # the trial is read again, its rejected words dropped: its words
-        # move up to its last one
-        last = x + drawn[-1]
-        moved = np.concatenate([words[read:x], words[x + drawn[:-1]]])
-        read = int(last) - len(moved)
-        words[read:last] = moved
+        read = int(bound[c]) + 1
+        words[read:rejected[0] + 1] = words[read - 1:rejected[0]]
         row, bound = row[:c], bound[:c + 1]
     if not len(row):
         return None, read, cut
@@ -265,7 +236,7 @@ def _block(words, n, s, runs, lengths, k, most):
     size = row + 1
     first = bound[:-1] + (s > 1)    # each trial's first sample word
     tail = runs[1, :, 1].take(row) < 0      # numpy's tail branch
-    # Floyd's draws, a row per draw and a column per trial: a value drawn
+    # Floyd's draws, a row per draw and a column per trial: a value taken
     # before is replaced by j, which no earlier draw can be
     column = np.arange(size.max())[:, None]
     chosen = column + first
@@ -277,11 +248,11 @@ def _block(words, n, s, runs, lengths, k, most):
     chosen[column >= size] = n      # past the sample: sorts last
     chosen[:, size == n] = column   # a sample of size n is every one
     for i, m in zip(np.flatnonzero(tail).tolist(), size[tail].tolist()):
-        moved = {}          # the entries of arange(n) the shuffle moved
+        swapped = {}        # the entries of arange(n) the shuffle swapped
         for a, b in zip(range(n - 1, 0, -1),
                         value[first[i]:first[i] + m].tolist()):
-            moved[a], moved[b] = moved.get(b, b), moved.get(a, a)
-        chosen[:m, i] = [moved.get(a, a) for a in range(n - m, n)]
+            swapped[a], swapped[b] = swapped.get(b, b), swapped.get(a, a)
+        chosen[:m, i] = [swapped.get(a, a) for a in range(n - m, n)]
     chosen.sort(axis=0)
     message = value[bound[1:, None] - k + np.arange(k)]
     return (size, chosen.T, message), read, cut
@@ -306,7 +277,7 @@ def _runs(n, s, q, k):
 def trial_campaign(code, r, t, trials, seed, trace=None):
     """Seeded random erasure trials; returns summary statistics.
 
-    Pattern sizes are drawn uniformly from 1..t (capped at n).  Success
+    Pattern sizes are uniform on 1..t (capped at n).  Success
     rate must be 1.0 whenever t is at or below the certified tolerance.
     `trace`, when given, is called with every executed RepairStep.
     Each message is `code.dimension` symbols, put through `code.encode`,
@@ -368,7 +339,7 @@ def _split(passes, n):
         for i, size in enumerate(sizes):
             yield tuple(coords[start:start + size]), symbols[i * k:i * k + k]
             start += size
-        del coords, symbols     # before the next pass is drawn
+        del coords, symbols     # before the next pass is read
 
 
 def _failure(trial, erased, residual):

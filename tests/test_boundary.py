@@ -12,7 +12,8 @@ returns or raises an `SlrcError`: never a bare TypeError, IndexError or
 ValueError.  What a call returns is checked too: symbols come back as
 Python ints of the field, whatever integers went in, and so do counts.
 Fixed cases pin the non-count inputs the same search found: a ragged or
-3-D matrix, and an incidence matrix that is not 0s and 1s.  Whole matrix
+3-D matrix, and an incidence matrix that is not 0s and 1s; and the
+coordinates of `recovery_sets_for` and `puncture`, read as erased ones.  Whole matrix
 and design documents, every key of which may be dropped, spoiled or
 given a JSON-like value at once, go into `matrixio.dict_to_matrix` and
 `Design.from_dict` (and what the latter returns into `validate_design`).
@@ -32,13 +33,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import strategies
 from dual_oracle import syndrome
-from slrc.bounds import rate_availability_bound, rate_report, rate_seq_bound
+from slrc.bounds import (rate_availability_bound, rate_formula, rate_report,
+                         rate_resolvable, rate_seq_bound)
 from slrc.construct import CodeShape, ConstructionParams, build_w_star
 from slrc.designs import (Design, affine_design, complete_graph_design,
                           load_design, validate_design)
 from slrc.errors import DesignError, ParameterError, SlrcError
 from slrc.field import GF
-from slrc.linear import LinearCode
+from slrc.linear import LinearCode, puncture, recovery_sets_for
 from slrc.matrixio import dict_to_matrix, matrix_to_dict
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
@@ -211,6 +213,10 @@ BOUNDS = {
     "rate_availability_bound": (rate_availability_bound,
                                 [_small_or_bad(6), _small_or_bad(50)]),
     "rate_seq_bound": (rate_seq_bound, [_small_or_bad(6), _small_or_bad(50)]),
+    "rate_resolvable": (rate_resolvable,
+                        [_small_or_bad(6), _small_or_bad(50)]),
+    "rate_formula": (rate_formula, [_small_or_bad(6), _small_or_bad(10),
+                                    _small_or_bad(6, 2)]),
 }
 VERIFY = {
     "check_sequential": (lambda r, t: check_sequential(REF, r, t),
@@ -341,3 +347,30 @@ def test_linear_code_refuses_a_ragged_or_3d_matrix(H):
 def test_load_design_refuses_a_ragged_or_non_integer_matrix(matrix, match):
     with pytest.raises(DesignError, match=match):
         load_design(matrix)
+
+
+# a coordinate is read as `execute_repair` reads an erased one: -1 and n
+# were coordinate n - 1 and a bare IndexError, and a bool was 0 or 1
+@pytest.mark.parametrize("i", [-1, 16, True, 1.5, "0", None, [0]])
+def test_recovery_sets_for_refuses_a_coordinate_outside_the_code(i):
+    with pytest.raises(ParameterError, match="^coordinate i must "):
+        recovery_sets_for(REF, i, 3)
+
+
+def test_recovery_sets_for_reads_a_numpy_coordinate_as_an_int():
+    assert recovery_sets_for(REF, np.int64(6), 3) == recovery_sets_for(
+        REF, 6, 3)
+
+
+# [-1, 0] projected onto coordinates 15 and 0, [99] and [0.5] ended in a
+# bare IndexError, and an empty set in a bare ValueError
+@pytest.mark.parametrize("keep", [[-1, 0], [99], [], [0, True], [0.5], 5])
+def test_puncture_refuses_coordinates_outside_the_code(keep):
+    with pytest.raises(ParameterError, match="^keep must "):
+        puncture(REF, keep)
+
+
+def test_puncture_reads_a_repeated_coordinate_once():
+    once = puncture(REF, [0, 1, 2, 6, 7])
+    twice = puncture(REF, np.array([7, 0, 0, 1, 2, 6, 7]))
+    assert (twice.n, twice.H.tolist()) == (once.n, once.H.tolist())

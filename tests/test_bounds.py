@@ -85,6 +85,14 @@ def test_formula_rate_reference():
     assert rate_formula(3, 2, 3) == Fraction(1, 5)
 
 
+def test_formula_rate_is_exact_past_the_float_range():
+    # ceil(t / r) in floats ended in an OverflowError here, and rounds
+    # wrongly past 2**53
+    t_i = 10 ** 320
+    assert rate_formula(3, t_i, 3) == Fraction(1, 1 + -(-2 * t_i // 3) + 2)
+    assert rate_formula(1, 2 ** 60 + 1, 2) == Fraction(1, 2 ** 60 + 3)
+
+
 def _reference_params(delta=3):
     gf = GF(4)
     return ConstructionParams(r=3, delta=delta, t_i=2, field=gf,

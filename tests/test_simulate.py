@@ -394,16 +394,18 @@ def _reader_trials(seed, n, t, q, k, trials):
 
 
 # (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n (a
-# Floyd draw of span 1, which reads no word), the spans 2**31 + 1 and
-# 3 * 2**30 reject about half and a quarter of their words, q = 3, 7 and
-# 1021 divide no power of 2, k = 0 draws no message, n = 1 with k = 0
-# reads no word at all, the two benchmark shapes (the reference code at
-# t = 4, affine n = 25 at t = 5), and n = 10001 draws sizes above n // 50
-# on numpy's tail-shuffle branch
+# Floyd draw of span 1, which reads no word), the message spans
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their words,
+# and n = 3 * 2**30 a quarter of its sample words, q = 3, 7 and 1021
+# divide no power of 2, k = 0 draws no message, n = 1 with k = 0 reads no
+# word at all, the two benchmark shapes (the reference code at t = 4,
+# affine n = 25 at t = 5), and n = 10001 draws sizes above n // 50 on
+# numpy's tail-shuffle branch
 DRAW_SHAPES = [(16, 1, 4, 6), (16, 16, 4, 6), (9, 9, 2, 3), (25, 5, 3, 10),
                (30, 30, 7, 5), (12, 4, 1021, 8), (20, 20, 2 ** 31 + 1, 4),
-               (20, 3, 3 * 2 ** 30, 4), (8, 8, 5, 0), (1, 1, 4, 0),
-               (16, 4, 4, 6), (25, 5, 4, 16), (10001, 300, 4, 3)]
+               (20, 3, 3 * 2 ** 30, 4), (3 * 2 ** 30, 3, 4, 2), (8, 8, 5, 0),
+               (1, 1, 4, 0), (16, 4, 4, 6), (25, 5, 4, 16),
+               (10001, 300, 4, 3)]
 
 
 def _draws_match(shape, trials, seeds=range(5)):
@@ -466,6 +468,52 @@ def test_a_pass_decides_the_trials_its_words_hold(words, trials):
     sizes, erased, messages = got
     assert sizes.tolist() == [1] * trials and erased.tolist() == [[0]] * trials
     assert messages.tolist() == [[0] * 6] * trials
+
+
+def _passes(words, n, t, q, k):
+    """The trials that passes of `_block` of at most three trials decide
+    on a copy of `words`, and the passes cut."""
+    s = min(t, n)
+    runs = simulate._runs(n, s, q, k)
+    words, pos, trials, cuts = words.copy(), 0, [], 0
+    while True:
+        got, read, cut = simulate._block(words[pos:], n, s, runs,
+                                         runs[2].sum(axis=1), k, 3)
+        pos, cuts = pos + read, cuts + cut
+        if got is None and not cut:
+            return trials, cuts
+        if got is not None:
+            trials += [(size, tuple(row[:size]), tuple(message))
+                       for size, row, message in zip(*map(np.ndarray.tolist,
+                                                         got))]
+
+
+# a 0 word is rejected at every span that is not a power of 2: at n = 12
+# and t = 3 it is rejected as a size word (span 3) and as a sample word
+# (spans 10..12), and as a message word at q = 5, not at q = 4
+@pytest.mark.parametrize("where,q", [("size", 5), ("sample", 5),
+                                     ("message", 5), ("message", 4)])
+def test_a_rejected_word_is_dropped_and_its_trial_read_again(where, q):
+    n, t, k = 12, 3, 2
+    # words that no span of the shape rejects
+    words = np.random.default_rng(3).integers(0, 1 << 32, 200, np.uint32)
+    rejected = np.zeros(len(words), bool)
+    for span in [*range(2, n + 1), q]:      # t = 3 among them
+        rejected |= (words * np.uint64(span)) % (1 << 32) < (1 << 32) % span
+    words = words[~rejected]
+    clean, cuts = _passes(words, n, t, q, k)
+    assert cuts == 0 and len(clean) > 10
+    # the 0 goes into the third trial, so that a pass keeps two before it:
+    # a trial reads a size word, size sample words, size - 1 shuffle words
+    # and k message words
+    first = sum(2 * size + k for size, _, _ in clean[:2]) + 1
+    at = {"size": first - 1, "sample": first,
+          "message": first + 2 * clean[2][0] - 1}[where]
+    got, cuts = _passes(np.insert(words, at, 0), n, t, q, k)
+    if q == 5:
+        assert (got, cuts) == (clean, 1)
+    else:       # the 0 is the third trial's first message symbol
+        assert cuts == 0 and got[:2] == clean[:2] and got[2][2][0] == 0
 
 
 @pytest.mark.parametrize("shape", [(16, 4, 4, 6), (25, 5, 4, 16)], ids=str)
