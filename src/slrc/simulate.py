@@ -13,13 +13,13 @@ no backtracking is needed; outside it, a stuck state is a structured
 result.  Planning and repair read erased coordinates with
 `errors.check_coordinates`, and repair reads a word with `GF.check`.
 
-A campaign's random draws are those of numpy's `integers` and `choice`
-on the seeded `Generator`, made in block passes from its raw stream
-(`_draws`), with no numpy call per trial.  Two routes run a campaign on
-those passes and return the same summary through one builder
-(`_summary`): `trial_campaign`, one `code.encode`, `plan_repair` and
-`execute_repair` per trial, which is the oracle, and `campaign`, which
-`slrc simulate` runs: it encodes a pass by `code.encode`'s block
+A campaign's random draws are uniform pattern sizes, uniform erased
+sets of each size and uniform messages, made a pass of trials at a time
+by three numpy calls on the seeded `Generator` (`_draws`).  Two routes
+run a campaign on those passes and return the same summary through one
+builder (`_summary`): `trial_campaign`, one `code.encode`, `plan_repair`
+and `execute_repair` per trial, which is the oracle, and `campaign`,
+which `slrc simulate` runs: it encodes a pass by `code.encode`'s block
 product (`linear._codewords`), plans all its trials at once by the
 same greedy rule on a (coordinate, trial) bool matrix and the arrays of
 `linear.recovery_table` (`_plan`), and applies step s of every schedule
@@ -44,9 +44,8 @@ class RepairSchedule:
     residual: tuple = ()   # coordinates left unrepaired when stuck
 
 
-_TRIALS = 1024          # trials per block pass of _draws
-_WINDOW = 1 << 14       # raw words a block pass reads at most
-_PRODUCT_BYTES = 1 << 20    # bound on a block product of `campaign`
+_TRIALS = 1024          # trials per pass of _draws
+_PRODUCT_BYTES = 1 << 20    # bound on a pass's permutation and a product
 
 
 def plan_repair(code, erased, r):
@@ -126,159 +125,39 @@ def execute_repair(code, codeword, erased, schedule: RepairSchedule):
 def _draws(seed, n, t, q, k, count):
     """The draws of `count` trials, one (sizes, erased, messages) triple
     of int64 arrays per pass: each trial's pattern size, its erased
-    coordinates as a sorted row padded with n on the right, and its
-    message as a row of k symbols.  They are the draws of
-    numpy's integers(1, min(t, n) + 1), choice(n, size, replace=False)
-    and integers(0, q, size=k), in that order, per trial, on
-    `np.random.default_rng(seed)`; n >= 1 and 2 <= q <= 2**32.  They are
-    computed from the generator's raw 32-bit stream (`next_uint32`,
-    which numpy's bounded draws read), read a window of _WINDOW words at
-    a time, each pass (`_block`) deciding up to _TRIALS trials with a few
-    numpy calls.  A draw at span m is Lemire's (ACM TOMACS 2019): word w
-    gives (w m) >> 32 unless (w m) mod 2**32 is below 2**32 mod m, when
-    the next word is read at span m; m = 1 reads none.  A pass ends at
-    the first rejected word, whatever it draws: `_block` deletes it, and
-    the next pass, of at most twice the trials decided and two more,
-    reads its trial again.  `choice(n, size, replace=False)` is
-    Floyd's algorithm (Bentley & Floyd, CACM 1987) at spans
-    n - size + 1..n, then a shuffle at spans size..2, or a partial
-    shuffle of arange(n) at spans n down to n - size + 1 when n > 10000
-    and size > n // 50 (the tail branch)."""
+    coordinates as a sorted row padded with n on the right, as wide as
+    the pass's largest size, and its message as a row of k symbols.  A
+    pass of m trials makes three calls on `np.random.default_rng(seed)`,
+    in this order: integers(1, min(t, n) + 1, m) for the sizes, then
+    `permuted` of m rows of arange(n) along each row, whose first `size`
+    entries are the trial's erased set, and integers(0, q, (m, k)) for
+    the messages.  A pass holds up to _TRIALS trials, and fewer where its
+    (m, n) permutation would pass _PRODUCT_BYTES, though always one."""
     rng = np.random.default_rng(seed)
     s = min(t, n)
-    runs = _runs(n, s, q, k)
-    lengths = runs[2].sum(axis=1)       # a trial's words, by size - 1
-    longest = int(lengths.max())
-    window = max(_WINDOW, longest)      # every trial fits a pass
-    words = np.empty(2 * window, np.uint32)
-    pos = end = 0           # the next unread word and the end of the words
-    most = min(count, _TRIALS)
+    most = max(1, min(_TRIALS, _PRODUCT_BYTES // (8 * n)))
     while count:
-        if end - pos < window:  # keep the unread words, draw a window more
-            end -= pos
-            words[:end] = words[pos:pos + end]
-            words[end:end + window] = rng.integers(0, 1 << 32, window,
-                                                   np.uint32)
-            end, pos = end + window, 0
-        # the words `most` trials can read, at least one
-        scan = min(window, max(1, most * longest))
-        trials, read, cut = _block(words[pos:pos + scan], n, s, runs,
-                                   lengths, k, most)
-        pos += read
-        decided = 0 if trials is None else len(trials[0])
-        if decided:
-            yield trials
-            count -= decided
-        del trials      # before the next pass builds its own
-        # a cut pass is followed by one of twice its trials and two more,
-        # the cut trial and the next, and any other by a full one
-        most = min(2 * decided + 2 if cut else _TRIALS, count)
-
-
-def _block(words, n, s, runs, lengths, k, most):
-    """The (sizes, erased, messages) arrays of `_draws` of the next trials
-    in `words`, at most `most`, or None where none is decided; the words
-    read; and whether the pass was cut.  A rejected word, whether a size,
-    sample, shuffle or message word, is one rule: the pass keeps the
-    trials before its trial, deletes it by moving that trial's earlier
-    words up one place in `words`, and counts as read the words before
-    them, so that the next pass reads the trial again."""
-    stop = len(words)
-    # each word's size - 1 and the start of the trial after, were a trial
-    # to start there, or stop + 1 where it runs past the words; the
-    # trials' starts follow by pointer doubling, in log2(most) gathers
-    jump = np.full(stop + 2, stop + 1)
-    size = words * np.uint64(s)     # s = 1: integers(1, 2) reads none
-    size >>= 32
-    lengths.take(size.view(np.int64), out=jump[:stop], mode="clip")
-    del size
-    jump[:stop] += np.arange(stop)
-    np.minimum(jump, stop + 1, out=jump)
-    start, after = np.zeros(1, np.int64), jump
-    while len(start) < most:
-        start = np.concatenate([start, after.take(start)])
-        if len(start) >= most or start[-1] > stop:
-            break
-        after = after.take(after)
-    ends = jump.take(start[:most])
-    del jump, after
-    c = np.searchsorted(ends, stop, "right")    # the trials in the words
-    row = (words.take(start[:c]) * np.uint64(s) >> 32).view(np.int64)
-    bound = np.concatenate([[0], ends[:c]])
-    # every word's span, first + step * (its place in its run), built
-    # in place, as these arrays are the pass's largest
-    first, step, length = runs.take(row, axis=1).reshape(3, -1)
-    span = np.repeat(step, length)
-    span *= np.arange(bound[-1])
-    first -= step * (np.cumsum(length) - length)
-    span += np.repeat(first, length)
-    del first, step, length
-    span = span.view(np.uint64)
-    product = words[:bound[-1]] * span
-    # Lemire's rejection, (w span) mod 2**32 < 2**32 mod span, can
-    # hold only below span: the exact test reads those words alone
-    low = product & 0xFFFFFFFF
-    suspect = np.flatnonzero(low < span)
-    rejected = suspect[low[suspect] < (1 << 32) % span[suspect]]
-    del low, span
-    cut = len(rejected) > 0
-    read = int(bound[-1])
-    if cut:     # numpy reads the next word at the same span: the cut
-        # trial's words before the rejected one move up over it
-        c = np.searchsorted(bound, rejected[0], "right") - 1
-        read = int(bound[c]) + 1
-        words[read:rejected[0] + 1] = words[read - 1:rejected[0]]
-        row, bound = row[:c], bound[:c + 1]
-    if not len(row):
-        return None, read, cut
-    product >>= 32
-    value = product.view(np.int64)
-    size = row + 1
-    first = bound[:-1] + (s > 1)    # each trial's first sample word
-    tail = runs[1, :, 1].take(row) < 0      # numpy's tail branch
-    # Floyd's draws, a row per draw and a column per trial: a value taken
-    # before is replaced by j, which no earlier draw can be
-    column = np.arange(size.max())[:, None]
-    chosen = column + first
-    if len(value):          # else n = 1 and k = 0: no trial reads a word
-        value.take(chosen, out=chosen, mode="clip")     # in place
-    for c in range(1, size[~tail].max(initial=0)):
-        repeat = (chosen[:c] == chosen[c]).any(axis=0)
-        np.copyto(chosen[c], n - size + c, where=repeat)
-    chosen[column >= size] = n      # past the sample: sorts last
-    chosen[:, size == n] = column   # a sample of size n is every one
-    for i, m in zip(np.flatnonzero(tail).tolist(), size[tail].tolist()):
-        swapped = {}        # the entries of arange(n) the shuffle swapped
-        for a, b in zip(range(n - 1, 0, -1),
-                        value[first[i]:first[i] + m].tolist()):
-            swapped[a], swapped[b] = swapped.get(b, b), swapped.get(a, a)
-        chosen[:m, i] = [swapped.get(a, a) for a in range(n - m, n)]
-    chosen.sort(axis=0)
-    message = value[bound[1:, None] - k + np.arange(k)]
-    return (size, chosen.T, message), read, cut
-
-
-def _runs(n, s, q, k):
-    """The (3, s, 4) int64 table of a trial's span runs (first, step,
-    length) by size - 1: its size word, sample, shuffle and message."""
-    size = np.arange(1, s + 1)
-    draws = np.minimum(size, n - 1)     # a span-1 draw reads no word
-    tail = (size > n // 50) & (n > 10000)
-    first, step, length = runs = np.zeros((3, s, 4), np.int64)
-    first[:, 0], length[:, 0] = s, s > 1
-    first[:, 1] = np.where(tail, n, n - draws + 1)
-    step[:, 1], length[:, 1] = np.where(tail, -1, 1), draws
-    first[:, 2], step[:, 2] = size, -1
-    length[:, 2] = np.where(tail, 0, size - 1)
-    first[:, 3], length[:, 3] = q, k
-    return runs
+        m = min(most, count)
+        sizes = rng.integers(1, s + 1, m)
+        width = int(sizes.max())
+        erased = rng.permuted(np.broadcast_to(np.arange(n), (m, n)),
+                              axis=1)[:, :width].copy()
+        erased[np.arange(width) >= sizes[:, None]] = n
+        erased.sort(axis=1)
+        yield sizes, erased, rng.integers(0, q, (m, k))
+        del sizes, erased       # before the next pass draws its own
+        count -= m
 
 
 def trial_campaign(code, r, t, trials, seed, trace=None):
     """Seeded random erasure trials; returns summary statistics.
 
-    Pattern sizes are uniform on 1..t (capped at n).  Success
-    rate must be 1.0 whenever t is at or below the certified tolerance.
+    Pattern sizes are uniform on 1..t (capped at n), each erased set is
+    uniform among the sets of its size and each message symbol uniform
+    on the field, all drawn by `_draws` on `np.random.default_rng(seed)`.
+    Success rate must be 1.0 whenever t is at or below the certified
+    tolerance; above it, the expected failure count is the trials times
+    the stuck patterns' share of each size, averaged over sizes.
     `trace`, when given, is called with every executed RepairStep.
     Each message is `code.dimension` symbols, put through `code.encode`,
     which raises ParameterError in the first trial for an H off its layout.
@@ -290,10 +169,11 @@ def trial_campaign(code, r, t, trials, seed, trace=None):
 
     This is the per-trial route: one `code.encode`, one `plan_repair`
     and, for a complete schedule, one `execute_repair` per trial, each
-    trial split from `_draws`' passes.  `campaign` gives the same summary
-    and trace on whole arrays, and this route is its oracle.
+    trial split from the passes of `_draws` that `campaign` reads too.
+    `campaign` gives the same summary and trace on whole arrays, and
+    this route is its oracle.
     """
-    # as ints: a numpy integer would overflow in the draws
+    # as ints: the summary reports them, and JSON takes no numpy integer
     trials, t = check_count("trials", trials), check_count("t", t)
     seed = check_count("seed", seed, 0)
     check_count("code length n", code.n)
@@ -369,14 +249,14 @@ def _summary(trials, t, seed, successes, steps, helpers, failures,
 
 def campaign(code, r, t, trials, seed, trace=None):
     """`trial_campaign`'s summary, with the same `trace` calls in the same
-    order, computed on whole arrays a pass of `_draws` at a time: the
-    pass's messages are encoded by `linear._codewords`, in block products
-    of at most _PRODUCT_BYTES, its trials planned together (`_plan`) on
-    the arrays of `linear.recovery_table`, and each step of every
-    schedule applied as one gather and one table lookup (`_repair`).  No
-    call is made per trial: neither `code.encode`, `plan_repair` nor
-    `execute_repair` runs, and `trace` gets a record made by the table's
-    `step` for each traced step alone.
+    order, computed on whole arrays a pass of `_draws` at a time, so
+    that its draws and block products stay within _PRODUCT_BYTES: the
+    pass's messages are encoded by `linear._codewords`, its trials
+    planned together (`_plan`) on the arrays of `linear.recovery_table`,
+    and each step of every schedule applied as one gather and one table
+    lookup (`_repair`).  No call is made per trial: neither
+    `code.encode`, `plan_repair` nor `execute_repair` runs, and `trace`
+    gets a record made by the table's `step` for each traced step alone.
 
     Raises as `trial_campaign` does, before any trace call.
     """

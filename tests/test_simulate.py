@@ -6,6 +6,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -277,36 +278,36 @@ def _sha(text):
 
 
 # Seeded 200-trial campaigns: the summary dict (SHA-256 of its sorted
-# JSON) and the `slrc simulate --trace` stdout, pinned as the scalar
-# per-trial loop produced them.  Any change to the order or arguments of
-# the three draws per trial (size, erasures, message) changes both.
+# JSON) and the `slrc simulate --trace` stdout, pinned as the per-trial
+# route produces them.  Any change to the order or arguments of the
+# three draws of a pass (sizes, erased sets, messages) changes both.
 CAMPAIGN_PINS = {
     "reference-t4-s7": (reference_code, 3, 4, 7, 1.0, 0,
-        "b521aa34db273a78333856a937752f4577f95eb6cceae42859f054cfc067bd9b",
-        "97f4f00adcc01820b5cc323ef464213e75ef9e2f5ae9ff83eaf30fa43659484b"),
-    "reference-t16-s42": (reference_code, 3, 16, 42, 0.6, 80,
-        "a78a168be517d8a9bfd19949556e3f84a8608a58cec4371b97c5085a15487c51",
-        "c6d88dbb43cd83b401cadbf1e1698b50715d26de8fa0aed2825aeedfc247b968"),
-    "affine25-t5-s3": (_affine25, 4, 5, 3, 0.995, 1,
-        "93857c6a6cbec8dd07b5da269c1e28564330867dc21016567307b17924ebee91",
-        "20ee2c322f947d9e4c9e0f0bd62e5379da76d2c247084f1d0d8e6d504a5955d9"),
+        "d55b4ab866cd69451a7a49c129d3747fb8813c5fff36ef94805625c4016c8985",
+        "430a5130262f6f1643255343c5a9e4cdaf1eea4bb88e681d6ae87500d62021cd"),
+    "reference-t16-s42": (reference_code, 3, 16, 42, 0.56, 88,
+        "79872ed583e20e927cfed610816b6c748cb63ef8cf0f3781068b6d6cb95b489c",
+        "a1bb0a084f9afb2b277bed0c82a6afad5ab358af1806839f8be7b307f9f458d5"),
+    "affine25-t5-s3": (_affine25, 4, 5, 3, 0.985, 3,
+        "d7f55e4f09bb0ca50d4fb36a20c2b18a5969f03db8b37d3fd52405d23b1e4298",
+        "59542cb58d2367f8622dd89ea38b79f372eb18c22adbe2b93f32e9dcaa7f89f3"),
     # a matrix file without a params block, so the CLI needs --r and the
     # campaign encodes with a plain LinearCode
     "plain-t4-s5": (_plain_reference, 3, 4, 5, 1.0, 0,
-        "8f685fdf7ffc8ec396518513082743886aeedd8a45ea93ab75a55a870b1259bf",
-        "701890bb46b9f7560b464fa6e7d07b9614ffab41f0cdb21003b143ed3fdb55e6"),
+        "30e8689d61645f1c222b7ab97f16a85fa0dcbaa2d426cf96105e3b5bdea2bace",
+        "ad2a80c7f054fafd1e41f843183f27d31a35a619eb42d4a24567bd89325452a0"),
     # one code per field kind `GF.vsum` treats apart: an odd prime, a
     # characteristic-2 field with m = 3, and an odd prime power (two
     # base-p digits per symbol)
     "gf5-t4-s2": (_complete_graph(5), 3, 4, 2, 1.0, 0,
-        "02baad03e65b70482c15291c7fc6eb163157b346a74b97dbe39024efd2752e64",
-        "a61acf77504f6c9245e64f296ac2527749d77dee7fbd254541d5ce246cc8fd81"),
+        "6963cc301a6c5f21a33c2b111b3d2b779b8e20f589d32ec73c6767e1f0b8c029",
+        "a0b596e14f6186dbcc14871823ea1b09ba4cdbdac48afd5234d8d908be145c7d"),
     "gf8-t4-s3": (_complete_graph(8), 3, 4, 3, 1.0, 0,
-        "5d10de48582a2f932c8a4a6bee1c3de8e562f1a3c936d15c08d76be3567d2683",
-        "5a43f46c3ffea49d96fde024d7aae3a988a292263e97dc6d13ffd5bd3a3d3163"),
-    "gf9-t10-s9": (_complete_graph(9), 3, 10, 9, 0.91, 18,
-        "886ce5a33649a6cfebec9188201ffbcc168b30c0a61843e9bb385df4aa64f43c",
-        "213aeb48c6766bed7bb9b32be08a2314a00da69a56cd0c69f449b6a2e4dfc0a2"),
+        "a4a18d3d17e20ce33f7dcdfce1e13f8281badb03484897bd22eb1942ddc9ce6a",
+        "fabd29080ae14e3f348b0e15808c659f3b622f8efd3e5ab16a36cf9db837b010"),
+    "gf9-t10-s9": (_complete_graph(9), 3, 10, 9, 0.915, 17,
+        "ab1db3de4ba721cd2dcffe6fc934aea6e9bceda3fc4d4f1ee7b2f0403317df0b",
+        "0524e458a9cd54f9accd6aebc9d8812aa9ac439b6481c53316efec45aa280f73"),
 }
 
 
@@ -367,153 +368,105 @@ def test_encode_erase_repair_is_the_identity(data):
     assert execute_repair(code, word, erased, schedule) == word
 
 
-# -- the campaign's draws: numpy's own calls, as trial_campaign made them
-# one trial at a time, are the oracle for the raw-stream reader ---------
+# -- the campaign's draws: the pass-level contract of `_draws`, held by
+# numpy's own calls, chi-square tests of its marginals and, at the first
+# failing size, the exact share of stuck patterns --------------------------
 
-def _numpy_trials(seed, n, t, q, k, trials):
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        size = int(rng.integers(1, min(t, n) + 1))
-        erased = tuple(sorted(
-            rng.choice(n, size=size, replace=False).tolist()))
-        yield size, erased, rng.integers(0, q, size=k).tolist()
-
-
-def _reader_trials(seed, n, t, q, k, trials):
-    # the passes' trials, once each pass's arrays have their shapes: a
-    # row of erased coordinates per trial, padded with n, as wide as the
-    # pass's largest size, and a row of k message symbols
+def _passes(seed, n, t, q, k, trials):
+    """The passes of `_draws`, once each has its shapes: a row of erased
+    coordinates per trial, sorted, distinct and padded with n, as wide as
+    the pass's largest size, and a row of k message symbols."""
     for sizes, erased, messages in _draws(seed, n, t, q, k, trials):
-        assert len(sizes) <= simulate._TRIALS
-        assert erased.shape == (len(sizes), sizes.max())
-        assert messages.shape == (len(sizes), k)
-        for size, row, message in zip(sizes.tolist(), erased.tolist(),
-                                      messages.tolist()):
-            assert row[size:] == [n] * (len(row) - size)
-            yield size, tuple(row[:size]), message
+        m, width = erased.shape
+        assert m == len(sizes) <= simulate._TRIALS and width == sizes.max()
+        assert messages.shape == (m, k)
+        assert ((erased == n) == (np.arange(width) >= sizes[:, None])).all()
+        assert (np.diff(erased, axis=1)[erased[:, 1:] < n] > 0).all()
+        yield sizes, erased, messages
 
 
-# (n, t, q, k): t = 1 draws no size (span 1), t = n reaches size = n (a
-# Floyd draw of span 1, which reads no word), the message spans
-# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their words,
-# and n = 3 * 2**30 a quarter of its sample words, q = 3, 7 and 1021
-# divide no power of 2, k = 0 draws no message, n = 1 with k = 0 reads no
-# word at all, the two benchmark shapes (the reference code at t = 4,
-# affine n = 25 at t = 5), and n = 10001 draws sizes above n // 50 on
-# numpy's tail-shuffle branch
-DRAW_SHAPES = [(16, 1, 4, 6), (16, 16, 4, 6), (9, 9, 2, 3), (25, 5, 3, 10),
-               (30, 30, 7, 5), (12, 4, 1021, 8), (20, 20, 2 ** 31 + 1, 4),
-               (20, 3, 3 * 2 ** 30, 4), (3 * 2 ** 30, 3, 4, 2), (8, 8, 5, 0),
-               (1, 1, 4, 0), (16, 4, 4, 6), (25, 5, 4, 16),
-               (10001, 300, 4, 3)]
+def test_draws_are_the_pass_level_numpy_calls():
+    # per pass, on one generator: the sizes, a permutation of arange(n)
+    # per trial, whose first `size` entries are its erased set, and the
+    # messages; 2,500 trials are passes of 1,024, 1,024 and 452
+    n, t, q, k = 16, 5, 4, 6
+    rng = np.random.default_rng(7)
+    got = list(_passes(7, n, t, q, k, 2500))
+    assert [len(sizes) for sizes, _, _ in got] == [1024, 1024, 452]
+    for sizes, erased, messages in got:
+        m = len(sizes)
+        assert (sizes == rng.integers(1, t + 1, m)).all()
+        order = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        assert [row[row < n].tolist() for row in erased] == [
+            sorted(row[:size]) for row, size in zip(order.tolist(),
+                                                    sizes.tolist())]
+        assert (messages == rng.integers(0, q, (m, k))).all()
 
 
-def _draws_match(shape, trials, seeds=range(5)):
-    """The sizes drawn, once the reader matched numpy for every seed."""
-    sizes = set()
-    for seed in seeds:
-        got = list(_reader_trials(seed, *shape, trials))
-        assert got == list(_numpy_trials(seed, *shape, trials))
-        sizes.update(size for size, _, _ in got)
-    return sizes
+# chi-square thresholds at p = 1e-6 for 4, 24 and 3 degrees of freedom
+CHI2_SIZES, CHI2_COORDINATES, CHI2_SYMBOLS = 33.4, 72.2, 30.7
 
 
-@pytest.mark.parametrize("shape", DRAW_SHAPES, ids=str)
-def test_draws_match_numpy_calls(shape):
-    # 1,500 trials read more words than one refill leaves unread, so each
-    # seed runs more than one block pass and some trial reads words of two
-    # numpy calls; the largest size is drawn, which is n where t >= n
-    assert min(shape[:2]) in _draws_match(shape, 1500)
+def _chi2(counts):
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2).sum() / expected)
 
 
-def test_draws_match_numpy_calls_on_a_small_buffer(monkeypatch):
-    # a 64-word window: a pass reads few trials, every refill keeps words
-    # that a trial reads across two numpy calls, and a shape whose
-    # longest trial is over 64 words widens the window to it; among the
-    # passes, a trial ends on the last word a pass may read, and one
-    # would run past it, so the pass leaves it to the next
-    monkeypatch.setattr(simulate, "_WINDOW", 64)
-    block, edges = simulate._block, set()
-
-    def spy(words, n, s, runs, lengths, k, most):
-        trials, read, cut = block(words, n, s, runs, lengths, k, most)
-        decided = 0 if trials is None else len(trials[0])
-        if not cut:
-            edges.add("ends at the end" if read == len(words)
-                      else "runs past" if decided < most else "full")
-        return trials, read, cut
-
-    monkeypatch.setattr(simulate, "_block", spy)
-    for shape in DRAW_SHAPES:
-        for seed in range(2):
-            assert (list(_reader_trials(seed, *shape, 300))
-                    == list(_numpy_trials(seed, *shape, 300)))
-    assert {"ends at the end", "runs past"} <= edges
+def test_draws_are_uniform():
+    # 200,000 trials of the affine n = 25 shape (t = 5, q = 4, k = 16):
+    # sizes uniform on 1..5, coordinates erased equally often (a trial's
+    # coordinates are distinct, which only narrows the statistic) and
+    # message symbols uniform on 0..3
+    n, t, q, k = 25, 5, 4, 16
+    sizes = np.zeros(t, np.int64)
+    coordinates = np.zeros(n + 1, np.int64)     # and the pad, n
+    symbols = np.zeros(q, np.int64)
+    for drawn, erased, messages in _passes(41, n, t, q, k, 200_000):
+        sizes += np.bincount(drawn - 1, minlength=t)
+        coordinates += np.bincount(erased.ravel(), minlength=n + 1)
+        symbols += np.bincount(messages.ravel(), minlength=q)
+    assert sizes.sum() == 200_000 and symbols.sum() == 200_000 * k
+    assert coordinates[:n].sum() == sizes @ np.arange(1, t + 1)
+    assert _chi2(sizes) < CHI2_SIZES
+    assert _chi2(coordinates[:n]) < CHI2_COORDINATES
+    assert _chi2(symbols) < CHI2_SYMBOLS
 
 
-# (16, 4, 4, 6) on words that are all 0: each trial is size 1 (one size
-# word), erases coordinate 0 (one sample word) and sends six 0 symbols,
-# eight words that no span rejects
-@pytest.mark.parametrize("words,trials", [(16, 2), (15, 1), (8, 1), (7, 0)])
-def test_a_pass_decides_the_trials_its_words_hold(words, trials):
-    # 16 and 8 words: the last trial ends on the last word; 15 and 7: it
-    # would run past them, so the pass leaves it, or returns None
-    runs = simulate._runs(16, 4, 4, 6)
-    got, read, cut = simulate._block(np.zeros(words, np.uint32), 16, 4, runs,
-                                     runs[2].sum(axis=1), 6, 4)
-    assert (read, cut) == (8 * trials, False)
-    if not trials:
-        assert got is None
-        return
-    sizes, erased, messages = got
-    assert sizes.tolist() == [1] * trials and erased.tolist() == [[0]] * trials
-    assert messages.tolist() == [[0] * 6] * trials
+def _stuck_patterns(masks, n, size):
+    """The patterns of `size` that peeling on per-coordinate helper
+    bitmasks leaves with a coordinate it cannot repair."""
+    stuck = 0
+    for pattern in itertools.combinations(range(n), size):
+        left, missing = list(pattern), sum(1 << i for i in pattern)
+        while left:
+            i = next((i for i in left
+                      if any(not m & missing for m in masks[i])), None)
+            if i is None:
+                break
+            left.remove(i)
+            missing ^= 1 << i
+        stuck += bool(left)
+    return stuck
 
 
-def _passes(words, n, t, q, k):
-    """The trials that passes of `_block` of at most three trials decide
-    on a copy of `words`, and the passes cut."""
-    s = min(t, n)
-    runs = simulate._runs(n, s, q, k)
-    words, pos, trials, cuts = words.copy(), 0, [], 0
-    while True:
-        got, read, cut = simulate._block(words[pos:], n, s, runs,
-                                         runs[2].sum(axis=1), k, 3)
-        pos, cuts = pos + read, cuts + cut
-        if got is None and not cut:
-            return trials, cuts
-        if got is not None:
-            trials += [(size, tuple(row[:size]), tuple(message))
-                       for size, row, message in zip(*map(np.ndarray.tolist,
-                                                         got))]
-
-
-# a 0 word is rejected at every span that is not a power of 2: at n = 12
-# and t = 3 it is rejected as a size word (span 3) and as a sample word
-# (spans 10..12), and as a message word at q = 5, not at q = 4
-@pytest.mark.parametrize("where,q", [("size", 5), ("sample", 5),
-                                     ("message", 5), ("message", 4)])
-def test_a_rejected_word_is_dropped_and_its_trial_read_again(where, q):
-    n, t, k = 12, 3, 2
-    # words that no span of the shape rejects
-    words = np.random.default_rng(3).integers(0, 1 << 32, 200, np.uint32)
-    rejected = np.zeros(len(words), bool)
-    for span in [*range(2, n + 1), q]:      # t = 3 among them
-        rejected |= (words * np.uint64(span)) % (1 << 32) < (1 << 32) % span
-    words = words[~rejected]
-    clean, cuts = _passes(words, n, t, q, k)
-    assert cuts == 0 and len(clean) > 10
-    # the 0 goes into the third trial, so that a pass keeps two before it:
-    # a trial reads a size word, size sample words, size - 1 shuffle words
-    # and k message words
-    first = sum(2 * size + k for size, _, _ in clean[:2]) + 1
-    at = {"size": first - 1, "sample": first,
-          "message": first + 2 * clean[2][0] - 1}[where]
-    got, cuts = _passes(np.insert(words, at, 0), n, t, q, k)
-    if q == 5:
-        assert (got, cuts) == (clean, 1)
-    else:       # the 0 is the third trial's first message symbol
-        assert cuts == 0 and got[:2] == clean[:2] and got[2][2][0] == 0
+def test_campaign_fails_at_the_exact_share_of_stuck_patterns():
+    # affine n = 25 at r = 4 has t* = 3, and brute-force peeling finds
+    # 100 stuck patterns of size 4 and 2,100 of size 5, so a trial at
+    # t = 5 fails with p = (100 / C(25, 4) + 2100 / C(25, 5)) / 5; the 20
+    # seeds were fixed before their counts were seen, and their 120,000
+    # trials must fail 120,000 p = 1,138.34 times within 4.9 standard
+    # deviations, 974..1,302, a two-sided p of about 1e-6
+    code = _affine25()
+    masks = dual_oracle.helper_masks(
+        dual_oracle.rowspace_words(code.field, code.H, 5), code.n)
+    stuck = [_stuck_patterns(masks, code.n, size) for size in range(1, 6)]
+    assert stuck == [0, 0, 0, 100, 2100]
+    p = sum(a / math.comb(code.n, size)
+            for size, a in enumerate(stuck, 1)) / 5
+    mean = 120_000 * p
+    failures = sum(campaign(code, 4, 5, 6000, seed)["failure_count"]
+                   for seed in range(4100, 4120))
+    assert abs(failures - mean) < 4.9 * math.sqrt(mean * (1 - p)), failures
 
 
 @pytest.mark.parametrize("shape", [(16, 4, 4, 6), (25, 5, 4, 16)], ids=str)
@@ -528,39 +481,26 @@ def test_block_reader_memory_does_not_grow_with_trials(shape):
             tracemalloc.stop()
 
     peak(200)           # numpy's one-time allocations
-    # 8,000 trials run passes of the full _TRIALS after a first one
+    # 8,000 trials run full passes of _TRIALS and a partial last one
     small, large = peak(8000), peak(80000)
     assert abs(large - small) < 4096, (small, large)
 
 
-# numpy's integers(0, span) as a campaign draws it: five message symbols
-# of q = span in each of 1,000 trials (at span 1, the size of t = 1)
-@pytest.mark.parametrize("span", [1, 2, 3, 4, 7, 1021, 2 ** 31 + 1,
-                                  3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32])
-def test_below_and_integers_match_numpy_integers(span):
-    _draws_match((12, 1, 4, 5) if span == 1 else (12, 4, span, 5), 200)
-
-
-# seeds whose first trial draws size = t, where a sample reads thousands
-# of words, so a few trials a seed reach it for certain
-_LONG_SEEDS = {(10000, 5000): (757, 6636), (10001, 10001): (757, 7431)}
-
-
-# numpy's choice(n, size, replace=False) as a campaign draws it at
-# t = size, for sizes 1..size: Floyd's algorithm and a shuffle, or, when
-# n > 10000, a partial shuffle of arange(n) for sizes above n // 50; the
-# two largest sizes are drawn where a sample is short, at (10001, 201)
-# and (20000, 401) one on either side of that branch, and (10001, 10001)
-# draws a sample of size n on the tail branch (n - 1 shuffle words)
-@pytest.mark.parametrize("n,size", [(1, 1), (16, 16), (10000, 5000),
-                                    (10001, 200), (10001, 201),
-                                    (10001, 10001), (20000, 401)])
-def test_sample_matches_numpy_choice(n, size):
-    seeds = _LONG_SEEDS.get((n, size))
-    if seeds:
-        assert size in _draws_match((n, size, 4, 3), 3, seeds)
-    else:
-        assert {size - 1, size} - {0} <= _draws_match((n, size, 4, 3), 300)
+def test_draws_pass_is_bounded_in_bytes():
+    # at n = 10,001 a pass's (trials, n) permutation of 8-byte entries
+    # stays within _PRODUCT_BYTES, 13 trials a pass; a pass of 100 trials
+    # would hold 8 MB; beside it, arange(n) and the pass's own arrays
+    n = 10_001
+    next(_draws(0, n, 300, 4, 3, 1))    # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        passes = [len(sizes) for sizes, _, _ in _passes(2, n, 300, 4, 3, 100)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate._PRODUCT_BYTES + 8 * n + 65_536, peak
+    most = simulate._PRODUCT_BYTES // (8 * n)
+    assert passes == [most] * (100 // most) + [100 % most]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2], True, False])
@@ -599,8 +539,8 @@ def test_campaign_calls_encode_plan_execute_once_per_trial(monkeypatch):
                             recorder(name, getattr(simulate, name)))
     stats = trial_campaign(code, 3, 16, 100, 42)
     want = []
-    complete = [plan_repair(code, erased, 3).complete
-                for _, erased, _ in _numpy_trials(42, 16, 16, 4, 6, 100)]
+    complete = [plan_repair(code, erased, 3).complete for erased, _ in
+                simulate._split(_draws(42, 16, 16, 4, 6, 100), 16)]
     for done in complete:
         want += ["encode", "plan_repair"] + ["execute_repair"] * done
     assert calls == want
@@ -618,8 +558,9 @@ def test_campaign_memory_does_not_grow_with_failed_trials(ref):
         finally:
             tracemalloc.stop()
 
-    small, _ = peak(800)
-    large, stats = peak(8000)
+    # 1,100 trials run a full pass of _TRIALS, as 11,000 do
+    small, _ = peak(1100)
+    large, stats = peak(11000)
     assert stats["failure_count"] > 2000 and len(stats["failures"]) == 10
     assert large - small < 50_000, (small, large)
 
@@ -886,18 +827,18 @@ def test_array_plan_working_set_is_bounded_in_bytes():
 
 @pytest.mark.parametrize("grow", [1, 4])
 def test_campaign_pass_is_bounded_in_bytes(monkeypatch, grow):
-    # affine n = 25 at t = 5, with the pass constants and with passes four
-    # times as large: per window word, the raw-word buffer (8 bytes), the
-    # start scan's three int64 arrays (24) and the pass's trial arrays (a
-    # trial reads 22 words on average), and one block product within
-    # 512 KiB: _PRODUCT_BYTES is 1 MiB at the 32 bytes an entry that
-    # `_codeword_rows` counts, where an index, `take`'s intp copy of it and
-    # the product take 10; an unbounded product, 1,440 bytes a trial,
-    # passes neither limit
+    # affine n = 25 at t = 5, with the pass constant and with passes four
+    # times as large: per trial, the pass's arrays within 400 bytes (its
+    # size, erased row and 16 message symbols, 176; its codeword, missing
+    # and value columns, 77; its steps' picks, 40; and their temporaries),
+    # as its 200-byte permutation is dropped once drawn, and one block
+    # product within 512 KiB: _PRODUCT_BYTES is 1 MiB at the 32 bytes an
+    # entry that `_codeword_rows` counts, where an index, `take`'s intp
+    # copy of it and the product take 10; an unbounded product, 1,440
+    # bytes a trial, passes neither limit
     code = _affine25()
     campaign(code, 4, 5, 10, 0)         # the code's tables
     monkeypatch.setattr(simulate, "_TRIALS", grow * simulate._TRIALS)
-    monkeypatch.setattr(simulate, "_WINDOW", grow * simulate._WINDOW)
     tracemalloc.start()
     try:
         stats = campaign(code, 4, 5, 6000, 3)
@@ -905,5 +846,5 @@ def test_campaign_pass_is_bounded_in_bytes(monkeypatch, grow):
     finally:
         tracemalloc.stop()
     assert stats["failure_count"] > 0
-    limit = 48 * simulate._WINDOW + (1 << 19)
+    limit = 400 * simulate._TRIALS + simulate._PRODUCT_BYTES // 2
     assert peak <= limit, (peak, limit)
