@@ -13,11 +13,11 @@ a search over column sets of the generator on arrays of the field's
 compact dtype, whose last level is a join (`_low_weight_dual_words`).
 The search returns its words sorted by (weight, vector), and the code
 caches that one array; the recovery sets come from it in one table of
-arrays, `recovery_table`, the only code that knows its format:
-`simulate` plans and repairs on its arrays, `peel_table` holds their
-helper bitmasks, index for index, all that verification reads, and a
-`RepairStep` record of one entry (`RecoveryTable.step`) is made only
-where a caller uses it.
+arrays, `recovery_table`, one memo and the only code that knows its
+format: `simulate` plans and repairs on its arrays, its `masks`, made
+on first read, hold their helper bitmasks, index for index, all that
+verification reads, and a `RepairStep` record of one entry
+(`RecoveryTable.step`) is made only where a caller uses it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -368,12 +367,10 @@ def _low_weight_dual_words(field, G, wmax):
 
 
 def _pass_limit(cap, per_pair):
-    """Items of `per_pair` bytes a pass may hold at once: cap, the most
-    that one unit of the work needs, whose bytes a budget check has
-    passed, or as many as fill a sixteenth of the budget when that is
-    more.  The dual search's items are (set, column) pairs and its unit
-    the largest level of first column 0; `simulate._plan`'s are trials,
-    one a unit."""
+    """(set, column) pairs of `per_pair` bytes a pass of the dual search
+    may hold at once: cap, the pairs of the largest level of first
+    column 0, whose bytes a budget check has passed, or as many as fill
+    a sixteenth of the budget when that is more."""
     return max(cap, DUAL_BYTE_BUDGET // 16 // per_pair)
 
 
@@ -561,36 +558,20 @@ def record_bytes(entries, width, n, q):
     return entries * (330 + (48 + 28 * ((n > 257) + (q > 257))) * width)
 
 
-def _memo_by_r(build):
-    """build(code, r) memoized for the last (code, r) asked for, by code
-    identity, with r read by `check_count` before it keys the memo, so an
-    unhashable r or a bool is a ParameterError, and numpy integers share
-    the int's entry.  The memo's `cache_info` and `cache_clear` are the
-    table's own."""
-    memo = functools.lru_cache(maxsize=1)(build)
-
-    @functools.wraps(build)
-    def table(code, r):
-        return memo(code, check_count("locality r", r))
-    table.cache_info, table.cache_clear = memo.cache_info, memo.cache_clear
-    return table
-
-
-class RecoveryTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class RecoveryTable:
     """Every recovery set of size <= r of a code as arrays, one entry per
     (dual word, coordinate i of its support), sorted by (i, helpers,
     coeffs): the helpers are the rest of the word's support and the
     coefficients -v_j / v_i of the helpers j.  Distinct normalized words
     give distinct sets, so none repeats.  `simulate.campaign` plans and
-    repairs on these arrays, `peel_table` holds their helper bitmasks
-    index for index, and `step` makes one entry's record."""
+    repairs on these arrays, `masks` holds their helper bitmasks index
+    for index, and `step` makes one entry's record."""
     coord: np.ndarray       # the coordinate each entry repairs, sorted
     first: np.ndarray       # coordinate i's entries are first[i]:first[i + 1]
     helpers: np.ndarray     # (width, entries), ascending, padded with n
     coeffs: np.ndarray      # (width, entries), padded with 0
     size: np.ndarray        # helpers per entry, and a 0 that pick -1 reads
-    rows: int               # trials a plan step decides at once, so that
-    #                         it holds about DUAL_BYTE_BUDGET / 16 at most
 
     def step(self, e):
         """Entry e as a `RepairStep` of Python ints."""
@@ -599,18 +580,36 @@ class RecoveryTable(NamedTuple):
                           tuple(self.helpers[:s, e].tolist()),
                           tuple(self.coeffs[:s, e].tolist()))
 
+    @functools.cached_property
+    def masks(self):
+        """Per coordinate i, the helper bitmasks of its entries as a tuple
+        of Python ints, entry j of row i the mask of entry first[i] + j:
+        all that `verify` and `simulate.plan_repair` read.  Made on first
+        read, so a caller of the arrays alone builds none."""
+        n = len(self.first) - 1
+        # Python ints for any n; the pad n reads the trailing 0
+        bit = np.array([1 << j for j in range(n)] + [0], dtype=object)
+        masks = bit[self.helpers].sum(axis=0).tolist()
+        ends = self.first.tolist()
+        return tuple(tuple(masks[a:b]) for a, b in zip(ends, ends[1:]))
 
-@_memo_by_r
+
 def recovery_table(code: LinearCode, r):
     """The `RecoveryTable` of the code's recovery sets of size <= r.
 
-    The last (code, r) asked for is memoized, by code identity, so the
-    checks and campaigns of one command share one build, and a single
-    entry keeps memory flat while callers hold many codes; the arrays
-    are read-only, so no caller can change the shared table.  Raises
+    The last (code, r) asked for is memoized, by code identity, with r
+    read by `check_count` before it keys the memo, so the checks and
+    campaigns of one command share one build, and a single entry keeps
+    memory flat while callers hold many codes; the arrays and masks are
+    read-only, so no caller can change the shared table.  Raises
     ParameterError unless r is an integer >= 1, and InfeasibleError
     when `entry_bytes` of the words exceeds DUAL_BYTE_BUDGET, checked
     before any array of the entries exists."""
+    return _recovery_table(code, check_count("locality r", r))
+
+
+@functools.lru_cache(maxsize=1)
+def _recovery_table(code, r):
     field, n, words = code.field, code.n, _dual_words(code, r + 1)
     weight = np.count_nonzero(words, axis=1)
     width = int(weight.max(initial=1))
@@ -637,31 +636,11 @@ def recovery_table(code: LinearCode, r):
     size = np.append(weight[word[order]] - 1, 0)
     del word, scale
     coord = coord[order]
-    table = RecoveryTable(
-        coord, np.searchsorted(coord, np.arange(n + 1)),
-        helpers.take(order, axis=1), coeffs.take(order, axis=1), size,
-        # a plan step holds, per trial, two bools an entry and its column
-        _pass_limit(1, n + 1 + 2 * entries + 16))
-    for array in table[:-1]:
+    arrays = (coord, np.searchsorted(coord, np.arange(n + 1)),
+              helpers.take(order, axis=1), coeffs.take(order, axis=1), size)
+    for array in arrays:
         array.flags.writeable = False
-    return table
-
-
-@_memo_by_r
-def peel_table(code: LinearCode, r):
-    """Per coordinate i, the helper bitmasks of its recovery sets of size
-    <= r, in `recovery_table`'s order, so that entry j of row i is the
-    mask of the table's entry first[i] + j.  `verify` reads nothing else.
-
-    Memoized as `recovery_table` is, apart from it, as only the checks
-    and `simulate.plan_repair` read the masks; the rows are tuples.
-    Raises as `recovery_table` does."""
-    table = recovery_table(code, r)
-    # Python ints for any n; the pad n reads the trailing 0
-    bit = np.array([1 << j for j in range(code.n)] + [0], dtype=object)
-    masks = bit[table.helpers].sum(axis=0).tolist()
-    ends = table.first.tolist()
-    return tuple(tuple(masks[a:b]) for a, b in zip(ends, ends[1:]))
+    return RecoveryTable(*arrays)
 
 
 def _by_size(table, i):

@@ -3,11 +3,11 @@
 Planning is greedy peeling with fixed tie-breaking (smallest repairable
 coordinate first, lexicographically smallest helper set), which makes
 schedules deterministic.  The planner picks each step's recovery set
-by the helper bitmasks of `linear.peel_table`, the table `verify`'s
-stopping-set search reads, and makes a `linear.RepairStep` record only
-for each step it takes, from the entry of `linear.recovery_table` at
-the same index.  Each call plans anew; the two tables keep their own
-one-entry memos, so a campaign builds each once.  Within the certified
+by the helper bitmasks of `linear.recovery_table` (its `masks`), which
+`verify`'s stopping-set search reads, and makes a `linear.RepairStep`
+record only for each step it takes, from the same table's entry at the
+same index.  Each call plans anew on the table's one-entry memo, so a
+campaign builds it once.  Within the certified
 tolerance the peeling condition guarantees greedy never gets stuck, so
 no backtracking is needed; outside it, a stuck state is a structured
 result.  Planning and repair read erased coordinates with
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_coordinates, check_count
-from .linear import _codewords, peel_table, recovery_table
+from .linear import DUAL_BYTE_BUDGET, _codewords, recovery_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,13 +57,14 @@ def plan_repair(code, erased, r):
     r is an integer >= 1, and InfeasibleError as `linear.recovery_table`
     does.
     """
-    return _greedy(peel_table(code, r), recovery_table(code, r),
+    return _greedy(recovery_table(code, r),
                    check_coordinates("erased coordinates", erased, code.n))
 
 
-def _greedy(peel, table, erased):
-    """The greedy schedule for the sorted erased tuple on the peel table,
-    with one record of the recovery table made for each step taken."""
+def _greedy(table, erased):
+    """The greedy schedule for the sorted erased tuple on the table's
+    masks, with one record of the table made for each step taken."""
+    masks = table.masks
     mask = 0
     for i in erased:
         mask |= 1 << i
@@ -73,7 +74,7 @@ def _greedy(peel, table, erased):
         # the first recovery set, by coordinate and then by helpers, that
         # avoids every erased coordinate
         pick = next(((i, j) for i in remaining
-                     for j, helper_mask in enumerate(peel[i])
+                     for j, helper_mask in enumerate(masks[i])
                      if not helper_mask & mask), None)
         if pick is None:
             return RepairSchedule(erased, tuple(steps), False,
@@ -266,6 +267,9 @@ def campaign(code, r, t, trials, seed, trace=None):
     code.check_encodable()
     field = code.field
     table = recovery_table(code, r)
+    # trials a plan step decides at once: it holds two bools an entry and
+    # its column per trial, within a sixteenth of DUAL_BYTE_BUDGET
+    rows = max(1, DUAL_BYTE_BUDGET // 16 // (n + 17 + 2 * len(table.coord)))
     successes = total_steps = total_helpers = failure_count = 0
     failures = []
     done = 0        # trials of the passes before
@@ -281,7 +285,7 @@ def campaign(code, r, t, trials, seed, trace=None):
         missing[n] = False
         values = np.zeros((n + 1, count), field.dtype)
         values[:n] = np.where(missing[:n], 0, words)     # as erased
-        picks, stuck = _plan(missing, table)
+        picks, stuck = _plan(missing, table, rows)
         _repair(field, values, picks, table)
         success = ~stuck & (values[:n] == words).all(axis=0)
         good = np.flatnonzero(success)
@@ -299,11 +303,13 @@ def campaign(code, r, t, trials, seed, trace=None):
                 done + i, erased[i, :sizes[i]].tolist(),
                 np.flatnonzero(missing[:, i]).tolist() if stuck[i] else None))
         done += count
+        # before the next pass draws its own
+        del words, missing, values, picks, stuck, success, good, bad
     return _summary(trials, t, seed, successes, total_steps, total_helpers,
                     failures, failure_count)
 
 
-def _plan(missing, table):
+def _plan(missing, table, rows):
     """The greedy schedules of a pass's trials, planned together.  At each
     step every trial with coordinates left takes the first entry of the
     table, in its order, whose coordinate it misses and whose helpers it
@@ -313,22 +319,22 @@ def _plan(missing, table):
     row n False, and is left with each stuck trial's residual.  Returns
     (picks, stuck): picks[s, i] is the entry trial i repairs at step s,
     -1 after its last, and stuck marks the trials whose plan got stuck.
-    A step decides `table.rows` trials at a time."""
+    A step decides `rows` trials at a time."""
     trials = missing.shape[1]
     picks = np.full((int(missing.sum(axis=0).max(initial=0)), trials), -1)
     if not len(table.coord):        # every trial is stuck at once
         return picks[:0], missing.any(axis=0)
     stuck = np.zeros(trials, bool)
     for step in picks:
-        for lo in range(0, trials, table.rows):
-            part = missing[:, lo:lo + table.rows]
+        for lo in range(0, trials, rows):
+            part = missing[:, lo:lo + rows]
             usable = part[table.coord]          # (entries, trials)
             for helper in table.helpers:        # and not missing
                 np.greater(usable, part[helper], out=usable)
             pick = usable.argmax(axis=0)
             found = usable[pick, np.arange(len(pick))]
             # a trial with coordinates left and none usable is stuck
-            stuck[lo:lo + table.rows] |= part.any(axis=0) > found
+            stuck[lo:lo + rows] |= part.any(axis=0) > found
             live = np.flatnonzero(found)
             step[lo + live] = pick = pick[live]
             part[table.coord[pick], live] = False

@@ -4,7 +4,7 @@ An erasure pattern cannot be repaired one symbol at a time iff it holds
 a stopping set, in which every recovery set of every member meets the
 set; t* is the smallest stopping set's size minus one.  The search for
 it (after Rosnes and Ytrehus, IEEE Trans. IT 2009) runs over the helper
-bitmasks of `linear.peel_table`, deepening one size at a time and
+bitmasks of `linear.recovery_table`, deepening one size at a time and
 adding members in increasing order, so it meets first the first stuck
 pattern by size and then lexicographically.  A recovery set R of a
 member that avoids the set so far must be met by a later member, so
@@ -23,8 +23,8 @@ before it meets the set with x added.
 `MAX_NODES` is spent one node per search node entered.
 
 The checks take a code and r and nothing else: the search and the
-structure battery read the table through `peel_table`'s one-entry memo,
-so a command that runs both at one r builds it once.  They read helper
+structure battery read the masks of `recovery_table`'s one-entry memo,
+so a command that runs both at one r builds them once.  They read helper
 bitmasks only; no check builds a `linear.RepairStep` record.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
 from .errors import InfeasibleError, check_count
-from .linear import peel_table, punctured_distances
+from .linear import punctured_distances, recovery_table
 
 # Search nodes one sequential check may visit across all its sizes.
 MAX_NODES = 5_000_000
@@ -106,7 +106,7 @@ def _first_stopping_set(masks, size, nodes):
 def _stopping_search(code, r, cap, partial):
     """(first stopping set of size <= cap or None, witnesses, complete);
     out of MAX_NODES, a partial search reports the sizes done in full."""
-    masks = peel_table(code, r)
+    masks = recovery_table(code, r).masks
     n, nodes, witnesses = code.n, [MAX_NODES], {}
     for size in range(1, cap + 1):
         try:
@@ -211,10 +211,10 @@ def check_code_structure(code: ConstructedCode):
     4. every global parity has a recovery set among the line parities.
     """
     p = code.params
-    table = peel_table(code, p.r)
+    masks = recovery_table(code, p.r).masks
     # smallest sets first, equal sizes in the table's order by helpers;
     # coordinate 1's largest family is the witness, the others need t_i
-    best = [_max_disjoint(sorted(table[i], key=int.bit_count),
+    best = [_max_disjoint(sorted(masks[i], key=int.bit_count),
                           p.t_i if i else None)
             for i in range(p.k)]
     bad = [i + 1 for i, sets in enumerate(best) if len(sets) < p.t_i]
@@ -233,7 +233,7 @@ def check_code_structure(code: ConstructedCode):
             ("4", glob_par, line_par)):
         outside = ~sum(1 << h for h in allowed)
         bad = [i + 1 for i in coords
-               if not any(not m & outside for m in table[i])]
+               if not any(not m & outside for m in masks[i])]
         statements[name] = {"holds": not bad, "witness": {"missing": bad}}
     return StructureReport(statements=statements)
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import slrc
 import strategies
+from slrc import cli
 from slrc.cli import EXIT_PIPE, main
 from slrc.construct import build_parity_check, constructed_from_matrix
 from slrc.designs import complete_graph_design
@@ -979,7 +980,7 @@ def test_one_recovery_set_table_per_command(tmp_path, capsys, monkeypatch,
     def refuse(*args):
         raise AssertionError(f"slrc {argv[0]} built a RepairStep record")
     monkeypatch.setattr(slrc.linear, "RepairStep", refuse)
-    builds = _counted_tables()
+    builds = _counted_tables(monkeypatch)
     if argv[0] == "verify":
         argv = ("verify", "--in", str(path)) + argv[1:]
     rc, stdout, _ = run(capsys, *argv)
@@ -1233,3 +1234,46 @@ def test_demo_paper_builds_the_reference_code_once(capsys, monkeypatch):
     monkeypatch.setattr(slrc.reference, "build_parity_check", counted)
     assert run(capsys, "demo-paper") == (0, DEMO_PAPER, "")
     assert len(built) == 1
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def _readme_cli_lines():
+    """The `slrc ...` lines of the first code block after README's "## CLI"
+    heading, as (argv words, comment)."""
+    text = open(README, encoding="utf-8").read()
+    block = text[text.index("## CLI\n"):].split("```")[1]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition(" #")
+        if command.startswith("slrc "):
+            lines.append((command.split()[1:], comment.strip()))
+    return lines
+
+
+def test_readme_cli_block_runs_as_documented(tmp_path, capsys, monkeypatch):
+    # each line with its bracketed options left out, then with them all,
+    # in order in one directory, so later lines read construct's file
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert [words[0] for words, _ in lines] == [
+        "construct", "verify", "verify", "simulate", "bounds", "export",
+        "demo-paper"]
+    for words, comment in lines:
+        plain = " ".join(words)
+        for argv in {re.sub(r" ?\[[^]]*\]", "", plain),
+                     plain.replace("[", "").replace("]", "")}:
+            rc, out, err = run(capsys, *argv.split())
+            assert (rc, err) == (cli.EXIT_OK, ""), argv
+            if "prints t*" in comment:
+                assert out.startswith("t* = "), argv
+
+
+def test_readme_exit_code_table_is_the_clis():
+    text = open(README, encoding="utf-8").read()
+    table = dict(re.findall(r"^\| (\d+) \| `(EXIT_\w+)` \|", text, re.M))
+    assert {int(code): name for code, name in table.items()} == {
+        getattr(cli, name): name for name in dir(cli)
+        if name.startswith("EXIT_")}

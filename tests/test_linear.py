@@ -14,7 +14,7 @@ from slrc.designs import complete_graph_design
 from slrc.errors import FieldError, InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
-                         min_distance, nullspace, peel_table, puncture,
+                         min_distance, nullspace, puncture,
                          recovery_sets_for, recovery_table, rref)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
@@ -646,14 +646,14 @@ def test_recovery_entry_estimate_bounds_their_peak(r):
     # is the slack at r = 3
     code = reference_code()
     need = _entry_estimate(code, r)
-    recovery_table.cache_clear()
+    linear._recovery_table.cache_clear()
     tracemalloc.start()
     try:
         recovery_table(code, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        recovery_table.cache_clear()
+        linear._recovery_table.cache_clear()
     assert peak <= need + 32_768, (peak, need)
 
 
@@ -669,19 +669,18 @@ def test_recovery_sets_over_the_budget_are_refused_before_their_arrays(
     def no_sort(keys):
         raise AssertionError("entries sorted past the budget")
     monkeypatch.setattr(np, "lexsort", no_sort)
-    for table in (peel_table, recovery_table):
-        with pytest.raises(InfeasibleError,
-                           match="622650 recovery sets of size <= 9 exceed"):
-            table(code, 9)
+    with pytest.raises(InfeasibleError,
+                       match="622650 recovery sets of size <= 9 exceed"):
+        recovery_table(code, 9)
     monkeypatch.setattr(np, "lexsort", sort)
     # a smaller budget refuses a table that fits the default one
     monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET",
                         _entry_estimate(code, 3) - 1)
     with pytest.raises(InfeasibleError, match="132 recovery sets"):
-        peel_table(code, 3)
+        recovery_table(code, 3)
     monkeypatch.setattr(linear, "DUAL_BYTE_BUDGET",
                         _entry_estimate(code, 3))
-    assert sum(map(len, peel_table(code, 3))) == 132
+    assert sum(map(len, recovery_table(code, 3).masks)) == 132
 
 
 def _record_estimate(code, r):
@@ -696,14 +695,14 @@ def test_repair_record_estimate_bounds_their_peak(r):
     # words are cached
     code = reference_code()
     need = _record_estimate(code, r)
-    recovery_table.cache_clear()
+    linear._recovery_table.cache_clear()
     tracemalloc.start()
     try:
         all_recovery_sets(code, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        recovery_table.cache_clear()
+        linear._recovery_table.cache_clear()
     assert peak <= need, (peak, need)
 
 
@@ -724,7 +723,7 @@ def test_repair_records_over_the_budget_are_refused_before_they_exist(
     with pytest.raises(InfeasibleError,
                        match="237330 repair records of size <= 8 exceed"):
         all_recovery_sets(code, 8)
-    assert sum(map(len, peel_table(code, 8))) == 237330
+    assert sum(map(len, recovery_table(code, 8).masks)) == 237330
 
 
 def test_recovery_sets_for_first_coordinate(ref_lc):

@@ -1,6 +1,8 @@
 """The recovery-set table, repair planning and the sequential check
 against the row-space oracles of `dual_oracle`, on random codes."""
 
+import dataclasses
+import functools
 import math
 import re
 
@@ -15,10 +17,11 @@ from slrc.construct import ConstructionParams, build_parity_check
 from slrc.errors import ParameterError
 from slrc.field import GF
 from slrc.linear import (LinearCode, all_recovery_sets, dual_low_weight,
-                         peel_table, recovery_table)
+                         recovery_table)
 from slrc.mds import build_mds_parity
 from slrc.reference import reference_code
-from slrc.simulate import execute_repair, plan_repair, trial_campaign
+from slrc.simulate import (campaign, execute_repair, plan_repair,
+                           trial_campaign)
 from slrc.verify import (MAX_NODES, _first_stopping_set, check_code_structure,
                          check_information_locality, check_sequential,
                          max_sequential_t)
@@ -85,7 +88,7 @@ def _records(code, r):
 
 
 def _assert_masks_index_the_records(code, r):
-    peel, steps = peel_table(code, r), _records(code, r)
+    peel, steps = recovery_table(code, r).masks, _records(code, r)
     assert [len(row) for row in peel] == [len(row) for row in steps]
     for i, (masks, row) in enumerate(zip(peel, steps)):
         assert row == tuple(sorted(row, key=lambda rs: (rs.helpers,
@@ -111,7 +114,7 @@ def test_peel_table_holds_the_masks_of_repair_steps_on_any_code(case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(strategies.codes, st.integers(1, 4))
 def test_all_recovery_sets_is_the_by_size_view_of_peel_table(code, r):
-    # of the recovery table's records, the sets whose masks peel_table
+    # of the recovery table's records, the sets whose masks the table
     # holds at the same index; sorted() is stable, so equal sizes keep
     # the (helpers, coeffs) order
     r = min(r, code.params.r)
@@ -192,37 +195,51 @@ def test_t_claim_holds_by_pattern_oracle(code):
     assert max_sequential_t(code, p.r, p.t_claim + 1).t_star >= p.t_claim
 
 
-def test_peel_table_memo_is_one_entry_per_code_and_r():
+def test_recovery_table_memo_is_one_entry_per_code_and_r(monkeypatch):
     H = reference_code().H
     a, b = LinearCode(GF(4), H), LinearCode(GF(4), H)
-    peel_table.cache_clear()
-    table = peel_table(a, 3)
-    assert peel_table(a, 3) is table
+    builds = _counted_tables(monkeypatch)
+    table = recovery_table(a, 3)
+    assert recovery_table(a, 3) is table
+    assert table.masks is table.masks
     # a code equal in H is another code: it gets its own build
-    assert peel_table(b, 3) == table
-    assert peel_table(b, 3) is not table
-    assert peel_table.cache_info().misses == 2
+    other = recovery_table(b, 3)
+    assert other is not table and other.masks == table.masks
+    assert builds() == (2, 2)
     # another r rebuilds, and evicts the entry before it
-    assert peel_table(b, 2) != peel_table(b, 3)
-    assert peel_table.cache_info().misses == 4
+    assert recovery_table(b, 2).masks != recovery_table(b, 3).masks
+    assert builds() == (4, 4)
+    masks = table.masks
     with pytest.raises(TypeError):
-        table[0] = ()
+        masks[0] = ()
     with pytest.raises(AttributeError):
-        table[0].append(table[1][0])
+        masks[0].append(masks[1][0])
     with pytest.raises(TypeError):
-        table[0][0] = table[1][0]
-    # nor the arrays of the recovery table the masks are read from
-    with pytest.raises(ValueError, match="read-only"):
-        recovery_table(b, 3).helpers[0, 0] = 0
+        masks[0][0] = masks[1][0]
+    # nor the arrays the masks are read from, nor the table's own names
+    for name in ("coord", "first", "helpers", "coeffs", "size"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = 0
+    for name in ("helpers", "masks"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, ())
 
 
-def _counted_tables():
-    """Empties the memos of `recovery_table` and `peel_table`; returns a
-    function giving the misses of each since, the tables built."""
-    for table in (recovery_table, peel_table):
-        table.cache_clear()
-    return lambda: (recovery_table.cache_info().misses,
-                    peel_table.cache_info().misses)
+def _counted_tables(monkeypatch):
+    """Empties the memo of `recovery_table` and counts, through
+    monkeypatch, the `masks` made; returns a function giving the tables
+    built since and the masks made since."""
+    made = []
+    masks = linear.RecoveryTable.masks
+
+    def counted(table):
+        made.append(table)
+        return masks.func(table)
+    counted = functools.cached_property(counted)
+    counted.__set_name__(linear.RecoveryTable, "masks")
+    monkeypatch.setattr(linear.RecoveryTable, "masks", counted)
+    linear._recovery_table.cache_clear()
+    return lambda: (linear._recovery_table.cache_info().misses, len(made))
 
 
 def _refuse_records(monkeypatch, what):
@@ -234,16 +251,28 @@ def _refuse_records(monkeypatch, what):
 def test_one_table_per_sweep_point_and_campaign(monkeypatch):
     code = strategies.build(3, 3, 2, 4, "complete-graph", "vandermonde")
     p = code.params
+    builds = _counted_tables(monkeypatch)
     with monkeypatch.context() as patch:
         _refuse_records(patch, "a sweep point")
-        builds = _counted_tables()
         check_sequential(code, p.r, p.t_claim)
         check_information_locality(code)
         check_code_structure(code)
-        assert builds() == (1, 1)
-    builds = _counted_tables()
+    # a plan at the same r reads the same table and masks
+    plan_repair(code, range(p.t_claim), p.r)
+    assert builds() == (1, 1)
+    builds = _counted_tables(monkeypatch)
     trial_campaign(code, p.r, p.t_claim, 50, 0)
     assert builds() == (1, 1)
+
+
+def test_campaign_makes_no_masks(monkeypatch):
+    # the array route plans and traces on the table's arrays alone
+    code = strategies.build(3, 3, 2, 4, "complete-graph", "vandermonde")
+    p = code.params
+    builds = _counted_tables(monkeypatch)
+    campaign(code, p.r, p.t_claim + 2, 50, 0, trace=lambda step: None)
+    assert builds() == (1, 0)
+    assert "masks" not in vars(recovery_table(code, p.r))
 
 
 def test_checks_build_no_repair_step(monkeypatch):
@@ -253,7 +282,7 @@ def test_checks_build_no_repair_step(monkeypatch):
     want = (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
             check_information_locality(code), check_code_structure(code))
     _refuse_records(monkeypatch, "a verification check")
-    builds = _counted_tables()
+    builds = _counted_tables(monkeypatch)
     assert (check_sequential(code, 3, 7), max_sequential_t(code, 3, 9),
             check_information_locality(code),
             check_code_structure(code)) == want
@@ -289,10 +318,10 @@ def test_first_stopping_set_matches_oracle_on_any_masks(masks):
 
 @pytest.mark.parametrize("r", [0, -1])
 def test_checks_refuse_locality_below_one(r):
-    # every r-taking check reads peel_table, which refuses r < 1 instead
-    # of a table with no recovery sets
+    # every r-taking check reads recovery_table, which refuses r < 1
+    # instead of a table with no recovery sets
     ref = reference_code()
-    for call in (lambda: peel_table(ref, r),
+    for call in (lambda: recovery_table(ref, r),
                  lambda: check_sequential(ref, r, 2),
                  lambda: max_sequential_t(ref, r, 4),
                  lambda: plan_repair(ref, {0}, r),
@@ -307,10 +336,8 @@ def test_counts_must_be_integers(name, value):
     # a bool equals 1 and hashes like it, yet is refused even when the
     # r = 1 table is the one memoized
     ref = reference_code()
-    peel_table(ref, 1)
     plan_repair(ref, {0}, 1)
-    calls = {"r": [lambda: peel_table(ref, value),
-                   lambda: recovery_table(ref, value),
+    calls = {"r": [lambda: recovery_table(ref, value),
                    lambda: check_sequential(ref, value, 2),
                    lambda: plan_repair(ref, {0}, value),
                    lambda: trial_campaign(ref, value, 2, 5, 0)],
@@ -325,12 +352,11 @@ def test_counts_must_be_integers(name, value):
 
 @pytest.mark.parametrize("value", [[3], {}, True])
 def test_verify_reads_r_before_the_memo_key(value):
-    # read before the memo key of peel_table and recovery_table, which an
-    # unhashable r would end in a bare TypeError
+    # read before the memo key of recovery_table, which an unhashable r
+    # would end in a bare TypeError
     ref = reference_code()
-    peel_table(ref, 1)
-    for call in (lambda: peel_table(ref, value),
-                 lambda: recovery_table(ref, value),
+    recovery_table(ref, 1)
+    for call in (lambda: recovery_table(ref, value),
                  lambda: check_sequential(ref, value, 2),
                  lambda: max_sequential_t(ref, value, 4)):
         with pytest.raises(ParameterError,
@@ -342,7 +368,7 @@ def test_verify_reads_r_before_the_memo_key(value):
 def test_counts_accept_numpy_integers():
     ref = reference_code()
     r, t, trials = np.int64(3), np.uint8(4), np.int32(20)
-    assert peel_table(ref, r) == peel_table(ref, 3)
+    assert recovery_table(ref, r) is recovery_table(ref, 3)
     assert check_sequential(ref, r, t) == check_sequential(ref, 3, 4)
     assert max_sequential_t(ref, r, t) == max_sequential_t(ref, 3, 4)
     assert trial_campaign(ref, r, t, trials, 0) == trial_campaign(

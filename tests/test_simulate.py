@@ -27,7 +27,7 @@ from slrc.cli import main
 from slrc.construct import ConstructedCode
 from slrc.errors import FieldError, ParameterError
 from slrc.field import GF
-from slrc.linear import LinearCode, peel_table, recovery_table
+from slrc.linear import LinearCode, recovery_table
 from slrc.matrixio import save_matrix
 from slrc.reference import reference_code
 from slrc import simulate
@@ -157,13 +157,14 @@ def test_plan_holds_python_ints(ref):
 @given(strategies.codes, st.data())
 def test_plan_steps_are_the_peel_tables_own_records(code, data):
     # each step is the record of the recovery table's entry first[i] + j,
-    # where entry j of coordinate i's peel_table row is the first helper
+    # where entry j of coordinate i's row of its masks is the first helper
     # bitmask that avoids the coordinates still erased, and that entry's
     # helpers are the ones of that bitmask
     r = code.params.r
     erased = data.draw(st.sets(st.integers(0, code.n - 1), max_size=8))
     schedule = plan_repair(code, erased, r)
-    masks, table = peel_table(code, r), recovery_table(code, r)
+    table = recovery_table(code, r)
+    masks = table.masks
     left = sum(1 << i for i in erased)
     for step in schedule.steps:
         i = step.repaired
@@ -599,7 +600,7 @@ def test_plan_follows_the_current_code_and_r():
 
 
 def test_simulate_keeps_no_module_level_memo():
-    # the tables live in their own one-entry caches, so no name is rebound
+    # the table lives in its own one-entry cache, so no name is rebound
     tree = ast.parse(inspect.getsource(simulate))
     assert not hasattr(simulate, "_memo")
     assert not any(isinstance(node, (ast.Global, ast.Nonlocal))
@@ -608,10 +609,10 @@ def test_simulate_keeps_no_module_level_memo():
 
 def test_plan_holds_when_threads_interleave(ref, monkeypatch):
     # two threads plan at r = 2 and two at r = 3 on the same few sets, so
-    # the one-entry memos of the peel table and the recovery table change
-    # under each other, and each plan sleeps between reading the tables
-    # and picking on them: a pick read off another r's table would give
-    # a plan at the wrong r
+    # the one-entry memo of the recovery table changes under them, and
+    # each plan sleeps between reading the table and picking on its masks
+    # and records: a pick read off another r's table would give a plan at
+    # the wrong r
     patterns = [(0, 6), (1, 2), (3, 9), (4, 5), (7, 8), (10, 11)]
     want = {(p, r): plan_repair(ref, p, r) for p in patterns for r in (2, 3)}
     assert all(want[p, 2] != want[p, 3] for p in patterns)
@@ -715,8 +716,8 @@ def test_array_planner_picks_the_greedy_steps(code, rows, data):
     missing = np.zeros((code.n + 1, len(sets)), bool)
     for i, erased in enumerate(sets):
         missing[list(erased), i] = True
-    table = recovery_table(code, r)._replace(rows=rows)
-    picks, stuck = simulate._plan(missing, table)
+    table = recovery_table(code, r)
+    picks, stuck = simulate._plan(missing, table, rows)
     for i, erased in enumerate(sets):
         schedule = plan_repair(code, erased, r)
         steps = [table.step(e) for e in picks[:, i].tolist() if e >= 0]
@@ -804,20 +805,29 @@ def test_array_campaign_memory_does_not_grow_with_trials(ref):
     assert large - small < 4096, (small, large)
 
 
-def test_array_plan_working_set_is_bounded_in_bytes():
+def test_array_plan_working_set_is_bounded_in_bytes(monkeypatch):
     # r = 7 gives the reference code 73,152 recovery sets, 4,572 a
     # coordinate: one pass's step over all of them at once would hold
-    # two bools per (set, trial), about 37 MB for 256 trials
+    # two bools per (set, trial), about 37 MB for 256 trials; the trials a
+    # step decides at once are the campaign's bound
     code = reference_code()
     table = recovery_table(code, 7)
-    assert len(table.coord) == 73152 and table.rows < 64
+    plan, bounds = simulate._plan, []
+
+    def spy(missing, table, rows):
+        bounds.append(rows)
+        return plan(missing, table, rows)
+    monkeypatch.setattr(simulate, "_plan", spy)
+    campaign(code, 7, 4, 1, 5)
+    (rows,) = bounds
+    assert len(table.coord) == 73152 and rows < 64
     sizes, erased, _ = next(simulate._draws(5, code.n, 4, 4, 6, 256))
     missing = np.zeros((code.n + 1, len(sizes)), bool)
     missing[erased, np.arange(len(sizes))[:, None]] = True
     missing[code.n] = False
     tracemalloc.start()
     try:
-        simulate._plan(missing, table)
+        plan(missing, table, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -848,3 +858,21 @@ def test_campaign_pass_is_bounded_in_bytes(monkeypatch, grow):
     assert stats["failure_count"] > 0
     limit = 400 * simulate._TRIALS + simulate._PRODUCT_BYTES // 2
     assert peak <= limit, (peak, limit)
+
+
+def test_campaign_drops_a_pass_before_drawing_the_next():
+    # affine n = 25 at t = 5: six passes peak where one does, as a pass's
+    # arrays go before the next pass is drawn; kept alive, they held 133
+    # KB more at the next draw (668 KB against 535 KB for one pass)
+    code = _affine25()
+    campaign(code, 4, 5, 10, 0)         # the code's tables
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            campaign(code, 4, 5, trials, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one, six = peak(simulate._TRIALS), peak(6000)
+    assert six - one < 8192, (one, six)

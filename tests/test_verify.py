@@ -11,8 +11,8 @@ from slrc.construct import (ConstructionParams, build_parity_check,
 from slrc.errors import InfeasibleError
 from slrc.field import GF
 from slrc.linear import (LinearCode, RepairStep, all_recovery_sets,
-                         min_distance, peel_table, puncture,
-                         punctured_distances)
+                         min_distance, puncture, punctured_distances,
+                         recovery_table)
 from slrc.mds import build_mds_parity
 from slrc.reference import golden, reference_code
 from slrc.verify import (_max_disjoint, check_code_structure,
@@ -298,14 +298,15 @@ def _smallest_first(masks):
 
 
 def test_availability_reference(ref):
-    table = peel_table(ref, 3)
+    table = recovery_table(ref, 3).masks
     assert len(_max_disjoint(_smallest_first(table[0]))) >= 2
     assert len(_max_disjoint(_smallest_first(table[6]))) >= 1
 
 
 def test_availability_single_set():
     lc = LinearCode(GF(4), [[1, 1, 1, 1]])
-    assert _max_disjoint(_smallest_first(peel_table(lc, 3)[0])) == [0b1110]
+    masks = recovery_table(lc, 3).masks[0]
+    assert _max_disjoint(_smallest_first(masks)) == [0b1110]
 
 
 def _masks(sets):
@@ -333,7 +334,7 @@ def test_max_disjoint_matches_set_oracle_on_grid_tables():
         code = build_parity_check(ConstructionParams(
             r=r, delta=delta, t_i=t_i, field=fld, design=design,
             mds=build_mds_parity(r, delta, fld)))
-        for masks, sets in zip(peel_table(code, r),
+        for masks, sets in zip(recovery_table(code, r).masks,
                                all_recovery_sets(code, r)):
             assert _smallest_first(masks) == _masks(sets)
             assert _max_disjoint(_smallest_first(masks)) == _masks(
@@ -348,7 +349,7 @@ def test_max_disjoint_stops_at_enough_exactly_when_the_oracle_reaches_it():
         code = build_parity_check(ConstructionParams(
             r=r, delta=delta, t_i=t_i, field=fld, design=design,
             mds=build_mds_parity(r, delta, fld)))
-        for masks, sets in zip(peel_table(code, r),
+        for masks, sets in zip(recovery_table(code, r).masks,
                                all_recovery_sets(code, r)):
             most = len(dual_oracle.max_disjoint_sets(sets))
             for enough in {t_i, most, most + 1} - {0}:
