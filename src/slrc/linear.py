@@ -1,22 +1,21 @@
-"""Linear-code machinery over GF(q).
+"""Linear-code machinery over GF(q), on whole arrays of field-element
+encodings through the field's array operations (`GF.vadd`, ...).
 
-Matrices are numpy integer arrays whose entries are field-element
-encodings.  Every job runs on whole arrays through the field's array
-operations (`GF.vadd`, `GF.vmul`, ...): row reduction eliminates one
-pivot column at a time across all rows (`LinearCode` takes H's pivots
-from the right, so its generator is the identity on the first
-information set, which it records), one block product multiplies
-messages by a generator for `encode`, the minimum distance and
-`simulate.campaign` (`_codewords`), and the hot spot,
-listing the low-weight dual codewords that recovery sets come from, is
-a search over column sets of the generator on arrays of the field's
-compact dtype, whose last level is a join (`_low_weight_dual_words`).
-The search returns its words sorted by (weight, vector), and the code
-caches that one array; the recovery sets come from it in one table of
-arrays, `recovery_table`, one memo and the only code that knows its
-format: `simulate` plans and repairs on its arrays, its `masks`, made
-on first read, hold their helper bitmasks, index for index, all that
-verification reads, and a `RepairStep` record of one entry
+Row reduction eliminates one pivot column at a time across all rows;
+`LinearCode` takes H's pivots from the right, so its generator is the
+identity on the first information set I, which it records.  One block
+product multiplies messages by a generator (`_codewords`) for `encode`,
+the minimum distance and `simulate.campaign`.  The hot spot lists the
+low-weight dual words that recovery sets come from
+(`_low_weight_dual_words`): a search over column sets of the generator
+whose last level is a join, split at I, as a word of weight <= wmax has
+at most J coordinates off I, which fix it, or at most wmax - J - 1 on
+I; the first kind is summed from those J, and the search holds only
+sets of the second.  The code caches the words sorted by (weight,
+vector), and `recovery_table`, one memo and the only code that knows
+its format, turns them into one table of arrays: `simulate` plans and
+repairs on them, its `masks`, made on first read, hold the helper
+bitmasks that verification reads, and a `RepairStep` of one entry
 (`RecoveryTable.step`) is made only where a caller uses it.
 """
 
@@ -41,6 +40,8 @@ ENUM_LIMIT = 1 << 22
 # (`entry_bytes`) and of their records (`record_bytes`), and on one block
 # of `_codewords` in `encode` and `_min_weight`.
 DUAL_BYTE_BUDGET = 64 << 20
+# `_split`'s cost: seconds per Phase-1 size, Phase-1 vector and set pair.
+_SPLIT_COSTS = (120e-6, 0.084e-6, 0.30e-6)
 
 
 def rref(field: GF, A):
@@ -288,47 +289,46 @@ def _full_support_words(field, u, Z, w):
     return np.concatenate(idx), np.concatenate(vecs)
 
 
-def _low_weight_dual_words(field, G, wmax):
+def _low_weight_dual_words(field, G, wmax, info=None):
     """All vectors y of weight in [1, wmax] with G y = 0, as an (M, n)
     array normalized so the leading nonzero entry is 1, sorted by
     weight, then lexicographically: `dual_low_weight`'s order.
 
-    A word with support exactly S lies in the null space of G[:, S].
-    Column sets are grown level by level, each by a later column, in
-    lexicographic order.  The search carries one record per (set T,
-    later column c) pair: the residual v of column c of G after
-    elimination against the columns of T (zero at the pivots of T's
-    echelon basis), and the coefficients u, one slot per member of
-    T + {c} with 1 on c's slot, for which sum_s u_s G[:, s] = v.  A
-    zero residual means T + {c} is dependent: u is then a null vector
-    of G[:, T + {c}], and the words supported on exactly T + {c},
-    scaled to 1 on c, are u + z for z in the null space of G[:, T] that
-    are nonzero on every slot.  Extending T by c costs one elimination
-    step per later column, with c's residual as the new pivot row.
-    Dependent sets stay in the search, so words of non-minimal support
-    are found too.
+    Given the mask `info` of an information set I where G is the
+    identity, the search splits at J < wmax (`_split`): a word has at
+    most B = wmax - J - 1 coordinates in I, and the column-set search,
+    whose sets never hold more than B columns of I, lists it, or else at
+    most J off I, and Phase 1 (`_redundancy_words`) lists it.  So the
+    array is that of J = 0, the whole search, run without `info`.
 
-    The last level picks the pairs that can give a word before it
-    eliminates: (T + {c}, c') is dependent exactly when the residual of
-    c' against T is zero or a multiple of c's, and when c's residual is
-    nonzero and c''s is zero, no null vector is nonzero on c.  So a pair
-    is eliminated only when its source's residual is a multiple of its
-    new pivot row (zero when the row is zero), which shows as equal
-    keys of the residuals of level wmax - 1 (`_residual_keys`).  Those
-    pairs are found as a join (`_join_pairs`): the level-(wmax - 1)
-    pairs are sorted by (set T, key), and each run of equal entries
-    gives its pairs (T + {c}, c') with c < c'.  Pivot rows and the
-    sets' columns and null-space bases are then built only for the sets
-    T + {c} that the join names.
+    A word with support exactly S lies in the null space of G[:, S].
+    Column sets grow level by level, each by a later column.  The search
+    carries one record per (set T, later column c) pair: the residual v
+    of column c of G after elimination against T's columns (zero at the
+    pivots of T's echelon basis), and the coefficients u, a slot per
+    member of T + {c} and 1 on c's, with sum_s u_s G[:, s] = v.  If v
+    is zero, u is a null vector of G[:, T + {c}], and the words with
+    support exactly T + {c}, scaled to 1 on c, are u + z for z in the
+    null space of G[:, T] that are nonzero on every slot.  Extending T
+    by c costs one elimination step per later column, with c's residual
+    as the new pivot row.  Dependent sets stay in the search, so words
+    of non-minimal support are found too.
+
+    The last level eliminates only the pairs that can give a word:
+    (T + {c}, c') is dependent exactly when c''s residual against T is
+    zero or a multiple of c's, and a word nonzero on c needs c''s to be
+    nonzero where c's is.  So a pair is kept when its source's residual
+    is a multiple of its new pivot row (zero when the row is zero):
+    equal keys of the level-(wmax - 1) residuals (`_residual_keys`),
+    found as a join (`_join_pairs`) of those pairs sorted by (set T,
+    key), each run of equal entries giving its pairs (T + {c}, c') with
+    c < c'.  Only the sets T + {c} the join names get pivot rows,
+    columns and null-space bases.
 
     Consecutive first columns are searched in one pass while their
     summed pair count at every level stays within `_pass_limit`, so no
     pass is estimated above max(cap·per_pair, DUAL_BYTE_BUDGET / 16)
-    bytes, and small codes, whose many small passes would be mostly
-    numpy call overhead, run in one pass.  Where cap alone fills a
-    sixteenth of the budget, the passes are those of cap: the n=34 sweep
-    point keeps its 9 passes, which peak at 2.4 MB traced where one pass
-    would peak at about 11.5 MB.
+    bytes, and small codes run in one pass, not many call-bound ones.
     """
     k, n = G.shape
     wmax = min(wmax, n)
@@ -350,7 +350,10 @@ def _low_weight_dual_words(field, G, wmax):
             f"dual search over column sets of size <= {wmax} of {n} columns "
             f"exceeds the {DUAL_BYTE_BUDGET}-byte budget")
     limit = _pass_limit(cap, per_pair)
-    found, start = [], 0
+    J = 0 if info is None else _split(k, n - k, field.q, wmax)[0]
+    info = np.zeros(n, bool) if info is None else info
+    most = wmax - J - 1         # B, the information columns a set may hold
+    found, start = _redundancy_words(field, G, info, wmax, J) if J else [], 0
     while start < n:
         # first columns [start, stop) have C(n - start, w) - C(n - stop, w)
         # pairs at level w; the pass takes as many as stay within limit
@@ -359,7 +362,7 @@ def _low_weight_dual_words(field, G, wmax):
                 math.comb(n - start, w) - math.comb(n - stop - 1, w) <= limit
                 for w in range(1, wmax + 1)):
             stop += 1
-        found += _search_from(field, Gt, wmax, start, stop)
+        found += _search_from(field, Gt, wmax, start, stop, info, most)
         start = stop
     words = np.concatenate(found) if found else np.zeros((0, n), dtype=dt)
     weight = np.count_nonzero(words, axis=1)
@@ -372,6 +375,58 @@ def _pass_limit(cap, per_pair):
     column 0, whose bytes a budget check has passed, or as many as fill
     a sixteenth of the budget when that is more."""
     return max(cap, DUAL_BYTE_BUDGET // 16 // per_pair)
+
+
+@functools.lru_cache(maxsize=None)
+def _split(k, m, q, wmax):
+    """(J, Phase-1 vectors, Phase-2 pairs) over GF(q): the y_R on m columns
+    with 1..J nonzeros and a leading 1, and the sets of 1..wmax - 1 columns
+    with at most wmax - J - 1 of the k in I, at the J < wmax of least cost."""
+    def counts(J):
+        return (J, sum(math.comb(m, j) * (q - 1) ** (j - 1)
+                       for j in range(1, J + 1)),
+                sum(math.comb(k, a) * math.comb(m, w - a)
+                    for w in range(1, wmax)
+                    for a in range(min(w, wmax - J - 1) + 1)))
+    return min(map(counts, range(wmax)), key=lambda split: sum(
+        cost * count for cost, count in zip(_SPLIT_COSTS, split)))
+
+
+def _redundancy_words(field, G, info, wmax, J):
+    """Phase 1: the words of 1..J nonzeros off I, more than wmax - J - 1 on
+    I and at most wmax in all, scaled to a leading 1.  G y = 0 fixes y_I =
+    -P y_R, P the columns off I, so the sums P y_R grow as a tree, a later
+    column and value at a time, in blocks within DUAL_BYTE_BUDGET // 16."""
+    n, q, dt = G.shape[1], field.q, field.dtype
+    ic, rc = np.flatnonzero(info), np.flatnonzero(~info)
+    # row i·(q - 1) + a - 1 is a times column rc[i] of G
+    mult = field.vmul(np.arange(1, q, dtype=dt)[None, :, None], np.asarray(
+        G).T[rc, None, :]).reshape(len(rc) * (q - 1), len(ic))
+    step = max(1, DUAL_BYTE_BUDGET // 16 // max(1, len(mult) * (
+        5 * len(ic) * dt.itemsize + 8 * (J + 4))))
+    found = []
+
+    def grow(S, rows):
+        # row i of S is P y_R for the y_R of the rows of `mult` in rows[i]
+        j, held = rows.shape[1], np.count_nonzero(S, axis=1)
+        sel = np.flatnonzero((held >= wmax - J) & (held <= wmax - j))
+        word = np.zeros((len(sel), n), dtype=dt)
+        word[:, ic] = field.vneg(S[sel])
+        np.put_along_axis(word, rc[rows[sel] // (q - 1)],
+                          rows[sel] % (q - 1) + 1, axis=1)
+        lead = word[np.arange(len(sel)), np.argmax(word != 0, axis=1)]
+        found.append(field.vmul(field.vinv(lead)[:, None], word))
+        for lo in range(0, len(S) if j < J else 0, step):
+            # each parent with the rows of `mult` from its next column on
+            first = (rows[lo:lo + step, -1] // (q - 1) + 1) * (q - 1)
+            counts = len(mult) - first
+            parent = lo + np.repeat(np.arange(len(counts)), counts)
+            row = (np.repeat(first - np.cumsum(counts) + counts, counts)
+                   + np.arange(len(parent)))
+            grow(field.vadd(S.take(parent, axis=0), mult.take(row, axis=0)),
+                 np.hstack([rows.take(parent, axis=0), row[:, None]]))
+    grow(mult[::q - 1], np.arange(0, len(mult), q - 1)[:, None])
+    return found
 
 
 def _residual_keys(field, v):
@@ -416,14 +471,15 @@ def _join_pairs(parent, key, own):
     return a[by_ab], b[by_ab]
 
 
-def _search_from(field, Gt, wmax, start, stop):
-    """Words over the column sets whose first column is in [start, stop),
-    all searched in one pass of the levels."""
+def _search_from(field, Gt, wmax, start, stop, info, most):
+    """Words over the column sets of first column in [start, stop) and at
+    most `most` columns of the mask `info`, in one pass of the levels."""
     n = len(Gt)
     dt = Gt.dtype
-    # level-1 pairs: the empty set and every column from `start` on; those
-    # from `stop` on are only the sources of their level-2 residuals
+    # level-1 pairs: the empty set and every column from `start` on; held
+    # (info columns) is past `most` from `stop` on: level-2 sources only
     c = np.arange(start, n)
+    held = info[c] + (c >= stop) * wmax
     v = Gt[start:]
     u = np.zeros((len(c), wmax), dtype=dt)
     u[:, 0] = 1
@@ -432,18 +488,18 @@ def _search_from(field, Gt, wmax, start, stop):
     # row (1 on the member's slot, so nonzero) or a zero row
     cols = np.zeros((1, 0), dtype=np.int64)
     nulls = np.zeros((1, 0, wmax), dtype=dt)
-    own = c < stop
     found = []
     for w in range(1, wmax + 1):
         dependent = ~v.any(axis=1)
-        dep = np.flatnonzero(dependent & own)
+        live = held <= most
+        dep = np.flatnonzero(dependent & live)
         if w + 1 == wmax:
-            # the last level keeps the pairs whose source residual is a
-            # nonzero multiple of the new pivot row, or zero like a zero
-            # row: pairs of one parent with equal residual keys; a zero
-            # source against a nonzero row is dependent too, but no word
-            # of it is nonzero on the row's column
-            a, b = _join_pairs(parent, _residual_keys(field, v), own)
+            # the last level keeps the pairs of one parent with equal
+            # residual keys (a zero source against a nonzero pivot row is
+            # dependent too, but gives no word nonzero on the row's column)
+            a, b = _join_pairs(parent, _residual_keys(field, v), live)
+            keep = held[a] + info[c[b]] <= most
+            a, b = a[keep], b[keep]
         if w > 1:
             # coefficients: the source's column moves from slot w - 2 to
             # slot w - 1
@@ -476,7 +532,7 @@ def _search_from(field, Gt, wmax, start, stop):
             # every pair whose column is not the last becomes a set ch[i]
             # of level w, paired with each later column, whose level-w
             # residual sits at pair ch[i] + (column - c[ch[i]])
-            ch = np.flatnonzero(own & (c < n - 1))
+            ch = np.flatnonzero(live & (c < n - 1))
             counts = n - 1 - c[ch]
             nxt = np.repeat(np.arange(len(ch)), counts)
             src = (ch[nxt] + 1 + np.arange(len(nxt))
@@ -506,7 +562,7 @@ def _search_from(field, Gt, wmax, start, stop):
         f = field.vneg(v_src[np.arange(len(src)), piv[parent]])[:, None]
         v = field.vadd(v_src, field.vmul(f, row.take(parent, axis=0)))
         c = c[src]
-        own = np.ones(len(c), dtype=bool)
+        held = held[ch].take(parent) + info[c]
     return found
 
 
@@ -517,21 +573,17 @@ def _dual_words(code: LinearCode, wmax):
                   if w >= wmax), None)
     if words is None:
         words = code._dual_cache[wmax] = _low_weight_dual_words(
-            code.field, code.generator, wmax)
+            code.field, code.generator, wmax, code.information_set)
     return words[:np.count_nonzero(np.count_nonzero(words, axis=1) <= wmax)]
 
 
 def dual_low_weight(code: LinearCode, wmax):
-    """All dual codewords (row space of H) of weight in [1, wmax],
-    deduplicated up to scalar multiples and normalized so the leading
-    nonzero entry is 1.  Deterministically ordered: by weight, then
-    lexicographically.
-
-    The code keeps one array of word vectors per searched wmax, sorted
-    in that order, and a smaller wmax reads a prefix of a larger one.
-    Raises InfeasibleError when the search's estimated working set
-    exceeds DUAL_BYTE_BUDGET; the estimate is checked before the arrays
-    are allocated.
+    """All dual codewords (row space of H) of weight in [1, wmax], one
+    per scalar multiple, with leading nonzero entry 1, ordered by weight,
+    then lexicographically.  The code keeps one such array of word
+    vectors per searched wmax, and a smaller wmax reads a prefix of a
+    larger one.  Raises InfeasibleError when the search's estimated
+    working set exceeds DUAL_BYTE_BUDGET, checked before it is allocated.
     """
     return [DualWord(vector=tuple(v),
                      support=frozenset(j for j, x in enumerate(v) if x))

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .construct import ConstructedCode
-from .errors import InfeasibleError, check_count
+from .errors import InfeasibleError, ParameterError, check_count
 from .linear import punctured_distances, recovery_table
 
 # Search nodes one sequential check may visit across all its sizes.
@@ -149,6 +149,14 @@ class LocalityReport:
     failures: list
 
 
+def _shape(code, check):
+    """The code's `CodeShape`; ParameterError for a code without one."""
+    if getattr(code, "params", None) is None:
+        raise ParameterError(f"{check} needs a code with a CodeShape (params)"
+                             f": a {type(code).__name__} carries none")
+    return code.params
+
+
 def check_information_locality(code: ConstructedCode):
     """Check the locality conditions for every information coordinate.
 
@@ -160,7 +168,7 @@ def check_information_locality(code: ConstructedCode):
     Condition (5), recoverability of every pattern up to delta*t_i + 1
     erasures, is `check_sequential` at t_abstract.
     """
-    p = code.params
+    p = _shape(code, "check_information_locality")
     parity = set(range(p.k, code.n))
     supports = [set(code.row_block_support(j)) for j in range(p.b)]
     # conditions 1, 2 and 4 belong to a row block: each is found once for
@@ -210,7 +218,7 @@ def check_code_structure(code: ConstructedCode):
        inside the parity coordinates, excluding itself;
     4. every global parity has a recovery set among the line parities.
     """
-    p = code.params
+    p = _shape(code, "check_code_structure")
     masks = recovery_table(code, p.r).masks
     # smallest sets first, equal sizes in the table's order by helpers;
     # coordinate 1's largest family is the witness, the others need t_i
@@ -265,7 +273,7 @@ def rank_report(code: ConstructedCode):
     """Computed rank versus the construction note that claims rank
     b(delta-1); the worked instance contradicts that note, so the
     measured value is authoritative and the mismatch is flagged."""
-    mu = code.params.mu
+    mu = _shape(code, "rank_report").mu
     return {
         "rows": int(code.H.shape[0]),
         "rank": code.rank,

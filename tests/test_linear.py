@@ -398,9 +398,9 @@ def _passes(lc, wmax):
     passes = []
     search = linear._search_from
 
-    def spy(field, Gt, wmax, start, stop):
+    def spy(field, Gt, wmax, start, stop, *split):
         passes.append((start, stop))
-        return search(field, Gt, wmax, start, stop)
+        return search(field, Gt, wmax, start, stop, *split)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linear, "_search_from", spy)
         words = dual_low_weight(LinearCode(lc.field, lc.H), wmax)
@@ -452,6 +452,74 @@ def test_dual_low_weight_passes_are_maximal_within_the_byte_limit(
     split, before = _passes(lc, wmax)
     assert words == before
     assert len(split) >= len(passes)
+
+
+# (J, Phase-1 vectors, Phase-2 pairs) of the split at (k, m, q, wmax) of
+# the pass-pinned codes: J = 0 on the reference code and both `tstar`
+# codes (n = 18 and 29), where a split is no faster, and J < wmax
+# everywhere, so every pinned search keeps its column-set passes
+SPLIT_PINS = {
+    16: ((6, 10, 4, 4), (0, 0, 696)),
+    18: ((4, 14, 3, 3), (0, 0, 171)),
+    29: ((9, 20, 4, 4), (0, 0, 4089)),
+    25: ((16, 9, 4, 5), (4, 4275, 255)),
+    34: ((16, 18, 5, 5), (3, 13686, 19855)),
+}
+
+
+@pytest.mark.parametrize("n", SPLIT_PINS)
+def test_dual_split_counts_are_pinned(n, ref_lc):
+    import slrc.linear as linear
+    lc, wmax = (ref_lc, 4) if n == 16 else _sweep_code(n)
+    shape, split = SPLIT_PINS[n]
+    assert shape == (lc.dimension, n - lc.dimension, lc.field.q, wmax)
+    assert linear._split(*shape) == split
+    assert split[0] < wmax
+
+
+@st.composite
+def split_parity_checks(draw):
+    """A random H over GF(q) of n <= 12 columns, some of them zero (in
+    every information set), whose row 0 may be a unit vector e_j (j in
+    none, so the information set need not start at 0)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, int(math.log(20_000, q))))
+    H = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
+                               max_size=rows * n)),
+                 dtype=np.int64).reshape(rows, n)
+    H[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    unit = draw(st.none() | st.integers(0, n - 1))
+    if unit is not None:
+        H[0] = 0
+        H[0, unit] = 1
+    return GF(q), H
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(split_parity_checks(), st.integers(1, 5))
+# an information set that starts at 2, as coordinates 0 and 1 are
+# zero on every codeword
+@example(field_and_h=(GF(3), np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                       [0, 0, 1, 1, 2, 0]])), wmax=3)
+def test_dual_split_is_exact_at_every_j(field_and_h, wmax):
+    # every split J from 0 to wmax gives the array of J = 0, byte for
+    # byte, and J = 0 gives the row-space oracle's words
+    import slrc.linear as linear
+    field, H = field_and_h
+    code = LinearCode(field, H)
+    arrays = []
+    for J in range(min(wmax, code.n) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_split", lambda *shape, J=J: (J, 0, 0))
+            arrays.append(linear._low_weight_dual_words(
+                field, code.generator, wmax, code.information_set))
+    for words in arrays:
+        assert words.dtype == arrays[0].dtype
+        assert words.shape == arrays[0].shape
+        assert words.tobytes() == arrays[0].tobytes()
+    assert [tuple(v) for v in arrays[0].tolist()] == [
+        d.vector for d in dual_oracle.rowspace_words(field, H, wmax)]
 
 
 # (q, row length): 1024^7 and 9^20 exceed 2^63, so the keys of the

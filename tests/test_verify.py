@@ -8,7 +8,7 @@ import dual_oracle
 import strategies
 from slrc.construct import (ConstructionParams, build_parity_check,
                             constructed_from_matrix)
-from slrc.errors import InfeasibleError
+from slrc.errors import InfeasibleError, ParameterError
 from slrc.field import GF
 from slrc.linear import (LinearCode, RepairStep, all_recovery_sets,
                          min_distance, puncture, punctured_distances,
@@ -365,3 +365,18 @@ def test_rank_report_flags_discrepancy(ref):
     assert rep["dimension"] == 6
     assert rep["stated_rank"] == 8
     assert rep["rank_matches_statement"] is False
+
+
+# the checks of a shape, given a code that has none
+SHAPE_CHECKS = {"check_information_locality": check_information_locality,
+                "check_code_structure": check_code_structure,
+                "rank_report": rank_report}
+
+
+@pytest.mark.parametrize("name", SHAPE_CHECKS)
+def test_shape_checks_refuse_a_code_without_a_shape(name, ref):
+    plain = LinearCode(ref.field, ref.H)
+    with pytest.raises(ParameterError,
+                       match=f"^{name} needs a code with a CodeShape "
+                             r"\(params\): a LinearCode carries none$"):
+        SHAPE_CHECKS[name](plain)
